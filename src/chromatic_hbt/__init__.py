@@ -16,7 +16,6 @@ from .fock import (
     frequency_of_wavelength,
     inner_product,
     project_single_photon,
-    register_mode,
 )
 from .elements import (
     ArmModes,

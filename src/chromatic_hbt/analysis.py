@@ -5,8 +5,9 @@ timestamps are shifted by the post-processing delay tau.  The estimator
 
     g2 = n_coincidence * n_bin / (n_A * n_B)
 
-is 1 for uncorrelated streams; its error bar is Poisson-dominated,
-sigma = g2 / sqrt(n_coincidence).
+counts n_A and n_B as bins hit by each channel, like the coincidences, so
+it is 1 for uncorrelated streams at any analysis bin width; its error bar
+is Poisson-dominated, sigma = g2 / sqrt(n_coincidence).
 """
 
 from __future__ import annotations
@@ -18,19 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .fock import SPEED_OF_LIGHT
-from .streams import CHANNEL_A, CHANNEL_B, PS_PER_SECOND, TdcStream
+from .streams import CHANNEL_A, CHANNEL_B, PS_PER_SECOND, TdcStream, _dedupe_sorted, _window_pairs
 
 X_KINDS = ("t_delay", "tau", "path_length")
 _X_UNITS = {"t_delay": "s", "tau": "s", "path_length": "m"}
-
-
-def _dedupe_sorted(values: np.ndarray) -> np.ndarray:
-    if values.size <= 1:
-        return values
-    keep = np.empty(values.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
 
 
 def _count_common_sorted(a: np.ndarray, b: np.ndarray) -> int:
@@ -107,8 +99,8 @@ def count_coincidences(
     n_c = _count_common_sorted(bins_a, bins_b)
     return CoincidenceCounts(
         n_coincidence=n_c,
-        n_a=int(sel_a.size),
-        n_b=int(sel_b.size),
+        n_a=int(bins_a.size),
+        n_b=int(bins_b.size),
         n_bin=int(n_bin),
         bin_width=bw_ps / PS_PER_SECOND,
         tau=tau_ps / PS_PER_SECOND,
@@ -227,19 +219,7 @@ def _multi_shift_coincidences(
     """
     s_min, s_max = int(shifts.min()), int(shifts.max())
     histogram = np.zeros(s_max - s_min + 1, dtype=np.int64)
-    chunk = 200_000
-    for start in range(0, bins_a.size, chunk):
-        a = bins_a[start : start + chunk]
-        lo = np.searchsorted(bins_b, a - s_max)
-        hi = np.searchsorted(bins_b, a - s_min + 1)
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        group = np.repeat(np.arange(a.size), counts)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        flat = np.arange(total) - np.repeat(starts, counts) + np.repeat(lo, counts)
-        diffs = a[group] - bins_b[flat]
+    for _, _, diffs in _window_pairs(bins_a, bins_b, s_min, s_max):
         histogram += np.bincount(diffs - s_min, minlength=histogram.size)
     return histogram[shifts - s_min]
 
@@ -263,24 +243,25 @@ def _scan_tau_fast(stream: TdcStream, taus: list[float]) -> G2Curve | None:
     if np.any(np.abs(shifts) >= n_bin):
         raise ValueError("shift reaches beyond the stream duration")
     bins_a = _dedupe_sorted(stream.channel_times(CHANNEL_A) // bw_ps)
+    bins_a = bins_a[: np.searchsorted(bins_a, n_bin)]
     bins_b = _dedupe_sorted(stream.channel_times(CHANNEL_B) // bw_ps)
-    n_a = stream.channel_times(CHANNEL_A).size
-    if n_a == 0 or bins_b.size == 0:
-        raise ValueError("g2 undefined: a channel has zero counts in the window")
     n_c = _multi_shift_coincidences(bins_a, bins_b, shifts)
-    times_b = stream.channel_times(CHANNEL_B)
     xs, g2s, sigmas = [], [], []
-    for shift, n_coinc in zip(shifts, n_c):
-        # B singles whose shifted stamps stay inside the acquisition
-        lo = np.searchsorted(times_b, -shift * bw_ps)
-        hi = np.searchsorted(times_b, (n_bin - shift) * bw_ps)
-        n_b = int(hi - lo)
-        if n_b == 0:
-            raise ValueError("g2 undefined: a channel has zero counts in the window")
-        scale = n_bin / (n_a * n_b)
-        xs.append(shift * bw_ps / PS_PER_SECOND)
-        g2s.append(n_coinc * scale)
-        sigmas.append(scale * math.sqrt(max(int(n_coinc), 1)))
+    for shift, n_coinc in zip(shifts.tolist(), n_c.tolist()):
+        # B bins whose shifted position stays inside the acquisition
+        n_b = np.searchsorted(bins_b, n_bin - shift) - np.searchsorted(bins_b, -shift)
+        counts = CoincidenceCounts(
+            n_coincidence=n_coinc,
+            n_a=int(bins_a.size),
+            n_b=int(n_b),
+            n_bin=int(n_bin),
+            bin_width=bw_ps / PS_PER_SECOND,
+            tau=shift * bw_ps / PS_PER_SECOND,
+        )
+        g2, sigma = estimate_g2(counts)
+        xs.append(counts.tau)
+        g2s.append(g2)
+        sigmas.append(sigma)
     return G2Curve(np.array(xs), np.array(g2s), np.array(sigmas), "tau")
 
 

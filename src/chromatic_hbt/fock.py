@@ -73,6 +73,7 @@ class ModeRegistry:
             raise KeyError(f"no mode registered under label {label!r}") from None
 
     def register(self, label: str, frequency: float, branch: str) -> ModeId:
+        """Register a new mode; rejects duplicate labels naming the conflict."""
         if label in self._by_label:
             raise ValueError(f"mode label {label!r} is already registered")
         if frequency <= 0:
@@ -105,11 +106,6 @@ class ModeRegistry:
         extend((), len(self._modes), self.n_max)
         states.sort(key=lambda s: s.occupation)
         return states
-
-
-def register_mode(registry: ModeRegistry, label: str, frequency: float, branch: str) -> ModeId:
-    """Register a new mode; rejects duplicate labels naming the conflict."""
-    return registry.register(label, frequency, branch)
 
 
 @dataclass(frozen=True)

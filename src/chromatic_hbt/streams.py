@@ -5,7 +5,9 @@ timing bin.  Clicks on B are conditioned on nearby clicks on A so that the
 empirical coincidence ratio realizes a configured analytic fringe model,
 while both singles rates stay exact.  Undamped models correlate same-bin
 only; damped models spread the correlation over a kernel covering five
-envelope widths.  Generation is event-based (bins are never materialized),
+envelope widths.  Generation is event-based: the bins between two clicks of
+a Bernoulli process are a geometric gap, so clicks are drawn as cumulative
+sums of geometric gaps and bins are never materialized.  Output is
 deterministic for a given seed, and streams round-trip through a simple
 text format or a compact binary one.
 """
@@ -176,81 +178,83 @@ class TdcStream:
         return out
 
 
-def _distinct_bins(rng: np.random.Generator, n_bins: int, count: int) -> np.ndarray:
-    """`count` distinct bin indices, uniform over [0, n_bins), sorted."""
-    count = min(count, n_bins)
-    if count <= 0:
-        return np.empty(0, dtype=np.int64)
-    picked = np.unique(rng.integers(0, n_bins, size=count + count // 16 + 16, dtype=np.int64))
-    while picked.size < count:
-        extra = rng.integers(0, n_bins, size=2 * (count - picked.size) + 16, dtype=np.int64)
-        picked = np.union1d(picked, extra)
-    if picked.size > count:
-        keep = rng.choice(picked.size, size=count, replace=False)
-        picked = np.sort(picked[keep])
-    return picked
+def _dedupe_sorted(values: np.ndarray) -> np.ndarray:
+    if values.size <= 1:
+        return values
+    keep = np.empty(values.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
-def _is_member(values: np.ndarray, sorted_pool: np.ndarray) -> np.ndarray:
-    if sorted_pool.size == 0:
-        return np.zeros(values.size, dtype=bool)
-    idx = np.searchsorted(sorted_pool, values)
-    idx = np.minimum(idx, sorted_pool.size - 1)
-    return sorted_pool[idx] == values
+# geometric gaps drawn per call; bounds the scratch memory of huge segments
+_GAP_CHUNK = 1 << 20
 
 
-def _distinct_bins_excluding(
-    rng: np.random.Generator, n_bins: int, count: int, exclude_sorted: np.ndarray
-) -> np.ndarray:
-    """Distinct bins uniform over the complement of `exclude_sorted`."""
-    count = min(count, max(n_bins - exclude_sorted.size, 0))
-    if count <= 0:
-        return np.empty(0, dtype=np.int64)
-    out = np.empty(0, dtype=np.int64)
-    while out.size < count:
-        cand = np.unique(rng.integers(0, n_bins, size=2 * (count - out.size) + 16, dtype=np.int64))
-        cand = cand[~_is_member(cand, exclude_sorted)]
-        out = np.union1d(out, cand)
-    if out.size > count:
-        keep = rng.choice(out.size, size=count, replace=False)
-        out = np.sort(out[keep])
-    return out
+def _bernoulli_bins(rng: np.random.Generator, n_bins: int, p: float) -> np.ndarray:
+    """Sorted bins of an independent Bernoulli(p) trial per bin of [0, n_bins).
 
-
-def _grouped_window_sums(
-    positions: np.ndarray, centers: np.ndarray, reach: int, table: np.ndarray
-) -> np.ndarray:
-    """For each center, sum table[delta + reach] over positions within +-reach.
-
-    positions and centers are sorted integer arrays; table has 2*reach+1
-    entries indexed by delta = position - center.
+    The gaps between successive successes are iid geometric(p), so the
+    clicks are a cumulative sum of geometric draws cut at n_bins.
     """
-    sums = np.zeros(centers.size, dtype=float)
-    chunk = 200_000
-    for start in range(0, centers.size, chunk):
-        c = centers[start : start + chunk]
-        lo = np.searchsorted(positions, c - reach)
-        hi = np.searchsorted(positions, c + reach + 1)
-        counts = hi - lo
+    if p <= 0 or n_bins <= 0:
+        return np.empty(0, dtype=np.int64)
+    parts = []
+    last = -1  # every bin up to and including `last` is decided
+    while last < n_bins - 1:
+        mean = (n_bins - 1 - last) * p
+        size = min(int(mean + 5.0 * math.sqrt(mean)) + 16, _GAP_CHUNK)
+        bins = np.cumsum(rng.geometric(p, size=size))
+        bins += last
+        parts.append(bins)
+        last = int(bins[-1])
+    bins = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return bins[: np.searchsorted(bins, n_bins)]
+
+
+def _complement_bins(excluded: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Bin numbers of the index-th bins outside the sorted distinct `excluded`.
+
+    excluded[j] has excluded[j] - j free bins below it, so it lies below the
+    index-th free bin exactly when excluded[j] - j <= index.
+    """
+    below = excluded - np.arange(excluded.size)
+    return index + np.searchsorted(below, index, side="right")
+
+
+# centers per pass of _window_pairs; bounds the memory of the pair arrays
+_PAIR_CHUNK = 200_000
+
+
+def _window_pairs(positions: np.ndarray, centers: np.ndarray, lo: int, hi: int):
+    """All (center, position) pairs with lo <= position - center <= hi.
+
+    positions and centers are sorted integer arrays.  Pairs come in chunks
+    of centers as (start, index, offset): index counts centers from
+    centers[start] and does not decrease, offset is position - center.
+    """
+    for start in range(0, centers.size, _PAIR_CHUNK):
+        c = centers[start : start + _PAIR_CHUNK]
+        first = np.searchsorted(positions, c + lo)
+        counts = np.searchsorted(positions, c + hi + 1) - first
         total = int(counts.sum())
         if total == 0:
             continue
-        group = np.repeat(np.arange(c.size), counts)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        flat = np.arange(total) - np.repeat(starts, counts) + np.repeat(lo, counts)
-        delta = positions[flat] - c[group]
-        sums[start : start + c.size] += np.bincount(
-            group, weights=table[delta + reach], minlength=c.size
-        )
-    return sums
+        index = np.repeat(np.arange(c.size), counts)
+        flat = np.arange(total) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+        yield start, index, positions[flat] - c[index]
 
 
 def _segment_same_bin(
     rng: np.random.Generator, n_bins: int, p_a: float, p_b: float, g2: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Clicks correlated within one bin: P(B|A) = p_b * g2, singles exact."""
-    n_a = rng.binomial(n_bins, p_a) if p_a > 0 else 0
-    a_bins = _distinct_bins(rng, n_bins, n_a)
+    """Clicks correlated within one bin: P(B|A) = p_b * g2, singles exact.
+
+    A clicks are geometric gaps over all bins.  B clicks on A bins are
+    thinned A clicks; B clicks off A bins are geometric gaps over the
+    free bins, mapped back past the A bins.
+    """
+    a_bins = _bernoulli_bins(rng, n_bins, p_a)
     if p_b <= 0:
         return a_bins, np.empty(0, dtype=np.int64)
     joint = p_b * g2
@@ -258,8 +262,7 @@ def _segment_same_bin(
         raise ValueError(f"p_b * g2 = {joint:.3g} is not a probability; lower the rates")
     b_on = a_bins[rng.random(a_bins.size) < joint]
     off_prob = p_b * (1.0 - p_a * g2) / (1.0 - p_a)
-    n_off = rng.binomial(n_bins - a_bins.size, off_prob)
-    b_off = _distinct_bins_excluding(rng, n_bins, n_off, a_bins)
+    b_off = _complement_bins(a_bins, _bernoulli_bins(rng, n_bins - a_bins.size, off_prob))
     return a_bins, np.sort(np.concatenate([b_on, b_off]))
 
 
@@ -284,14 +287,15 @@ def _segment_kernel(
     kernel = (g2_tau_model(model, deltas * bin_width) - 1.0) / (1.0 - p_a)
     mean_shift = p_a * kernel.sum()
 
-    n_a = rng.binomial(n_bins, p_a) if p_a > 0 else 0
-    a_bins = _distinct_bins(rng, n_bins, n_a)
+    a_bins = _bernoulli_bins(rng, n_bins, p_a)
     if p_b <= 0:
         return a_bins, np.empty(0, dtype=np.int64)
     envelope_prob = min(_KERNEL_CAP * p_b, 0.5)
-    n_candidates = rng.binomial(n_bins, envelope_prob)
-    candidates = _distinct_bins(rng, n_bins, n_candidates)
-    sums = _grouped_window_sums(a_bins, candidates, reach, kernel)
+    candidates = _bernoulli_bins(rng, n_bins, envelope_prob)
+    sums = np.zeros(candidates.size)
+    for start, index, offset in _window_pairs(a_bins, candidates, -reach, reach):
+        part = np.bincount(index, weights=kernel[offset + reach])
+        sums[start : start + part.size] = part
     prob = p_b * np.clip(1.0 + sums - mean_shift, 0.0, _KERNEL_CAP)
     accept = rng.random(candidates.size) < prob / envelope_prob
     return a_bins, candidates[accept]
@@ -300,7 +304,7 @@ def _segment_kernel(
 def _merge_channel(signal: np.ndarray, dark: np.ndarray) -> np.ndarray:
     if dark.size == 0:
         return signal
-    return np.union1d(signal, dark)
+    return _dedupe_sorted(np.sort(np.concatenate([signal, dark])))
 
 
 def simulate_stream(config: StreamConfig) -> TdcStream:
@@ -317,6 +321,8 @@ def simulate_stream(config: StreamConfig) -> TdcStream:
     offset_bins = 0
     p_a = config.rate_a * config.bin_width
     p_b = config.rate_b * config.bin_width
+    dark_a = config.dark_rate_a * config.bin_width
+    dark_b = config.dark_rate_b * config.bin_width
     for index, (t_delay, dwell) in enumerate(config.delay_schedule):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy=config.seed, spawn_key=(index,)))
@@ -332,12 +338,8 @@ def simulate_stream(config: StreamConfig) -> TdcStream:
             a_bins, b_bins = _segment_same_bin(rng, n_bins, p_a, p_b, g2_here)
         else:
             a_bins, b_bins = _segment_kernel(rng, n_bins, p_a, p_b, config.model, config.bin_width)
-        if config.dark_rate_a > 0:
-            dark = _distinct_bins(rng, n_bins, rng.binomial(n_bins, config.dark_rate_a * config.bin_width))
-            a_bins = _merge_channel(a_bins, dark)
-        if config.dark_rate_b > 0:
-            dark = _distinct_bins(rng, n_bins, rng.binomial(n_bins, config.dark_rate_b * config.bin_width))
-            b_bins = _merge_channel(b_bins, dark)
+        a_bins = _merge_channel(a_bins, _bernoulli_bins(rng, n_bins, dark_a))
+        b_bins = _merge_channel(b_bins, _bernoulli_bins(rng, n_bins, dark_b))
         for channel, bins in ((CHANNEL_A, a_bins), (CHANNEL_B, b_bins)):
             if bins.size:
                 all_channels.append(np.full(bins.size, channel, dtype=np.uint8))

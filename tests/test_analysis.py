@@ -126,6 +126,16 @@ class TestEstimateG2:
         assert abs(g2 - (1.0 + model.visibility / 2.0)) < 3.0 * sigma
         assert g2 == pytest.approx(1.295, abs=0.05)
 
+    @pytest.mark.parametrize("analysis_bin", [20e-9, 100e-9])
+    def test_rebinned_uncorrelated_stream_is_one(self, analysis_bin):
+        # coarse bins often hold several clicks of one channel; singles are
+        # counted as occupied bins like the coincidences, so g2 stays 1
+        cfg = StreamConfig(bin_width=1e-9, rate_a=2e7, rate_b=2e7, seed=7,
+                           model=None, delay_schedule=((0.0, 5e-3),))
+        stream = simulate_stream(cfg)
+        g2, sigma = estimate_g2(count_coincidences(stream, bin_width=analysis_bin))
+        assert abs(g2 - 1.0) < 4.0 * sigma
+
     def test_normalization_over_thirty_seeds(self):
         # uncorrelated million-bin streams: mean g2 within one percent of 1
         values = []
@@ -201,6 +211,14 @@ class TestScans:
             g2_ref, sigma_ref = estimate_g2(counts)
             assert g2 == g2_ref
             assert sigma == sigma_ref
+
+    def test_scan_tau_fast_path_drops_partial_last_bin(self):
+        # the per-tau counter ignores clicks past the last whole bin of a
+        # stream whose duration is not a whole number of bins
+        stream = toy_stream([0, 2000, 9500], [0, 3000, 9600], duration_ps=9700)
+        curve = scan_tau(stream, [0.0, 1e-9])
+        for tau, g2 in zip(curve.x, curve.g2):
+            assert g2 == estimate_g2(count_coincidences(stream, tau=tau))[0]
 
     def test_scan_tau_fractional_shift_uses_general_path(self):
         cfg = StreamConfig(bin_width=2e-9, rate_a=2e7, rate_b=2e7, seed=34,

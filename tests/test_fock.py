@@ -12,7 +12,6 @@ from chromatic_hbt.fock import (
     frequency_of_wavelength,
     inner_product,
     project_single_photon,
-    register_mode,
     single_photon,
 )
 
@@ -37,7 +36,7 @@ class TestRegistry:
 
     def test_register_returns_fresh_handle(self):
         reg = ModeRegistry()
-        mode = register_mode(reg, "g1", frequency_of_wavelength(1064.4e-9), "a")
+        mode = reg.register("g1", frequency_of_wavelength(1064.4e-9), "a")
         assert mode.index == 0
         assert mode.label == "g1"
         # f = c / lambda for 1064.4 nm
@@ -47,16 +46,16 @@ class TestRegistry:
 
     def test_duplicate_label_rejected_naming_label(self):
         reg = ModeRegistry()
-        register_mode(reg, "g1", 2.8e14, "a")
+        reg.register("g1", 2.8e14, "a")
         with pytest.raises(ValueError, match="g1"):
-            register_mode(reg, "g1", 2.9e14, "b")
+            reg.register("g1", 2.9e14, "b")
 
     def test_invalid_frequency_and_branch(self):
         reg = ModeRegistry()
         with pytest.raises(ValueError):
-            register_mode(reg, "bad", -1.0, "a")
+            reg.register("bad", -1.0, "a")
         with pytest.raises(ValueError):
-            register_mode(reg, "bad", 1.0e14, "c")
+            reg.register("bad", 1.0e14, "c")
 
     def test_basis_enumeration_is_deterministic(self):
         reg, _, _ = two_mode_registry()

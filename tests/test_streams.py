@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chromatic_hbt.protocol import G2Model
 from chromatic_hbt.streams import (
+    _GAP_CHUNK,
     CHANNEL_A,
     CHANNEL_B,
     StreamConfig,
     StreamFormatError,
     StreamMeta,
+    _bernoulli_bins,
+    _complement_bins,
     read_stream,
     simulate_stream,
     write_stream,
@@ -53,6 +58,28 @@ class TestStreamConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             basic_config(seed=-1)
+
+
+class TestBernoulliBins:
+    @given(st.integers(0, 300).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.integers(0, max(n - 1, 0)), max_size=n))))
+    def test_complement_map_lists_the_free_bins(self, case):
+        n, excluded = case
+        a = np.array(sorted(excluded), dtype=np.int64)
+        free = _complement_bins(a, np.arange(n - a.size))
+        assert np.array_equal(free, np.setdiff1d(np.arange(n), a))
+
+    @pytest.mark.parametrize("n_bins, p", [(1000, 0.0), (0, 0.3)])
+    def test_empty_when_nothing_can_click(self, n_bins, p):
+        assert _bernoulli_bins(np.random.default_rng(1), n_bins, p).size == 0
+
+    @pytest.mark.parametrize("n_bins, p", [(40, 0.5), (3 * _GAP_CHUNK, 0.5), (10**9, 1e-4)])
+    def test_sorted_in_range_and_count_within_5_sigma(self, n_bins, p):
+        bins = _bernoulli_bins(np.random.default_rng(8), n_bins, p)
+        assert np.all(np.diff(bins) > 0)
+        assert bins.size == 0 or (bins[0] >= 0 and bins[-1] < n_bins)
+        mean = n_bins * p
+        assert abs(bins.size - mean) < 5.0 * math.sqrt(mean * (1.0 - p))
 
 
 class TestSimulateStream:
