@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from chromatic_hbt.analysis import (
     CoincidenceCounts,
@@ -11,13 +13,14 @@ from chromatic_hbt.analysis import (
 )
 from chromatic_hbt.protocol import G2Model
 from chromatic_hbt.streams import (
+    PS_PER_SECOND,
     StreamConfig,
     StreamMeta,
     TdcStream,
     simulate_stream,
 )
 
-from oracles import pairwise_coincidences
+from oracles import occupied_bin_tallies, pairwise_coincidences
 
 
 def toy_stream(times_a, times_b, bin_width_ps=1000, duration_ps=None):
@@ -34,6 +37,26 @@ def toy_stream(times_a, times_b, bin_width_ps=1000, duration_ps=None):
         times_ps=times[order],
         meta=StreamMeta(bin_width_ps=bin_width_ps, duration_ps=int(duration_ps), seed=0),
     )
+
+
+@st.composite
+def counter_cases(draw):
+    """A toy stream with repeated timestamps, possibly an empty channel, an
+    analysis bin at least the stream's, a shift of either sign and a
+    sub-window, all in ps; on the stream's bin grid or off it."""
+    stream_bw = draw(st.integers(1, 50))
+    n_stream_bins = draw(st.integers(4, 60))
+    duration = stream_bw * n_stream_bins
+    clicks = st.lists(st.integers(0, n_stream_bins - 1), max_size=30)
+    times_a = sorted(t * stream_bw for t in draw(clicks))
+    times_b = sorted(t * stream_bw for t in draw(clicks))
+    # on the grid, clicks land exactly on window edges and bin edges
+    step = stream_bw if draw(st.booleans()) else 1
+    bw = step * draw(st.integers(stream_bw // step, 4 * stream_bw // step))
+    tau_ps = step * draw(st.integers(-((duration - 1) // step), (duration - 1) // step))
+    w0 = step * draw(st.integers(0, (duration - bw) // step))
+    w1 = step * draw(st.integers(-(-(w0 + bw) // step), duration // step))
+    return stream_bw, duration, times_a, times_b, bw, tau_ps, w0, w1
 
 
 class TestCountCoincidences:
@@ -82,6 +105,16 @@ class TestCountCoincidences:
             in_window = (times_b + tau_ps >= 0) & (times_b + tau_ps < (600_000 // bw_ps) * bw_ps)
             expected = pairwise_coincidences(times_a, times_b[in_window], tau_ps, bw_ps)
             assert counts.n_coincidence == expected
+
+    @given(counter_cases())
+    @example((10, 400, [0, 20, 20, 130, 390], [], 25, -7, 15, 340))  # B empty
+    def test_matches_set_oracle(self, case):
+        stream_bw, duration, times_a, times_b, bw, tau_ps, w0, w1 = case
+        stream = toy_stream(times_a, times_b, bin_width_ps=stream_bw, duration_ps=duration)
+        counts = count_coincidences(stream, tau=tau_ps / PS_PER_SECOND, bin_width=bw / PS_PER_SECOND,
+                                    window=(w0 / PS_PER_SECOND, w1 / PS_PER_SECOND))
+        assert (counts.n_coincidence, counts.n_a, counts.n_b) == occupied_bin_tallies(
+            times_a, times_b, tau_ps, bw, w0, w1)
 
     def test_finer_bin_than_stream_rejected(self):
         stream = toy_stream([0], [0], bin_width_ps=1000)

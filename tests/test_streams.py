@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from chromatic_hbt import streams
 from chromatic_hbt.protocol import G2Model
 from chromatic_hbt.streams import (
     _GAP_CHUNK,
@@ -15,6 +17,7 @@ from chromatic_hbt.streams import (
     StreamMeta,
     _bernoulli_bins,
     _complement_bins,
+    _window_pairs,
     read_stream,
     simulate_stream,
     write_stream,
@@ -80,6 +83,28 @@ class TestBernoulliBins:
         assert bins.size == 0 or (bins[0] >= 0 and bins[-1] < n_bins)
         mean = n_bins * p
         assert abs(bins.size - mean) < 5.0 * math.sqrt(mean * (1.0 - p))
+
+
+sorted_ints = st.lists(st.integers(0, 200), max_size=40).map(sorted)
+
+
+class TestWindowPairs:
+    @given(sorted_ints.map(set).map(sorted), sorted_ints, st.integers(-20, 20),
+           st.integers(0, 30), st.integers(1, 12))
+    # the center at 50 alone has 21 pairs, more than the budget of 4
+    @example(list(range(40, 61)), [5, 50, 50, 120], -10, 20, 4)
+    def test_chunks_concatenate_to_one_enumeration(self, positions, centers, lo, width, budget):
+        hi = lo + width
+        expected = [(i, p - c) for i, c in enumerate(centers) for p in positions if lo <= p - c <= hi]
+        got = []
+        with mock.patch.object(streams, "_PAIR_BUDGET", budget):
+            chunks = _window_pairs(np.array(positions, dtype=np.int64),
+                                   np.array(centers, dtype=np.int64), lo, hi)
+            for start, index, offset in chunks:
+                # over budget only when the chunk is one center's pairs
+                assert index.size <= budget or index[-1] == 0
+                got.extend(zip((start + index).tolist(), offset.tolist()))
+        assert got == expected
 
 
 class TestSimulateStream:
