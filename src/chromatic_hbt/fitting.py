@@ -8,6 +8,9 @@ and a Gaussian-damped fringe against the post-processing shift,
 
     g2(x) = 1 + (v/2) * exp(-(linewidth*x)^2) * cos(phase + 2*pi*frequency*x).
 
+These are the only copies of the two formulas: protocol.g2_zero_model and
+g2_tau_model evaluate them for a G2Model.
+
 The minimizer is damped Gauss-Newton with a Levenberg-Marquardt damping
 schedule and analytic Jacobians.  Parameter errors come from the inverse
 curvature matrix scaled by sqrt(chi2/dof).  Results are reported in the

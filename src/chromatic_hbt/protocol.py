@@ -8,7 +8,7 @@ which maps a superposition of two input colors onto one output color, so a
 click no longer identifies the input wavelength.  Two such stages watching
 two sources of different colors recover the interference term in their
 coincidence rate; this module computes the exact state-vector amplitudes and
-also hosts the analytic fringe models used downstream for data analysis.
+evaluates the analytic fringe models of `fitting` for a G2Model.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .elements import (
     sfg_unitary,
     spectral_filter,
 )
+from .fitting import delay_fringe, tau_fringe
 from .fock import (
     ModeRegistry,
     StateVector,
@@ -341,8 +342,8 @@ class G2Model:
 
 def g2_zero_model(model: G2Model, t_delay: float | np.ndarray) -> float | np.ndarray:
     """Zero-shift fringe vs controller delay: 1 + (v/2) cos(phase + 2 pi f t)."""
-    arg = model.phase + 2.0 * math.pi * model.frequency * np.asarray(t_delay, dtype=float)
-    out = 1.0 + 0.5 * model.visibility * np.cos(arg)
+    params = (model.visibility, model.phase, model.frequency)
+    out = delay_fringe(params, np.asarray(t_delay, dtype=float))
     return float(out) if np.isscalar(t_delay) or np.ndim(t_delay) == 0 else out
 
 
@@ -350,10 +351,8 @@ def g2_tau_model(model: G2Model, tau: float | np.ndarray) -> float | np.ndarray:
     """Shift fringe: 1 + (v/2) exp(-(linewidth*tau)^2) cos(phase + 2 pi f tau)."""
     if model.linewidth is None:
         raise ValueError("model has no linewidth; use g2_zero_model for delay scans")
-    tau_arr = np.asarray(tau, dtype=float)
-    envelope = np.exp(-((model.linewidth * tau_arr) ** 2))
-    arg = model.phase + 2.0 * math.pi * model.frequency * tau_arr
-    out = 1.0 + 0.5 * model.visibility * envelope * np.cos(arg)
+    params = (model.visibility, model.linewidth, model.phase, model.frequency)
+    out = tau_fringe(params, np.asarray(tau, dtype=float))
     return float(out) if np.isscalar(tau) or np.ndim(tau) == 0 else out
 
 

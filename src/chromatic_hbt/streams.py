@@ -8,8 +8,10 @@ only; damped models spread the correlation over a kernel covering five
 envelope widths.  Generation is event-based: the bins between two clicks of
 a Bernoulli process are a geometric gap, so clicks are drawn as cumulative
 sums of geometric gaps and bins are never materialized.  Output is
-deterministic for a given seed, and streams round-trip through a simple
-text format or a compact binary one.
+deterministic for a given seed.  A stream holds each channel's sorted click
+times; interleaved (channel, time) records exist only in the two file
+formats, a simple text one and a compact binary one, which round-trip
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -108,54 +110,43 @@ class StreamMeta:
 
 @dataclass
 class TdcStream:
-    """Time-ordered click records of both channels.
+    """Click times of both channels, one array per channel.
 
-    channels holds 0 for A and 1 for B; times_ps are bin-start timestamps.
-    Records are sorted by (time, channel) and non-decreasing per channel.
+    times_a and times_b are int64 bin-start timestamps in ps; each is
+    non-decreasing and lies in [0, max(duration_ps, 1)).
     """
 
-    channels: np.ndarray
-    times_ps: np.ndarray
+    times_a: np.ndarray
+    times_b: np.ndarray
     meta: StreamMeta
-    config: StreamConfig | None = field(default=None, compare=False)
     segments: tuple[tuple[float, int, int], ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        self.channels = np.asarray(self.channels, dtype=np.uint8)
-        self.times_ps = np.asarray(self.times_ps, dtype=np.int64)
-        if self.channels.shape != self.times_ps.shape:
-            raise ValueError("channels and times_ps must have identical shape")
-        if self.times_ps.size:
-            if self.times_ps.min() < 0 or self.times_ps.max() >= max(self.meta.duration_ps, 1):
-                raise ValueError("timestamps must lie in [0, duration)")
-            for ch in (CHANNEL_A, CHANNEL_B):
-                t = self.times_ps[self.channels == ch]
-                if t.size > 1 and np.any(np.diff(t) < 0):
-                    raise ValueError(f"channel {CHANNEL_LETTERS[ch]} timestamps are not sorted")
+        self.times_a = np.asarray(self.times_a, dtype=np.int64)
+        self.times_b = np.asarray(self.times_b, dtype=np.int64)
+        top = max(self.meta.duration_ps, 1)
+        for letter, t in zip(CHANNEL_LETTERS, (self.times_a, self.times_b)):
+            if t.size > 1 and np.any(t[1:] < t[:-1]):
+                k = int(np.argmax(t[1:] < t[:-1]))
+                raise ValueError(f"channel {letter} timestamps are not sorted: {t[k + 1]} after {t[k]}")
+            if t.size and (t[0] < 0 or t[-1] >= top):
+                bad = t[0] if t[0] < 0 else t[-1]
+                raise ValueError(f"channel {letter} timestamp {bad} is not in [0, {top})")
 
     def __len__(self) -> int:
-        return int(self.channels.size)
+        return int(self.times_a.size + self.times_b.size)
 
     def channel_times(self, channel: int) -> np.ndarray:
-        # split once and reuse; repeated scans hit this in a tight loop
-        cache = getattr(self, "_channel_cache", None)
-        if cache is None:
-            cache = {
-                CHANNEL_A: self.times_ps[self.channels == CHANNEL_A],
-                CHANNEL_B: self.times_ps[self.channels == CHANNEL_B],
-            }
-            object.__setattr__(self, "_channel_cache", cache)
-        return cache[channel]
+        return (self.times_a, self.times_b)[channel]
 
     def counts(self) -> tuple[int, int]:
-        n_a = int(np.count_nonzero(self.channels == CHANNEL_A))
-        return n_a, len(self) - n_a
+        return int(self.times_a.size), int(self.times_b.size)
 
     def same_records(self, other: "TdcStream") -> bool:
         return (
             self.meta == other.meta
-            and np.array_equal(self.channels, other.channels)
-            and np.array_equal(self.times_ps, other.times_ps)
+            and np.array_equal(self.times_a, other.times_a)
+            and np.array_equal(self.times_b, other.times_b)
         )
 
     def split_segments(self) -> list[tuple[float, "TdcStream"]]:
@@ -164,17 +155,11 @@ class TdcStream:
             raise ValueError("stream carries no segment bookkeeping to split on")
         out = []
         for t_delay, start_ps, stop_ps in self.segments:
-            mask = (self.times_ps >= start_ps) & (self.times_ps < stop_ps)
-            sub = TdcStream(
-                channels=self.channels[mask],
-                times_ps=self.times_ps[mask] - start_ps,
-                meta=StreamMeta(
-                    bin_width_ps=self.meta.bin_width_ps,
-                    duration_ps=stop_ps - start_ps,
-                    seed=self.meta.seed,
-                ),
-            )
-            out.append((t_delay, sub))
+            a, b = (t[slice(*np.searchsorted(t, (start_ps, stop_ps)))] - start_ps
+                    for t in (self.times_a, self.times_b))
+            meta = StreamMeta(bin_width_ps=self.meta.bin_width_ps,
+                              duration_ps=stop_ps - start_ps, seed=self.meta.seed)
+            out.append((t_delay, TdcStream(times_a=a, times_b=b, meta=meta)))
         return out
 
 
@@ -327,8 +312,9 @@ def simulate_stream(config: StreamConfig) -> TdcStream:
     batched or parallelized.
     """
     bw_ps = config.bin_width_ps
-    all_channels: list[np.ndarray] = []
-    all_times: list[np.ndarray] = []
+    # each channel's segment arrays follow one another, so they concatenate sorted
+    parts_a = [np.empty(0, dtype=np.int64)]
+    parts_b = [np.empty(0, dtype=np.int64)]
     segments: list[tuple[float, int, int]] = []
     offset_bins = 0
     p_a = config.rate_a * config.bin_width
@@ -352,28 +338,30 @@ def simulate_stream(config: StreamConfig) -> TdcStream:
             a_bins, b_bins = _segment_kernel(rng, n_bins, p_a, p_b, config.model, config.bin_width)
         a_bins = _merge_channel(a_bins, _bernoulli_bins(rng, n_bins, dark_a))
         b_bins = _merge_channel(b_bins, _bernoulli_bins(rng, n_bins, dark_b))
-        for channel, bins in ((CHANNEL_A, a_bins), (CHANNEL_B, b_bins)):
-            if bins.size:
-                all_channels.append(np.full(bins.size, channel, dtype=np.uint8))
-                all_times.append((bins + offset_bins) * bw_ps)
+        parts_a.append((a_bins + offset_bins) * bw_ps)
+        parts_b.append((b_bins + offset_bins) * bw_ps)
         segments.append((t_delay, offset_bins * bw_ps, (offset_bins + n_bins) * bw_ps))
         offset_bins += n_bins
 
-    if all_times:
-        channels = np.concatenate(all_channels)
-        times = np.concatenate(all_times)
-        order = np.lexsort((channels, times))
-        channels, times = channels[order], times[order]
-    else:
-        channels = np.empty(0, dtype=np.uint8)
-        times = np.empty(0, dtype=np.int64)
     meta = StreamMeta(bin_width_ps=bw_ps, duration_ps=offset_bins * bw_ps, seed=config.seed)
-    return TdcStream(channels=channels, times_ps=times, meta=meta,
-                     config=config, segments=tuple(segments))
+    return TdcStream(times_a=np.concatenate(parts_a), times_b=np.concatenate(parts_b),
+                     meta=meta, segments=tuple(segments))
+
+
+def _interleave(stream: TdcStream) -> tuple[np.ndarray, np.ndarray]:
+    """Both channels as (channel, time) records sorted by (time, channel).
+
+    Each channel is sorted already, so a stable sort of A's times followed
+    by B's is one merge of two runs and keeps A ahead of B on equal times.
+    """
+    times = np.concatenate([stream.times_a, stream.times_b])
+    order = np.argsort(times, kind="stable")
+    return (order >= stream.times_a.size).astype(np.uint8), times[order]
 
 
 def write_stream(stream: TdcStream, path, binary: bool = False) -> None:
     """Persist a stream; the two formats round-trip bit-exactly."""
+    channels, times = _interleave(stream)
     if binary:
         with open(path, "wb") as fh:
             fh.write(BINARY_MAGIC)
@@ -381,8 +369,8 @@ def write_stream(stream: TdcStream, path, binary: bool = False) -> None:
             fh.write(np.int64(stream.meta.duration_ps).tobytes())
             fh.write(np.uint64(stream.meta.seed & (2**64 - 1)).tobytes())
             records = np.empty(len(stream), dtype=[("ch", "u1"), ("t", "<u8")])
-            records["ch"] = stream.channels
-            records["t"] = stream.times_ps.astype(np.uint64)
+            records["ch"] = channels
+            records["t"] = times.astype(np.uint64)
             fh.write(records.tobytes())
         return
     with open(path, "w", encoding="ascii") as fh:
@@ -393,9 +381,17 @@ def write_stream(stream: TdcStream, path, binary: bool = False) -> None:
         for chunk_start in range(0, len(stream), 1_000_000):
             sl = slice(chunk_start, chunk_start + 1_000_000)
             # format Python ints and strs, not numpy scalars
-            chunk_letters = letters[stream.channels[sl]].tolist()
-            chunk_times = stream.times_ps[sl].tolist()
+            chunk_letters = letters[channels[sl]].tolist()
+            chunk_times = times[sl].tolist()
             fh.write("".join(map("{} {}\n".format, chunk_letters, chunk_times)))
+
+
+def _checked_stream(path, times_a, times_b, meta: StreamMeta) -> TdcStream:
+    """The stream of a parsed file; records out of range or order are a format error."""
+    try:
+        return TdcStream(times_a=times_a, times_b=times_b, meta=meta)
+    except (ValueError, OverflowError) as exc:  # OverflowError: a time past int64
+        raise StreamFormatError(f"{path}: {exc}") from None
 
 
 def _read_binary(raw: bytes, path) -> TdcStream:
@@ -416,11 +412,14 @@ def _read_binary(raw: bytes, path) -> TdcStream:
     if records.size and records["ch"].max() > CHANNEL_B:
         bad = int(np.argmax(records["ch"] > CHANNEL_B))
         raise StreamFormatError(f"{path}: record {bad}: invalid channel {records['ch'][bad]}")
-    return TdcStream(
-        channels=records["ch"].astype(np.uint8),
-        times_ps=records["t"].astype(np.int64),
-        meta=StreamMeta(bin_width_ps=bw_ps, duration_ps=duration_ps, seed=seed),
-    )
+    # checked on the unsigned times: the int64 cast would wrap those past 2^63
+    late = records["t"] >= max(duration_ps, 1)
+    if late.any():
+        bad = int(np.argmax(late))
+        raise StreamFormatError(f"{path}: record {bad}: time {records['t'][bad]} ps is past the duration")
+    is_a = records["ch"] == CHANNEL_A
+    meta = StreamMeta(bin_width_ps=bw_ps, duration_ps=duration_ps, seed=seed)
+    return _checked_stream(path, records["t"][is_a], records["t"][~is_a], meta)
 
 
 def _read_text(raw: bytes, path) -> TdcStream:
@@ -429,9 +428,7 @@ def _read_text(raw: bytes, path) -> TdcStream:
     except UnicodeDecodeError as exc:
         raise StreamFormatError(f"{path}: not an ascii stream file ({exc})") from None
     headers: dict[str, int] = {}
-    channels: list[int] = []
-    times: list[int] = []
-    letter_to_channel = {"A": CHANNEL_A, "B": CHANNEL_B}
+    times: dict[str, list[int]] = {letter: [] for letter in CHANNEL_LETTERS}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -443,16 +440,14 @@ def _read_text(raw: bytes, path) -> TdcStream:
                 raise StreamFormatError(f"{path}: line {lineno}: bad header {line!r}") from None
             continue
         parts = line.split()
-        if len(parts) != 2 or parts[0] not in letter_to_channel:
+        if len(parts) != 2 or parts[0] not in times:
             raise StreamFormatError(f"{path}: line {lineno}: malformed record {line!r}")
         try:
-            timestamp = int(parts[1])
+            times[parts[0]].append(int(parts[1]))
         except ValueError:
             raise StreamFormatError(
                 f"{path}: line {lineno}: timestamp {parts[1]!r} is not an integer"
             ) from None
-        channels.append(letter_to_channel[parts[0]])
-        times.append(timestamp)
     for key in ("binwidth_ps", "duration_ps", "seed"):
         if key not in headers:
             raise StreamFormatError(f"{path}: missing required header #{key}=")
@@ -463,15 +458,12 @@ def _read_text(raw: bytes, path) -> TdcStream:
             f"{path}: invalid header (binwidth {headers['binwidth_ps']} ps, "
             f"duration {headers['duration_ps']} ps)"
         )
-    return TdcStream(
-        channels=np.array(channels, dtype=np.uint8),
-        times_ps=np.array(times, dtype=np.int64),
-        meta=StreamMeta(
-            bin_width_ps=headers["binwidth_ps"],
-            duration_ps=headers["duration_ps"],
-            seed=headers["seed"],
-        ),
+    meta = StreamMeta(
+        bin_width_ps=headers["binwidth_ps"],
+        duration_ps=headers["duration_ps"],
+        seed=headers["seed"],
     )
+    return _checked_stream(path, times["A"], times["B"], meta)
 
 
 def read_stream(path) -> TdcStream:

@@ -29,12 +29,9 @@ def toy_stream(times_a, times_b, bin_width_ps=1000, duration_ps=None):
     if duration_ps is None:
         top = max(times_a.max(initial=0), times_b.max(initial=0))
         duration_ps = (top // bin_width_ps + 1) * bin_width_ps
-    channels = np.concatenate([np.zeros(times_a.size, np.uint8), np.ones(times_b.size, np.uint8)])
-    times = np.concatenate([times_a, times_b])
-    order = np.lexsort((channels, times))
     return TdcStream(
-        channels=channels[order],
-        times_ps=times[order],
+        times_a=times_a,
+        times_b=times_b,
         meta=StreamMeta(bin_width_ps=bin_width_ps, duration_ps=int(duration_ps), seed=0),
     )
 

@@ -10,11 +10,13 @@ from chromatic_hbt import streams
 from chromatic_hbt.protocol import G2Model
 from chromatic_hbt.streams import (
     _GAP_CHUNK,
+    BINARY_MAGIC,
     CHANNEL_A,
     CHANNEL_B,
     StreamConfig,
     StreamFormatError,
     StreamMeta,
+    TdcStream,
     _bernoulli_bins,
     _complement_bins,
     _window_pairs,
@@ -133,10 +135,10 @@ class TestSimulateStream:
 
     def test_timestamps_sorted_and_in_range(self):
         stream = simulate_stream(basic_config())
-        assert stream.times_ps.max() < stream.meta.duration_ps
-        assert stream.times_ps.min() >= 0
         for ch in (CHANNEL_A, CHANNEL_B):
             t = stream.channel_times(ch)
+            assert t.max() < stream.meta.duration_ps
+            assert t.min() >= 0
             assert np.all(np.diff(t) > 0)
 
     def test_uncorrelated_coincidence_rate(self):
@@ -215,7 +217,62 @@ class TestSimulateStream:
         assert total == len(stream)
 
 
+@st.composite
+def valid_streams(draw):
+    """Any valid stream: channels may be empty, repeat a time or share one."""
+    bin_width = draw(st.integers(1, 1000))
+    duration = bin_width * draw(st.integers(1, 50))
+    clicks = st.lists(st.integers(0, duration - 1), max_size=30).map(sorted)
+    meta = StreamMeta(bin_width_ps=bin_width, duration_ps=duration, seed=draw(st.integers(0, 2**64 - 1)))
+    return TdcStream(times_a=draw(clicks), times_b=draw(clicks), meta=meta)
+
+
+def text_records(path):
+    lines = path.read_text().splitlines()
+    return [(int(t), letter) for letter, t in (line.split() for line in lines if not line.startswith("#"))]
+
+
+TEXT_HEADER = "#binwidth_ps=1000\n#duration_ps=5000\n#seed=1\n"
+BINARY_HEADER = BINARY_MAGIC + np.array([1000, 5000, 1], dtype="<i8").tobytes()
+RECORD = [("ch", "u1"), ("t", "<u8")]
+binary_records = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2**64 - 1)), max_size=8)
+stream_file_bytes = st.one_of(
+    st.binary(max_size=200),
+    st.binary(max_size=200).map(lambda raw: BINARY_MAGIC + raw),
+    st.text("AB#=_+- 0123456789\n", max_size=200).map(lambda s: (TEXT_HEADER + s).encode()),
+    binary_records.map(lambda recs: BINARY_HEADER + np.array(recs, dtype=RECORD).tobytes()),
+)
+
+
 class TestStreamIO:
+    @given(valid_streams())
+    # an empty channel, a repeat within a channel, a time on both channels,
+    # clicks in the first and the last bin
+    @example(TdcStream(times_a=[], times_b=[0, 40, 40, 49], meta=StreamMeta(10, 50, 2**64 - 1)))
+    @example(TdcStream(times_a=[0, 20, 20, 40], times_b=[20, 40, 40], meta=StreamMeta(10, 50, 0)))
+    @example(TdcStream(times_a=[], times_b=[], meta=StreamMeta(1, 1, 3)))
+    def test_round_trip_any_valid_stream(self, tmp_path_factory, stream):
+        base = tmp_path_factory.getbasetemp()
+        for name, binary in (("rt.txt", False), ("rt.tdc", True)):
+            one, two = base / f"one_{name}", base / f"two_{name}"
+            write_stream(stream, one, binary=binary)
+            back = read_stream(one)
+            assert back.same_records(stream)
+            write_stream(back, two, binary=binary)
+            assert one.read_bytes() == two.read_bytes()
+        records = text_records(base / "one_rt.txt")
+        assert records == sorted(records)  # by time, A ahead of B on equal times
+
+    @given(stream_file_bytes)
+    def test_reader_raises_only_format_errors(self, tmp_path_factory, raw):
+        path = tmp_path_factory.getbasetemp() / "fuzz"
+        path.write_bytes(raw)
+        try:
+            stream = read_stream(path)
+        except StreamFormatError:
+            return
+        assert isinstance(stream, TdcStream)
+
     def test_text_round_trip(self, tmp_path):
         stream = simulate_stream(basic_config(delay_schedule=((0.0, 2e-4),)))
         path = tmp_path / "clicks.txt"
@@ -248,6 +305,24 @@ class TestStreamIO:
         path = tmp_path / "bad.txt"
         path.write_text("#binwidth_ps=1000\n#duration_ps=10000\n#seed=1\nA 100\nC 200\n")
         with pytest.raises(StreamFormatError, match="line 5"):
+            read_stream(path)
+
+    @pytest.mark.parametrize("records, duration, problem", [
+        ("A -5\n", 10000, "timestamp -5 is not in"),
+        ("A 9000\n", 5000, "timestamp 9000 is not in"),
+        ("A 3000\nA 1000\n", 10000, "timestamps are not sorted: 1000 after 3000"),
+    ])
+    def test_bad_record_content_names_file(self, tmp_path, records, duration, problem):
+        path = tmp_path / "content.txt"
+        path.write_text(f"#binwidth_ps=1000\n#duration_ps={duration}\n#seed=1\n{records}")
+        with pytest.raises(StreamFormatError, match=f"content.txt: channel A {problem}"):
+            read_stream(path)
+
+    def test_binary_time_past_int64_names_record(self, tmp_path):
+        path = tmp_path / "late.tdc"
+        records = np.array([(0, 100), (1, 2**63 + 5)], dtype=RECORD)
+        path.write_bytes(BINARY_HEADER + records.tobytes())
+        with pytest.raises(StreamFormatError, match=f"late.tdc: record 1: time {2**63 + 5} ps"):
             read_stream(path)
 
     def test_bad_timestamp_names_line(self, tmp_path):
