@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -138,21 +138,32 @@ class ModeUnitary:
     """Single-photon-sector unitary over all registered modes.
 
     matrix[j, i] is the amplitude for a photon entering mode i to leave in
-    mode j.  Checked to be unitary entrywise at construction.
+    mode j.  Checked to be unitary entrywise at construction, then held as a
+    read-only copy.  columns[i] lists the nonzero (j, matrix[j, i]) entries
+    of input column i, the only ones `evolve` needs.
     """
 
     registry: ModeRegistry
     matrix: np.ndarray
+    columns: tuple[tuple[tuple[int, complex], ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.registry)
-        if self.matrix.shape != (n, n):
-            raise ValueError(
-                f"unitary dimension {self.matrix.shape} does not match registry size {n}"
-            )
-        deviation = np.abs(self.matrix.conj().T @ self.matrix - np.eye(n)).max()
+        matrix = np.array(self.matrix, dtype=complex)
+        if matrix.shape != (n, n):
+            raise ValueError(f"unitary dimension {matrix.shape} does not match registry size {n}")
+        deviation = np.abs(matrix.conj().T @ matrix - np.eye(n)).max()
         if deviation > UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary (max deviation {deviation:.3e})")
+        matrix.flags.writeable = False
+        columns = tuple(
+            [
+                tuple([(j, coeff) for j, coeff in enumerate(column) if coeff])
+                for column in matrix.T.tolist()
+            ]
+        )
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "columns", columns)
 
     @classmethod
     def identity(cls, registry: ModeRegistry) -> "ModeUnitary":
@@ -233,39 +244,34 @@ def evolve(state: StateVector, unitary: ModeUnitary) -> StateVector:
     """Second-quantized action of a mode unitary on a truncated Fock state.
 
     Each occupied basis state is rebuilt from the vacuum with transformed
-    creation operators; the ladder factors make this exact for any photon
-    number within the truncation.  Norm is preserved to machine precision.
+    creation operators, a_i^dag -> sum_j u[j, i] a_j^dag, walking only the
+    nonzero entries of column i; the ladder factors make this exact for any
+    photon number within the truncation.  Norm is preserved to machine
+    precision.
     """
     registry = state.registry
     if unitary.registry is not registry and unitary.registry != registry:
         raise ValueError("unitary dimension/registry does not match the state")
-    n_modes = len(registry)
-    u = unitary.matrix
-    vacuum = FockBasisState(registry.vacuum_occupation())
-    out: dict[FockBasisState, complex] = {}
+    columns = unitary.columns
+    vacuum = registry.vacuum_occupation()
+    out: dict[tuple[int, ...], complex] = {}
     for basis_state, amp in state.amplitudes.items():
-        factor = 1.0
-        for n in basis_state.occupation:
-            for k in range(2, n + 1):
-                factor *= k
-        image: dict[FockBasisState, complex] = {vacuum: amp / math.sqrt(factor)}
-        for i, n in enumerate(basis_state.occupation):
+        occupied = [(i, n) for i, n in enumerate(basis_state.occupation) if n]
+        factor = math.prod([math.factorial(n) for _, n in occupied])
+        image: dict[tuple[int, ...], complex] = {vacuum: amp / math.sqrt(factor)}
+        for i, n in occupied:
             for _ in range(n):
-                next_image: dict[FockBasisState, complex] = {}
-                for s, a in image.items():
-                    for j in range(n_modes):
-                        coeff = u[j, i]
-                        if coeff == 0:
-                            continue
-                        occ_j = s.occupation[j]
-                        target = s.bumped(j)
+                next_image: dict[tuple[int, ...], complex] = {}
+                for occ, a in image.items():
+                    for j, coeff in columns[i]:
+                        target = occ[:j] + (occ[j] + 1,) + occ[j + 1 :]
                         next_image[target] = (
-                            next_image.get(target, 0.0) + a * coeff * math.sqrt(occ_j + 1)
+                            next_image.get(target, 0.0) + a * coeff * math.sqrt(occ[j] + 1)
                         )
                 image = next_image
-        for s, a in image.items():
-            out[s] = out.get(s, 0.0) + a
-    return StateVector(registry, _pruned(out))
+        for occ, a in image.items():
+            out[occ] = out.get(occ, 0.0) + a
+    return StateVector(registry, _pruned({FockBasisState(occ): a for occ, a in out.items()}))
 
 
 def spectral_filter(

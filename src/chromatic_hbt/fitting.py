@@ -172,8 +172,9 @@ def canonicalize(model: str, params: np.ndarray) -> np.ndarray:
 
 def _periodogram_peak(x: np.ndarray, y: np.ndarray, f_grid: np.ndarray) -> float:
     centered = y - y.mean()
-    phases = np.exp(-2j * math.pi * np.outer(f_grid, x))
-    power = np.abs(phases @ centered) ** 2
+    arg = np.outer(f_grid, x)
+    arg *= 2.0 * math.pi
+    power = (np.cos(arg) @ centered) ** 2 + (np.sin(arg, out=arg) @ centered) ** 2
     return float(f_grid[int(np.argmax(power))])
 
 

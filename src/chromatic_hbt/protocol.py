@@ -9,6 +9,12 @@ click no longer identifies the input wavelength.  Two such stages watching
 two sources of different colors recover the interference term in their
 coincidence rate; this module computes the exact state-vector amplitudes and
 evaluates the analytic fringe models of `fitting` for a G2Model.
+
+Every step of a stage is linear in the state, and the path delay only
+multiplies each source basis state by a phase.  The coincidence amplitude at
+a delay is therefore the phased source weights contracted with the stages'
+response to each undelayed source basis state, which is computed once per
+scenario, not once per delay.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -23,7 +30,7 @@ from .elements import (
     ArmModes,
     ArmPair,
     ConversionSettings,
-    beamsplitter,
+    bs_unitary,
     delay_phase_factor,
     evolve,
     phase_delay,
@@ -158,14 +165,17 @@ def run_erasure_pipeline(
     arms: ArmPair,
     config: ErasureDetectorConfig,
 ) -> ErasureRun:
-    """Drive a state through one erasure stage, recording each step."""
-    pairs = arms.bs_pairs()
+    """Drive a state through one erasure stage, recording each step.
+
+    Both beamsplitters act on the same pairs, so one unitary serves both.
+    """
+    splitter = bs_unitary(registry, arms.bs_pairs())
     stages = {"input": state}
-    state = beamsplitter(state, pairs)
+    state = evolve(state, splitter)
     stages["after_first_beamsplitter"] = state
     state = evolve(state, sfg_unitary(registry, config.settings, arms))
     stages["after_conversion"] = state
-    state = beamsplitter(state, pairs)
+    state = evolve(state, splitter)
     stages["after_second_beamsplitter"] = state
     keep = getattr(arms.arm_a, config.filter_color)
     state, discarded = spectral_filter(state, keep, arms.arm_a.all())
@@ -266,6 +276,40 @@ class HbtCoincidence:
         return (abs(a) ** 2 + abs(b) ** 2) / 16.0
 
 
+def _coincidence_response(scenario: HbtScenario) -> Callable[[float], complex]:
+    """Exact coincidence amplitude of the scenario as a function of the delay.
+
+    Each basis state of the undelayed two-source state runs through both
+    stages once; the amplitude at a delay contracts the delayed source
+    weights with those responses (see the module docstring).
+    """
+    registry, arms_a, arms_b = build_hbt_registry(scenario.freqs)
+    vacuum = StateVector.vacuum(registry)
+
+    def pair_state(color_at_a: str, color_at_b: str) -> StateVector:
+        first = apply_creation(vacuum, getattr(arms_a.arm_a, color_at_a))
+        return apply_creation(first, getattr(arms_b.arm_a, color_at_b))
+
+    source = pair_state("f1", "f2").scaled(scenario.alpha).plus(
+        pair_state("f2", "f1").scaled(scenario.beta)
+    )
+    keep_a = getattr(arms_a.arm_a, scenario.detector_a.filter_color)
+    keep_b = getattr(arms_b.arm_a, scenario.detector_b.filter_color)
+    responses = {}
+    for basis_state in source.amplitudes:
+        unit = StateVector(registry, {basis_state: 1.0 + 0.0j})
+        run_a = run_erasure_pipeline(unit, registry, arms_a, scenario.detector_a)
+        run_b = run_erasure_pipeline(run_a.stages["after_filter"], registry, arms_b, scenario.detector_b)
+        responses[basis_state] = run_b.stages["after_filter"].amplitude_of({keep_a: 1, keep_b: 1})
+    delayed_modes = arms_a.arm_a.all()
+
+    def amplitude(t_delay: float) -> complex:
+        delayed = phase_delay(source, delayed_modes, t_delay)
+        return complex(sum(a * responses[s] for s, a in delayed.amplitudes.items()))
+
+    return amplitude
+
+
 def hbt_coincidence_amplitude(scenario: HbtScenario) -> HbtCoincidence:
     """Exact two-photon simulation of the interferometer.
 
@@ -276,38 +320,24 @@ def hbt_coincidence_amplitude(scenario: HbtScenario) -> HbtCoincidence:
     alpha_d, beta_d = scenario.delayed_weights()
     if not scenario.erasure_enabled:
         return HbtCoincidence(interfering=False, amplitude=None, components=(alpha_d, beta_d))
-
-    registry, arms_a, arms_b = build_hbt_registry(scenario.freqs)
-    vacuum = StateVector.vacuum(registry)
-
-    def pair_state(color_at_a: str, color_at_b: str) -> StateVector:
-        first = apply_creation(vacuum, getattr(arms_a.arm_a, color_at_a))
-        return apply_creation(first, getattr(arms_b.arm_a, color_at_b))
-
-    state = pair_state("f1", "f2").scaled(scenario.alpha).plus(
-        pair_state("f2", "f1").scaled(scenario.beta)
-    )
-    state = phase_delay(state, arms_a.arm_a.all(), scenario.t_delay)
-    run_a = run_erasure_pipeline(state, registry, arms_a, scenario.detector_a)
-    run_b = run_erasure_pipeline(run_a.stages["after_filter"], registry, arms_b, scenario.detector_b)
-    final = run_b.stages["after_filter"]
-    keep_a = getattr(arms_a.arm_a, scenario.detector_a.filter_color)
-    keep_b = getattr(arms_b.arm_a, scenario.detector_b.filter_color)
-    amplitude = final.amplitude_of({keep_a: 1, keep_b: 1})
+    amplitude = _coincidence_response(scenario)(scenario.t_delay)
     return HbtCoincidence(interfering=True, amplitude=amplitude, components=(alpha_d, beta_d))
 
 
 def predicted_g2_curve(scenario: HbtScenario, t_delays: np.ndarray) -> np.ndarray:
     """Coincidence fringe normalized to its own delay average.
 
+    The erasure stages are linear and independent of the delay, which only
+    phases the two source configurations.  So both stages run once per
+    source basis state, and each delay costs one `phase_delay` on the
+    two-term source state and a contraction with those stage responses.
     With erasure disabled the curve is exactly flat at 1.
     """
     t_delays = np.asarray(t_delays, dtype=float)
-    probs = np.array(
-        [hbt_coincidence_amplitude(scenario.with_delay(t)).probability() for t in t_delays]
-    )
     if not scenario.erasure_enabled:
-        return np.ones_like(probs)
+        return np.ones_like(t_delays)
+    amplitude = _coincidence_response(scenario)
+    probs = np.array([abs(amplitude(t)) ** 2 for t in t_delays])
     mean = probs.mean()
     if mean == 0.0:
         return np.ones_like(probs)

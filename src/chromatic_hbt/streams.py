@@ -149,6 +149,14 @@ class TdcStream:
             and np.array_equal(self.times_b, other.times_b)
         )
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TdcStream):
+            return NotImplemented
+        return self.same_records(other)
+
+    # the arrays are mutable, so a stream cannot be a dict key or set member
+    __hash__ = None
+
     def split_segments(self) -> list[tuple[float, "TdcStream"]]:
         """Per-schedule-step sub-streams, timestamps rebased to each window."""
         if not self.segments:

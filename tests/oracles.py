@@ -11,7 +11,9 @@ import math
 
 import numpy as np
 
-from chromatic_hbt.fock import FockBasisState, ModeRegistry, StateVector
+from chromatic_hbt.elements import phase_delay
+from chromatic_hbt.fock import FockBasisState, ModeRegistry, StateVector, apply_creation
+from chromatic_hbt.protocol import build_hbt_registry, run_erasure_pipeline
 
 
 def basis_list(registry: ModeRegistry) -> list[FockBasisState]:
@@ -90,6 +92,26 @@ def evolve_by_expm(state: StateVector, h_single: np.ndarray) -> StateVector:
     u = expm_series(-1j * big_h)
     vec = u @ state_to_vector(state, basis)
     return vector_to_state(vec, state.registry, basis)
+
+
+def per_delay_g2_curve(scenario, t_delays) -> np.ndarray:
+    """Normalized coincidence fringe, running the delayed two-source state
+    through both erasure stages afresh at every delay."""
+    registry, arms_a, arms_b = build_hbt_registry(scenario.freqs)
+    vacuum = StateVector.vacuum(registry)
+    f1_at_a = apply_creation(apply_creation(vacuum, arms_a.arm_a.f1), arms_b.arm_a.f2)
+    f2_at_a = apply_creation(apply_creation(vacuum, arms_a.arm_a.f2), arms_b.arm_a.f1)
+    source = f1_at_a.scaled(scenario.alpha).plus(f2_at_a.scaled(scenario.beta))
+    keep_a = getattr(arms_a.arm_a, scenario.detector_a.filter_color)
+    keep_b = getattr(arms_b.arm_a, scenario.detector_b.filter_color)
+    probs = []
+    for t in t_delays:
+        state = phase_delay(source, arms_a.arm_a.all(), t)
+        state = run_erasure_pipeline(state, registry, arms_a, scenario.detector_a).stages["after_filter"]
+        state = run_erasure_pipeline(state, registry, arms_b, scenario.detector_b).stages["after_filter"]
+        probs.append(abs(state.amplitude_of({keep_a: 1, keep_b: 1})) ** 2)
+    probs = np.array(probs)
+    return probs / probs.mean() if probs.mean() > 0 else np.ones_like(probs)
 
 
 def pairwise_coincidences(

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chromatic_hbt.elements import (
     ConversionSettings,
@@ -16,7 +18,7 @@ from chromatic_hbt.elements import (
 from chromatic_hbt.fock import ModeRegistry, StateVector, apply_creation, single_photon
 from chromatic_hbt.protocol import ModeFrequencies, build_erasure_registry
 
-from oracles import evolve_by_expm, quadratic_mixer_generator
+from oracles import evolve_by_expm, expm_series, quadratic_mixer_generator
 
 
 @pytest.fixture
@@ -43,6 +45,30 @@ def random_state(registry, rng):
     amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
     amps /= np.linalg.norm(amps)
     return StateVector(registry, {b: complex(a) for b, a in zip(basis, amps)})
+
+
+@st.composite
+def generators_and_bunched_states(draw):
+    """A Hermitian one-photon generator with some zero couplings, and a
+    superposition of n_max = 3 basis states that each put 2 or 3 photons
+    in one mode."""
+    n_modes = draw(st.integers(2, 4))
+    registry = ModeRegistry(n_max=3)
+    for k in range(n_modes):
+        registry.register(f"m{k}", 1e14 * (k + 1), "a")
+    coupling = st.floats(-2.0, 2.0)
+    h = np.zeros((n_modes, n_modes), dtype=complex)
+    for i in range(n_modes):
+        h[i, i] = draw(coupling)
+        for j in range(i + 1, n_modes):
+            if draw(st.booleans()):
+                h[j, i] = complex(draw(coupling), draw(coupling))
+                h[i, j] = h[j, i].conjugate()
+    bunched = [b for b in registry.enumerate_basis() if max(b.occupation) >= 2]
+    chosen = draw(st.lists(st.sampled_from(bunched), min_size=1, max_size=4, unique=True))
+    amplitude = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    amps = draw(st.lists(amplitude, min_size=len(chosen), max_size=len(chosen)))
+    return h, StateVector(registry, dict(zip(chosen, amps)))
 
 
 class TestConversionSettings:
@@ -228,6 +254,24 @@ class TestEvolve:
             ]
             ref = evolve_by_expm(state, quadratic_mixer_generator(len(registry), blocks))
             assert out.allclose(ref, tol=1e-10)
+
+    @given(generators_and_bunched_states())
+    def test_agrees_with_expm_oracle_on_bunched_states(self, case):
+        # exp(-iH) on the lifted Fock space against evolve with the one-photon
+        # matrix exp(-ih): multiply occupied modes exercise the ladder factors
+        h, state = case
+        unitary = ModeUnitary(state.registry, expm_series(-1j * h))
+        assert evolve(state, unitary).allclose(evolve_by_expm(state, h), tol=1e-12)
+
+    def test_matrix_is_a_read_only_copy(self, stage):
+        registry, _ = stage
+        source = np.eye(len(registry), dtype=complex)
+        unitary = ModeUnitary(registry, source)
+        with pytest.raises(ValueError, match="read-only"):
+            unitary.matrix[0, 0] = -1.0
+        source[0, 0] = -1.0
+        assert unitary.matrix[0, 0] == 1.0
+        assert unitary.columns[0] == ((0, 1.0),)
 
     def test_dimension_mismatch_rejected(self, stage):
         registry, arms = stage

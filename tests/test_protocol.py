@@ -1,8 +1,12 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from chromatic_hbt import fock
 from chromatic_hbt.elements import ConversionSettings
 from chromatic_hbt.protocol import (
     ErasureDetectorConfig,
@@ -17,7 +21,29 @@ from chromatic_hbt.protocol import (
     visibility_from_counts,
 )
 
+from oracles import per_delay_g2_curve
+
 SQ2 = 1.0 / math.sqrt(2.0)
+
+
+angles = st.floats(0.0, 2.0 * math.pi)
+phases = st.floats(-math.pi, math.pi)
+
+
+@st.composite
+def general_scenarios(draw):
+    """Random source weights and general (non-ideal) tunings at both detectors."""
+    weight = draw(st.floats(0.0, 1.0))
+    alpha = weight * cmath.exp(1j * draw(phases))
+    beta = math.sqrt(1.0 - weight**2) * cmath.exp(1j * draw(phases))
+
+    def detector(label):
+        settings = ConversionSettings.from_angles(
+            *(draw(angles) for _ in range(4)), *(draw(phases) for _ in range(4))
+        )
+        return ErasureDetectorConfig(settings=settings, label=label)
+
+    return HbtScenario(alpha=alpha, beta=beta, detector_a=detector("A"), detector_b=detector("B"))
 
 
 def random_unit_pair(rng):
@@ -136,6 +162,36 @@ class TestHbtCoincidence:
         model = G2Model(visibility=epsilon, phase=0.0, frequency=freqs.delta_f21)
         expected = 1.0 + 2.0 * (g2_zero_model(model, delays) - 1.0)
         assert np.abs(normalized - expected).max() < 1e-10
+
+    @given(general_scenarios())
+    def test_curve_matches_per_delay_oracle(self, scenario):
+        delays = np.linspace(0.0, 2.0 / scenario.freqs.delta_f21, 9)
+        expected = per_delay_g2_curve(scenario, delays)
+        assert np.abs(predicted_g2_curve(scenario, delays) - expected).max() < 1e-12
+
+    def test_pruning_moves_coincidence_amplitude_below_bound(self, monkeypatch):
+        # fock.PRUNE_TOL's comment bounds the effect of pruning on this chain
+        # by 4e-13; rerun it with nothing pruned and compare
+        rng = np.random.default_rng(11)
+        scenarios = []
+        for _ in range(5):
+            alpha, beta = random_unit_pair(rng)
+            settings = [
+                ConversionSettings.from_angles(
+                    *rng.uniform(0.0, 2.0 * math.pi, 4), *rng.uniform(-math.pi, math.pi, 4)
+                )
+                for _ in range(2)
+            ]
+            scenarios.append(HbtScenario(
+                alpha=alpha, beta=beta,
+                detector_a=ErasureDetectorConfig(settings[0], "A"),
+                detector_b=ErasureDetectorConfig(settings[1], "B"),
+                t_delay=rng.uniform(0.0, 10e-12),
+            ))
+        pruned = [hbt_coincidence_amplitude(s).amplitude for s in scenarios]
+        monkeypatch.setattr(fock, "PRUNE_TOL", 0.0)
+        exact = [hbt_coincidence_amplitude(s).amplitude for s in scenarios]
+        assert max(abs(a - b) for a, b in zip(pruned, exact)) < 4e-13
 
     def test_unnormalized_scenario_rejected(self):
         with pytest.raises(ValueError, match="must be 1"):

@@ -244,6 +244,35 @@ stream_file_bytes = st.one_of(
 )
 
 
+class TestTdcStreamEquality:
+    def test_equal_streams_compare_equal(self):
+        meta = StreamMeta(10, 50, 3)
+        one = TdcStream(times_a=[0, 20], times_b=[20, 40], meta=meta)
+        assert one == TdcStream(times_a=np.array([0, 20]), times_b=[20, 40], meta=StreamMeta(10, 50, 3))
+        assert not one != TdcStream(times_a=[0, 20], times_b=[20, 40], meta=meta)
+
+    @pytest.mark.parametrize("change", [
+        dict(meta=StreamMeta(10, 50, 4)),
+        dict(meta=StreamMeta(5, 50, 3)),
+        dict(times_a=[0, 30]),
+        dict(times_a=[0]),
+        dict(times_b=[20, 30]),
+        dict(times_b=[]),
+    ])
+    def test_any_difference_compares_unequal(self, change):
+        fields = dict(times_a=[0, 20], times_b=[20, 40], meta=StreamMeta(10, 50, 3))
+        one = TdcStream(**fields)
+        other = TdcStream(**{**fields, **change})
+        assert one != other
+        assert not one == other
+
+    def test_other_types_unequal_and_unhashable(self):
+        stream = TdcStream(times_a=[0], times_b=[0], meta=StreamMeta(10, 50, 3))
+        assert stream != (stream.times_a, stream.times_b)
+        with pytest.raises(TypeError):
+            hash(stream)
+
+
 class TestStreamIO:
     @given(valid_streams())
     # an empty channel, a repeat within a channel, a time on both channels,
