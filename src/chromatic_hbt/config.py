@@ -9,6 +9,7 @@ experiment; any file just overrides what it names.
 
 from __future__ import annotations
 
+import cmath
 import configparser
 import math
 from dataclasses import dataclass
@@ -101,6 +102,8 @@ def _split_quantity(text: str, location: str) -> tuple[float, str]:
         value = float(parts[0])
     except ValueError:
         raise ConfigError(location, f"{parts[0]!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(location, f"{parts[0]!r} is not a finite number")
     return value, parts[1]
 
 
@@ -118,9 +121,12 @@ def parse_angle(text: str, location: str) -> float:
     text = text.strip()
     if text.startswith("pi:"):
         try:
-            return math.pi * float(text[3:])
+            multiple = float(text[3:])
         except ValueError:
             raise ConfigError(location, f"{text!r} is not a valid pi-multiple") from None
+        if not math.isfinite(multiple):
+            raise ConfigError(location, f"{text!r} is not a finite pi-multiple")
+        return math.pi * multiple
     value, unit = _split_quantity(text, location)
     if unit != "rad":
         raise ConfigError(location, f"angles take 'rad' or the pi: prefix, got {unit!r}")
@@ -145,16 +151,22 @@ def parse_int(text: str, location: str) -> int:
 
 def parse_float(text: str, location: str) -> float:
     try:
-        return float(text.strip())
+        value = float(text.strip())
     except ValueError:
         raise ConfigError(location, f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(location, f"{text!r} is not a finite number")
+    return value
 
 
 def parse_complex(text: str, location: str) -> complex:
     try:
-        return complex(text.strip().replace(" ", ""))
+        value = complex(text.strip().replace(" ", ""))
     except ValueError:
         raise ConfigError(location, f"{text!r} is not a complex number") from None
+    if not cmath.isfinite(value):
+        raise ConfigError(location, f"{text!r} is not a finite complex number")
+    return value
 
 
 def parse_quantity_list(text: str, units: dict[str, float], location: str) -> tuple[float, ...]:
@@ -305,16 +317,17 @@ class RunConfig:
             if getattr(modes, name) <= 0:
                 raise ConfigError(f"modes.{name}", "wavelength must be > 0")
 
-        conversion = ConversionSettings.from_angles(
-            theta_31=angle("conversion", "theta_31"),
-            theta_32=angle("conversion", "theta_32"),
-            theta_2p2=angle("conversion", "theta_2p2"),
-            theta_1p1=angle("conversion", "theta_1p1"),
-            phi_31=angle("conversion", "phi_31"),
-            phi_32=angle("conversion", "phi_32"),
-            phi_2p2=angle("conversion", "phi_2p2"),
-            phi_1p1=angle("conversion", "phi_1p1"),
-        )
+        angles = {
+            key: angle("conversion", key)
+            for key in (
+                "theta_31", "theta_32", "theta_2p2", "theta_1p1",
+                "phi_31", "phi_32", "phi_2p2", "phi_1p1",
+            )
+        }
+        try:
+            conversion = ConversionSettings.from_angles(**angles)
+        except ValueError as exc:
+            raise ConfigError("conversion", str(exc)) from None
 
         scenario = ScenarioSection(
             alpha=parse_complex(get("scenario", "alpha"), "scenario.alpha"),

@@ -53,6 +53,10 @@ class ConversionSettings:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not math.isfinite(self.interaction_time) or self.interaction_time < 0:
             raise ValueError(f"interaction_time must be finite and >= 0, got {self.interaction_time}")
+        for name in ("phi_31", "phi_32", "phi_2p2", "phi_1p1"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def theta_31(self) -> float:
@@ -87,6 +91,15 @@ class ConversionSettings:
         t = interaction_time
         if t <= 0:
             raise ValueError(f"interaction_time must be > 0 to derive rates, got {t}")
+        thetas = {
+            "theta_31": theta_31,
+            "theta_32": theta_32,
+            "theta_2p2": theta_2p2,
+            "theta_1p1": theta_1p1,
+        }
+        for name, theta in thetas.items():
+            if theta < 0 or not math.isfinite(theta):
+                raise ValueError(f"{name} must be finite and >= 0, got {theta}")
         return cls(
             xi_31=theta_31 / t,
             xi_32=theta_32 / t,
@@ -153,7 +166,7 @@ class ModeUnitary:
         if matrix.shape != (n, n):
             raise ValueError(f"unitary dimension {matrix.shape} does not match registry size {n}")
         deviation = np.abs(matrix.conj().T @ matrix - np.eye(n)).max()
-        if deviation > UNITARITY_TOL:
+        if not deviation <= UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary (max deviation {deviation:.3e})")
         matrix.flags.writeable = False
         columns = tuple(

@@ -35,10 +35,6 @@ CHI2_REL_TOL = 1e-14
 CONDITION_LIMIT = 1e13
 
 
-class FitNotConverged(RuntimeError):
-    """Raised by callers that insist on convergence; the fit itself never raises."""
-
-
 @dataclass
 class FitResult:
     """Outcome of one least-squares fit.

@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Hashable, Iterator, Mapping
+
+if TYPE_CHECKING:
+    from .elements import ModeUnitary
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
 
@@ -49,6 +52,15 @@ class ModeRegistry:
     ----------
     n_max:
         Maximum total photon number across all modes (default 2).
+
+    Each registry also keeps a private memo of the stage unitaries that
+    `protocol.run_erasure_pipeline` builds for it: the beamsplitter keyed by
+    the stage's `ArmPair`, the conversion unitary keyed by
+    `(arms, settings)`.  `register` clears it, so a unitary never outlives
+    the registry size it was built for; otherwise it lives as long as the
+    registry.  It has no size limit: it holds one splitter per arm pair and
+    one conversion unitary per distinct tuning run on the registry (about
+    10 kB each at 20 modes).
     """
 
     def __init__(self, n_max: int = 2):
@@ -57,6 +69,7 @@ class ModeRegistry:
         self.n_max = int(n_max)
         self._modes: list[ModeId] = []
         self._by_label: dict[str, ModeId] = {}
+        self._stage_unitaries: dict[Hashable, ModeUnitary] = {}
 
     def __len__(self) -> int:
         return len(self._modes)
@@ -90,7 +103,15 @@ class ModeRegistry:
         mode = ModeId(index=len(self._modes), label=label, frequency=float(frequency), branch=branch)
         self._modes.append(mode)
         self._by_label[label] = mode
+        self._stage_unitaries.clear()
         return mode
+
+    def _stage_unitary(self, key: Hashable, build: Callable[[], ModeUnitary]) -> ModeUnitary:
+        """The memoized stage unitary under `key`, calling `build()` on a miss."""
+        unitary = self._stage_unitaries.get(key)
+        if unitary is None:
+            unitary = self._stage_unitaries[key] = build()
+        return unitary
 
     def vacuum_occupation(self) -> tuple[int, ...]:
         return (0,) * len(self._modes)

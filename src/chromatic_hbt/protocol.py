@@ -168,12 +168,19 @@ def run_erasure_pipeline(
     """Drive a state through one erasure stage, recording each step.
 
     Both beamsplitters act on the same pairs, so one unitary serves both.
+    The splitter (keyed by `arms`) and the conversion unitary (keyed by
+    `(arms, config.settings)`) come from the registry's memo, so each is
+    built and checked for unitarity once per tuning and registry size, not
+    once per call; `registry.register` clears the memo.
     """
-    splitter = bs_unitary(registry, arms.bs_pairs())
+    splitter = registry._stage_unitary(arms, lambda: bs_unitary(registry, arms.bs_pairs()))
+    conversion = registry._stage_unitary(
+        (arms, config.settings), lambda: sfg_unitary(registry, config.settings, arms)
+    )
     stages = {"input": state}
     state = evolve(state, splitter)
     stages["after_first_beamsplitter"] = state
-    state = evolve(state, sfg_unitary(registry, config.settings, arms))
+    state = evolve(state, conversion)
     stages["after_conversion"] = state
     state = evolve(state, splitter)
     stages["after_second_beamsplitter"] = state

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from chromatic_hbt.elements import phase_delay
+from chromatic_hbt.elements import bs_unitary, evolve, phase_delay, sfg_unitary, spectral_filter
 from chromatic_hbt.fock import FockBasisState, ModeRegistry, StateVector, apply_creation
 from chromatic_hbt.protocol import build_hbt_registry, run_erasure_pipeline
 
@@ -92,6 +92,22 @@ def evolve_by_expm(state: StateVector, h_single: np.ndarray) -> StateVector:
     u = expm_series(-1j * big_h)
     vec = u @ state_to_vector(state, basis)
     return vector_to_state(vec, state.registry, basis)
+
+
+def fresh_erasure_pipeline(state, registry, arms, config) -> tuple[dict[str, StateVector], complex]:
+    """One erasure stage, step by step, building the splitter and conversion
+    unitaries afresh at every use: (stages, detection amplitude)."""
+    stages = {"input": state}
+    state = evolve(state, bs_unitary(registry, arms.bs_pairs()))
+    stages["after_first_beamsplitter"] = state
+    state = evolve(state, sfg_unitary(registry, config.settings, arms))
+    stages["after_conversion"] = state
+    state = evolve(state, bs_unitary(registry, arms.bs_pairs()))
+    stages["after_second_beamsplitter"] = state
+    keep = getattr(arms.arm_a, config.filter_color)
+    state, _ = spectral_filter(state, keep, arms.arm_a.all())
+    stages["after_filter"] = state
+    return stages, state.amplitude_of({keep: 1})
 
 
 def per_delay_g2_curve(scenario, t_delays) -> np.ndarray:

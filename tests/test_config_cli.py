@@ -13,6 +13,8 @@ from chromatic_hbt.config import (
     RunConfig,
     parse_angle,
     parse_bool,
+    parse_complex,
+    parse_float,
     parse_quantity,
 )
 
@@ -46,6 +48,19 @@ class TestUnitParsing:
     def test_angle_without_unit_rejected(self):
         with pytest.raises(ConfigError):
             parse_angle("0.5", "x")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_numbers_rejected(self, token):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_quantity(f"{token} nm", LENGTH_UNITS, "x")
+        with pytest.raises(ConfigError, match="finite"):
+            parse_angle(f"{token} rad", "x")
+        with pytest.raises(ConfigError, match="finite"):
+            parse_angle(f"pi:{token}", "x")
+        with pytest.raises(ConfigError, match="finite"):
+            parse_float(token, "x")
+        with pytest.raises(ConfigError, match="finite"):
+            parse_complex(f"{token}+0.5j", "x")
 
     def test_bool(self):
         assert parse_bool("on", "x") is True
@@ -142,6 +157,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert "scenario.t_delay" in err
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("phi_31 = nan rad", "conversion.phi_31"),
+            ("phi_32 = inf rad", "conversion.phi_32"),
+            ("theta_31 = -1 rad", "theta_31"),
+            ("theta_32 = pi:inf", "conversion.theta_32"),
+        ],
+    )
+    def test_bad_conversion_value_exits_2(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[conversion]\n{line}\n")
+        code = main(["--config", str(cfg), "protocol"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert key in captured.err
+        assert "detection amplitude" not in captured.out
 
     def test_analyze_empty_stream_exits_3(self, tmp_path, capsys):
         stream = tmp_path / "empty.txt"

@@ -81,6 +81,16 @@ class TestConversionSettings:
         with pytest.raises(ValueError, match="xi_31"):
             ConversionSettings(xi_31=-1.0, xi_32=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected(self, value):
+        with pytest.raises(ValueError, match="phi_2p2 must be finite"):
+            ConversionSettings(xi_31=1.0, xi_32=1.0, phi_2p2=value)
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_invalid_angle_named(self, value):
+        with pytest.raises(ValueError, match="theta_32 must be finite and >= 0"):
+            ConversionSettings.from_angles(theta_31=1.0, theta_32=value)
+
     def test_ideal_angles(self):
         s = ConversionSettings.ideal()
         assert s.theta_31 == pytest.approx(math.pi / 2)
@@ -272,6 +282,13 @@ class TestEvolve:
         source[0, 0] = -1.0
         assert unitary.matrix[0, 0] == 1.0
         assert unitary.columns[0] == ((0, 1.0),)
+
+    def test_nan_matrix_rejected(self, stage):
+        registry, _ = stage
+        matrix = np.eye(len(registry), dtype=complex)
+        matrix[3, 3] = math.nan
+        with pytest.raises(ValueError, match="not unitary"):
+            ModeUnitary(registry, matrix)
 
     def test_dimension_mismatch_rejected(self, stage):
         registry, arms = stage

@@ -3,25 +3,28 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromatic_hbt import fock
+from chromatic_hbt import elements, fock
 from chromatic_hbt.elements import ConversionSettings
 from chromatic_hbt.protocol import (
     ErasureDetectorConfig,
     G2Model,
     HbtScenario,
     ModeFrequencies,
+    build_erasure_registry,
+    build_hbt_registry,
     erase_and_detect,
     g2_tau_model,
     g2_zero_model,
     hbt_coincidence_amplitude,
     predicted_g2_curve,
+    run_erasure_pipeline,
     visibility_from_counts,
 )
 
-from oracles import per_delay_g2_curve
+from oracles import fresh_erasure_pipeline, per_delay_g2_curve
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -31,19 +34,44 @@ phases = st.floats(-math.pi, math.pi)
 
 
 @st.composite
-def general_scenarios(draw):
-    """Random source weights and general (non-ideal) tunings at both detectors."""
+def tunings(draw):
+    """A general conversion tuning: every angle and phase drawn at random."""
+    return ConversionSettings.from_angles(
+        *(draw(angles) for _ in range(4)), *(draw(phases) for _ in range(4))
+    )
+
+
+@st.composite
+def unit_weights(draw):
+    """Source weights (alpha, beta) with |alpha|^2 + |beta|^2 = 1."""
     weight = draw(st.floats(0.0, 1.0))
     alpha = weight * cmath.exp(1j * draw(phases))
     beta = math.sqrt(1.0 - weight**2) * cmath.exp(1j * draw(phases))
+    return alpha, beta
 
-    def detector(label):
-        settings = ConversionSettings.from_angles(
-            *(draw(angles) for _ in range(4)), *(draw(phases) for _ in range(4))
-        )
-        return ErasureDetectorConfig(settings=settings, label=label)
 
-    return HbtScenario(alpha=alpha, beta=beta, detector_a=detector("A"), detector_b=detector("B"))
+@st.composite
+def general_scenarios(draw):
+    """Random source weights and general (non-ideal) tunings at both detectors."""
+    alpha, beta = draw(unit_weights())
+    return HbtScenario(
+        alpha=alpha,
+        beta=beta,
+        detector_a=ErasureDetectorConfig(settings=draw(tunings()), label="A"),
+        detector_b=ErasureDetectorConfig(settings=draw(tunings()), label="B"),
+    )
+
+
+def two_color_input(registry, arm, alpha, beta):
+    vacuum = fock.StateVector.vacuum(registry)
+    return fock.apply_creation(vacuum, arm.f1).scaled(alpha).plus(
+        fock.apply_creation(vacuum, arm.f2).scaled(beta)
+    )
+
+
+def stage_json(stages):
+    # JSON floats round-trip exactly, so equal text means bit-identical states
+    return {name: state.to_json() for name, state in stages.items()}
 
 
 def random_unit_pair(rng):
@@ -95,6 +123,66 @@ class TestEraseAndDetect:
         assert ErasureDetectorConfig.ideal().is_ideal_tuning()
         off = ErasureDetectorConfig(settings=ConversionSettings.from_angles(math.pi / 3, 2 * math.pi))
         assert not off.is_ideal_tuning()
+
+
+class TestStageUnitaryMemo:
+    @settings(max_examples=50)
+    @given(st.lists(tunings(), min_size=2, max_size=3), unit_weights())
+    def test_alternating_tunings_match_fresh_unitaries(self, tuning_list, weights):
+        # one registry, two stages and several tunings taking turns: a memo
+        # key that ignored the arms or the settings would hand a call the
+        # unitary of another stage or tuning
+        registry, arms_a, arms_b = build_hbt_registry()
+        for _ in range(2):
+            for tuning in tuning_list:
+                config = ErasureDetectorConfig(settings=tuning)
+                for arms in (arms_a, arms_b):
+                    state = two_color_input(registry, arms.arm_a, *weights)
+                    run = run_erasure_pipeline(state, registry, arms, config)
+                    stages, amplitude = fresh_erasure_pipeline(state, registry, arms, config)
+                    assert stage_json(run.stages) == stage_json(stages)
+                    assert repr(run.detection_amplitude) == repr(amplitude)
+
+    def test_register_clears_the_memo(self):
+        registry, arms = build_erasure_registry()
+        config = ErasureDetectorConfig(settings=ConversionSettings.from_angles(1.0, 2.0))
+        run_erasure_pipeline(two_color_input(registry, arms.arm_a, 0.6, 0.8), registry, arms, config)
+        extra = registry.register("extra", 3e14, "b")
+        state = fock.apply_creation(two_color_input(registry, arms.arm_a, 0.6, 0.8), extra)
+        run = run_erasure_pipeline(state, registry, arms, config)
+        assert all(
+            len(basis.occupation) == len(registry) == 11
+            for stage in run.stages.values()
+            for basis in stage.amplitudes
+        )
+        stages, amplitude = fresh_erasure_pipeline(state, registry, arms, config)
+        assert stage_json(run.stages) == stage_json(stages)
+        assert run.detection_amplitude == amplitude
+
+    def test_repeated_tuning_builds_no_unitary(self, monkeypatch):
+        built = []
+        check = elements.ModeUnitary.__post_init__
+
+        def spy(unitary):
+            built.append(unitary)
+            check(unitary)
+
+        monkeypatch.setattr(elements.ModeUnitary, "__post_init__", spy)
+        registry, arms = build_erasure_registry()
+        state = two_color_input(registry, arms.arm_a, 0.6, 0.8)
+
+        def general():
+            # a new but equal settings object on every call
+            return ErasureDetectorConfig(settings=ConversionSettings.from_angles(1.0, 2.0))
+
+        run_erasure_pipeline(state, registry, arms, general())
+        assert len(built) == 2
+        run_erasure_pipeline(state, registry, arms, general())
+        assert len(built) == 2
+        run_erasure_pipeline(state, registry, arms, ErasureDetectorConfig.ideal())
+        assert len(built) == 3
+        run_erasure_pipeline(state, registry, arms, general())
+        assert len(built) == 3
 
 
 class TestHbtCoincidence:
