@@ -194,12 +194,7 @@ def _fit_curve(config: RunConfig, curve: G2Curve, model_kind: str | None) -> Fit
     if model_kind is None:
         model_kind = "tau" if curve.x_kind == "tau" else "delay"
     fit_fn = fit_tau_model if model_kind == "tau" else fit_delay_model
-    return fit_fn(
-        curve,
-        weighted=config.fit.weighted,
-        max_iterations=config.fit.max_iterations,
-        band=config.fit.band,
-    )
+    return fit_fn(curve, weighted=config.fit.weighted)
 
 
 def cmd_fit(config: RunConfig, curve_path: Path, model_kind: str | None) -> int:

@@ -78,11 +78,9 @@ far_taus = 38 us, 41 us, 44 us
 
 [fit]
 weighted = on
-max_iterations = 200
-band_low = 0.5
-band_high = 1.5
 
 [analyze]
+input =
 """
 
 
@@ -253,13 +251,16 @@ class TauScanSection:
 @dataclass(frozen=True)
 class FitSection:
     weighted: bool
-    max_iterations: int
-    band_low: float
-    band_high: float
 
-    @property
-    def band(self) -> tuple[float, float]:
-        return (self.band_low, self.band_high)
+
+def _refuse_unknown_keys(parser: configparser.ConfigParser, known: dict[str, set[str]]) -> None:
+    """DEFAULT_CONFIG lists every section and key, so any other is a typo."""
+    for section in parser:
+        if section not in known:
+            raise ConfigError(section, "unknown section; DEFAULT_CONFIG lists every section")
+        for key in parser[section]:
+            if key not in known[section]:
+                raise ConfigError(f"{section}.{key}", "unknown key; DEFAULT_CONFIG lists every key")
 
 
 @dataclass(frozen=True)
@@ -287,11 +288,13 @@ class RunConfig:
             path = Path(path)
             if not path.exists():
                 raise ConfigError("config", f"file not found: {path}")
+            known = {section: set(parser[section]) for section in parser}
             try:
                 with open(path, "r", encoding="utf-8") as fh:
                     parser.read_file(fh)
             except configparser.Error as exc:
                 raise ConfigError("config", f"{path}: {exc}") from None
+            _refuse_unknown_keys(parser, known)
         return cls._from_parser(parser, seed_override=seed, out_dir_override=out_dir)
 
     @classmethod
@@ -365,22 +368,13 @@ class RunConfig:
             duration=q("tau_scan", "duration", TIME_UNITS),
             tau_max=q("tau_scan", "tau_max", TIME_UNITS),
             tau_step=q("tau_scan", "tau_step", TIME_UNITS),
-            far_taus=parse_quantity_list(
-                parser.get("tau_scan", "far_taus", fallback=""), TIME_UNITS, "tau_scan.far_taus"
-            ),
+            far_taus=parse_quantity_list(get("tau_scan", "far_taus"), TIME_UNITS, "tau_scan.far_taus"),
         )
 
-        fit = FitSection(
-            weighted=parse_bool(get("fit", "weighted"), "fit.weighted"),
-            max_iterations=parse_int(get("fit", "max_iterations"), "fit.max_iterations"),
-            band_low=parse_float(get("fit", "band_low"), "fit.band_low"),
-            band_high=parse_float(get("fit", "band_high"), "fit.band_high"),
-        )
-        if not (0 < fit.band_low < fit.band_high):
-            raise ConfigError("fit.band_low", "frequency band must satisfy 0 < low < high")
+        fit = FitSection(weighted=parse_bool(get("fit", "weighted"), "fit.weighted"))
 
         analyze_input = None
-        raw_input = parser.get("analyze", "input", fallback="").strip()
+        raw_input = get("analyze", "input").strip()
         if raw_input:
             analyze_input = Path(raw_input)
             if not analyze_input.exists():

@@ -11,10 +11,16 @@ and a Gaussian-damped fringe against the post-processing shift,
 These are the only copies of the two formulas: protocol.g2_zero_model and
 g2_tau_model evaluate them for a G2Model.
 
-The minimizer is damped Gauss-Newton with a Levenberg-Marquardt damping
-schedule and analytic Jacobians.  Parameter errors come from the inverse
-curvature matrix scaled by sqrt(chi2/dof).  Results are reported in the
-canonical gauge: visibility >= 0, phase in (-pi, pi], frequency >= 0.
+Both are linear in (c, s) = (v/2) * (cos(phase), -sin(phase)) once the
+frequency and the linewidth are fixed.  initial_guess profiles (c, s) out: on
+a frequency grid it solves their 2x2 weighted linear least squares and keeps
+the frequency that lowers the fit's own chi2 the most (Golub & Pereyra, SIAM
+J. Numer. Anal. 10, 413 (1973); with a flat envelope, a weighted Lomb-Scargle
+periodogram about g2 = 1, cf. Zechmeister & Kuerster, A&A 496, 577 (2009)).
+Damped Gauss-Newton with a Levenberg-Marquardt damping schedule and analytic
+Jacobians then refines all parameters.  Parameter errors come from the
+inverse curvature matrix scaled by sqrt(chi2/dof).  Results are reported in
+the canonical gauge: visibility >= 0, phase in (-pi, pi], frequency >= 0.
 """
 
 from __future__ import annotations
@@ -166,63 +172,71 @@ def canonicalize(model: str, params: np.ndarray) -> np.ndarray:
     return p
 
 
-def _periodogram_peak(x: np.ndarray, y: np.ndarray, f_grid: np.ndarray) -> float:
-    centered = y - y.mean()
-    arg = np.outer(f_grid, x)
-    arg *= 2.0 * math.pi
-    power = (np.cos(arg) @ centered) ** 2 + (np.sin(arg, out=arg) @ centered) ** 2
-    return float(f_grid[int(np.argmax(power))])
-
-
-def guess_frequency(x: np.ndarray, y: np.ndarray, band: tuple[float, float] = (0.5, 1.5)) -> float:
-    """Fringe frequency guess: coarse periodogram, then a refined scan of a
-    configurable band around the coarse peak (default 0.5x to 1.5x)."""
-    span = float(x.max() - x.min())
-    if span <= 0:
-        return 0.0
-    # from half a cycle over the span up to the Nyquist rate of the typical
-    # sample spacing (median, so sparse outlying points don't cap the band)
-    spacing = float(np.median(np.diff(np.sort(x))))
-    f_low = 0.5 / span
-    f_high = max(0.5 / spacing, 2.0 * f_low) if spacing > 0 else 2.0 * f_low
-    n_coarse = int(np.clip(4.0 * span * (f_high - f_low), 256, 8192))
-    coarse = _periodogram_peak(x, y, np.linspace(f_low, f_high, n_coarse))
-    lo, hi = band[0] * coarse, band[1] * coarse
-    return _periodogram_peak(x, y, np.linspace(lo, hi, 512))
-
-
 def initial_guess(
-    x: np.ndarray, y: np.ndarray, model: str, band: tuple[float, float] = (0.5, 1.5)
+    x: np.ndarray, y: np.ndarray, model: str, weights: np.ndarray | None = None
 ) -> np.ndarray:
-    """Starting point from the data: swing, periodogram frequency, first
-    extremum phase, and (tau model) envelope half-width."""
+    """Starting point that minimizes the fit's own weighted chi2 over a
+    frequency grid, with (c, s) solved exactly at each frequency.
+
+    weights are the fit's 1/sigma (ones when None).
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if model not in _MODELS:
         raise ValueError(f"unknown model kind {model!r}")
     if x.size < 4:
         raise ValueError(f"need at least 4 points to build a guess, got {x.size}")
-    visibility = float(np.clip(y.max() - y.min(), 0.0, 1.0))
-    freq = guess_frequency(x, y, band)
-    if freq <= 0.0:
-        freq = 1.0 / max(x.max() - x.min(), 1.0)
-    # phase such that the model peaks where the data peak
-    x_peak = float(x[int(np.argmax(y))])
-    phase = _wrap_phase(-2.0 * math.pi * freq * x_peak)
+    span = float(x.max() - x.min())
+    if not span > 0:
+        raise ValueError("need at least two distinct x values to build a guess")
+    deviation = y - 1.0
+    # per-point weights of the basis products (a) and of the data (u)
+    a = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float) ** 2
+    if model == "tau":
+        # envelope held at the half-maximum width of |y - 1|: the fringe
+        # depends on the width squared, so LM started at 0 cannot move it
+        magnitude = np.abs(deviation)
+        width = 0.0
+        if magnitude.max() > 0:
+            half_x = np.abs(x)[magnitude >= 0.5 * magnitude.max()].max()
+            if half_x > 0:
+                width = math.sqrt(math.log(2.0)) / half_x
+        if width <= 0.0:
+            width = 0.5 / max(np.abs(x).max(), 1.0)
+        envelope = np.exp(-((width * x) ** 2))
+        u = a * envelope * deviation
+        a = a * envelope**2
+    else:
+        u = a * deviation
+    # from half a cycle over the span up to the Nyquist rate of the typical
+    # sample spacing (median, so sparse outlying points don't cap the band)
+    spacing = float(np.median(np.diff(np.sort(x))))
+    f_low = 0.5 / span
+    f_high = max(0.5 / spacing, 2.0 * f_low) if spacing > 0 else 2.0 * f_low
+    grid = np.linspace(f_low, f_high, int(np.clip(4.0 * span * (f_high - f_low), 256, 8192)))
+    # normal-equation sums of the 2x2 solve, built in place so that only two
+    # grid-by-point arrays exist at once
+    cos = np.outer(grid, x)
+    cos *= 2.0 * math.pi
+    sin = np.sin(cos)
+    np.cos(cos, out=cos)
+    uc, us = cos @ u, sin @ u
+    sin *= cos
+    cs = sin @ a
+    cos *= cos
+    cc = cos @ a
+    ss = a.sum() - cc
+    det = cc * ss - cs * cs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.where(det > 0, (ss * uc - cs * us) / det, 0.0)
+        s = np.where(det > 0, (cc * us - cs * uc) / det, 0.0)
+    # at the solution the chi2 falls by (c, s) . (uc, us)
+    k = int(np.argmax(c * uc + s * us))
+    visibility = 2.0 * math.hypot(c[k], s[k])
+    phase = math.atan2(-s[k], c[k])
     if model == "delay":
-        return np.array([visibility, phase, freq])
-    # envelope half-width from where |y - 1| falls to half its maximum
-    magnitude = np.abs(y - 1.0)
-    peak = magnitude.max()
-    width = 0.0
-    if peak > 0:
-        outside = np.abs(x)[magnitude >= 0.5 * peak]
-        half_x = float(outside.max()) if outside.size else 0.0
-        if half_x > 0:
-            width = math.sqrt(math.log(2.0)) / half_x
-    if width <= 0.0:
-        width = 0.5 / max(np.abs(x).max(), 1.0)
-    return np.array([visibility, width, phase, freq])
+        return np.array([visibility, phase, grid[k]])
+    return np.array([visibility, width, phase, grid[k]])
 
 
 def _solve_damped(jtj: np.ndarray, grad: np.ndarray, damping: float) -> np.ndarray:
@@ -260,7 +274,6 @@ def _levenberg_marquardt(
     x: np.ndarray,
     y: np.ndarray,
     weights: np.ndarray,
-    max_iterations: int,
 ):
     """Weighted LM loop; returns (params, trace, converged, iterations, jtj)."""
     p = np.array(p0, dtype=float)
@@ -275,13 +288,14 @@ def _levenberg_marquardt(
     damping = 1e-3
     converged = False
     iterations = 0
-    jtj = None
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         residual = (y - model_fn(p, x)) * weights
         jac = jac_fn(p, x) * w
         jtj = jac.T @ jac
         grad = jac.T @ residual
-        if np.linalg.norm(grad) < GRADIENT_TOL * max(1.0, chi2):
+        # MINPACK's orthogonality test: the residual is orthogonal to every
+        # Jacobian column, which does not depend on the parameters' units
+        if np.all(np.abs(grad) <= GRADIENT_TOL * np.sqrt(np.diag(jtj)) * math.sqrt(chi2)):
             converged = True
             break
         accepted = False
@@ -320,21 +334,21 @@ def _levenberg_marquardt(
 
 def _finish(
     model: str,
-    names: tuple[str, ...],
     p: np.ndarray,
     trace: list[float],
     converged: bool,
     iterations: int,
-    jtj: np.ndarray | None,
+    jtj: np.ndarray,
     n_points: int,
-    notes: list[str],
 ) -> FitResult:
+    names = _MODELS[model][0]
     p = canonicalize(model, p)
     dof = max(n_points - len(names), 1)
     chi2 = trace[-1]
     degenerate = False
+    notes: list[str] = []
     errors: list[float | None] = [None] * len(names)
-    covariance = _scaled_covariance(jtj, chi2, dof) if jtj is not None else None
+    covariance = _scaled_covariance(jtj, chi2, dof)
     if covariance is None:
         degenerate = True
         notes.append("curvature matrix is near-singular; errors omitted")
@@ -361,74 +375,51 @@ def _finish(
     )
 
 
-def _prepare(curve, weighted: bool):
+def _fit(curve, model: str, initial: np.ndarray | None, weighted: bool) -> FitResult:
+    """Fit one of the _MODELS to curve.x, curve.g2 (errors curve.sigma)."""
+    names, model_fn, jac_fn = _MODELS[model]
     x = np.asarray(curve.x, dtype=float)
     y = np.asarray(curve.g2, dtype=float)
     sigma = np.asarray(curve.sigma, dtype=float)
-    if weighted:
-        if np.any(sigma <= 0):
-            raise ValueError("weighted fit requires positive sigma for every point")
-        weights = 1.0 / sigma
+    if weighted and np.any(sigma <= 0):
+        raise ValueError("weighted fit requires positive sigma for every point")
+    weights = 1.0 / sigma if weighted else np.ones_like(y)
+    if x.size <= len(names):
+        raise ValueError(f"{model} fit needs >= {len(names) + 1} points, got {x.size}")
+    if initial is None:
+        p0 = initial_guess(x, y, model, weights)
     else:
-        weights = np.ones_like(y)
-    return x, y, weights
+        p0 = np.array(initial, dtype=float)
+        if model == "tau" and p0[1] > 0 and np.abs(x).max() < 2.0 / p0[1]:
+            raise ValueError(
+                "shift scan too short to constrain the envelope: "
+                f"max|x| = {np.abs(x).max():.3g} < 2/linewidth = {2.0 / p0[1]:.3g}"
+            )
+    span = x.max() - x.min()
+    if model == "delay" and p0[2] > 0 and span * p0[2] < 0.5:
+        raise ValueError(
+            f"delay scan spans {span * p0[2]:.3g} oscillation periods; need at least 0.5"
+        )
+    p, trace, converged, iterations, jtj = _levenberg_marquardt(
+        model_fn, jac_fn, p0, x, y, weights
+    )
+    return _finish(model, p, trace, converged, iterations, jtj, x.size)
 
 
-def fit_delay_model(
-    curve,
-    initial: np.ndarray | None = None,
-    weighted: bool = True,
-    max_iterations: int = MAX_ITERATIONS,
-    band: tuple[float, float] = (0.5, 1.5),
-) -> FitResult:
+def fit_delay_model(curve, initial: np.ndarray | None = None, weighted: bool = True) -> FitResult:
     """Fit the undamped fringe to a delay-scan curve.
 
     curve needs >= 4 points spanning at least half an oscillation period of
     the starting frequency.
     """
-    x, y, weights = _prepare(curve, weighted)
-    if x.size < 4:
-        raise ValueError(f"delay fit needs >= 4 points, got {x.size}")
-    notes: list[str] = []
-    p0 = np.array(initial, dtype=float) if initial is not None else initial_guess(x, y, "delay", band)
-    span = x.max() - x.min()
-    if p0[2] > 0 and span * p0[2] < 0.5:
-        raise ValueError(
-            f"delay scan spans {span * p0[2]:.3g} oscillation periods; need at least 0.5"
-        )
-    p, trace, converged, iterations, jtj = _levenberg_marquardt(
-        delay_fringe, delay_fringe_jacobian, p0, x, y, weights, max_iterations
-    )
-    return _finish("delay", DELAY_PARAM_NAMES, p, trace, converged, iterations, jtj, x.size, notes)
+    return _fit(curve, "delay", initial, weighted)
 
 
-def fit_tau_model(
-    curve,
-    initial: np.ndarray | None = None,
-    weighted: bool = True,
-    max_iterations: int = MAX_ITERATIONS,
-    band: tuple[float, float] = (0.5, 1.5),
-) -> FitResult:
+def fit_tau_model(curve, initial: np.ndarray | None = None, weighted: bool = True) -> FitResult:
     """Fit the Gaussian-damped fringe to a shift-scan curve.
 
-    With an explicit initial guess the scan must reach max|x| >= 2/linewidth
-    so the envelope decay is actually in the data; the automatic guess
-    clamps itself to the available span instead.
+    curve needs >= 5 points.  With an explicit initial guess the scan must
+    reach max|x| >= 2/linewidth so the envelope decay is actually in the
+    data; the automatic guess takes its width from the data instead.
     """
-    x, y, weights = _prepare(curve, weighted)
-    if x.size < 5:
-        raise ValueError(f"tau fit needs >= 5 points, got {x.size}")
-    notes: list[str] = []
-    if initial is not None:
-        p0 = np.array(initial, dtype=float)
-        if p0[1] > 0 and np.abs(x).max() < 2.0 / p0[1]:
-            raise ValueError(
-                "shift scan too short to constrain the envelope: "
-                f"max|x| = {np.abs(x).max():.3g} < 2/linewidth = {2.0 / p0[1]:.3g}"
-            )
-    else:
-        p0 = initial_guess(x, y, "tau", band)
-    p, trace, converged, iterations, jtj = _levenberg_marquardt(
-        tau_fringe, tau_fringe_jacobian, p0, x, y, weights, max_iterations
-    )
-    return _finish("tau", TAU_PARAM_NAMES, p, trace, converged, iterations, jtj, x.size, notes)
+    return _fit(curve, "tau", initial, weighted)

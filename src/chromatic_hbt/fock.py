@@ -236,7 +236,8 @@ class StateVector:
 
 
 def _pruned(amps: dict[FockBasisState, complex]) -> dict[FockBasisState, complex]:
-    return {s: a for s, a in amps.items() if abs(a) >= PRUNE_TOL}
+    # written so that a NaN amplitude is kept, and stays visible downstream
+    return {s: a for s, a in amps.items() if not abs(a) < PRUNE_TOL}
 
 
 def _check_same_registry(s1: StateVector, s2: StateVector) -> None:

@@ -150,3 +150,28 @@ def occupied_bin_tallies(
     bins_a = {(t - w0_ps) // bin_width_ps for t in times_a if w0_ps <= t < top_ps}
     bins_b = {(t + tau_ps - w0_ps) // bin_width_ps for t in times_b if w0_ps <= t + tau_ps < top_ps}
     return len(bins_a & bins_b), len(bins_a), len(bins_b)
+
+
+def profiled_fringe_start(
+    x: np.ndarray, y: np.ndarray, weights: np.ndarray, envelope: np.ndarray
+) -> tuple[float, float, float]:
+    """(frequency, c, s) minimizing sum(weights^2 (y - 1 - envelope (c cos + s sin))^2)
+    over the guess grid, by one np.linalg.lstsq solve per grid frequency.
+
+    The grid runs from half a cycle over the span of x to the Nyquist rate of
+    the median sample spacing, four points per 1/span, 256 to 8192 points.
+    """
+    span = x.max() - x.min()
+    f_low = 0.5 / span
+    f_high = max(0.5 / np.median(np.diff(np.sort(x))), 2.0 * f_low)
+    n_grid = int(np.clip(4.0 * span * (f_high - f_low), 256, 8192))
+    target = weights * (y - 1.0)
+    best = (-math.inf, 0.0, 0.0, 0.0)
+    for freq in np.linspace(f_low, f_high, n_grid):
+        arg = 2.0 * math.pi * freq * x
+        basis = (weights * envelope)[:, None] * np.column_stack([np.cos(arg), np.sin(arg)])
+        coef, *_ = np.linalg.lstsq(basis, target, rcond=None)
+        drop = float(target @ (basis @ coef))  # chi2 at (0, 0) minus chi2 at coef
+        if drop > best[0]:
+            best = (drop, float(freq), float(coef[0]), float(coef[1]))
+    return best[1:]

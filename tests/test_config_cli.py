@@ -176,6 +176,24 @@ class TestCli:
         assert key in captured.err
         assert "detection amplitude" not in captured.out
 
+    @pytest.mark.parametrize(
+        "text, location",
+        [
+            ("[tau_scan]\ndurration = 0.01 s\n", "tau_scan.durration"),
+            ("[bogus]\n", "[bogus]"),
+            ("[fit]\nband_low = 0.5\n", "fit.band_low"),
+            ("[DEFAULT]\nseed = 3\n", "DEFAULT.seed"),
+        ],
+    )
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, text, location):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(text)
+        code = main(["--config", str(cfg), "--out-dir", str(tmp_path), "reproduce", "fig3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert location in captured.err
+        assert not list(tmp_path.glob("fig3_*"))
+
     def test_analyze_empty_stream_exits_3(self, tmp_path, capsys):
         stream = tmp_path / "empty.txt"
         stream.write_text("#binwidth_ps=1000\n#duration_ps=0\n#seed=1\n")

@@ -223,6 +223,14 @@ class TestEvolve:
         out = evolve(state, ModeUnitary.identity(registry))
         assert out.allclose(state, tol=1e-15)
 
+    def test_nan_amplitude_survives_pruning(self, stage):
+        # a NaN must reach the caller, not vanish as a negligible amplitude
+        registry, arms = stage
+        photon = next(iter(single_photon(registry, arms.arm_a.f1).amplitudes))
+        state = StateVector(registry, {photon: complex(math.nan, 0.0)})
+        out = evolve(state, ModeUnitary.identity(registry))
+        assert any(cmath.isnan(a) for a in out.amplitudes.values())
+
     def test_norm_preserved_random(self, stage):
         registry, arms = stage
         rng = np.random.default_rng(17)

@@ -3,6 +3,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chromatic_hbt.fitting import (
     canonicalize,
@@ -10,11 +12,12 @@ from chromatic_hbt.fitting import (
     delay_fringe_jacobian,
     fit_delay_model,
     fit_tau_model,
-    guess_frequency,
     initial_guess,
     tau_fringe,
     tau_fringe_jacobian,
 )
+
+from oracles import profiled_fringe_start
 
 
 @dataclass
@@ -88,6 +91,21 @@ class TestCanonicalGauge:
         p = canonicalize("tau", np.array([0.5, -0.3, 0.1, 1.0]))
         assert p[1] == pytest.approx(0.3)
 
+    @given(
+        st.sampled_from(["delay", "tau"]),
+        st.floats(-2.0, 2.0),
+        st.floats(-3.0, 3.0),
+        st.floats(-50.0, 50.0),
+        st.floats(-5.0, 5.0),
+    )
+    def test_idempotent_and_leaves_fringe_unchanged(self, model, v, width, phase, freq):
+        raw = np.array([v, phase, freq] if model == "delay" else [v, width, phase, freq])
+        fringe = delay_fringe if model == "delay" else tau_fringe
+        p = canonicalize(model, raw)
+        assert np.array_equal(canonicalize(model, p), p)
+        x = np.linspace(-3.0, 3.0, 13)
+        assert np.allclose(fringe(p, x), fringe(raw, x), rtol=0.0, atol=1e-9)
+
 
 class TestInitialGuess:
     def test_frequency_within_ten_percent_on_clean_sinusoid(self):
@@ -97,7 +115,7 @@ class TestInitialGuess:
             phase = rng.uniform(-math.pi, math.pi)
             x = np.linspace(0.0, 4.0, 40)
             y = 1.0 + 0.3 * np.cos(phase + 2 * math.pi * freq * x)
-            assert guess_frequency(x, y) == pytest.approx(freq, rel=0.10)
+            assert initial_guess(x, y, "delay")[2] == pytest.approx(freq, rel=0.10)
 
     def test_flat_curve_gives_small_visibility(self):
         x = np.linspace(0, 5, 30)
@@ -108,6 +126,33 @@ class TestInitialGuess:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match="4 points"):
             initial_guess(np.array([0.0, 1.0]), np.array([1.0, 1.0]), "delay")
+
+    @given(
+        st.sampled_from(["delay", "tau"]),
+        st.integers(12, 60),
+        st.sampled_from([1e-11, 1e-6, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_profiled_start_matches_lstsq_oracle(self, model, n, scale, seed):
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.uniform(0.0 if model == "delay" else -1.0, 1.0, n)) * scale
+        span = x.max() - x.min()
+        truth = [rng.uniform(0.05, 1.0), rng.uniform(0.5, 4.0) / np.abs(x).max(),
+                 rng.uniform(-math.pi, math.pi), rng.uniform(1.0, n / 4.0) / span]
+        if model == "delay":
+            del truth[1]
+        fringe = delay_fringe if model == "delay" else tau_fringe
+        sigma = rng.uniform(0.005, 0.1, n)
+        y = fringe(np.array(truth), x) + sigma * rng.normal(size=n)
+        weights = 1.0 / sigma
+        guess = initial_guess(x, y, model, weights)
+        # the tau envelope is held at the guess's own width during the scan
+        envelope = np.ones(n) if model == "delay" else np.exp(-((guess[1] * x) ** 2))
+        freq, c, s = profiled_fringe_start(x, y, weights, envelope)
+        v, phase = guess[0], guess[-2]
+        assert guess[-1] == freq
+        assert 0.5 * v * math.cos(phase) == pytest.approx(c, abs=1e-9)
+        assert -0.5 * v * math.sin(phase) == pytest.approx(s, abs=1e-9)
 
     def test_tau_guess_linewidth_scale(self):
         width = 0.4
@@ -166,6 +211,26 @@ class TestDelayFit:
             err = result.stderr(name)
             assert err is not None and err > 0
             assert abs(result.value(name) - expected) < 3.0 * err
+
+    def test_gradient_stop_test_does_not_depend_on_units(self):
+        # (v, phase) start at their optimum for a frequency 0.03 error bars
+        # off; in seconds the raw frequency gradient is about 1e-11 of the
+        # others, which a unit-dependent stop test takes for convergence
+        rng = np.random.default_rng(72)
+        truth = np.array([0.59, -0.16, 210.1e9])
+        x = np.linspace(0.0, 5.0 / truth[2], 20)
+        sigma = 0.1
+        y = delay_fringe(truth, x) + rng.normal(0.0, sigma, size=x.size)
+        curve = make_curve(x, y, sigma * np.ones_like(x))
+        best = fit_delay_model(curve, initial=truth)
+        f_start = best.value("frequency") - 0.03 * best.stderr("frequency")
+        basis = np.column_stack([np.cos(2 * math.pi * f_start * x), np.sin(2 * math.pi * f_start * x)])
+        (c, s), *_ = np.linalg.lstsq(basis, y - 1.0, rcond=None)
+        start = np.array([2.0 * math.hypot(c, s), math.atan2(-s, c), f_start])
+        result = fit_delay_model(curve, initial=start)
+        assert result.converged
+        for name in ("visibility", "phase", "frequency"):
+            assert abs(result.value(name) - best.value(name)) < 1e-4 * best.stderr(name)
 
     def test_flat_curve_flagged_degenerate(self):
         x = np.linspace(0.0, 5.0, 20)
