@@ -128,6 +128,19 @@ def estimate_g2(counts: CoincidenceCounts) -> tuple[float, float]:
     return g2, sigma
 
 
+def write_csv_columns(path, x_kind: str, columns: dict[str, Sequence[float]]) -> None:
+    """Write equal-length columns as CSV, each value as its float repr.
+
+    The first line, '# x_kind=<kind> x_unit=<unit>', is what
+    G2Curve.from_csv reads the scan variable from.
+    """
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"# x_kind={x_kind} x_unit={_X_UNITS[x_kind]}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*columns.values()):
+            fh.write(",".join(repr(float(value)) for value in row) + "\n")
+
+
 @dataclass
 class G2Curve:
     """g2 samples against a scan variable, with per-point error bars."""
@@ -162,11 +175,7 @@ class G2Curve:
         return G2Curve(self.x * SPEED_OF_LIGHT, self.g2.copy(), self.sigma.copy(), "path_length")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"# x_kind={self.x_kind} x_unit={self.x_unit}\n")
-            fh.write("x,g2,sigma\n")
-            for x, g2, sigma in zip(self.x, self.g2, self.sigma):
-                fh.write(f"{float(x)!r},{float(g2)!r},{float(sigma)!r}\n")
+        write_csv_columns(path, self.x_kind, {"x": self.x, "g2": self.g2, "sigma": self.sigma})
 
     @classmethod
     def from_csv(cls, path) -> "G2Curve":

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import G2Curve, scan_delay, scan_tau
+from .analysis import G2Curve, scan_delay, scan_tau, write_csv_columns
 from .config import ConfigError, RunConfig
 from .fitting import FitResult, fit_delay_model, fit_tau_model
 from .fock import SPEED_OF_LIGHT, StateVector, apply_creation
@@ -31,7 +31,7 @@ from .protocol import (
     build_erasure_registry,
     run_erasure_pipeline,
 )
-from .streams import StreamConfig, StreamFormatError, read_stream, simulate_stream, write_stream
+from .streams import StreamFormatError, read_stream, simulate_stream, write_stream
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,9 +61,6 @@ def cmd_protocol(config: RunConfig, dump_state: bool) -> int:
     print(f"  phi_31 = {s.phi_31:.6f} rad   phi_32 = {s.phi_32:.6f} rad")
 
     alpha, beta = config.scenario.alpha, config.scenario.beta
-    norm2 = abs(alpha) ** 2 + abs(beta) ** 2
-    if norm2 > 1.0 + 1e-9:
-        raise ConfigError("scenario.alpha", f"|alpha|^2 + |beta|^2 = {norm2:.6g} exceeds 1")
     registry, arms = build_erasure_registry(freqs)
     vacuum = StateVector.vacuum(registry)
     state = apply_creation(vacuum, arms.arm_a.f1).scaled(alpha).plus(
@@ -93,47 +90,19 @@ def cmd_protocol(config: RunConfig, dump_state: bool) -> int:
     return EXIT_OK
 
 
-def _delay_stream_config(config: RunConfig) -> StreamConfig:
-    scan = config.delay_scan
-    return StreamConfig(
-        bin_width=scan.bin_width,
-        rate_a=scan.rate_a,
-        rate_b=scan.rate_b,
-        seed=config.seed,
-        model=scan.model(),
-        delay_schedule=scan.schedule(),
-        dark_rate_a=scan.dark_rate_a,
-        dark_rate_b=scan.dark_rate_b,
-    )
-
-
-def _tau_stream_config(config: RunConfig) -> StreamConfig:
-    scan = config.tau_scan
-    return StreamConfig(
-        bin_width=scan.bin_width,
-        rate_a=scan.rate_a,
-        rate_b=scan.rate_b,
-        seed=config.seed,
-        model=scan.model(),
-        delay_schedule=((0.0, scan.duration),),
-        dark_rate_a=scan.dark_rate_a,
-        dark_rate_b=scan.dark_rate_b,
-    )
-
-
 def cmd_simulate(config: RunConfig, kind: str, binary: bool) -> int:
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     suffix = ".tdc" if binary else ".txt"
     manifest: dict = {"kind": kind, "streams": []}
     if kind == "delay":
-        stream = simulate_stream(_delay_stream_config(config))
+        stream = simulate_stream(config.delay_stream)
         for index, (t_delay, sub) in enumerate(stream.split_segments()):
             name = f"delay_step_{index:02d}{suffix}"
             write_stream(sub, out / name, binary=binary)
             manifest["streams"].append({"file": name, "t_delay": t_delay})
     else:
-        stream = simulate_stream(_tau_stream_config(config))
+        stream = simulate_stream(config.tau_stream)
         name = f"tau_stream{suffix}"
         write_stream(stream, out / name, binary=binary)
         manifest["streams"].append({"file": name, "t_delay": 0.0})
@@ -151,10 +120,16 @@ def _analyze_manifest(config: RunConfig, manifest_path: Path) -> G2Curve:
     except json.JSONDecodeError as exc:
         raise DataError(f"{manifest_path}: not valid manifest JSON ({exc})") from None
     base = manifest_path.parent
+    if not isinstance(manifest, dict):
+        raise DataError(f"{manifest_path}: manifest is not a JSON object")
     kind = manifest.get("kind")
-    entries = manifest.get("streams", [])
-    if not entries:
+    entries = manifest.get("streams")
+    if not isinstance(entries, list) or not entries:
         raise DataError(f"{manifest_path}: manifest lists no streams")
+    for entry in entries:
+        named = isinstance(entry, dict) and isinstance(entry.get("file"), str)
+        if not named or "t_delay" not in entry:
+            raise DataError(f"{manifest_path}: stream entry {entry!r} needs a 'file' and a 't_delay'")
     if kind == "delay":
         pairs = []
         for entry in entries:
@@ -226,20 +201,14 @@ def cmd_model(config: RunConfig, kind: str) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"model_{kind}.csv"
     if kind == "delay":
-        model = config.delay_scan.model()
-        xs = [t for t, _ in config.delay_scan.schedule()]
-        values = [float(g2_zero_model(model, x)) for x in xs]
+        xs = [t for t, _ in config.delay_stream.delay_schedule]
+        values = [g2_zero_model(config.delay_stream.model, x) for x in xs]
         x_kind = "t_delay"
     else:
-        model = config.tau_scan.model()
         xs = config.tau_scan.taus()
-        values = [float(g2_tau_model(model, x)) for x in xs]
+        values = [g2_tau_model(config.tau_stream.model, x) for x in xs]
         x_kind = "tau"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# x_kind={x_kind} x_unit=s\n")
-        fh.write("x,g2\n")
-        for x, g2 in zip(xs, values):
-            fh.write(f"{float(x)!r},{g2!r}\n")
+    write_csv_columns(path, x_kind, {"x": xs, "g2": values})
     print(f"wrote {path} ({len(xs)} points)")
     return EXIT_OK
 
@@ -250,11 +219,8 @@ def _write_plot_data(path: Path, curve: G2Curve, result: FitResult) -> None:
     params = np.array([value for value, _ in result.params.values()])
     model_fn = tau_fringe if result.model == "tau" else delay_fringe
     model = model_fn(params, curve.x)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# x_kind={curve.x_kind} x_unit={curve.x_unit}\n")
-        fh.write("x,g2_data,sigma,g2_model\n")
-        for x, g2, sigma, m in zip(curve.x, curve.g2, curve.sigma, model):
-            fh.write(f"{float(x)!r},{float(g2)!r},{float(sigma)!r},{float(m)!r}\n")
+    columns = {"x": curve.x, "g2_data": curve.g2, "sigma": curve.sigma, "g2_model": model}
+    write_csv_columns(path, curve.x_kind, columns)
 
 
 def cmd_reproduce(config: RunConfig, figure: str) -> int:
@@ -263,22 +229,22 @@ def cmd_reproduce(config: RunConfig, figure: str) -> int:
     written: list[Path] = []
     try:
         if figure == "fig2":
-            truth = config.delay_scan.model()
+            truth = config.delay_stream.model
             print(
                 f"injected fringe: visibility {truth.visibility}, phase {truth.phase} rad, "
                 f"beat {truth.frequency / 1e9:.4g} GHz"
             )
-            stream = simulate_stream(_delay_stream_config(config))
+            stream = simulate_stream(config.delay_stream)
             curve = scan_delay(stream.split_segments())
             result = _fit_curve(config, curve, "delay")
         else:
-            truth = config.tau_scan.model()
+            truth = config.tau_stream.model
             print(
                 f"injected fringe: visibility {truth.visibility}, linewidth "
                 f"{truth.linewidth / 1e6:.4g} MHz, phase {truth.phase} rad, "
                 f"beat {truth.frequency / 1e6:.4g} MHz"
             )
-            stream = simulate_stream(_tau_stream_config(config))
+            stream = simulate_stream(config.tau_stream)
             curve = scan_tau(stream, config.tau_scan.taus())
             result = _fit_curve(config, curve, "tau")
 

@@ -5,6 +5,14 @@ Every dimensioned value carries an explicit unit token ("1064.4 nm",
 the dominant failure mode in this kind of pipeline, so bare numbers are
 rejected for dimensioned keys.  Defaults reproduce the nominal two-color
 experiment; any file just overrides what it names.
+
+Each key is named once in DEFAULT_CONFIG and once as a section field that
+declares its parser.  `RunConfig.load` validates every section whichever
+command runs: it builds the conversion settings and both scans'
+StreamConfig, so a range error of the streams or the fringe models (a rate
+past the per-bin limit, a visibility outside [0, 1]) is a ConfigError
+naming its section, like a bad unit.  [scenario] holds only the input
+weights alpha and beta.
 """
 
 from __future__ import annotations
@@ -12,11 +20,12 @@ from __future__ import annotations
 import cmath
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .elements import ConversionSettings
 from .protocol import G2Model, ModeFrequencies
+from .streams import StreamConfig
 
 LENGTH_UNITS = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9, "pm": 1e-12}
 TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "µs": 1e-6, "ns": 1e-9, "ps": 1e-12}
@@ -45,8 +54,6 @@ phi_1p1 = 0 rad
 [scenario]
 alpha = 0.7071067811865476
 beta = 0.7071067811865476
-t_delay = 0 ps
-erasure = on
 
 [delay_scan]
 visibility = 0.59
@@ -111,7 +118,10 @@ def parse_quantity(text: str, units: dict[str, float], location: str) -> float:
         raise ConfigError(
             location, f"unit {unit!r} not recognized; expected one of {sorted(units)}"
         )
-    return value * units[unit]
+    scaled = value * units[unit]
+    if not math.isfinite(scaled):
+        raise ConfigError(location, f"{text.strip()!r} overflows to {scaled}")
+    return scaled
 
 
 def parse_angle(text: str, location: str) -> float:
@@ -174,11 +184,31 @@ def parse_quantity_list(text: str, units: dict[str, float], location: str) -> tu
     return tuple(parse_quantity(item, units, location) for item in text.split(","))
 
 
+def _key(parse, above: float | None = None):
+    """A section field read from its INI text by parse(text, location).
+
+    With `above`, a parsed value that is not greater than it is refused.
+    """
+    return field(metadata={"parse": parse, "above": above})
+
+
+def _in_units(units: dict[str, float], parse=parse_quantity):
+    """parse(text, units, location) as a field parser of (text, location)."""
+    return lambda text, location: parse(text, units, location)
+
+
 @dataclass(frozen=True)
 class ModesSection:
-    wavelength_1: float  # m
-    wavelength_2: float
-    wavelength_3: float
+    wavelength_1: float = _key(_in_units(LENGTH_UNITS), above=0.0)  # m
+    wavelength_2: float = _key(_in_units(LENGTH_UNITS), above=0.0)
+    wavelength_3: float = _key(_in_units(LENGTH_UNITS), above=0.0)
+
+    def __post_init__(self):
+        # the shifted lines are differences, so valid wavelengths can still
+        # put one at or below 0 Hz, or overflow a line to inf
+        for label, frequency in self.frequencies().by_label().items():
+            if not 0.0 < frequency < math.inf:
+                raise ConfigError("modes", f"line {label} at {frequency:.6g} Hz is not finite and > 0")
 
     def frequencies(self) -> ModeFrequencies:
         return ModeFrequencies.from_wavelengths(
@@ -188,25 +218,47 @@ class ModesSection:
 
 @dataclass(frozen=True)
 class ScenarioSection:
-    alpha: complex
-    beta: complex
-    t_delay: float  # s
-    erasure: bool
+    alpha: complex = _key(parse_complex)
+    beta: complex = _key(parse_complex)
+
+    def __post_init__(self):
+        # hypot, unlike abs(z) ** 2, gives inf instead of raising OverflowError
+        norm = math.hypot(self.alpha.real, self.alpha.imag, self.beta.real, self.beta.imag)
+        if norm * norm > 1.0 + 1e-9:
+            raise ConfigError("scenario.alpha", f"|alpha|^2 + |beta|^2 = {norm * norm:.6g} exceeds 1")
 
 
 @dataclass(frozen=True)
-class DelayScanSection:
-    visibility: float
-    phase: float
-    beat_frequency: float
-    steps: int
-    scan_periods: float
-    bin_width: float
-    rate_a: float
-    rate_b: float
-    dark_rate_a: float
-    dark_rate_b: float
-    dwell: float
+class _ScanSection:
+    """The keys both scans share; each scan adds model() and schedule()."""
+
+    visibility: float = _key(parse_float)
+    phase: float = _key(parse_angle)
+    beat_frequency: float = _key(_in_units(FREQUENCY_UNITS), above=0.0)
+    bin_width: float = _key(_in_units(TIME_UNITS))
+    rate_a: float = _key(_in_units(FREQUENCY_UNITS))
+    rate_b: float = _key(_in_units(FREQUENCY_UNITS))
+    dark_rate_a: float = _key(_in_units(FREQUENCY_UNITS))
+    dark_rate_b: float = _key(_in_units(FREQUENCY_UNITS))
+
+    def stream(self, seed: int) -> StreamConfig:
+        return StreamConfig(
+            bin_width=self.bin_width,
+            rate_a=self.rate_a,
+            rate_b=self.rate_b,
+            seed=seed,
+            model=self.model(),
+            delay_schedule=self.schedule(),
+            dark_rate_a=self.dark_rate_a,
+            dark_rate_b=self.dark_rate_b,
+        )
+
+
+@dataclass(frozen=True)
+class DelayScanSection(_ScanSection):
+    steps: int = _key(parse_int, above=2)
+    scan_periods: float = _key(parse_float)
+    dwell: float = _key(_in_units(TIME_UNITS))
 
     def model(self) -> G2Model:
         return G2Model(visibility=self.visibility, phase=self.phase, frequency=self.beat_frequency)
@@ -218,20 +270,12 @@ class DelayScanSection:
 
 
 @dataclass(frozen=True)
-class TauScanSection:
-    visibility: float
-    linewidth: float
-    phase: float
-    beat_frequency: float
-    bin_width: float
-    rate_a: float
-    rate_b: float
-    dark_rate_a: float
-    dark_rate_b: float
-    duration: float
-    tau_max: float
-    tau_step: float
-    far_taus: tuple[float, ...]
+class TauScanSection(_ScanSection):
+    linewidth: float = _key(_in_units(FREQUENCY_UNITS))
+    duration: float = _key(_in_units(TIME_UNITS))
+    tau_max: float = _key(_in_units(TIME_UNITS))
+    tau_step: float = _key(_in_units(TIME_UNITS), above=0.0)
+    far_taus: tuple[float, ...] = _key(_in_units(TIME_UNITS, parse_quantity_list))
 
     def model(self) -> G2Model:
         return G2Model(
@@ -240,6 +284,9 @@ class TauScanSection:
             frequency=self.beat_frequency,
             linewidth=self.linewidth,
         )
+
+    def schedule(self) -> tuple[tuple[float, float], ...]:
+        return ((0.0, self.duration),)
 
     def taus(self) -> list[float]:
         n = int(round(self.tau_max / self.tau_step))
@@ -250,7 +297,28 @@ class TauScanSection:
 
 @dataclass(frozen=True)
 class FitSection:
-    weighted: bool
+    weighted: bool = _key(parse_bool)
+
+
+def _section(parser: configparser.ConfigParser, name: str, cls):
+    """Build section `name` as `cls`, each field parsed by the parser it declares."""
+    values = {}
+    for key in fields(cls):
+        location = f"{name}.{key.name}"
+        value = key.metadata["parse"](parser[name][key.name], location)
+        above = key.metadata["above"]
+        if above is not None and not value > above:
+            raise ConfigError(location, f"must be > {above:g}, got {value:g}")
+        values[key.name] = value
+    return cls(**values)
+
+
+def _built(location: str, build, *args, **kwargs):
+    """build(*args, **kwargs), its ValueError refused as a ConfigError at location."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(location, str(exc)) from None
 
 
 def _refuse_unknown_keys(parser: configparser.ConfigParser, known: dict[str, set[str]]) -> None:
@@ -273,6 +341,8 @@ class RunConfig:
     delay_scan: DelayScanSection
     tau_scan: TauScanSection
     fit: FitSection
+    delay_stream: StreamConfig
+    tau_stream: StreamConfig
     analyze_input: Path | None = None
 
     @classmethod
@@ -282,6 +352,11 @@ class RunConfig:
         seed: int | None = None,
         out_dir: str | Path | None = None,
     ) -> "RunConfig":
+        """Read DEFAULT_CONFIG, then the file at `path`, and validate every section.
+
+        A value that the stream or fringe-model constructors would refuse
+        is a ConfigError here, whichever command is about to run.
+        """
         parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         parser.read_string(DEFAULT_CONFIG)
         if path is not None:
@@ -295,101 +370,41 @@ class RunConfig:
             except configparser.Error as exc:
                 raise ConfigError("config", f"{path}: {exc}") from None
             _refuse_unknown_keys(parser, known)
-        return cls._from_parser(parser, seed_override=seed, out_dir_override=out_dir)
 
-    @classmethod
-    def _from_parser(cls, parser, seed_override=None, out_dir_override=None) -> "RunConfig":
-        def get(section: str, key: str) -> str:
-            try:
-                return parser.get(section, key)
-            except (configparser.NoSectionError, configparser.NoOptionError):
-                raise ConfigError(f"{section}.{key}", "missing required key") from None
+        if seed is None:
+            seed = parse_int(parser["run"]["seed"], "run.seed")
+        if not 0 <= seed < 2**64:
+            raise ConfigError("run.seed", f"must be an unsigned 64-bit integer, got {seed}")
+        if out_dir is None:
+            out_dir = parser["run"]["out_dir"]
 
-        def q(section, key, units):
-            return parse_quantity(get(section, key), units, f"{section}.{key}")
-
-        def angle(section, key):
-            return parse_angle(get(section, key), f"{section}.{key}")
-
-        modes = ModesSection(
-            wavelength_1=q("modes", "wavelength_1", LENGTH_UNITS),
-            wavelength_2=q("modes", "wavelength_2", LENGTH_UNITS),
-            wavelength_3=q("modes", "wavelength_3", LENGTH_UNITS),
-        )
-        for name in ("wavelength_1", "wavelength_2", "wavelength_3"):
-            if getattr(modes, name) <= 0:
-                raise ConfigError(f"modes.{name}", "wavelength must be > 0")
-
+        modes = _section(parser, "modes", ModesSection)
         angles = {
-            key: angle("conversion", key)
-            for key in (
-                "theta_31", "theta_32", "theta_2p2", "theta_1p1",
-                "phi_31", "phi_32", "phi_2p2", "phi_1p1",
-            )
+            key: parse_angle(text, f"conversion.{key}") for key, text in parser["conversion"].items()
         }
-        try:
-            conversion = ConversionSettings.from_angles(**angles)
-        except ValueError as exc:
-            raise ConfigError("conversion", str(exc)) from None
-
-        scenario = ScenarioSection(
-            alpha=parse_complex(get("scenario", "alpha"), "scenario.alpha"),
-            beta=parse_complex(get("scenario", "beta"), "scenario.beta"),
-            t_delay=q("scenario", "t_delay", TIME_UNITS),
-            erasure=parse_bool(get("scenario", "erasure"), "scenario.erasure"),
-        )
-
-        delay_scan = DelayScanSection(
-            visibility=parse_float(get("delay_scan", "visibility"), "delay_scan.visibility"),
-            phase=angle("delay_scan", "phase"),
-            beat_frequency=q("delay_scan", "beat_frequency", FREQUENCY_UNITS),
-            steps=parse_int(get("delay_scan", "steps"), "delay_scan.steps"),
-            scan_periods=parse_float(get("delay_scan", "scan_periods"), "delay_scan.scan_periods"),
-            bin_width=q("delay_scan", "bin_width", TIME_UNITS),
-            rate_a=q("delay_scan", "rate_a", FREQUENCY_UNITS),
-            rate_b=q("delay_scan", "rate_b", FREQUENCY_UNITS),
-            dark_rate_a=q("delay_scan", "dark_rate_a", FREQUENCY_UNITS),
-            dark_rate_b=q("delay_scan", "dark_rate_b", FREQUENCY_UNITS),
-            dwell=q("delay_scan", "dwell", TIME_UNITS),
-        )
-        if delay_scan.steps < 3:
-            raise ConfigError("delay_scan.steps", f"need >= 3 scan steps, got {delay_scan.steps}")
-
-        tau_scan = TauScanSection(
-            visibility=parse_float(get("tau_scan", "visibility"), "tau_scan.visibility"),
-            linewidth=q("tau_scan", "linewidth", FREQUENCY_UNITS),
-            phase=angle("tau_scan", "phase"),
-            beat_frequency=q("tau_scan", "beat_frequency", FREQUENCY_UNITS),
-            bin_width=q("tau_scan", "bin_width", TIME_UNITS),
-            rate_a=q("tau_scan", "rate_a", FREQUENCY_UNITS),
-            rate_b=q("tau_scan", "rate_b", FREQUENCY_UNITS),
-            dark_rate_a=q("tau_scan", "dark_rate_a", FREQUENCY_UNITS),
-            dark_rate_b=q("tau_scan", "dark_rate_b", FREQUENCY_UNITS),
-            duration=q("tau_scan", "duration", TIME_UNITS),
-            tau_max=q("tau_scan", "tau_max", TIME_UNITS),
-            tau_step=q("tau_scan", "tau_step", TIME_UNITS),
-            far_taus=parse_quantity_list(get("tau_scan", "far_taus"), TIME_UNITS, "tau_scan.far_taus"),
-        )
-
-        fit = FitSection(weighted=parse_bool(get("fit", "weighted"), "fit.weighted"))
+        conversion = _built("conversion", ConversionSettings.from_angles, **angles)
+        scenario = _section(parser, "scenario", ScenarioSection)
+        delay_scan = _section(parser, "delay_scan", DelayScanSection)
+        tau_scan = _section(parser, "tau_scan", TauScanSection)
+        fit = _section(parser, "fit", FitSection)
 
         analyze_input = None
-        raw_input = get("analyze", "input").strip()
+        raw_input = parser["analyze"]["input"].strip()
         if raw_input:
             analyze_input = Path(raw_input)
             if not analyze_input.exists():
                 raise ConfigError("analyze.input", f"referenced file does not exist: {analyze_input}")
 
-        seed = seed_override if seed_override is not None else parse_int(get("run", "seed"), "run.seed")
-        out_dir = Path(out_dir_override) if out_dir_override is not None else Path(get("run", "out_dir"))
         return cls(
             seed=seed,
-            out_dir=out_dir,
+            out_dir=Path(out_dir),
             modes=modes,
             conversion=conversion,
             scenario=scenario,
             delay_scan=delay_scan,
             tau_scan=tau_scan,
             fit=fit,
+            delay_stream=_built("delay_scan", delay_scan.stream, seed),
+            tau_stream=_built("tau_scan", tau_scan.stream, seed),
             analyze_input=analyze_input,
         )

@@ -58,7 +58,7 @@ class StreamConfig:
         if self.bin_width <= 0:
             raise ValueError(f"bin_width must be > 0, got {self.bin_width}")
         bw_ps = self.bin_width * PS_PER_SECOND
-        if abs(bw_ps - round(bw_ps)) > 1e-6 or round(bw_ps) < 1:
+        if not math.isfinite(bw_ps) or abs(bw_ps - round(bw_ps)) > 1e-6 or round(bw_ps) < 1:
             raise ValueError(f"bin_width must be a whole number of picoseconds, got {self.bin_width}")
         for name, rate in (("rate_a", self.rate_a), ("rate_b", self.rate_b),
                            ("dark_rate_a", self.dark_rate_a), ("dark_rate_b", self.dark_rate_b)):
@@ -76,13 +76,19 @@ class StreamConfig:
         if not self.delay_schedule:
             raise ValueError("delay_schedule must contain at least one (delay, dwell) entry")
         for t_delay, dwell in self.delay_schedule:
+            if not math.isfinite(t_delay):
+                raise ValueError(f"delay must be finite, got {t_delay}")
             if dwell < 0:
                 raise ValueError(f"dwell must be >= 0, got {dwell}")
             n_bins = dwell / self.bin_width
-            if abs(n_bins - round(n_bins)) > 1e-6:
+            if not math.isfinite(n_bins) or abs(n_bins - round(n_bins)) > 1e-6:
                 raise ValueError(
                     f"dwell {dwell} is not a whole number of bins of {self.bin_width}"
                 )
+        if self.duration_ps >= 2**63:
+            raise ValueError(
+                f"the schedule lasts {self.duration:.3g} s, past the int64 picosecond clock"
+            )
 
     @property
     def bin_width_ps(self) -> int:

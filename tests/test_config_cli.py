@@ -1,11 +1,16 @@
+import configparser
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chromatic_hbt.cli import main
 from chromatic_hbt.config import (
+    DEFAULT_CONFIG,
     ConfigError,
     FREQUENCY_UNITS,
     LENGTH_UNITS,
@@ -111,6 +116,19 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="analyze.input"):
             RunConfig.load(path)
 
+    def test_default_config_lists_exactly_the_declared_fields(self):
+        parser = configparser.ConfigParser()
+        parser.read_string(DEFAULT_CONFIG)
+        config = RunConfig.load()
+        declared = {
+            (name, key.name)
+            for name in ("modes", "scenario", "delay_scan", "tau_scan", "fit")
+            for key in dataclasses.fields(getattr(config, name))
+        }
+        listed = {(name, key) for name in parser.sections() for key in parser[name]}
+        read_by_load = {(name, key) for name in ("run", "conversion", "analyze") for key in parser[name]}
+        assert listed - read_by_load == declared
+
     def test_delay_schedule_spans_requested_periods(self):
         config = RunConfig.load()
         schedule = config.delay_scan.schedule()
@@ -152,11 +170,44 @@ class TestCli:
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("[scenario]\nt_delay = 5 parsec\n")
+        cfg.write_text("[delay_scan]\ndwell = 5 parsec\n")
         code = main(["--config", str(cfg), "protocol"])
         err = capsys.readouterr().err
         assert code == 2
-        assert "scenario.t_delay" in err
+        assert "delay_scan.dwell" in err
+        assert "not recognized" in err
+
+    @pytest.mark.parametrize(
+        "text, flags, location",
+        [
+            ("[tau_scan]\ntau_step = 0 us\n", [], "tau_scan.tau_step"),
+            ("[delay_scan]\nbeat_frequency = 0 GHz\n", [], "delay_scan.beat_frequency"),
+            ("[delay_scan]\nvisibility = 1.5\n", [], "[delay_scan]"),
+            ("[tau_scan]\nrate_a = 10 MHz\n", [], "[tau_scan]"),
+            ("[delay_scan]\nbin_width = 0.5 ps\n", [], "[delay_scan]"),
+            ("[delay_scan]\ndwell = 1.5 ns\n", [], "[delay_scan]"),
+            ("[tau_scan]\nlinewidth = -1 MHz\n", [], "[tau_scan]"),
+            ("[delay_scan]\ndwell = 1e300 s\n", [], "[delay_scan]"),
+            ("", ["--seed", "-1"], "run.seed"),
+            ("[scenario]\nalpha = 1.0\n", [], "scenario.alpha"),
+            ("[modes]\nwavelength_2 = 500 nm\nwavelength_3 = 2000 nm\n", [], "[modes]"),
+            ("[delay_scan]\nbeat_frequency = 1e300 GHz\n", [], "delay_scan.beat_frequency"),
+            ("[delay_scan]\nbeat_frequency = 1e-300 Hz\nscan_periods = 1e300\n", [], "[delay_scan]"),
+            ("[tau_scan]\nbin_width = 1e300 s\n", [], "[tau_scan]"),
+            ("[tau_scan]\nduration = 1e200 s\n", [], "[tau_scan]"),
+        ],
+    )
+    def test_out_of_range_config_exits_2_whatever_the_command(
+        self, tmp_path, capsys, text, flags, location
+    ):
+        # protocol reads neither scan section: load refuses them anyway
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code = main(["--config", str(cfg), *flags, "protocol"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert location in captured.err
+        assert "detection amplitude" not in captured.out
 
     @pytest.mark.parametrize(
         "line, key",
@@ -183,6 +234,7 @@ class TestCli:
             ("[bogus]\n", "[bogus]"),
             ("[fit]\nband_low = 0.5\n", "fit.band_low"),
             ("[DEFAULT]\nseed = 3\n", "DEFAULT.seed"),
+            ("[scenario]\nerasure = off\n", "scenario.erasure"),
         ],
     )
     def test_unknown_config_key_exits_2(self, tmp_path, capsys, text, location):
@@ -201,6 +253,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 3
         assert "no click records" in err
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            [1, 2],
+            {"kind": "tau", "streams": [{"name": "x"}]},
+            {"kind": "delay", "streams": [{"file": "step.txt"}]},
+        ],
+    )
+    def test_analyze_malformed_manifest_exits_3(self, tmp_path, capsys, manifest):
+        (tmp_path / "step.txt").write_text("#binwidth_ps=1000\n#duration_ps=0\n#seed=1\n")
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        code = main(["--out-dir", str(tmp_path), "analyze", "--input", str(path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert str(path) in err
 
     def test_analyze_missing_input_exits_3(self, tmp_path, capsys):
         code = main(["--out-dir", str(tmp_path), "analyze", "--input", str(tmp_path / "nope.txt")])
@@ -363,3 +432,60 @@ class TestCli:
         assert main(["--out-dir", str(out_dir), "model", "--kind", "tau"]) == 0
         tau_lines = (out_dir / "model_tau.csv").read_text().splitlines()
         assert len(tau_lines) > 200
+
+
+def _fuzz_value(default: str):
+    """Values for a key in the form of its default text: unit, pi:, list or bare."""
+    numbers = st.sampled_from(["0", "-0", "-1", "1e300", "-1e300", "1e-300", "nan", "inf", "-inf"])
+    numbers |= st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    if default in ("on", "off"):
+        return st.sampled_from(["on", "off", "maybe"])
+    if default.isdigit():  # keep load cheap: it is O(steps)
+        return st.sampled_from(["-1", "0", "1", "2", "3", "7", "20", "1000"])
+    if default.startswith("pi:"):
+        return numbers.map(lambda x: f"pi:{x}")
+    unit = default.split(",")[0].split()[1:]
+    return numbers.map(lambda x: " ".join([x, *unit]))
+
+
+def _fuzzed_keys():
+    parser = configparser.ConfigParser()
+    parser.read_string(DEFAULT_CONFIG)
+    return {
+        (name, key): _fuzz_value(parser[name][key])
+        for name in parser.sections()
+        for key in parser[name]
+        if (name, key) not in (("run", "out_dir"), ("analyze", "input"))
+    }
+
+
+FUZZED_KEYS = _fuzzed_keys()
+
+
+@st.composite
+def config_overrides(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(FUZZED_KEYS)), min_size=1, max_size=3, unique=True))
+    return {key: draw(FUZZED_KEYS[key]) for key in keys}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(overrides=config_overrides())
+def test_fuzzed_config_loads_or_refuses(tmp_path, capsys, overrides):
+    # every accepted config gives a finite protocol answer; any other is a
+    # ConfigError (exit 2), never a data error or a traceback
+    cfg = tmp_path / "fuzz.cfg"
+    parser = configparser.ConfigParser()
+    parser.read_dict({name: {} for name, _ in overrides})
+    for (name, key), value in overrides.items():
+        parser[name][key] = value
+    with open(cfg, "w") as fh:
+        parser.write(fh)
+    try:
+        RunConfig.load(cfg)
+    except ConfigError:
+        pass
+    code = main(["--config", str(cfg), "--out-dir", str(tmp_path), "protocol"])
+    out = capsys.readouterr().out
+    assert code in (0, 2)
+    if code == 0:
+        assert "nan" not in out and "inf" not in out
