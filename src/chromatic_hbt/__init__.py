@@ -8,7 +8,6 @@ the streams, and nonlinear least-squares recovery of the fringe parameters.
 
 from .fock import (
     SPEED_OF_LIGHT,
-    FockBasisState,
     ModeId,
     ModeRegistry,
     StateVector,

@@ -114,6 +114,11 @@ def cmd_simulate(config: RunConfig, kind: str, binary: bool) -> int:
     return EXIT_OK
 
 
+def _is_number(value) -> bool:
+    """A JSON number: int or float, but not bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _analyze_manifest(config: RunConfig, manifest_path: Path) -> G2Curve:
     try:
         manifest = json.loads(manifest_path.read_text())
@@ -128,8 +133,11 @@ def _analyze_manifest(config: RunConfig, manifest_path: Path) -> G2Curve:
         raise DataError(f"{manifest_path}: manifest lists no streams")
     for entry in entries:
         named = isinstance(entry, dict) and isinstance(entry.get("file"), str)
-        if not named or "t_delay" not in entry:
-            raise DataError(f"{manifest_path}: stream entry {entry!r} needs a 'file' and a 't_delay'")
+        if not named or not _is_number(entry.get("t_delay")):
+            raise DataError(f"{manifest_path}: stream entry {entry!r} needs a 'file' and a numeric 't_delay'")
+    taus = manifest.get("taus")
+    if taus is not None and not (isinstance(taus, list) and all(map(_is_number, taus))):
+        raise DataError(f"{manifest_path}: 'taus' must be a list of numbers, got {taus!r}")
     if kind == "delay":
         pairs = []
         for entry in entries:
@@ -138,8 +146,7 @@ def _analyze_manifest(config: RunConfig, manifest_path: Path) -> G2Curve:
         return scan_delay(pairs)
     if kind == "tau":
         stream = read_stream(base / entries[0]["file"])
-        taus = manifest.get("taus") or config.tau_scan.taus()
-        return scan_tau(stream, [float(t) for t in taus])
+        return scan_tau(stream, [float(t) for t in taus or config.tau_scan.taus()])
     raise DataError(f"{manifest_path}: unknown manifest kind {kind!r}")
 
 

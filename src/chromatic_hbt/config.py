@@ -31,6 +31,11 @@ LENGTH_UNITS = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9, "pm":
 TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "µs": 1e-6, "ns": 1e-9, "ps": 1e-12}
 FREQUENCY_UNITS = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9, "THz": 1e12}
 
+# Each tau costs one coincidence count and one CSV row, and the default grid
+# has 201 + 6 taus; a grid past this cap is refused at load, before its list
+# of taus is built.
+MAX_TAUS = 2**20
+
 DEFAULT_CONFIG = """\
 [run]
 seed = 12345
@@ -258,7 +263,7 @@ class _ScanSection:
 class DelayScanSection(_ScanSection):
     steps: int = _key(parse_int, above=2)
     scan_periods: float = _key(parse_float)
-    dwell: float = _key(_in_units(TIME_UNITS))
+    dwell: float = _key(_in_units(TIME_UNITS), above=0.0)
 
     def model(self) -> G2Model:
         return G2Model(visibility=self.visibility, phase=self.phase, frequency=self.beat_frequency)
@@ -272,10 +277,17 @@ class DelayScanSection(_ScanSection):
 @dataclass(frozen=True)
 class TauScanSection(_ScanSection):
     linewidth: float = _key(_in_units(FREQUENCY_UNITS))
-    duration: float = _key(_in_units(TIME_UNITS))
+    duration: float = _key(_in_units(TIME_UNITS), above=0.0)
     tau_max: float = _key(_in_units(TIME_UNITS))
     tau_step: float = _key(_in_units(TIME_UNITS), above=0.0)
     far_taus: tuple[float, ...] = _key(_in_units(TIME_UNITS, parse_quantity_list))
+
+    def __post_init__(self):
+        half = self.tau_max / self.tau_step
+        if not math.isfinite(half) or 2 * round(half) + 1 + 2 * len(self.far_taus) > MAX_TAUS:
+            raise ConfigError(
+                "tau_scan.tau_step", f"tau_max / tau_step = {half:.6g} gives more than {MAX_TAUS} taus"
+            )
 
     def model(self) -> G2Model:
         return G2Model(

@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import (
-    FockBasisState,
-    ModeId,
-    ModeRegistry,
-    StateVector,
-    _pruned,
-)
+from .fock import ModeId, ModeRegistry, StateVector, _pruned
 
 UNITARITY_TOL = 1e-12
 
@@ -268,8 +262,8 @@ def evolve(state: StateVector, unitary: ModeUnitary) -> StateVector:
     columns = unitary.columns
     vacuum = registry.vacuum_occupation()
     out: dict[tuple[int, ...], complex] = {}
-    for basis_state, amp in state.amplitudes.items():
-        occupied = [(i, n) for i, n in enumerate(basis_state.occupation) if n]
+    for source, amp in state.amplitudes.items():
+        occupied = [(i, n) for i, n in enumerate(source) if n]
         factor = math.prod([math.factorial(n) for _, n in occupied])
         image: dict[tuple[int, ...], complex] = {vacuum: amp / math.sqrt(factor)}
         for i, n in occupied:
@@ -284,7 +278,7 @@ def evolve(state: StateVector, unitary: ModeUnitary) -> StateVector:
                 image = next_image
         for occ, a in image.items():
             out[occ] = out.get(occ, 0.0) + a
-    return StateVector(registry, _pruned({FockBasisState(occ): a for occ, a in out.items()}))
+    return StateVector(registry, _pruned(out))
 
 
 def spectral_filter(
@@ -298,13 +292,13 @@ def spectral_filter(
     if keep.index not in {m.index for m in beam}:
         raise ValueError(f"keep mode {keep.label!r} is not part of the filtered beam")
     blocked = {m.index for m in beam if m.index != keep.index}
-    kept: dict[FockBasisState, complex] = {}
+    kept: dict[tuple[int, ...], complex] = {}
     discarded = 0.0
-    for basis_state, amp in state.amplitudes.items():
-        if any(basis_state.occupation[i] > 0 for i in blocked):
+    for occ, amp in state.amplitudes.items():
+        if any(occ[i] > 0 for i in blocked):
             discarded += abs(amp) ** 2
         else:
-            kept[basis_state] = amp
+            kept[occ] = amp
     return StateVector(state.registry, _pruned(kept)), discarded
 
 
@@ -325,11 +319,11 @@ def phase_delay(
     if not math.isfinite(t_delay):
         raise ValueError(f"t_delay must be finite, got {t_delay}")
     factors = {m.index: delay_phase_factor(m.frequency, t_delay) for m in modes}
-    out: dict[FockBasisState, complex] = {}
-    for basis_state, amp in state.amplitudes.items():
-        for i, n in enumerate(basis_state.occupation):
+    out: dict[tuple[int, ...], complex] = {}
+    for occ, amp in state.amplitudes.items():
+        for i, n in enumerate(occ):
             if n and i in factors:
                 for _ in range(n):
                     amp = amp * factors[i]
-        out[basis_state] = amp
+        out[occ] = amp
     return StateVector(state.registry, _pruned(out))

@@ -1,10 +1,12 @@
-"""Truncated multimode Fock space: modes, basis states, and state vectors.
+"""Truncated multimode Fock space: modes and state vectors.
 
 Every optical mode is a monochromatic line identified by a label, a center
 frequency and a spatial branch tag ("a" or "b", the two arms mixed by a
-beamsplitter).  States are sparse maps from occupation-number basis states to
-complex amplitudes, truncated at a small total photon number (two photons are
-enough for intensity interferometry; four are supported for cross-checks).
+beamsplitter).  A basis state is an occupation tuple, one photon number per
+registered mode in registration order.  States are sparse maps from those
+tuples to complex amplitudes, truncated at a small total photon number (two
+photons are enough for intensity interferometry; four are supported for
+cross-checks).
 
 All objects are treated as immutable values: operations return new states and
 never mutate their inputs.
@@ -68,7 +70,6 @@ class ModeRegistry:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
         self.n_max = int(n_max)
         self._modes: list[ModeId] = []
-        self._by_label: dict[str, ModeId] = {}
         self._stage_unitaries: dict[Hashable, ModeUnitary] = {}
 
     def __len__(self) -> int:
@@ -82,19 +83,9 @@ class ModeRegistry:
             return NotImplemented
         return self.n_max == other.n_max and self._modes == other._modes
 
-    @property
-    def modes(self) -> tuple[ModeId, ...]:
-        return tuple(self._modes)
-
-    def mode(self, label: str) -> ModeId:
-        try:
-            return self._by_label[label]
-        except KeyError:
-            raise KeyError(f"no mode registered under label {label!r}") from None
-
     def register(self, label: str, frequency: float, branch: str) -> ModeId:
         """Register a new mode; rejects duplicate labels naming the conflict."""
-        if label in self._by_label:
+        if any(m.label == label for m in self._modes):
             raise ValueError(f"mode label {label!r} is already registered")
         if frequency <= 0:
             raise ValueError(f"mode {label!r}: frequency must be > 0, got {frequency}")
@@ -102,7 +93,6 @@ class ModeRegistry:
             raise ValueError(f"mode {label!r}: branch must be one of {BRANCHES}, got {branch!r}")
         mode = ModeId(index=len(self._modes), label=label, frequency=float(frequency), branch=branch)
         self._modes.append(mode)
-        self._by_label[label] = mode
         self._stage_unitaries.clear()
         return mode
 
@@ -116,68 +106,50 @@ class ModeRegistry:
     def vacuum_occupation(self) -> tuple[int, ...]:
         return (0,) * len(self._modes)
 
-    def enumerate_basis(self) -> list["FockBasisState"]:
-        """All occupation states with total photon number <= n_max.
+    def enumerate_basis(self) -> list[tuple[int, ...]]:
+        """All occupation tuples with total photon number <= n_max.
 
-        Ordering is lexicographic in the occupation tuple and therefore
-        deterministic for a fixed registry.
+        Ordering is lexicographic and therefore deterministic for a fixed
+        registry.
         """
-        states: list[FockBasisState] = []
+        states: list[tuple[int, ...]] = []
 
         def extend(prefix: tuple[int, ...], remaining: int, budget: int) -> None:
             if remaining == 0:
-                states.append(FockBasisState(prefix))
+                states.append(prefix)
                 return
             for n in range(budget + 1):
                 extend(prefix + (n,), remaining - 1, budget - n)
 
         extend((), len(self._modes), self.n_max)
-        states.sort(key=lambda s: s.occupation)
+        states.sort()
         return states
-
-
-@dataclass(frozen=True)
-class FockBasisState:
-    """Occupation-number basis state, one entry per registered mode."""
-
-    occupation: tuple[int, ...]
-
-    def total(self) -> int:
-        return sum(self.occupation)
-
-    def bumped(self, index: int, delta: int = 1) -> "FockBasisState":
-        occ = list(self.occupation)
-        occ[index] += delta
-        return FockBasisState(tuple(occ))
-
-    def __str__(self) -> str:
-        return "|" + ",".join(str(n) for n in self.occupation) + ">"
 
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Sparse complex amplitudes over the truncated Fock basis."""
+    """Sparse complex amplitudes over the truncated Fock basis.
+
+    `amplitudes` maps occupation tuples (one photon number per registered
+    mode) to complex amplitudes; absent tuples have amplitude zero.
+    """
 
     registry: ModeRegistry
-    amplitudes: Mapping[FockBasisState, complex]
+    amplitudes: Mapping[tuple[int, ...], complex]
 
     @classmethod
     def vacuum(cls, registry: ModeRegistry) -> "StateVector":
-        return cls(registry, {FockBasisState(registry.vacuum_occupation()): 1.0 + 0.0j})
+        return cls(registry, {registry.vacuum_occupation(): 1.0 + 0.0j})
 
-    @classmethod
-    def zero(cls, registry: ModeRegistry) -> "StateVector":
-        return cls(registry, {})
-
-    def amplitude(self, state: FockBasisState) -> complex:
-        return complex(self.amplitudes.get(state, 0.0))
+    def amplitude(self, occ: tuple[int, ...]) -> complex:
+        return complex(self.amplitudes.get(occ, 0.0))
 
     def amplitude_of(self, counts: Mapping[ModeId, int]) -> complex:
         """Amplitude of the basis state with the given per-mode photon counts."""
         occ = list(self.registry.vacuum_occupation())
         for mode, n in counts.items():
             occ[mode.index] = n
-        return self.amplitude(FockBasisState(tuple(occ)))
+        return self.amplitude(tuple(occ))
 
     def norm2(self) -> float:
         return sum(abs(a) ** 2 for a in self.amplitudes.values())
@@ -195,9 +167,6 @@ class StateVector:
             out[s] = out.get(s, 0.0) + a
         return StateVector(self.registry, _pruned(out))
 
-    def items_sorted(self) -> list[tuple[FockBasisState, complex]]:
-        return sorted(self.amplitudes.items(), key=lambda kv: kv[0].occupation)
-
     def allclose(self, other: "StateVector", tol: float = 1e-12) -> bool:
         _check_same_registry(self, other)
         keys = set(self.amplitudes) | set(other.amplitudes)
@@ -211,8 +180,8 @@ class StateVector:
             ],
             "n_max": self.registry.n_max,
             "amplitudes": [
-                {"occ": list(s.occupation), "re": a.real, "im": a.imag}
-                for s, a in self.items_sorted()
+                {"occ": list(occ), "re": a.real, "im": a.imag}
+                for occ, a in sorted(self.amplitudes.items())
             ],
         }
 
@@ -224,10 +193,7 @@ class StateVector:
         registry = ModeRegistry(n_max=data["n_max"])
         for entry in data["registry"]:
             registry.register(entry["label"], entry["frequency"], entry["branch"])
-        amps = {
-            FockBasisState(tuple(e["occ"])): complex(e["re"], e["im"])
-            for e in data["amplitudes"]
-        }
+        amps = {tuple(e["occ"]): complex(e["re"], e["im"]) for e in data["amplitudes"]}
         return cls(registry, amps)
 
     @classmethod
@@ -235,7 +201,7 @@ class StateVector:
         return cls.from_json_dict(json.loads(text))
 
 
-def _pruned(amps: dict[FockBasisState, complex]) -> dict[FockBasisState, complex]:
+def _pruned(amps: dict[tuple[int, ...], complex]) -> dict[tuple[int, ...], complex]:
     # written so that a NaN amplitude is kept, and stays visible downstream
     return {s: a for s, a in amps.items() if not abs(a) < PRUNE_TOL}
 
@@ -255,16 +221,16 @@ def apply_creation(state: StateVector, mode: ModeId) -> StateVector:
     registry = state.registry
     if not (0 <= mode.index < len(registry)):
         raise ValueError(f"mode {mode.label!r} does not belong to this registry")
-    out: dict[FockBasisState, complex] = {}
-    for basis_state, amp in state.amplitudes.items():
-        if basis_state.total() + 1 > registry.n_max:
+    i = mode.index
+    out: dict[tuple[int, ...], complex] = {}
+    for occ, amp in state.amplitudes.items():
+        if sum(occ) + 1 > registry.n_max:
             raise ValueError(
                 f"creation on {mode.label!r} overflows truncation "
-                f"n_max={registry.n_max} from basis state {basis_state}"
+                f"n_max={registry.n_max} from basis state |{','.join(map(str, occ))}>"
             )
-        n = basis_state.occupation[mode.index]
-        target = basis_state.bumped(mode.index)
-        out[target] = out.get(target, 0.0) + amp * (n + 1) ** 0.5
+        target = occ[:i] + (occ[i] + 1,) + occ[i + 1 :]
+        out[target] = out.get(target, 0.0) + amp * (occ[i] + 1) ** 0.5
     return StateVector(registry, _pruned(out))
 
 
@@ -280,9 +246,7 @@ def project_single_photon(state: StateVector, mode: ModeId) -> complex:
     """Amplitude of the basis state with exactly one photon, sitting in `mode`."""
     if not (0 <= mode.index < len(state.registry)):
         raise ValueError(f"mode {mode.label!r} does not belong to this registry")
-    occ = list(state.registry.vacuum_occupation())
-    occ[mode.index] = 1
-    return state.amplitude(FockBasisState(tuple(occ)))
+    return state.amplitude_of({mode: 1})
 
 
 def single_photon(registry: ModeRegistry, mode: ModeId, amplitude: complex = 1.0) -> StateVector:

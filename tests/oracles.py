@@ -12,15 +12,15 @@ import math
 import numpy as np
 
 from chromatic_hbt.elements import bs_unitary, evolve, phase_delay, sfg_unitary, spectral_filter
-from chromatic_hbt.fock import FockBasisState, ModeRegistry, StateVector, apply_creation
+from chromatic_hbt.fock import ModeRegistry, StateVector, apply_creation
 from chromatic_hbt.protocol import build_hbt_registry, run_erasure_pipeline
 
 
-def basis_list(registry: ModeRegistry) -> list[FockBasisState]:
+def basis_list(registry: ModeRegistry) -> list[tuple[int, ...]]:
     return registry.enumerate_basis()
 
 
-def state_to_vector(state: StateVector, basis: list[FockBasisState]) -> np.ndarray:
+def state_to_vector(state: StateVector, basis: list[tuple[int, ...]]) -> np.ndarray:
     index = {b: i for i, b in enumerate(basis)}
     vec = np.zeros(len(basis), dtype=complex)
     for s, a in state.amplitudes.items():
@@ -28,17 +28,16 @@ def state_to_vector(state: StateVector, basis: list[FockBasisState]) -> np.ndarr
     return vec
 
 
-def vector_to_state(vec: np.ndarray, registry: ModeRegistry, basis: list[FockBasisState]) -> StateVector:
+def vector_to_state(vec: np.ndarray, registry: ModeRegistry, basis: list[tuple[int, ...]]) -> StateVector:
     return StateVector(registry, {b: complex(vec[i]) for i, b in enumerate(basis) if vec[i] != 0})
 
 
-def lift_quadratic_hamiltonian(h: np.ndarray, basis: list[FockBasisState]) -> np.ndarray:
+def lift_quadratic_hamiltonian(h: np.ndarray, basis: list[tuple[int, ...]]) -> np.ndarray:
     """Matrix of sum_ij h[i,j] a_i^dag a_j on the truncated number basis."""
     n_modes = h.shape[0]
     index = {b: k for k, b in enumerate(basis)}
     big = np.zeros((len(basis), len(basis)), dtype=complex)
-    for col, b in enumerate(basis):
-        occ = b.occupation
+    for col, occ in enumerate(basis):
         for j in range(n_modes):
             if occ[j] == 0 or not np.any(h[:, j]):
                 continue
@@ -50,7 +49,7 @@ def lift_quadratic_hamiltonian(h: np.ndarray, basis: list[FockBasisState]) -> np
                 lowered[j] -= 1
                 amp *= math.sqrt(lowered[i] + 1)
                 lowered[i] += 1
-                big[index[FockBasisState(tuple(lowered))], col] += h[i, j] * amp
+                big[index[tuple(lowered)], col] += h[i, j] * amp
     return big
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from chromatic_hbt.cli import main
 from chromatic_hbt.config import (
     DEFAULT_CONFIG,
+    MAX_TAUS,
     ConfigError,
     FREQUENCY_UNITS,
     LENGTH_UNITS,
@@ -137,6 +138,17 @@ class TestRunConfig:
         span = schedule[-1][0] - schedule[0][0]
         assert span == pytest.approx(5.0 * period * 19 / 20)
 
+    @pytest.mark.parametrize("half, accepted", [(MAX_TAUS // 2 - 1, True), (MAX_TAUS // 2, False)])
+    def test_tau_grid_cap_is_the_point_count(self, tmp_path, half, accepted):
+        # 2 * half + 1 grid points, no far taus: the largest grid under the cap loads
+        path = tmp_path / "grid.cfg"
+        path.write_text(f"[tau_scan]\ntau_max = {half} ps\ntau_step = 1 ps\nfar_taus =\n")
+        if accepted:
+            assert RunConfig.load(path).tau_scan.tau_max == pytest.approx(half * 1e-12)
+        else:
+            with pytest.raises(ConfigError, match="tau_scan.tau_step"):
+                RunConfig.load(path)
+
 
 def run_cli(*argv, capsys=None):
     code = main(list(argv))
@@ -195,6 +207,10 @@ class TestCli:
             ("[delay_scan]\nbeat_frequency = 1e-300 Hz\nscan_periods = 1e300\n", [], "[delay_scan]"),
             ("[tau_scan]\nbin_width = 1e300 s\n", [], "[tau_scan]"),
             ("[tau_scan]\nduration = 1e200 s\n", [], "[tau_scan]"),
+            ("[delay_scan]\ndwell = 0 s\n", [], "delay_scan.dwell"),
+            ("[tau_scan]\nduration = 0 s\n", [], "tau_scan.duration"),
+            ("[tau_scan]\ntau_max = 1e300 s\ntau_step = 1e-300 s\n", [], "tau_scan.tau_step"),
+            ("[tau_scan]\ntau_step = 1e-12 s\n", [], "tau_scan.tau_step"),
         ],
     )
     def test_out_of_range_config_exits_2_whatever_the_command(
@@ -208,6 +224,18 @@ class TestCli:
         assert code == 2
         assert location in captured.err
         assert "detection amplitude" not in captured.out
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[tau_scan]\ntau_max = 1e300 s\ntau_step = 1e-300 s\n", "[tau_scan]\ntau_step = 1e-12 s\n"],
+    )
+    def test_oversized_tau_grid_exits_2_before_the_model_runs(self, tmp_path, capsys, text):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(text)
+        code = main(["--config", str(cfg), "--out-dir", str(tmp_path), "model", "--kind", "tau"])
+        assert code == 2
+        assert "tau_scan.tau_step" in capsys.readouterr().err
+        assert not (tmp_path / "model_tau.csv").exists()
 
     @pytest.mark.parametrize(
         "line, key",
@@ -260,6 +288,8 @@ class TestCli:
             [1, 2],
             {"kind": "tau", "streams": [{"name": "x"}]},
             {"kind": "delay", "streams": [{"file": "step.txt"}]},
+            {"kind": "delay", "streams": [{"file": "step.txt", "t_delay": [1]}]},
+            {"kind": "tau", "streams": [{"file": "step.txt", "t_delay": 0.0}], "taus": 5},
         ],
     )
     def test_analyze_malformed_manifest_exits_3(self, tmp_path, capsys, manifest):

@@ -64,7 +64,7 @@ def generators_and_bunched_states(draw):
             if draw(st.booleans()):
                 h[j, i] = complex(draw(coupling), draw(coupling))
                 h[i, j] = h[j, i].conjugate()
-    bunched = [b for b in registry.enumerate_basis() if max(b.occupation) >= 2]
+    bunched = [b for b in registry.enumerate_basis() if max(b) >= 2]
     chosen = draw(st.lists(st.sampled_from(bunched), min_size=1, max_size=4, unique=True))
     amplitude = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
     amps = draw(st.lists(amplitude, min_size=len(chosen), max_size=len(chosen)))

@@ -151,7 +151,7 @@ class TestStageUnitaryMemo:
         state = fock.apply_creation(two_color_input(registry, arms.arm_a, 0.6, 0.8), extra)
         run = run_erasure_pipeline(state, registry, arms, config)
         assert all(
-            len(basis.occupation) == len(registry) == 11
+            len(basis) == len(registry) == 11
             for stage in run.stages.values()
             for basis in stage.amplitudes
         )
