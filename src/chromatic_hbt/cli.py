@@ -221,11 +221,11 @@ def cmd_model(config: RunConfig, kind: str) -> int:
 
 
 def _write_plot_data(path: Path, curve: G2Curve, result: FitResult) -> None:
-    from .fitting import delay_fringe, tau_fringe
+    from .fitting import PARAM_NAMES, tau_fringe
 
-    params = np.array([value for value, _ in result.params.values()])
-    model_fn = tau_fringe if result.model == "tau" else delay_fringe
-    model = model_fn(params, curve.x)
+    # a parameter the model does not fit (the delay model's linewidth) is 0
+    params = np.array([result.params.get(name, (0.0, None))[0] for name in PARAM_NAMES])
+    model = tau_fringe(params, curve.x)
     columns = {"x": curve.x, "g2_data": curve.g2, "sigma": curve.sigma, "g2_model": model}
     write_csv_columns(path, curve.x_kind, columns)
 

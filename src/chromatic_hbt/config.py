@@ -265,6 +265,13 @@ class DelayScanSection(_ScanSection):
     scan_periods: float = _key(parse_float)
     dwell: float = _key(_in_units(TIME_UNITS), above=0.0)
 
+    def __post_init__(self):
+        # scan_delay needs distinct delays; a step of 0 (or one that underflows to 0) repeats them
+        if self.schedule()[1][0] == 0.0:
+            raise ConfigError(
+                "delay_scan.scan_periods", f"{self.scan_periods:g} periods repeat delay settings"
+            )
+
     def model(self) -> G2Model:
         return G2Model(visibility=self.visibility, phase=self.phase, frequency=self.beat_frequency)
 
@@ -283,10 +290,19 @@ class TauScanSection(_ScanSection):
     far_taus: tuple[float, ...] = _key(_in_units(TIME_UNITS, parse_quantity_list))
 
     def __post_init__(self):
+        if self.tau_max < 0:
+            raise ConfigError("tau_scan.tau_max", f"must be >= 0, got {self.tau_max:g}")
         half = self.tau_max / self.tau_step
         if not math.isfinite(half) or 2 * round(half) + 1 + 2 * len(self.far_taus) > MAX_TAUS:
             raise ConfigError(
                 "tau_scan.tau_step", f"tau_max / tau_step = {half:.6g} gives more than {MAX_TAUS} taus"
+            )
+        # the shift scan refuses a shift of the whole stream, in whole picoseconds
+        reach = max([round(half) * self.tau_step, *map(abs, self.far_taus)])
+        if round(reach, 12) >= round(self.duration, 12):
+            raise ConfigError(
+                "tau_scan.duration",
+                f"{self.duration:g} s is not longer than the largest |tau| = {reach:g} s",
             )
 
     def model(self) -> G2Model:
@@ -394,7 +410,7 @@ class RunConfig:
         angles = {
             key: parse_angle(text, f"conversion.{key}") for key, text in parser["conversion"].items()
         }
-        conversion = _built("conversion", ConversionSettings.from_angles, **angles)
+        conversion = _built("conversion", ConversionSettings, **angles)
         scenario = _section(parser, "scenario", ScenarioSection)
         delay_scan = _section(parser, "delay_scan", DelayScanSection)
         tau_scan = _section(parser, "tau_scan", TauScanSection)

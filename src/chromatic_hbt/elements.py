@@ -1,10 +1,11 @@
 """Elementary optical transformations on truncated Fock states.
 
 Four building blocks: 50-50 beamsplitters, the pumped-waveguide frequency
-conversion step, spectral filtering, and a path-delay phase shift.  The
-beamsplitter, conversion and delay are all single-photon-sector unitaries
-lifted to the full (multi-photon) state by `evolve`; filtering is a
-projection that reports the discarded probability mass.
+conversion step set by its interaction angles, spectral filtering, and a
+path-delay phase shift.  The beamsplitter, conversion and delay are all
+single-photon-sector unitaries lifted to the full (multi-photon) state by
+`evolve`; filtering is a projection that reports the discarded probability
+mass.
 """
 
 from __future__ import annotations
@@ -22,94 +23,42 @@ UNITARITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ConversionSettings:
-    """Strengths and phases of the four pumped conversion processes.
+    """Interaction angles and phases of the four pumped conversion processes.
 
-    Each process mixes one mode pair: on arm "a" the pair (f1, f3) at rate
-    xi_31 and the pair (f2, f2') at rate xi_2p2; on arm "b" the pair (f2, f3)
-    at rate xi_32 and the pair (f1, f1') at rate xi_1p1.  The dimensionless
-    interaction angles are theta_ij = interaction_time * xi_ij.
+    Each process mixes one mode pair: on arm "a" the pair (f1, f3) by the
+    angle theta_31 and the pair (f2, f2') by theta_2p2; on arm "b" the pair
+    (f2, f3) by theta_32 and the pair (f1, f1') by theta_1p1.  An angle is
+    the interaction time times the process's coupling rate, theta = t * xi.
     """
 
-    xi_31: float
-    xi_32: float
-    xi_2p2: float = 0.0
-    xi_1p1: float = 0.0
+    theta_31: float
+    theta_32: float
+    theta_2p2: float = 2.0 * math.pi
+    theta_1p1: float = 2.0 * math.pi
     phi_31: float = 0.0
     phi_32: float = 0.0
     phi_2p2: float = 0.0
     phi_1p1: float = 0.0
-    interaction_time: float = 1.0  # seconds
 
     def __post_init__(self):
-        for name in ("xi_31", "xi_32", "xi_2p2", "xi_1p1"):
+        for name in ("theta_31", "theta_32", "theta_2p2", "theta_1p1"):
             value = getattr(self, name)
             if value < 0 or not math.isfinite(value):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not math.isfinite(self.interaction_time) or self.interaction_time < 0:
-            raise ValueError(f"interaction_time must be finite and >= 0, got {self.interaction_time}")
         for name in ("phi_31", "phi_32", "phi_2p2", "phi_1p1"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
 
-    @property
-    def theta_31(self) -> float:
-        return self.interaction_time * self.xi_31
-
-    @property
-    def theta_32(self) -> float:
-        return self.interaction_time * self.xi_32
-
-    @property
-    def theta_2p2(self) -> float:
-        return self.interaction_time * self.xi_2p2
-
-    @property
-    def theta_1p1(self) -> float:
-        return self.interaction_time * self.xi_1p1
-
     @classmethod
-    def from_angles(
-        cls,
-        theta_31: float,
-        theta_32: float,
-        theta_2p2: float = 2.0 * math.pi,
-        theta_1p1: float = 2.0 * math.pi,
-        phi_31: float = 0.0,
-        phi_32: float = 0.0,
-        phi_2p2: float = 0.0,
-        phi_1p1: float = 0.0,
-        interaction_time: float = 1.0,
-    ) -> "ConversionSettings":
-        """Build settings from interaction angles (rates follow for the given time)."""
-        t = interaction_time
-        if t <= 0:
-            raise ValueError(f"interaction_time must be > 0 to derive rates, got {t}")
-        thetas = {
-            "theta_31": theta_31,
-            "theta_32": theta_32,
-            "theta_2p2": theta_2p2,
-            "theta_1p1": theta_1p1,
-        }
-        for name, theta in thetas.items():
-            if theta < 0 or not math.isfinite(theta):
-                raise ValueError(f"{name} must be finite and >= 0, got {theta}")
-        return cls(
-            xi_31=theta_31 / t,
-            xi_32=theta_32 / t,
-            xi_2p2=theta_2p2 / t,
-            xi_1p1=theta_1p1 / t,
-            phi_31=phi_31,
-            phi_32=phi_32,
-            phi_2p2=phi_2p2,
-            phi_1p1=phi_1p1,
-            interaction_time=t,
-        )
+    def from_angles(cls, *args, **kwargs) -> "ConversionSettings":
+        """The constructor, under a name that says its arguments are angles."""
+        return cls(*args, **kwargs)
 
     @classmethod
     def ideal(cls) -> "ConversionSettings":
         """Tuning at which both input colors convert fully: theta_31 = pi/2, theta_32 = 2*pi."""
-        return cls.from_angles(theta_31=math.pi / 2.0, theta_32=2.0 * math.pi)
+        return cls(theta_31=math.pi / 2.0, theta_32=2.0 * math.pi)
 
 
 @dataclass(frozen=True)

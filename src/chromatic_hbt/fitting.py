@@ -1,24 +1,22 @@
 """Nonlinear least-squares fitting of coincidence fringes.
 
-Two models: an undamped cosine fringe against the controller delay,
-
-    g2(x) = 1 + (v/2) * cos(phase + 2*pi*frequency*x)
-
-and a Gaussian-damped fringe against the post-processing shift,
+One fringe, over (visibility, linewidth, phase, frequency):
 
     g2(x) = 1 + (v/2) * exp(-(linewidth*x)^2) * cos(phase + 2*pi*frequency*x).
 
-These are the only copies of the two formulas: protocol.g2_zero_model and
-g2_tau_model evaluate them for a G2Model.
+The tau model fits it against the post-processing shift; the delay model
+fits it against the controller delay with the linewidth held at 0, so its
+parameters are (visibility, phase, frequency).  tau_fringe is the only copy
+of the formula: protocol.g2_zero_model and g2_tau_model evaluate it.
 
-Both are linear in (c, s) = (v/2) * (cos(phase), -sin(phase)) once the
+The fringe is linear in (c, s) = (v/2) * (cos(phase), -sin(phase)) once the
 frequency and the linewidth are fixed.  initial_guess profiles (c, s) out: on
 a frequency grid it solves their 2x2 weighted linear least squares and keeps
 the frequency that lowers the fit's own chi2 the most (Golub & Pereyra, SIAM
 J. Numer. Anal. 10, 413 (1973); with a flat envelope, a weighted Lomb-Scargle
 periodogram about g2 = 1, cf. Zechmeister & Kuerster, A&A 496, 577 (2009)).
-Damped Gauss-Newton with a Levenberg-Marquardt damping schedule and analytic
-Jacobians then refines all parameters.  Parameter errors come from the
+Damped Gauss-Newton with a Levenberg-Marquardt damping schedule and the
+analytic Jacobian then refines the fit.  Parameter errors come from the
 inverse curvature matrix scaled by sqrt(chi2/dof).  Results are reported in
 the canonical gauge: visibility >= 0, phase in (-pi, pi], frequency >= 0.
 """
@@ -31,8 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DELAY_PARAM_NAMES = ("visibility", "phase", "frequency")
-TAU_PARAM_NAMES = ("visibility", "linewidth", "phase", "frequency")
+PARAM_NAMES = ("visibility", "linewidth", "phase", "frequency")
+
+# the parameters each model fits, in PARAM_NAMES order; the delay model
+# holds the linewidth at 0
+_MODELS = {"delay": ("visibility", "phase", "frequency"), "tau": PARAM_NAMES}
+_SLOTS = {model: [PARAM_NAMES.index(name) for name in names] for model, names in _MODELS.items()}
 
 MAX_ITERATIONS = 200
 GRADIENT_TOL = 1e-12
@@ -101,29 +103,15 @@ class FitResult:
         return lines
 
 
-def delay_fringe(params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    v, phase, freq = params
-    return 1.0 + 0.5 * v * np.cos(phase + 2.0 * math.pi * freq * x)
-
-
-def delay_fringe_jacobian(params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    v, phase, freq = params
-    arg = phase + 2.0 * math.pi * freq * x
-    cos_a, sin_a = np.cos(arg), np.sin(arg)
-    jac = np.empty((x.size, 3))
-    jac[:, 0] = 0.5 * cos_a
-    jac[:, 1] = -0.5 * v * sin_a
-    jac[:, 2] = -0.5 * v * sin_a * 2.0 * math.pi * x
-    return jac
-
-
 def tau_fringe(params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The fringe at (visibility, linewidth, phase, frequency)."""
     v, width, phase, freq = params
     envelope = np.exp(-((width * x) ** 2))
     return 1.0 + 0.5 * v * envelope * np.cos(phase + 2.0 * math.pi * freq * x)
 
 
 def tau_fringe_jacobian(params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """d tau_fringe / d params, one column per parameter of PARAM_NAMES."""
     v, width, phase, freq = params
     envelope = np.exp(-((width * x) ** 2))
     arg = phase + 2.0 * math.pi * freq * x
@@ -136,10 +124,28 @@ def tau_fringe_jacobian(params: np.ndarray, x: np.ndarray) -> np.ndarray:
     return jac
 
 
-_MODELS = {
-    "delay": (DELAY_PARAM_NAMES, delay_fringe, delay_fringe_jacobian),
-    "tau": (TAU_PARAM_NAMES, tau_fringe, tau_fringe_jacobian),
-}
+def _all_params(model: str, params: np.ndarray) -> np.ndarray:
+    """A model's own parameter vector spread over PARAM_NAMES; held ones are 0."""
+    full = np.zeros(len(PARAM_NAMES))
+    full[_SLOTS[model]] = params
+    return full
+
+
+def _model_jacobian(model: str, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    jac = tau_fringe_jacobian(_all_params(model, params), x)
+    # column indexing returns Fortran order, in which jac.T @ jac sums in
+    # another order; in C order a fit matches a build of only these columns
+    return np.ascontiguousarray(jac[:, _SLOTS[model]])
+
+
+def delay_fringe(params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """tau_fringe at linewidth 0, over (visibility, phase, frequency)."""
+    return tau_fringe(_all_params("delay", params), x)
+
+
+def delay_fringe_jacobian(params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Columns visibility, phase and frequency of tau_fringe_jacobian at linewidth 0."""
+    return _model_jacobian("delay", params, x)
 
 
 def _wrap_phase(phase: float) -> float:
@@ -150,26 +156,18 @@ def _wrap_phase(phase: float) -> float:
 
 
 def canonicalize(model: str, params: np.ndarray) -> np.ndarray:
-    """Resolve the cosine sign/phase degeneracies.
+    """Resolve the cosine sign/phase degeneracies of a model's own parameters.
 
     visibility >= 0 (flip absorbs a pi phase shift), frequency >= 0 (flip
     conjugates the phase), linewidth >= 0 (envelope is even), phase wrapped
     into (-pi, pi].
     """
-    p = np.array(params, dtype=float)
-    if model == "delay":
-        v_i, phase_i, freq_i = 0, 1, 2
-    else:
-        v_i, phase_i, freq_i = 0, 2, 3
-        p[1] = abs(p[1])
-    if p[v_i] < 0:
-        p[v_i] = -p[v_i]
-        p[phase_i] += math.pi
-    if p[freq_i] < 0:
-        p[freq_i] = -p[freq_i]
-        p[phase_i] = -p[phase_i]
-    p[phase_i] = _wrap_phase(p[phase_i])
-    return p
+    v, width, phase, freq = _all_params(model, params)
+    if v < 0:
+        v, phase = -v, phase + math.pi
+    if freq < 0:
+        freq, phase = -freq, -phase
+    return np.array([v, abs(width), _wrap_phase(phase), freq])[_SLOTS[model]]
 
 
 def initial_guess(
@@ -192,22 +190,20 @@ def initial_guess(
     deviation = y - 1.0
     # per-point weights of the basis products (a) and of the data (u)
     a = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float) ** 2
-    if model == "tau":
+    width = 0.0
+    if "linewidth" in _MODELS[model]:
         # envelope held at the half-maximum width of |y - 1|: the fringe
         # depends on the width squared, so LM started at 0 cannot move it
         magnitude = np.abs(deviation)
-        width = 0.0
         if magnitude.max() > 0:
             half_x = np.abs(x)[magnitude >= 0.5 * magnitude.max()].max()
             if half_x > 0:
                 width = math.sqrt(math.log(2.0)) / half_x
         if width <= 0.0:
             width = 0.5 / max(np.abs(x).max(), 1.0)
-        envelope = np.exp(-((width * x) ** 2))
-        u = a * envelope * deviation
-        a = a * envelope**2
-    else:
-        u = a * deviation
+    envelope = np.exp(-((width * x) ** 2))
+    u = a * envelope * deviation
+    a = a * envelope**2
     # from half a cycle over the span up to the Nyquist rate of the typical
     # sample spacing (median, so sparse outlying points don't cap the band)
     spacing = float(np.median(np.diff(np.sort(x))))
@@ -234,9 +230,7 @@ def initial_guess(
     k = int(np.argmax(c * uc + s * us))
     visibility = 2.0 * math.hypot(c[k], s[k])
     phase = math.atan2(-s[k], c[k])
-    if model == "delay":
-        return np.array([visibility, phase, grid[k]])
-    return np.array([visibility, width, phase, grid[k]])
+    return np.array([visibility, width, phase, grid[k]])[_SLOTS[model]]
 
 
 def _solve_damped(jtj: np.ndarray, grad: np.ndarray, damping: float) -> np.ndarray:
@@ -268,8 +262,7 @@ def _scaled_covariance(jtj: np.ndarray, chi2: float, dof: int) -> np.ndarray | N
 
 
 def _levenberg_marquardt(
-    model_fn,
-    jac_fn,
+    model: str,
     p0: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
@@ -280,7 +273,7 @@ def _levenberg_marquardt(
     w = weights[:, None]
 
     def chi2_of(params):
-        r = (y - model_fn(params, x)) * weights
+        r = (y - tau_fringe(_all_params(model, params), x)) * weights
         return float(r @ r)
 
     chi2 = chi2_of(p)
@@ -289,8 +282,8 @@ def _levenberg_marquardt(
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
-        residual = (y - model_fn(p, x)) * weights
-        jac = jac_fn(p, x) * w
+        residual = (y - tau_fringe(_all_params(model, p), x)) * weights
+        jac = _model_jacobian(model, p, x) * w
         jtj = jac.T @ jac
         grad = jac.T @ residual
         # MINPACK's orthogonality test: the residual is orthogonal to every
@@ -327,7 +320,7 @@ def _levenberg_marquardt(
             converged = True
             break
     # curvature at the point actually reported
-    jac = jac_fn(p, x) * w
+    jac = _model_jacobian(model, p, x) * w
     jtj = jac.T @ jac
     return p, trace, converged, iterations, jtj
 
@@ -341,7 +334,7 @@ def _finish(
     jtj: np.ndarray,
     n_points: int,
 ) -> FitResult:
-    names = _MODELS[model][0]
+    names = _MODELS[model]
     p = canonicalize(model, p)
     dof = max(n_points - len(names), 1)
     chi2 = trace[-1]
@@ -359,9 +352,10 @@ def _finish(
         else:
             degenerate = True
             notes.append("covariance not positive definite; errors omitted")
-    if model == "tau" and errors[1] is not None and errors[1] >= abs(p[1]) > 0:
-        notes.append("linewidth weakly identified: error bar covers zero")
     params = {name: (float(value), err) for name, value, err in zip(names, p, errors)}
+    width, width_err = params.get("linewidth", (0.0, None))
+    if width_err is not None and width_err >= abs(width) > 0:
+        notes.append("linewidth weakly identified: error bar covers zero")
     return FitResult(
         model=model,
         params=params,
@@ -377,7 +371,7 @@ def _finish(
 
 def _fit(curve, model: str, initial: np.ndarray | None, weighted: bool) -> FitResult:
     """Fit one of the _MODELS to curve.x, curve.g2 (errors curve.sigma)."""
-    names, model_fn, jac_fn = _MODELS[model]
+    names = _MODELS[model]
     x = np.asarray(curve.x, dtype=float)
     y = np.asarray(curve.g2, dtype=float)
     sigma = np.asarray(curve.sigma, dtype=float)
@@ -390,19 +384,18 @@ def _fit(curve, model: str, initial: np.ndarray | None, weighted: bool) -> FitRe
         p0 = initial_guess(x, y, model, weights)
     else:
         p0 = np.array(initial, dtype=float)
-        if model == "tau" and p0[1] > 0 and np.abs(x).max() < 2.0 / p0[1]:
-            raise ValueError(
-                "shift scan too short to constrain the envelope: "
-                f"max|x| = {np.abs(x).max():.3g} < 2/linewidth = {2.0 / p0[1]:.3g}"
-            )
-    span = x.max() - x.min()
-    if model == "delay" and p0[2] > 0 and span * p0[2] < 0.5:
+    _, width, _, freq = _all_params(model, p0)
+    if initial is not None and width > 0 and np.abs(x).max() < 2.0 / width:
         raise ValueError(
-            f"delay scan spans {span * p0[2]:.3g} oscillation periods; need at least 0.5"
+            "shift scan too short to constrain the envelope: "
+            f"max|x| = {np.abs(x).max():.3g} < 2/linewidth = {2.0 / width:.3g}"
         )
-    p, trace, converged, iterations, jtj = _levenberg_marquardt(
-        model_fn, jac_fn, p0, x, y, weights
-    )
+    span = x.max() - x.min()
+    if model == "delay" and freq > 0 and span * freq < 0.5:
+        raise ValueError(
+            f"delay scan spans {span * freq:.3g} oscillation periods; need at least 0.5"
+        )
+    p, trace, converged, iterations, jtj = _levenberg_marquardt(model, p0, x, y, weights)
     return _finish(model, p, trace, converged, iterations, jtj, x.size)
 
 

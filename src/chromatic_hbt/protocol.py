@@ -8,7 +8,7 @@ which maps a superposition of two input colors onto one output color, so a
 click no longer identifies the input wavelength.  Two such stages watching
 two sources of different colors recover the interference term in their
 coincidence rate; this module computes the exact state-vector amplitudes and
-evaluates the analytic fringe models of `fitting` for a G2Model.
+evaluates the one analytic fringe of `fitting` for a G2Model.
 
 Every step of a stage is linear in the state, and the path delay only
 multiplies each source basis state by a phase.  The coincidence amplitude at
@@ -37,7 +37,7 @@ from .elements import (
     sfg_unitary,
     spectral_filter,
 )
-from .fitting import delay_fringe, tau_fringe
+from .fitting import tau_fringe
 from .fock import (
     ModeRegistry,
     StateVector,
@@ -126,11 +126,10 @@ def build_hbt_registry(
 
 @dataclass(frozen=True)
 class ErasureDetectorConfig:
-    """One erasure stage: conversion settings plus the color its bandpass keeps."""
+    """One erasure stage: its conversion settings; its bandpass keeps f3."""
 
     settings: ConversionSettings
     label: str = "A"
-    filter_color: str = "f3"
 
     @classmethod
     def ideal(cls, label: str = "A") -> "ErasureDetectorConfig":
@@ -184,7 +183,7 @@ def run_erasure_pipeline(
     stages["after_conversion"] = state
     state = evolve(state, splitter)
     stages["after_second_beamsplitter"] = state
-    keep = getattr(arms.arm_a, config.filter_color)
+    keep = arms.arm_a.f3
     state, discarded = spectral_filter(state, keep, arms.arm_a.all())
     stages["after_filter"] = state
     amplitude = state.amplitude_of({keep: 1})
@@ -300,8 +299,7 @@ def _coincidence_response(scenario: HbtScenario) -> Callable[[float], complex]:
     source = pair_state("f1", "f2").scaled(scenario.alpha).plus(
         pair_state("f2", "f1").scaled(scenario.beta)
     )
-    keep_a = getattr(arms_a.arm_a, scenario.detector_a.filter_color)
-    keep_b = getattr(arms_b.arm_a, scenario.detector_b.filter_color)
+    keep_a, keep_b = arms_a.arm_a.f3, arms_b.arm_a.f3
     responses = {}
     for basis_state in source.amplitudes:
         unit = StateVector(registry, {basis_state: 1.0 + 0.0j})
@@ -378,10 +376,9 @@ class G2Model:
 
 
 def g2_zero_model(model: G2Model, t_delay: float | np.ndarray) -> float | np.ndarray:
-    """Zero-shift fringe vs controller delay: 1 + (v/2) cos(phase + 2 pi f t)."""
-    params = (model.visibility, model.phase, model.frequency)
-    out = delay_fringe(params, np.asarray(t_delay, dtype=float))
-    return float(out) if np.isscalar(t_delay) or np.ndim(t_delay) == 0 else out
+    """Zero-shift fringe vs controller delay: the shift fringe at linewidth 0,
+    1 + (v/2) cos(phase + 2 pi f t)."""
+    return g2_tau_model(replace(model, linewidth=0.0), t_delay)
 
 
 def g2_tau_model(model: G2Model, tau: float | np.ndarray) -> float | np.ndarray:

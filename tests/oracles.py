@@ -103,7 +103,7 @@ def fresh_erasure_pipeline(state, registry, arms, config) -> tuple[dict[str, Sta
     stages["after_conversion"] = state
     state = evolve(state, bs_unitary(registry, arms.bs_pairs()))
     stages["after_second_beamsplitter"] = state
-    keep = getattr(arms.arm_a, config.filter_color)
+    keep = arms.arm_a.f3
     state, _ = spectral_filter(state, keep, arms.arm_a.all())
     stages["after_filter"] = state
     return stages, state.amplitude_of({keep: 1})
@@ -117,8 +117,7 @@ def per_delay_g2_curve(scenario, t_delays) -> np.ndarray:
     f1_at_a = apply_creation(apply_creation(vacuum, arms_a.arm_a.f1), arms_b.arm_a.f2)
     f2_at_a = apply_creation(apply_creation(vacuum, arms_a.arm_a.f2), arms_b.arm_a.f1)
     source = f1_at_a.scaled(scenario.alpha).plus(f2_at_a.scaled(scenario.beta))
-    keep_a = getattr(arms_a.arm_a, scenario.detector_a.filter_color)
-    keep_b = getattr(arms_b.arm_a, scenario.detector_b.filter_color)
+    keep_a, keep_b = arms_a.arm_a.f3, arms_b.arm_a.f3
     probs = []
     for t in t_delays:
         state = phase_delay(source, arms_a.arm_a.all(), t)

@@ -211,6 +211,9 @@ class TestCli:
             ("[tau_scan]\nduration = 0 s\n", [], "tau_scan.duration"),
             ("[tau_scan]\ntau_max = 1e300 s\ntau_step = 1e-300 s\n", [], "tau_scan.tau_step"),
             ("[tau_scan]\ntau_step = 1e-12 s\n", [], "tau_scan.tau_step"),
+            ("[tau_scan]\ntau_max = -12 us\n", [], "tau_scan.tau_max"),
+            ("[tau_scan]\nduration = 30 us\n", [], "tau_scan.duration"),
+            ("[delay_scan]\nscan_periods = 0\n", [], "delay_scan.scan_periods"),
         ],
     )
     def test_out_of_range_config_exits_2_whatever_the_command(

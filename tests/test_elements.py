@@ -72,19 +72,20 @@ def generators_and_bunched_states(draw):
 
 
 class TestConversionSettings:
-    def test_theta_is_time_times_rate(self):
-        s = ConversionSettings(xi_31=3.0, xi_32=1.0, interaction_time=0.5)
-        assert s.theta_31 == pytest.approx(1.5)
-        assert s.theta_32 == pytest.approx(0.5)
+    def test_negative_angle_rejected(self):
+        with pytest.raises(ValueError, match="theta_31"):
+            ConversionSettings(theta_31=-1.0, theta_32=0.0)
 
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError, match="xi_31"):
-            ConversionSettings(xi_31=-1.0, xi_32=0.0)
+    def test_from_angles_is_the_constructor(self):
+        # one default for the shifted-line angles, whichever name builds it
+        s = ConversionSettings(theta_31=1.0, theta_32=2.0)
+        assert s == ConversionSettings.from_angles(theta_31=1.0, theta_32=2.0)
+        assert s.theta_2p2 == s.theta_1p1 == 2.0 * math.pi
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_phase_rejected(self, value):
         with pytest.raises(ValueError, match="phi_2p2 must be finite"):
-            ConversionSettings(xi_31=1.0, xi_32=1.0, phi_2p2=value)
+            ConversionSettings(theta_31=1.0, theta_32=1.0, phi_2p2=value)
 
     @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
     def test_invalid_angle_named(self, value):

@@ -67,6 +67,21 @@ class TestJacobians:
                 assert np.abs(analytic[:, k] - numeric).max() / scale < 1e-6
 
 
+    @given(
+        st.floats(-2.0, 2.0),
+        st.floats(-10.0, 10.0),
+        st.floats(-50.0, 50.0),
+        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20),
+    )
+    def test_delay_fringe_is_tau_fringe_at_zero_linewidth(self, v, phase, freq, xs):
+        x = np.array(xs)
+        own, full = np.array([v, phase, freq]), np.array([v, 0.0, phase, freq])
+        assert np.array_equal(delay_fringe(own, x), tau_fringe(full, x))
+        assert np.array_equal(
+            delay_fringe_jacobian(own, x), tau_fringe_jacobian(full, x)[:, [0, 2, 3]]
+        )
+
+
 class TestCanonicalGauge:
     def test_negative_visibility_absorbed_into_phase(self):
         p = canonicalize("delay", np.array([-0.5, 0.2, 1.0]))
