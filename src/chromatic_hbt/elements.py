@@ -82,6 +82,16 @@ class ArmPair:
     arm_a: ArmModes
     arm_b: ArmModes
 
+    def __post_init__(self):
+        # the registry's stage memo hashes the pair twice per pipeline call,
+        # and a dataclass hash walks all ten ModeIds each time.  Equal pairs
+        # have equal mode indices, and an int tuple hashes alike in every
+        # process, so the cached value survives a pickle round trip.
+        object.__setattr__(self, "_hash", hash(tuple(m.index for m in self.all_modes())))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def bs_pairs(self) -> list[tuple[ModeId, ModeId]]:
         return list(zip(self.arm_a.all(), self.arm_b.all()))
 

@@ -186,7 +186,9 @@ def _dedupe_sorted(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-# geometric gaps drawn per call; bounds the scratch memory of huge segments
+# geometric gaps drawn per call (8 MB of int64).  This bounds each draw,
+# not the total: the concatenation of a huge segment's parts holds every
+# part plus the result, twice the drawn bins, at its peak.
 _GAP_CHUNK = 1 << 20
 
 
@@ -203,7 +205,8 @@ def _bernoulli_bins(rng: np.random.Generator, n_bins: int, p: float) -> np.ndarr
     while last < n_bins - 1:
         mean = (n_bins - 1 - last) * p
         size = min(int(mean + 5.0 * math.sqrt(mean)) + 16, _GAP_CHUNK)
-        bins = np.cumsum(rng.geometric(p, size=size))
+        bins = rng.geometric(p, size=size)
+        np.cumsum(bins, out=bins)
         bins += last
         parts.append(bins)
         last = int(bins[-1])
@@ -222,10 +225,20 @@ def _complement_bins(excluded: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 # pairs per pass of _window_pairs; bounds the memory of the pair arrays
-# (about 40 bytes per pair while a pass is live).  Passes that fit in a
-# 2 MB L2 cache ran fastest: on a Xeon vCPU the fig3 kernel sums took
-# 68 ms per 0.5 s of stream at 2^16 pairs, 75 ms at 2^18 and 102 ms unchunked.
+# (about 52 bytes per pair while a pass is live, 3.4 MB per pass of 2^16).
+# Passes that fit in a 2 MB L2 cache ran fastest: on a Xeon vCPU the fig3
+# kernel sums took 68 ms per 0.5 s of stream at 2^16 pairs, 75 ms at 2^18
+# and 102 ms unchunked.
 _PAIR_BUDGET = 1 << 16
+# centers per block of _window_pairs, and candidates per block of the
+# _segment_kernel thinning.  A block's per-center arrays (window bounds and
+# pair counts, then kernel sums, probabilities and uniforms) take 24 to 40
+# bytes a center, about 0.3 MB; with its pair passes, one block of the
+# default fig3 sampler peaked at 2.9 MB (tracemalloc), whatever the
+# acquisition length.  On the fig3 benchmark (2-core Xeon vCPU, numpy 2.4)
+# 2^13 ran as fast as whole-acquisition passes; 2^14 and 2^15 ran 1-10 %
+# slower.
+_CENTER_BLOCK = 1 << 13
 
 
 def _window_pairs(positions: np.ndarray, centers: np.ndarray, lo: int, hi: int):
@@ -235,22 +248,26 @@ def _window_pairs(positions: np.ndarray, centers: np.ndarray, lo: int, hi: int):
     of centers as (start, index, offset): index counts centers from
     centers[start] and does not decrease, offset is position - center.
     A chunk holds at most _PAIR_BUDGET pairs, or one center's pairs when
-    that center alone has more.
+    that center alone has more, and never spans two blocks of
+    _CENTER_BLOCK centers.
     """
-    first = np.searchsorted(positions, centers + lo)
-    counts = np.searchsorted(positions, centers + hi + 1) - first
-    ends = np.cumsum(counts)  # pairs of all centers up to and including each
-    start = 0
-    while start < centers.size:
-        done = int(ends[start] - counts[start])  # pairs before this chunk
-        stop = max(int(np.searchsorted(ends, done + _PAIR_BUDGET, side="right")), start + 1)
-        total = int(ends[stop - 1]) - done
-        if total:
-            c, n = centers[start:stop], counts[start:stop]
-            index = np.repeat(np.arange(c.size), n)
-            flat = np.arange(total) + np.repeat(first[start:stop] - (ends[start:stop] - n - done), n)
-            yield start, index, positions[flat] - c[index]
-        start = stop
+    for base in range(0, centers.size, _CENTER_BLOCK):
+        block = centers[base : base + _CENTER_BLOCK]
+        first = np.searchsorted(positions, block + lo)
+        counts = np.searchsorted(positions, block + hi + 1) - first
+        ends = np.cumsum(counts)  # pairs of all centers up to and including each
+        start = 0
+        while start < block.size:
+            done = int(ends[start] - counts[start])  # pairs before this chunk
+            stop = max(int(np.searchsorted(ends, done + _PAIR_BUDGET, side="right")), start + 1)
+            total = int(ends[stop - 1]) - done
+            if total:
+                c, n = block[start:stop], counts[start:stop]
+                index = np.repeat(np.arange(c.size), n)
+                skip = first[start:stop] - (ends[start:stop] - n - done)
+                flat = np.arange(total) + np.repeat(skip, n)
+                yield base + start, index, positions[flat] - c[index]
+            start = stop
 
 
 def _segment_same_bin(
@@ -303,13 +320,18 @@ def _segment_kernel(
         return a_bins, np.empty(0, dtype=np.int64)
     envelope_prob = min(_KERNEL_CAP * p_b, 0.5)
     candidates = _bernoulli_bins(rng, n_bins, envelope_prob)
-    sums = np.zeros(candidates.size)
-    for start, index, offset in _window_pairs(a_bins, candidates, -reach, reach):
-        part = np.bincount(index, weights=kernel[offset + reach])
-        sums[start : start + part.size] = part
-    prob = p_b * np.clip(1.0 + sums - mean_shift, 0.0, _KERNEL_CAP)
-    accept = rng.random(candidates.size) < prob / envelope_prob
-    return a_bins, candidates[accept]
+    accepted = [np.empty(0, dtype=np.int64)]
+    # PCG64 yields the same doubles whether random() is called once or block
+    # by block, so the accepted clicks do not depend on the block size
+    for base in range(0, candidates.size, _CENTER_BLOCK):
+        block = candidates[base : base + _CENTER_BLOCK]
+        sums = np.zeros(block.size)
+        for start, index, offset in _window_pairs(a_bins, block, -reach, reach):
+            part = np.bincount(index, weights=kernel[offset + reach])
+            sums[start : start + part.size] = part
+        prob = p_b * np.clip(1.0 + sums - mean_shift, 0.0, _KERNEL_CAP)
+        accepted.append(block[rng.random(block.size) < prob / envelope_prob])
+    return a_bins, np.concatenate(accepted)
 
 
 def _merge_channel(signal: np.ndarray, dark: np.ndarray) -> np.ndarray:

@@ -13,7 +13,8 @@ import numpy as np
 
 from chromatic_hbt.elements import bs_unitary, evolve, phase_delay, sfg_unitary, spectral_filter
 from chromatic_hbt.fock import ModeRegistry, StateVector, apply_creation
-from chromatic_hbt.protocol import build_hbt_registry, run_erasure_pipeline
+from chromatic_hbt.protocol import build_hbt_registry, g2_tau_model, run_erasure_pipeline
+from chromatic_hbt.streams import _KERNEL_CAP, _bernoulli_bins
 
 
 def basis_list(registry: ModeRegistry) -> list[tuple[int, ...]]:
@@ -148,6 +149,38 @@ def occupied_bin_tallies(
     bins_a = {(t - w0_ps) // bin_width_ps for t in times_a if w0_ps <= t < top_ps}
     bins_b = {(t + tau_ps - w0_ps) // bin_width_ps for t in times_b if w0_ps <= t + tau_ps < top_ps}
     return len(bins_a & bins_b), len(bins_a), len(bins_b)
+
+
+def whole_segment_kernel(rng, n_bins, p_a, p_b, model, bin_width) -> tuple[np.ndarray, np.ndarray]:
+    """streams._segment_kernel over the whole segment at once: each
+    candidate's kernel sum by a loop over the A clicks in its window, in
+    time order, then one uniform per candidate from a single rng.random
+    call.  A and the candidates come from streams._bernoulli_bins, so the
+    generator is consumed in the same order as by the package."""
+    reach = int(math.ceil(5.0 / (model.linewidth * bin_width)))
+    deltas = np.arange(-reach, reach + 1)
+    kernel = (g2_tau_model(model, deltas * bin_width) - 1.0) / (1.0 - p_a)
+    mean_shift = p_a * kernel.sum()
+    a_bins = _bernoulli_bins(rng, n_bins, p_a)
+    if p_b <= 0:
+        return a_bins, np.empty(0, dtype=np.int64)
+    envelope_prob = min(_KERNEL_CAP * p_b, 0.5)
+    candidates = _bernoulli_bins(rng, n_bins, envelope_prob)
+    weights, a_list = kernel.tolist(), a_bins.tolist()
+    sums = np.zeros(candidates.size)
+    for i, c in enumerate(candidates.tolist()):
+        total = 0.0  # one add per pair in time order, as np.bincount does
+        for a in a_list[np.searchsorted(a_bins, c - reach) : np.searchsorted(a_bins, c + reach + 1)]:
+            total += weights[a - c + reach]
+        sums[i] = total
+    prob = p_b * np.clip(1.0 + sums - mean_shift, 0.0, _KERNEL_CAP)
+    accept = rng.random(candidates.size) < prob / envelope_prob
+    return a_bins, candidates[accept]
+
+
+def per_shift_coincidences(bins_a: np.ndarray, bins_b: np.ndarray, shifts) -> list[int]:
+    """Bins shared by A and B shifted by s, for each s, by set intersection."""
+    return [np.intersect1d(bins_a, bins_b + s).size for s in shifts]
 
 
 def profiled_fringe_start(

@@ -1,11 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from chromatic_hbt import streams
 from chromatic_hbt.analysis import (
     CoincidenceCounts,
     G2Curve,
+    _multi_shift_coincidences,
     count_coincidences,
     estimate_g2,
     scan_delay,
@@ -20,7 +24,7 @@ from chromatic_hbt.streams import (
     simulate_stream,
 )
 
-from oracles import occupied_bin_tallies, pairwise_coincidences
+from oracles import occupied_bin_tallies, pairwise_coincidences, per_shift_coincidences
 
 
 def toy_stream(times_a, times_b, bin_width_ps=1000, duration_ps=None):
@@ -241,6 +245,19 @@ class TestScans:
             g2_ref, sigma_ref = estimate_g2(counts)
             assert g2 == g2_ref
             assert sigma == sigma_ref
+
+    @given(st.sets(st.integers(0, 300), max_size=80), st.sets(st.integers(0, 300), max_size=80),
+           st.lists(st.integers(-60, 60), min_size=1, max_size=12),
+           st.one_of(st.just(1), st.just(3), st.integers(1, 100)), st.integers(1, 40))
+    @example(set(), {1, 2, 3}, [0, 5], 1, 1)  # an empty A channel
+    def test_shift_histogram_blocks_match_per_shift_intersections(self, a, b, shifts, block, budget):
+        bins_a = np.array(sorted(a), dtype=np.int64)
+        bins_b = np.array(sorted(b), dtype=np.int64)
+        shifts = np.array(shifts, dtype=np.int64)
+        with mock.patch.object(streams, "_PAIR_BUDGET", budget), \
+                mock.patch.object(streams, "_CENTER_BLOCK", block):
+            counts = _multi_shift_coincidences(bins_a, bins_b, shifts)
+        assert counts.tolist() == per_shift_coincidences(bins_a, bins_b, shifts.tolist())
 
     def test_scan_tau_fast_path_drops_partial_last_bin(self):
         # the per-tau counter ignores clicks past the last whole bin of a

@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromatic_hbt import elements, fock
-from chromatic_hbt.elements import ConversionSettings
+from chromatic_hbt.elements import ArmPair, ConversionSettings
 from chromatic_hbt.protocol import (
     ErasureDetectorConfig,
     G2Model,
@@ -158,6 +159,20 @@ class TestStageUnitaryMemo:
         stages, amplitude = fresh_erasure_pipeline(state, registry, arms, config)
         assert stage_json(run.stages) == stage_json(stages)
         assert run.detection_amplitude == amplitude
+
+    def test_equal_arm_pair_hits_the_memo(self, monkeypatch):
+        # a pair rebuilt from its arms, or through pickle, is the same memo key
+        registry, arms = build_erasure_registry()
+        config = ErasureDetectorConfig.ideal()
+        state = two_color_input(registry, arms.arm_a, 0.6, 0.8)
+        first = run_erasure_pipeline(state, registry, arms, config)
+        built = []
+        monkeypatch.setattr(elements.ModeUnitary, "__post_init__", built.append)
+        for twin in (ArmPair(arms.arm_a, arms.arm_b), pickle.loads(pickle.dumps(arms))):
+            assert twin == arms and hash(twin) == hash(arms)
+            run = run_erasure_pipeline(state, registry, twin, config)
+            assert repr(run.detection_amplitude) == repr(first.detection_amplitude)
+        assert built == []
 
     def test_repeated_tuning_builds_no_unitary(self, monkeypatch):
         built = []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -19,11 +20,14 @@ from chromatic_hbt.streams import (
     TdcStream,
     _bernoulli_bins,
     _complement_bins,
+    _segment_kernel,
     _window_pairs,
     read_stream,
     simulate_stream,
     write_stream,
 )
+
+from oracles import whole_segment_kernel
 
 ZERO_MODEL = G2Model(visibility=0.59, phase=-0.16, frequency=210.1e9)
 TAU_MODEL = G2Model(visibility=0.576, phase=-0.434, frequency=1.32e6, linewidth=0.118e6)
@@ -90,23 +94,73 @@ class TestBernoulliBins:
 sorted_ints = st.lists(st.integers(0, 200), max_size=40).map(sorted)
 
 
+# block sizes of one and three centers, and any size up to past the inputs
+center_blocks = st.one_of(st.just(1), st.just(3), st.integers(1, 400))
+
+
 class TestWindowPairs:
     @given(sorted_ints.map(set).map(sorted), sorted_ints, st.integers(-20, 20),
-           st.integers(0, 30), st.integers(1, 12))
+           st.integers(0, 30), st.integers(1, 12), center_blocks)
     # the center at 50 alone has 21 pairs, more than the budget of 4
-    @example(list(range(40, 61)), [5, 50, 50, 120], -10, 20, 4)
-    def test_chunks_concatenate_to_one_enumeration(self, positions, centers, lo, width, budget):
+    @example(list(range(40, 61)), [5, 50, 50, 120], -10, 20, 4, 1 << 15)
+    def test_chunks_concatenate_to_one_enumeration(self, positions, centers, lo, width, budget, block):
         hi = lo + width
         expected = [(i, p - c) for i, c in enumerate(centers) for p in positions if lo <= p - c <= hi]
         got = []
-        with mock.patch.object(streams, "_PAIR_BUDGET", budget):
+        with mock.patch.object(streams, "_PAIR_BUDGET", budget), \
+                mock.patch.object(streams, "_CENTER_BLOCK", block):
             chunks = _window_pairs(np.array(positions, dtype=np.int64),
                                    np.array(centers, dtype=np.int64), lo, hi)
             for start, index, offset in chunks:
                 # over budget only when the chunk is one center's pairs
                 assert index.size <= budget or index[-1] == 0
+                assert start // block == (start + index[-1]) // block  # within one block
                 got.extend(zip((start + index).tolist(), offset.tolist()))
         assert got == expected
+
+
+# no clicks, or clicks at any rate the per-bin model allows
+click_probs = st.one_of(st.just(0.0), st.floats(1e-6, 0.1))
+# reach = 20 bins, so a kernel window of 41 bins spans many blocks of 1 or 3
+NARROW_MODEL = G2Model(visibility=0.576, phase=-0.434, frequency=3e7, linewidth=0.25e9)
+
+
+class TestKernelBlocks:
+    @given(st.integers(0, 2**32), st.integers(1, 4000), click_probs, click_probs, center_blocks,
+           st.integers(1, 64))
+    @example(7, 3000, 0.0, 0.05, 3, 64)  # no A clicks: every kernel sum is 0
+    @example(7, 5, 0.05, 1e-6, 1, 64)  # no candidates
+    @example(7, 4000, 0.1, 0.1, 1, 1)  # one center per block and per pass
+    def test_blocks_match_the_whole_segment_oracle(self, seed, n_bins, p_a, p_b, block, budget):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        with mock.patch.object(streams, "_PAIR_BUDGET", budget), \
+                mock.patch.object(streams, "_CENTER_BLOCK", block):
+            a_bins, b_bins = _segment_kernel(rng, n_bins, p_a, p_b, NARROW_MODEL, 1e-9)
+        a_ref, b_ref = whole_segment_kernel(oracle_rng, n_bins, p_a, p_b, NARROW_MODEL, 1e-9)
+        assert np.array_equal(a_bins, a_ref)
+        assert np.array_equal(b_bins, b_ref) and b_bins.dtype == b_ref.dtype
+        # the same draws were consumed, so the dark clicks drawn next match too
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+class TestSimulateMemory:
+    def test_kernel_stream_peak_stays_near_its_output(self):
+        # 2 s at the default fig3 bin, rates and kernel: about 0.6M records
+        cfg = StreamConfig(bin_width=20e-9, rate_a=150e3, rate_b=150e3, seed=1, model=TAU_MODEL,
+                           delay_schedule=((0.0, 2.0),))
+        tracemalloc.start()
+        try:
+            stream = simulate_stream(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = stream.times_a.nbytes + stream.times_b.nbytes
+        # A, the candidates (drawn at 3 p_b, so 1.5x the output), the accepted
+        # B clicks and their concatenation: 3x the output.  Plus one block's
+        # scratch: a pair pass at 64 B a pair and a block at 96 B a center.
+        # A sampler whose scratch spans the whole acquisition peaks near 8.8x.
+        bound = 3 * output + 64 * streams._PAIR_BUDGET + 96 * streams._CENTER_BLOCK
+        assert peak < bound, f"peak {peak / 1e6:.1f} MB for {output / 1e6:.1f} MB of output"
 
 
 class TestSimulateStream:
