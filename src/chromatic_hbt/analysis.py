@@ -61,12 +61,18 @@ def count_coincidences(
     bin_width defaults to the stream's own bin width and may only be
     coarser; window is (start, stop) in seconds within the stream duration.
 
-    Both channels' bin runs are sorted, so one stable sort of their
-    concatenation is a linear merge, and the coincident bins follow from
-    distinct counts: n_coincidence = n_a + n_b - |A union B|.  The merge
-    costs O(n_a + n_b); a binary search of the smaller run in the larger
-    would cost O(min * log max) and win only when the rates differ by far
-    more than the log factor, which no shipped config does (rate_a = rate_b).
+    The coincident bins follow from distinct counts of the two channels'
+    bins and of their union: n_coincidence = n_a + n_b - |A union B|.  Both
+    channels' bins go into the two halves of one buffer; each half is sorted
+    already, so its distinct bins are counted first, and then the buffer is
+    sorted and its distinct bins counted.  A distinct count does not care
+    which of two equal bins comes first, so the sort needs no stability and
+    takes numpy's default quicksort, not the stable timsort that merges the
+    two runs.  Every bin lies in [0, n_bin), so the buffer is int32 unless
+    n_bin reaches 2^31, and numpy's vectorized 32-bit sort is the fast one:
+    on one Xeon vCPU (numpy 2.4), sorting the 45k bins of a files-offgrid
+    call took 150 us as int32 quicksort, 280 us as int64 timsort and 380 us
+    as int64 quicksort.
     """
     stream_bw_s = stream.meta.bin_width_ps / PS_PER_SECOND
     if bin_width is None:
@@ -98,12 +104,13 @@ def count_coincidences(
     # B is selected on its unshifted times, [w0 - tau, top - tau)
     sel_a = times_a[np.searchsorted(times_a, w0_ps) : np.searchsorted(times_a, top_ps)]
     sel_b = times_b[np.searchsorted(times_b, w0_ps - tau_ps) : np.searchsorted(times_b, top_ps - tau_ps)]
-    bins_a = (sel_a - w0_ps) // bw_ps
-    bins_b = (sel_b + (tau_ps - w0_ps)) // bw_ps
-    merged = np.concatenate([bins_a, bins_b])
-    merged.sort(kind="stable")  # timsort: a linear merge of the two runs
+    merged = np.empty(sel_a.size + sel_b.size, dtype=np.int32 if n_bin < 2**31 else np.int64)
+    bins_a, bins_b = merged[: sel_a.size], merged[sel_a.size :]
+    np.floor_divide(sel_a - w0_ps, bw_ps, out=bins_a, casting="unsafe")
+    np.floor_divide(sel_b + (tau_ps - w0_ps), bw_ps, out=bins_b, casting="unsafe")
     n_a = _count_distinct_sorted(bins_a)
     n_b = _count_distinct_sorted(bins_b)
+    merged.sort()
     return CoincidenceCounts(
         n_coincidence=n_a + n_b - _count_distinct_sorted(merged),
         n_a=n_a,

@@ -203,9 +203,14 @@ def _bernoulli_bins(rng: np.random.Generator, n_bins: int, p: float) -> np.ndarr
     parts = []
     last = -1  # every bin up to and including `last` is decided
     while last < n_bins - 1:
-        mean = (n_bins - 1 - last) * p
-        size = min(int(mean + 5.0 * math.sqrt(mean)) + 16, _GAP_CHUNK)
+        room = n_bins - last  # a gap of `room` or more lands past the segment
+        mean = (room - 1) * p
+        # the last bound keeps the running sum of clipped gaps below 2^63
+        size = min(int(mean + 5.0 * math.sqrt(mean)) + 16, _GAP_CHUNK, (2**63 - 1 - last) // room)
         bins = rng.geometric(p, size=size)
+        # rng.geometric saturates at 2^63 - 1 for p below about 1e-19, so the
+        # sum could wrap; a clipped gap still lands past the segment
+        np.minimum(bins, room, out=bins)
         np.cumsum(bins, out=bins)
         bins += last
         parts.append(bins)
@@ -395,6 +400,36 @@ def _interleave(stream: TdcStream) -> tuple[np.ndarray, np.ndarray]:
     return (order >= stream.times_a.size).astype(np.uint8), times[order]
 
 
+# records per block of the text writer; a block's scratch arrays take about
+# 80 bytes a record (5 MB), however long the stream
+_TEXT_BLOCK = 1 << 16
+# 10^1 .. 10^18: a time of k digits is at or above the first k - 1 of them
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _text_lines(channels: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The bytes of the text records '<A|B> <time>' and a newline, one uint8 array.
+
+    Each line is as long as its time has digits, so the lines are laid out by
+    a cumulative sum of their lengths; the digits are written from the last
+    one back, one divmod by 10 per column, for the times that have digits left.
+    """
+    widths = 1 + np.searchsorted(_POWERS_OF_TEN, times, side="right")
+    ends = np.cumsum(widths + 3)  # one past each line's newline
+    out = np.empty(int(ends[-1]), dtype=np.uint8)
+    starts = ends - (widths + 3)
+    out[starts] = channels + ord("A")
+    out[starts + 1] = ord(" ")
+    out[ends - 1] = ord("\n")
+    position, left = ends - 2, times
+    while left.size:
+        left, digit = np.divmod(left, 10)
+        out[position] = digit + ord("0")
+        more = left > 0
+        position, left = position[more] - 1, left[more]
+    return out
+
+
 def write_stream(stream: TdcStream, path, binary: bool = False) -> None:
     """Persist a stream; the two formats round-trip bit-exactly."""
     channels, times = _interleave(stream)
@@ -409,17 +444,15 @@ def write_stream(stream: TdcStream, path, binary: bool = False) -> None:
             records["t"] = times.astype(np.uint64)
             fh.write(records.tobytes())
         return
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"#binwidth_ps={stream.meta.bin_width_ps}\n")
-        fh.write(f"#duration_ps={stream.meta.duration_ps}\n")
-        fh.write(f"#seed={stream.meta.seed}\n")
-        letters = np.array(CHANNEL_LETTERS)
-        for chunk_start in range(0, len(stream), 1_000_000):
-            sl = slice(chunk_start, chunk_start + 1_000_000)
-            # format Python ints and strs, not numpy scalars
-            chunk_letters = letters[channels[sl]].tolist()
-            chunk_times = times[sl].tolist()
-            fh.write("".join(map("{} {}\n".format, chunk_letters, chunk_times)))
+    with open(path, "wb") as fh:
+        fh.write(
+            f"#binwidth_ps={stream.meta.bin_width_ps}\n"
+            f"#duration_ps={stream.meta.duration_ps}\n"
+            f"#seed={stream.meta.seed}\n".encode("ascii")
+        )
+        for start in range(0, len(stream), _TEXT_BLOCK):
+            block = slice(start, start + _TEXT_BLOCK)
+            fh.write(_text_lines(channels[block], times[block]))
 
 
 def _checked_stream(path, times_a, times_b, meta: StreamMeta) -> TdcStream:
@@ -458,32 +491,16 @@ def _read_binary(raw: bytes, path) -> TdcStream:
     return _checked_stream(path, records["t"][is_a], records["t"][~is_a], meta)
 
 
-def _read_text(raw: bytes, path) -> TdcStream:
+def _parse_header(line: str, lineno: int, headers: dict[str, int], path) -> None:
+    key, _, value = line[1:].partition("=")
     try:
-        text = raw.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise StreamFormatError(f"{path}: not an ascii stream file ({exc})") from None
-    headers: dict[str, int] = {}
-    times: dict[str, list[int]] = {letter: [] for letter in CHANNEL_LETTERS}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].partition("=")
-            try:
-                headers[key.strip()] = int(value)
-            except ValueError:
-                raise StreamFormatError(f"{path}: line {lineno}: bad header {line!r}") from None
-            continue
-        parts = line.split()
-        if len(parts) != 2 or parts[0] not in times:
-            raise StreamFormatError(f"{path}: line {lineno}: malformed record {line!r}")
-        try:
-            times[parts[0]].append(int(parts[1]))
-        except ValueError:
-            raise StreamFormatError(
-                f"{path}: line {lineno}: timestamp {parts[1]!r} is not an integer"
-            ) from None
+        headers[key.strip()] = int(value)
+    except ValueError:
+        raise StreamFormatError(f"{path}: line {lineno}: bad header {line!r}") from None
+
+
+def _text_stream(path, headers: dict[str, int], times_a, times_b) -> TdcStream:
+    """The stream of a parsed text file, once its headers pass their checks."""
     for key in ("binwidth_ps", "duration_ps", "seed"):
         if key not in headers:
             raise StreamFormatError(f"{path}: missing required header #{key}=")
@@ -499,7 +516,110 @@ def _read_text(raw: bytes, path) -> TdcStream:
         duration_ps=headers["duration_ps"],
         seed=headers["seed"],
     )
-    return _checked_stream(path, times["A"], times["B"], meta)
+    return _checked_stream(path, times_a, times_b, meta)
+
+
+def _read_text_lines(raw: bytes, path) -> TdcStream:
+    """Parse a text stream line by line: any line order, any whitespace,
+    anything int() reads as a time; a bad line is named by its number."""
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise StreamFormatError(f"{path}: not an ascii stream file ({exc})") from None
+    headers: dict[str, int] = {}
+    times: dict[str, list[int]] = {letter: [] for letter in CHANNEL_LETTERS}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            _parse_header(line, lineno, headers, path)
+            continue
+        parts = line.split()
+        if len(parts) != 2 or parts[0] not in times:
+            raise StreamFormatError(f"{path}: line {lineno}: malformed record {line!r}")
+        try:
+            times[parts[0]].append(int(parts[1]))
+        except ValueError:
+            raise StreamFormatError(
+                f"{path}: line {lineno}: timestamp {parts[1]!r} is not an integer"
+            ) from None
+    return _text_stream(path, headers, times["A"], times["B"])
+
+
+def _leading_headers(raw: bytes) -> tuple[list[str], int] | None:
+    """The '#' lines that open a text file and the offset of the first other
+    line; None unless each of them ends at a newline and nowhere else."""
+    start = 0
+    while raw.startswith(b"#", start):
+        start = raw.find(b"\n", start) + 1
+        if start == 0:
+            return None
+    try:
+        lines = raw[:start].decode("ascii").splitlines()
+    except UnicodeDecodeError:
+        return None
+    if len(lines) != raw.count(b"\n", 0, start):  # a line also broke at \r, \f, ...
+        return None
+    return lines, start
+
+
+def _canonical_records(raw: bytes, start: int) -> tuple[np.ndarray, np.ndarray] | None:
+    r"""(A times, B times) when every line from byte `start` on is
+    '[AB] [0-9]{1,18}\n', else None.
+
+    18 digits stay below 2^63, so the digits accumulate into int64 column by
+    column (Horner's rule, shorter times padded with leading zeros).
+    """
+    body = np.frombuffer(raw, dtype=np.uint8, offset=start)
+    ends = np.flatnonzero(body == ord("\n"))
+    if ends.size == 0 or ends[-1] != body.size - 1:
+        # no records, or text after the last newline
+        return (ends[:0], ends[:0]) if body.size == 0 else None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    widths = ends - starts - 2  # digits per line
+    shortest, longest = int(widths.min()), int(widths.max())
+    if shortest < 1 or longest > 18:
+        return None
+    letters = body[starts]
+    is_a = letters == ord("A")
+    if not (np.all(is_a | (letters == ord("B"))) and np.all(body[starts + 1] == ord(" "))):
+        return None
+    digits = body - np.uint8(ord("0"))  # other bytes wrap to 10 and above
+    # the letters, spaces and newlines are not digits, so the rest all are
+    # exactly when the digit count is the byte count less three a line
+    if np.count_nonzero(digits < 10) != body.size - 3 * ends.size:
+        return None
+    times = np.zeros(ends.size, dtype=np.int64)
+    for column in range(longest, 0, -1):
+        digit = digits.take(ends - column, mode="clip")  # the column-th digit before the newline
+        if column > shortest:
+            digit = np.where(widths >= column, digit, 0)
+        times *= 10
+        times += digit
+    return times[is_a], times[~is_a]
+
+
+def _read_text(raw: bytes, path) -> TdcStream:
+    r"""Parse a text stream, from whole arrays when its records are canonical.
+
+    A canonical file is '#key=value' header lines, then one '<A|B> <time>'
+    record a line, each time 1 to 18 digits and each line ending in '\n':
+    every file the writer makes of times below 10^18 ps.  Anything else, such
+    as CRLF line ends, blank lines, headers among the records, signs,
+    underscores, 19 or more digits, a missing last newline or non-ascii
+    bytes, goes to the line loop, which reads what it can and names the
+    first bad line.
+    """
+    found = _leading_headers(raw)
+    records = None if found is None else _canonical_records(raw, found[1])
+    if records is None:
+        return _read_text_lines(raw, path)
+    headers: dict[str, int] = {}
+    for lineno, line in enumerate(found[0], start=1):
+        _parse_header(line, lineno, headers, path)
+    return _text_stream(path, headers, *records)
 
 
 def read_stream(path) -> TdcStream:

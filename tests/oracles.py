@@ -14,7 +14,7 @@ import numpy as np
 from chromatic_hbt.elements import bs_unitary, evolve, phase_delay, sfg_unitary, spectral_filter
 from chromatic_hbt.fock import ModeRegistry, StateVector, apply_creation
 from chromatic_hbt.protocol import build_hbt_registry, g2_tau_model, run_erasure_pipeline
-from chromatic_hbt.streams import _KERNEL_CAP, _bernoulli_bins
+from chromatic_hbt.streams import _KERNEL_CAP, CHANNEL_LETTERS, _bernoulli_bins
 
 
 def basis_list(registry: ModeRegistry) -> list[tuple[int, ...]]:
@@ -149,6 +149,17 @@ def occupied_bin_tallies(
     bins_a = {(t - w0_ps) // bin_width_ps for t in times_a if w0_ps <= t < top_ps}
     bins_b = {(t + tau_ps - w0_ps) // bin_width_ps for t in times_b if w0_ps <= t + tau_ps < top_ps}
     return len(bins_a & bins_b), len(bins_a), len(bins_b)
+
+
+def text_stream_bytes(stream) -> bytes:
+    """A stream's text file by string formatting: the three header lines,
+    then one '<letter> <time>' line a record, in time order and A ahead of
+    B on equal times."""
+    records = sorted([(int(t), 0) for t in stream.times_a] + [(int(t), 1) for t in stream.times_b])
+    letters = [CHANNEL_LETTERS[channel] for _, channel in records]
+    header = (f"#binwidth_ps={stream.meta.bin_width_ps}\n#duration_ps={stream.meta.duration_ps}\n"
+              f"#seed={stream.meta.seed}\n")
+    return (header + "".join(map("{} {}\n".format, letters, (t for t, _ in records)))).encode("ascii")
 
 
 def whole_segment_kernel(rng, n_bins, p_a, p_b, model, bin_width) -> tuple[np.ndarray, np.ndarray]:

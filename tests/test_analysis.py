@@ -117,6 +117,21 @@ class TestCountCoincidences:
         assert (counts.n_coincidence, counts.n_a, counts.n_b) == occupied_bin_tallies(
             times_a, times_b, tau_ps, bw, w0, w1)
 
+    # 1 ps bins put n_bin past 2^31, so the bins take an int64 buffer; at
+    # 10^10 bins, clicks 2^32 apart would share one bin if cast to int32
+    @pytest.mark.parametrize("duration_ps", [3_000_000_000, 10_000_000_000])
+    @pytest.mark.parametrize("tau_ps", [0, 5, 2**31, 1 - 2**31, -(2**31 + 5)])
+    def test_bins_past_int32_match_set_oracle(self, duration_ps, tau_ps):
+        times_a = [7, 2**31 - 1, 2**31, 2**31 + 7, 2**32 + 7, 2**32 + 12]
+        times_b = [2, 7, 2**31 - 1, 2**32 + 7, 2**32 + 7, 2**33 - 5]
+        times_a = [t for t in times_a if t < duration_ps]
+        times_b = [t for t in times_b if t < duration_ps]
+        stream = toy_stream(times_a, times_b, bin_width_ps=1, duration_ps=duration_ps)
+        counts = count_coincidences(stream, tau=tau_ps / PS_PER_SECOND)
+        assert counts.n_bin == duration_ps
+        assert (counts.n_coincidence, counts.n_a, counts.n_b) == occupied_bin_tallies(
+            times_a, times_b, tau_ps, 1, 0, duration_ps)
+
     def test_finer_bin_than_stream_rejected(self):
         stream = toy_stream([0], [0], bin_width_ps=1000)
         with pytest.raises(ValueError, match="finer"):

@@ -388,6 +388,15 @@ class TestCli:
         assert plot[1] == "x,g2_data,sigma,g2_model"
         assert len(plot) == 12  # comment + header + 10 points
 
+    def test_reproduce_fig3_with_a_tiny_dark_rate(self, tmp_path, capsys):
+        # 1e-12 Hz in 20 ns bins is a click probability of 2e-20, past the
+        # range of the geometric gaps between clicks
+        cfg = tmp_path / "dark.cfg"
+        cfg.write_text("[tau_scan]\ndark_rate_a = 1e-12 Hz\nduration = 0.5 s\n")
+        code = main(["--config", str(cfg), "--out-dir", str(tmp_path), "reproduce", "fig3"])
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "fig3_fit.json").exists()
+
     def test_reproduce_fig3_small(self, tmp_path, capsys):
         cfg = tmp_path / "small.cfg"
         cfg.write_text(

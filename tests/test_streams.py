@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from chromatic_hbt import streams
@@ -27,7 +27,7 @@ from chromatic_hbt.streams import (
     write_stream,
 )
 
-from oracles import whole_segment_kernel
+from oracles import text_stream_bytes, whole_segment_kernel
 
 ZERO_MODEL = G2Model(visibility=0.59, phase=-0.16, frequency=210.1e9)
 TAU_MODEL = G2Model(visibility=0.576, phase=-0.434, frequency=1.32e6, linewidth=0.118e6)
@@ -69,6 +69,19 @@ class TestStreamConfig:
             basic_config(seed=-1)
 
 
+class BoundedGeometric:
+    """A generator's geometric draws, failing the test past a number of
+    calls instead of looping for ever."""
+
+    def __init__(self, rng: np.random.Generator, draws: int):
+        self.rng, self.left = rng, draws
+
+    def geometric(self, p, size):
+        self.left -= 1
+        assert self.left >= 0, "the draw does not end"
+        return self.rng.geometric(p, size=size)
+
+
 class TestBernoulliBins:
     @given(st.integers(0, 300).flatmap(
         lambda n: st.tuples(st.just(n), st.sets(st.integers(0, max(n - 1, 0)), max_size=n))))
@@ -89,6 +102,18 @@ class TestBernoulliBins:
         assert bins.size == 0 or (bins[0] >= 0 and bins[-1] < n_bins)
         mean = n_bins * p
         assert abs(bins.size - mean) < 5.0 * math.sqrt(mean * (1.0 - p))
+
+    # p = 2e-20 is a 1e-12 Hz dark rate in 20 ns bins; at 2^62 bins and more
+    # one clipped gap is as much as the running sum can hold
+    @given(st.integers(1, 10_000), st.floats(5e-324, 1e-3, allow_subnormal=True))
+    @example(1, 5e-324)
+    @example(25_000_000, 2e-20)
+    @example(2**62, 1e-300)
+    @example(2**63 - 1024, 5e-324)
+    def test_tiny_probabilities_end_sorted_and_in_range(self, n_bins, p):
+        bins = _bernoulli_bins(BoundedGeometric(np.random.default_rng(4), draws=10), n_bins, p)
+        assert np.all(np.diff(bins) > 0)
+        assert bins.size == 0 or (bins[0] >= 0 and bins[-1] < n_bins)
 
 
 sorted_ints = st.lists(st.integers(0, 200), max_size=40).map(sorted)
@@ -281,6 +306,23 @@ def valid_streams(draw):
     return TdcStream(times_a=draw(clicks), times_b=draw(clicks), meta=meta)
 
 
+@st.composite
+def wide_streams(draw):
+    """Streams on a 1 ps grid whose times take any of the 1 to 19 digits of
+    the int64 picosecond clock."""
+    clicks = st.lists(st.integers(0, 2**63 - 2), max_size=20).map(sorted)
+    meta = StreamMeta(bin_width_ps=1, duration_ps=2**63 - 1, seed=draw(st.integers(0, 2**64 - 1)))
+    return TdcStream(times_a=draw(clicks), times_b=draw(clicks), meta=meta)
+
+
+# time 0 and the first and last time of every digit count
+EVERY_WIDTH = TdcStream(
+    times_a=[0] + [10**k - 1 for k in range(1, 19)] + [2**63 - 2],
+    times_b=[10**k for k in range(19)],
+    meta=StreamMeta(bin_width_ps=1, duration_ps=2**63 - 1, seed=7),
+)
+
+
 def text_records(path):
     lines = path.read_text().splitlines()
     return [(int(t), letter) for letter, t in (line.split() for line in lines if not line.startswith("#"))]
@@ -296,6 +338,82 @@ stream_file_bytes = st.one_of(
     st.text("AB#=_+- 0123456789\n", max_size=200).map(lambda s: (TEXT_HEADER + s).encode()),
     binary_records.map(lambda recs: BINARY_HEADER + np.array(recs, dtype=RECORD).tobytes()),
 )
+
+
+def parse_outcomes(path):
+    """What read_stream and the line loop each make of a file: a stream, or
+    the message of the StreamFormatError it raised."""
+    outcomes = []
+    for read in (read_stream, lambda path: streams._read_text_lines(path.read_bytes(), path)):
+        try:
+            outcomes.append(read(path))
+        except StreamFormatError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+CANONICAL = TEXT_HEADER + "A 0\nB 7\nA 1000\nB 1000\nA 4999\n"
+
+
+class TestTextFastPath:
+    @given(st.one_of(valid_streams(), wide_streams()), st.integers(1, 8))
+    @example(EVERY_WIDTH, 5)
+    def test_writer_bytes_match_string_formatting(self, tmp_path_factory, stream, block):
+        path = tmp_path_factory.getbasetemp() / "oracle.txt"
+        with mock.patch.object(streams, "_TEXT_BLOCK", block):
+            write_stream(stream, path)
+        assert path.read_bytes() == text_stream_bytes(stream)
+
+    @given(st.one_of(valid_streams(), wide_streams()))
+    @example(EVERY_WIDTH)
+    def test_written_files_parse_like_the_line_loop(self, tmp_path_factory, stream):
+        path = tmp_path_factory.getbasetemp() / "written.txt"
+        write_stream(stream, path)
+        with mock.patch.object(streams, "_read_text_lines", wraps=streams._read_text_lines) as loop:
+            fast, slow = parse_outcomes(path)
+        assert isinstance(fast, TdcStream) and fast == slow == stream
+        # one call is parse_outcomes' own; read_stream makes a second only for 19-digit times
+        long_times = max(stream.times_a.max(initial=0), stream.times_b.max(initial=0)) >= 10**18
+        assert loop.call_count == 1 + long_times
+
+    @given(stream_file_bytes)
+    def test_any_bytes_parse_like_the_line_loop(self, tmp_path_factory, raw):
+        assume(not raw.startswith(BINARY_MAGIC))
+        path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+        path.write_bytes(raw)
+        fast, slow = parse_outcomes(path)
+        assert fast == slow
+
+    @pytest.mark.parametrize("text, fast", [
+        (CANONICAL, True),
+        (CANONICAL.replace("B 7", "B 007"), True),  # leading zeros
+        (CANONICAL.replace("\n", "\r\n"), False),
+        (CANONICAL.replace("B 7\n", "B 7\n\n"), False),  # blank line
+        (CANONICAL.replace("B 7\n", "B 7\n#seed=9\n"), False),  # header among the records
+        (CANONICAL.replace("B 7", "B +7"), False),
+        (CANONICAL.replace("A 1000", "A 1_000"), False),
+        (CANONICAL.replace("B 7", "B 0000000000000000007"), False),  # 19 digits
+        (CANONICAL.replace("A 4999", "A 1000000000000000000"), False),  # 19 digits, past the duration
+        (CANONICAL.replace("A 4999", "A 9999999999999999999"), False),  # past int64
+        (CANONICAL.replace("B 7", "B -7"), False),
+        (CANONICAL.replace("B 7", "B\t7"), False),
+        (CANONICAL.replace("B 7", "C 7"), False),
+        (CANONICAL.replace("A 1000", "A 1000 5"), False),
+        (CANONICAL.replace("A 1000", "A 100é"), False),
+        (CANONICAL.replace("#seed=1\n", "#seed=1\r#seed=2\n"), False),  # a header line broken at CR
+        (CANONICAL.replace("#seed=1", "#seed=x"), True),  # bad header, canonical records
+        (CANONICAL.replace("#seed=1\n", ""), True),  # missing header
+        (CANONICAL[:-1], False),  # no newline after the last record
+        (TEXT_HEADER, True),
+        (TEXT_HEADER[:-1], False),
+    ])
+    def test_mutated_files_parse_like_the_line_loop(self, tmp_path, text, fast):
+        path = tmp_path / "mutated.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(streams, "_read_text_lines", wraps=streams._read_text_lines) as loop:
+            one, two = parse_outcomes(path)
+        assert one == two
+        assert loop.call_count == 1 + (not fast)
 
 
 class TestTdcStreamEquality:
