@@ -1,20 +1,21 @@
 """Coincidence counting and g2 estimation from click streams.
 
-A coincidence is a timing bin hit by both channels after channel B's
-timestamps are shifted by the post-processing delay tau.  The estimator
+Counting uses the stream's own bin, over the stream's whole bins.  A
+coincidence is a bin hit by both channels after channel B's timestamps
+are shifted by the post-processing delay tau.  The estimator
 
     g2 = n_coincidence * n_bin / (n_A * n_B)
 
 counts n_A and n_B as bins hit by each channel, like the coincidences, so
-it is 1 for uncorrelated streams at any analysis bin width; its error bar
-is Poisson-dominated, sigma = g2 / sqrt(n_coincidence).
+it is 1 for uncorrelated streams; its error bar is Poisson-dominated,
+sigma = g2 / sqrt(n_coincidence).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from .streams import CHANNEL_A, CHANNEL_B, PS_PER_SECOND, TdcStream, _dedupe_sor
 
 X_KINDS = ("t_delay", "tau", "path_length")
 _X_UNITS = {"t_delay": "s", "tau": "s", "path_length": "m"}
+# widest span of whole-bin shifts the all-shifts pass takes; its difference
+# histogram holds one int64 per bin of the span
+_MAX_SHIFT_SPAN = 50_000_000
 
 
 def _count_distinct_sorted(values: np.ndarray) -> int:
@@ -40,7 +44,6 @@ class CoincidenceCounts:
     n_a: int
     n_b: int
     n_bin: int
-    bin_width: float  # seconds
     tau: float  # seconds
 
     def __post_init__(self):
@@ -50,16 +53,18 @@ class CoincidenceCounts:
             raise ValueError("more coincidences than singles; counting is inconsistent")
 
 
-def count_coincidences(
-    stream: TdcStream,
-    tau: float = 0.0,
-    bin_width: float | None = None,
-    window: tuple[float, float] | None = None,
-) -> CoincidenceCounts:
-    """Count bins hit by both channels after shifting B by tau.
+def _whole_bins(stream: TdcStream) -> tuple[int, int]:
+    """(bin width in ps, number of whole bins) of a stream; both counters
+    drop clicks past the last whole bin."""
+    bw_ps = stream.meta.bin_width_ps
+    n_bin = stream.meta.duration_ps // bw_ps
+    if n_bin <= 0:
+        raise ValueError("stream is shorter than one bin")
+    return bw_ps, n_bin
 
-    bin_width defaults to the stream's own bin width and may only be
-    coarser; window is (start, stop) in seconds within the stream duration.
+
+def count_coincidences(stream: TdcStream, tau: float = 0.0) -> CoincidenceCounts:
+    """Count bins hit by both channels after shifting B by tau.
 
     The coincident bins follow from distinct counts of the two channels'
     bins and of their union: n_coincidence = n_a + n_b - |A union B|.  Both
@@ -74,40 +79,21 @@ def count_coincidences(
     call took 150 us as int32 quicksort, 280 us as int64 timsort and 380 us
     as int64 quicksort.
     """
-    stream_bw_s = stream.meta.bin_width_ps / PS_PER_SECOND
-    if bin_width is None:
-        bin_width = stream_bw_s
-    if bin_width < stream_bw_s - 1e-15:
-        raise ValueError(
-            f"analysis bin width {bin_width} is finer than the stream's {stream_bw_s}"
-        )
-    bw_ps = round(bin_width * PS_PER_SECOND)
-    duration_ps = stream.meta.duration_ps
-    if window is None:
-        w0_ps, w1_ps = 0, duration_ps
-    else:
-        w0_ps, w1_ps = (round(w * PS_PER_SECOND) for w in window)
-        w0_ps = max(w0_ps, 0)
-        w1_ps = min(w1_ps, duration_ps)
-    if w1_ps <= w0_ps:
-        raise ValueError(f"empty counting window: [{w0_ps}, {w1_ps}) ps")
-    n_bin = (w1_ps - w0_ps) // bw_ps
-    if n_bin <= 0:
-        raise ValueError("window is shorter than one analysis bin")
+    bw_ps, n_bin = _whole_bins(stream)
     tau_ps = round(tau * PS_PER_SECOND)
-    if abs(tau_ps) >= duration_ps and duration_ps > 0:
+    if abs(tau_ps) >= stream.meta.duration_ps:
         raise ValueError(f"shift {tau} s reaches beyond the stream duration")
 
     times_a = stream.channel_times(CHANNEL_A)
     times_b = stream.channel_times(CHANNEL_B)
-    top_ps = w0_ps + n_bin * bw_ps
-    # B is selected on its unshifted times, [w0 - tau, top - tau)
-    sel_a = times_a[np.searchsorted(times_a, w0_ps) : np.searchsorted(times_a, top_ps)]
-    sel_b = times_b[np.searchsorted(times_b, w0_ps - tau_ps) : np.searchsorted(times_b, top_ps - tau_ps)]
+    top_ps = n_bin * bw_ps
+    # B is selected on its unshifted times, [-tau, top - tau)
+    sel_a = times_a[: np.searchsorted(times_a, top_ps)]
+    sel_b = times_b[np.searchsorted(times_b, -tau_ps) : np.searchsorted(times_b, top_ps - tau_ps)]
     merged = np.empty(sel_a.size + sel_b.size, dtype=np.int32 if n_bin < 2**31 else np.int64)
     bins_a, bins_b = merged[: sel_a.size], merged[sel_a.size :]
-    np.floor_divide(sel_a - w0_ps, bw_ps, out=bins_a, casting="unsafe")
-    np.floor_divide(sel_b + (tau_ps - w0_ps), bw_ps, out=bins_b, casting="unsafe")
+    np.floor_divide(sel_a, bw_ps, out=bins_a, casting="unsafe")
+    np.floor_divide(sel_b + tau_ps, bw_ps, out=bins_b, casting="unsafe")
     n_a = _count_distinct_sorted(bins_a)
     n_b = _count_distinct_sorted(bins_b)
     merged.sort()
@@ -116,7 +102,6 @@ def count_coincidences(
         n_a=n_a,
         n_b=n_b,
         n_bin=int(n_bin),
-        bin_width=bw_ps / PS_PER_SECOND,
         tau=tau_ps / PS_PER_SECOND,
     )
 
@@ -128,7 +113,7 @@ def estimate_g2(counts: CoincidenceCounts) -> tuple[float, float]:
     sigma is reported at the one-count scale as an upper bound.
     """
     if counts.n_a <= 0 or counts.n_b <= 0:
-        raise ValueError("g2 undefined: a channel has zero counts in the window")
+        raise ValueError("g2 undefined: a channel has zero counts")
     scale = counts.n_bin / (counts.n_a * counts.n_b)
     g2 = counts.n_coincidence * scale
     sigma = scale * math.sqrt(max(counts.n_coincidence, 1))
@@ -165,6 +150,9 @@ class G2Curve:
             raise ValueError(f"x_kind must be one of {X_KINDS}, got {self.x_kind!r}")
         if not (self.x.shape == self.g2.shape == self.sigma.shape):
             raise ValueError("x, g2 and sigma must have identical shape")
+        for name in ("x", "g2", "sigma"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"every curve point needs a finite {name}")
         if np.any(self.sigma <= 0):
             raise ValueError("every curve point needs a positive sigma")
 
@@ -211,24 +199,26 @@ class G2Curve:
         return cls(data[:, 0], data[:, 1], data[:, 2], x_kind)
 
 
-def scan_delay(
-    delay_streams: Sequence[tuple[float, TdcStream]],
-    bin_width: float | None = None,
-) -> G2Curve:
+def _tally_curve(x_kind: str, points: Iterable[tuple[float, CoincidenceCounts]]) -> G2Curve:
+    """A curve from (x, tallies) points, each tally through estimate_g2;
+    a lazy source of points holds one tally at a time."""
+    xs, g2s, sigmas = [], [], []
+    for x, counts in points:
+        g2, sigma = estimate_g2(counts)
+        xs.append(x)
+        g2s.append(g2)
+        sigmas.append(sigma)
+    return G2Curve(np.array(xs), np.array(g2s), np.array(sigmas), x_kind)
+
+
+def scan_delay(delay_streams: Sequence[tuple[float, TdcStream]]) -> G2Curve:
     """One zero-shift g2 point per controller delay setting."""
     delays = [t for t, _ in delay_streams]
     if len(delays) < 3:
         raise ValueError(f"a delay scan needs >= 3 settings, got {len(delays)}")
     if len(set(delays)) != len(delays):
         raise ValueError("duplicate delay settings in scan")
-    xs, g2s, sigmas = [], [], []
-    for t_delay, stream in delay_streams:
-        counts = count_coincidences(stream, tau=0.0, bin_width=bin_width)
-        g2, sigma = estimate_g2(counts)
-        xs.append(t_delay)
-        g2s.append(g2)
-        sigmas.append(sigma)
-    return G2Curve(np.array(xs), np.array(g2s), np.array(sigmas), "t_delay")
+    return _tally_curve("t_delay", ((t_delay, count_coincidences(stream)) for t_delay, stream in delay_streams))
 
 
 def _multi_shift_coincidences(
@@ -247,65 +237,49 @@ def _multi_shift_coincidences(
     return histogram[shifts - s_min]
 
 
-def _scan_tau_fast(stream: TdcStream, taus: list[float]) -> G2Curve | None:
-    """All-shifts pass when the taus are whole stream bins and no rebinning
-    or windowing is requested; exactly equivalent to the per-tau counter."""
-    bw_ps = stream.meta.bin_width_ps
-    shifts = []
-    for tau in taus:
-        shift = tau * PS_PER_SECOND / bw_ps
-        if abs(shift - round(shift)) > 1e-9:
-            return None
-        shifts.append(round(shift))
-    shifts = np.array(shifts, dtype=np.int64)
-    if int(shifts.max()) - int(shifts.min()) > 50_000_000:
-        return None  # difference histogram would be huge; take the per-tau path
-    n_bin = stream.meta.duration_ps // bw_ps
-    if n_bin <= 0:
-        raise ValueError("stream is shorter than one bin")
+def _all_shift_tallies(stream: TdcStream, shifts: np.ndarray) -> Iterator[CoincidenceCounts]:
+    """Tallies at whole-bin shifts from one pass over all pair differences;
+    each equals count_coincidences at tau = shift * bin width."""
+    bw_ps, n_bin = _whole_bins(stream)
     if np.any(np.abs(shifts) >= n_bin):
         raise ValueError("shift reaches beyond the stream duration")
     bins_a = _dedupe_sorted(stream.channel_times(CHANNEL_A) // bw_ps)
     bins_a = bins_a[: np.searchsorted(bins_a, n_bin)]
     bins_b = _dedupe_sorted(stream.channel_times(CHANNEL_B) // bw_ps)
     n_c = _multi_shift_coincidences(bins_a, bins_b, shifts)
-    xs, g2s, sigmas = [], [], []
-    for shift, n_coinc in zip(shifts.tolist(), n_c.tolist()):
-        # B bins whose shifted position stays inside the acquisition
-        n_b = np.searchsorted(bins_b, n_bin - shift) - np.searchsorted(bins_b, -shift)
-        counts = CoincidenceCounts(
+    # B bins whose shifted position stays inside the acquisition
+    n_b = np.searchsorted(bins_b, n_bin - shifts) - np.searchsorted(bins_b, -shifts)
+    for shift, n_coinc, n_b_shift in zip(shifts.tolist(), n_c.tolist(), n_b.tolist()):
+        yield CoincidenceCounts(
             n_coincidence=n_coinc,
-            n_a=int(bins_a.size),
-            n_b=int(n_b),
+            n_a=bins_a.size,
+            n_b=n_b_shift,
             n_bin=int(n_bin),
-            bin_width=bw_ps / PS_PER_SECOND,
             tau=shift * bw_ps / PS_PER_SECOND,
         )
-        g2, sigma = estimate_g2(counts)
-        xs.append(counts.tau)
-        g2s.append(g2)
-        sigmas.append(sigma)
-    return G2Curve(np.array(xs), np.array(g2s), np.array(sigmas), "tau")
 
 
-def scan_tau(
-    stream: TdcStream,
-    taus: Sequence[float],
-    bin_width: float | None = None,
-) -> G2Curve:
-    """g2 against the post-processing shift, all points from one stream."""
-    taus = list(taus)
-    if not taus:
+def scan_tau(stream: TdcStream, taus: Sequence[float]) -> G2Curve:
+    """g2 against the post-processing shift, all points from one stream.
+
+    The taus are checked as floats before any is rounded to whole ps or
+    bins.  Taus that are all whole stream bins, spanning at most
+    _MAX_SHIFT_SPAN bins, take the all-shifts pass; any other taus are
+    counted one at a time.  Both give the same tallies for the same shift.
+    """
+    taus = np.array(taus, dtype=float)
+    if taus.size == 0:
         raise ValueError("tau list is empty")
-    if bin_width is None or round(bin_width * PS_PER_SECOND) == stream.meta.bin_width_ps:
-        fast = _scan_tau_fast(stream, taus)
-        if fast is not None:
-            return fast
-    xs, g2s, sigmas = [], [], []
-    for tau in taus:
-        counts = count_coincidences(stream, tau=tau, bin_width=bin_width)
-        g2, sigma = estimate_g2(counts)
-        xs.append(counts.tau)
-        g2s.append(g2)
-        sigmas.append(sigma)
-    return G2Curve(np.array(xs), np.array(g2s), np.array(sigmas), "tau")
+    finite = np.isfinite(taus)
+    if not finite.all():
+        raise ValueError(f"tau {taus[~finite][0]} is not finite")
+    beyond = np.abs(taus) >= stream.meta.duration_ps / PS_PER_SECOND
+    if beyond.any():
+        raise ValueError(f"shift {taus[beyond][0]} s reaches beyond the stream duration")
+    shifts = taus * PS_PER_SECOND / stream.meta.bin_width_ps
+    whole = np.round(shifts)
+    if np.all(np.abs(shifts - whole) <= 1e-9) and whole.max() - whole.min() <= _MAX_SHIFT_SPAN:
+        tallies = _all_shift_tallies(stream, whole.astype(np.int64))
+    else:
+        tallies = (count_coincidences(stream, tau) for tau in taus.tolist())
+    return _tally_curve("tau", ((counts.tau, counts) for counts in tallies))

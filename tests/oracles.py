@@ -142,12 +142,12 @@ def pairwise_coincidences(
 
 
 def occupied_bin_tallies(
-    times_a, times_b, tau_ps: int, bin_width_ps: int, w0_ps: int, w1_ps: int
+    times_a, times_b, tau_ps: int, bin_width_ps: int, duration_ps: int
 ) -> tuple[int, int, int]:
-    """(coincident, A, B) occupied-bin counts over the whole bins of [w0, w1), by sets."""
-    top_ps = w0_ps + (w1_ps - w0_ps) // bin_width_ps * bin_width_ps
-    bins_a = {(t - w0_ps) // bin_width_ps for t in times_a if w0_ps <= t < top_ps}
-    bins_b = {(t + tau_ps - w0_ps) // bin_width_ps for t in times_b if w0_ps <= t + tau_ps < top_ps}
+    """(coincident, A, B) occupied-bin counts over the whole bins of [0, duration), by sets."""
+    top_ps = duration_ps // bin_width_ps * bin_width_ps
+    bins_a = {t // bin_width_ps for t in times_a if 0 <= t < top_ps}
+    bins_b = {(t + tau_ps) // bin_width_ps for t in times_b if 0 <= t + tau_ps < top_ps}
     return len(bins_a & bins_b), len(bins_a), len(bins_b)
 
 

@@ -42,22 +42,45 @@ def toy_stream(times_a, times_b, bin_width_ps=1000, duration_ps=None):
 
 @st.composite
 def counter_cases(draw):
-    """A toy stream with repeated timestamps, possibly an empty channel, an
-    analysis bin at least the stream's, a shift of either sign and a
-    sub-window, all in ps; on the stream's bin grid or off it."""
+    """A toy stream with repeated timestamps, possibly an empty channel, a
+    duration that need not be a whole number of bins, and a shift of either
+    sign, all in ps; times and shift on the stream's bin grid or off it."""
     stream_bw = draw(st.integers(1, 50))
-    n_stream_bins = draw(st.integers(4, 60))
-    duration = stream_bw * n_stream_bins
-    clicks = st.lists(st.integers(0, n_stream_bins - 1), max_size=30)
-    times_a = sorted(t * stream_bw for t in draw(clicks))
-    times_b = sorted(t * stream_bw for t in draw(clicks))
-    # on the grid, clicks land exactly on window edges and bin edges
+    duration = draw(st.integers(stream_bw, 60 * stream_bw))
+    # on the grid, clicks land exactly on bin edges
     step = stream_bw if draw(st.booleans()) else 1
-    bw = step * draw(st.integers(stream_bw // step, 4 * stream_bw // step))
+    clicks = st.lists(st.integers(0, (duration - 1) // step), max_size=30)
+    times_a = sorted(t * step for t in draw(clicks))
+    times_b = sorted(t * step for t in draw(clicks))
     tau_ps = step * draw(st.integers(-((duration - 1) // step), (duration - 1) // step))
-    w0 = step * draw(st.integers(0, (duration - bw) // step))
-    w1 = step * draw(st.integers(-(-(w0 + bw) // step), duration // step))
-    return stream_bw, duration, times_a, times_b, bw, tau_ps, w0, w1
+    return stream_bw, duration, times_a, times_b, tau_ps
+
+
+@st.composite
+def off_grid_scans(draw):
+    """A small simulated stream, whose times lie on its bin grid, with
+    off-grid taus in ps and the whole-bin shift below each."""
+    bw_ps = draw(st.integers(2, 2000))
+    n_bins = draw(st.integers(200, 2000))
+    bin_width = bw_ps / PS_PER_SECOND
+    # a damped fringe a few bins wide, so g2 varies with the shift
+    model = G2Model(visibility=0.5, phase=0.3, frequency=0.05 / bin_width, linewidth=0.2 / bin_width)
+    cfg = StreamConfig(bin_width=bin_width, rate_a=0.06 / bin_width, rate_b=0.06 / bin_width,
+                       seed=draw(st.integers(0, 2**64 - 1)), model=model,
+                       delay_schedule=((0.0, n_bins * bin_width),))
+    # at least 100 bins of B stay inside the stream, so a channel is rarely empty
+    shifts = draw(st.lists(st.integers(100 - n_bins, n_bins - 100), min_size=1, max_size=10))
+    taus_ps = [k * bw_ps + draw(st.integers(1, bw_ps - 1)) for k in shifts]
+    return simulate_stream(cfg), taus_ps, shifts
+
+
+def scan_outcome(stream, taus):
+    """(g2, sigma) lists of a shift scan, or its error message."""
+    try:
+        curve = scan_tau(stream, taus)
+    except ValueError as exc:
+        return str(exc)
+    return curve.g2.tolist(), curve.sigma.tolist()
 
 
 class TestCountCoincidences:
@@ -82,16 +105,18 @@ class TestCountCoincidences:
         assert counts.n_coincidence == times_a.size
         assert count_coincidences(stream, tau=0.0).n_coincidence == 0
 
-    def test_shift_covariance_exact(self):
+    @pytest.mark.parametrize("bw_ps", [1000, 3000, 7001])
+    def test_shift_covariance_exact(self, bw_ps):
+        # shifting B by tau counts like a stream whose B clicks are tau later
         rng = np.random.default_rng(3)
         times_a = np.sort(rng.choice(10_000, size=300, replace=False)) * 1000
         times_b = np.sort(rng.choice(10_000, size=300, replace=False)) * 1000
         tau = 17e-9
-        stream = toy_stream(times_a, times_b, duration_ps=10_000_000)
-        shifted = toy_stream(times_a, times_b + 17_000, duration_ps=10_017_000)
-        a = count_coincidences(stream, tau=tau, window=(0.0, 10_000e-9))
-        b = count_coincidences(shifted, tau=0.0, window=(0.0, 10_000e-9))
-        assert a.n_coincidence == b.n_coincidence
+        stream = toy_stream(times_a, times_b, bin_width_ps=bw_ps, duration_ps=10_017_000)
+        shifted = toy_stream(times_a, times_b + 17_000, bin_width_ps=bw_ps, duration_ps=10_017_000)
+        a = count_coincidences(stream, tau=tau)
+        b = count_coincidences(shifted, tau=0.0)
+        assert (a.n_coincidence, a.n_a, a.n_b) == (b.n_coincidence, b.n_a, b.n_b)
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(11)
@@ -99,23 +124,22 @@ class TestCountCoincidences:
             n = int(rng.integers(50, 400))
             times_a = np.sort(rng.choice(500_000, size=n, replace=False)).astype(np.int64)
             times_b = np.sort(rng.choice(500_000, size=n, replace=False)).astype(np.int64)
-            bw_ps = int(rng.choice([100, 250, 1000]))
+            bw_ps = int(rng.choice([100, 250, 1000, 7001]))
             tau_ps = int(rng.integers(-5000, 5000))
-            stream = toy_stream(times_a, times_b, bin_width_ps=100, duration_ps=600_000)
-            counts = count_coincidences(stream, tau=tau_ps * 1e-12, bin_width=bw_ps * 1e-12)
-            in_window = (times_b + tau_ps >= 0) & (times_b + tau_ps < (600_000 // bw_ps) * bw_ps)
-            expected = pairwise_coincidences(times_a, times_b[in_window], tau_ps, bw_ps)
+            stream = toy_stream(times_a, times_b, bin_width_ps=bw_ps, duration_ps=600_000)
+            counts = count_coincidences(stream, tau=tau_ps * 1e-12)
+            in_range = (times_b + tau_ps >= 0) & (times_b + tau_ps < (600_000 // bw_ps) * bw_ps)
+            expected = pairwise_coincidences(times_a, times_b[in_range], tau_ps, bw_ps)
             assert counts.n_coincidence == expected
 
     @given(counter_cases())
-    @example((10, 400, [0, 20, 20, 130, 390], [], 25, -7, 15, 340))  # B empty
+    @example((10, 395, [0, 20, 20, 130, 390], [], -7))  # B empty, a click past the last whole bin
     def test_matches_set_oracle(self, case):
-        stream_bw, duration, times_a, times_b, bw, tau_ps, w0, w1 = case
+        stream_bw, duration, times_a, times_b, tau_ps = case
         stream = toy_stream(times_a, times_b, bin_width_ps=stream_bw, duration_ps=duration)
-        counts = count_coincidences(stream, tau=tau_ps / PS_PER_SECOND, bin_width=bw / PS_PER_SECOND,
-                                    window=(w0 / PS_PER_SECOND, w1 / PS_PER_SECOND))
+        counts = count_coincidences(stream, tau=tau_ps / PS_PER_SECOND)
         assert (counts.n_coincidence, counts.n_a, counts.n_b) == occupied_bin_tallies(
-            times_a, times_b, tau_ps, bw, w0, w1)
+            times_a, times_b, tau_ps, stream_bw, duration)
 
     # 1 ps bins put n_bin past 2^31, so the bins take an int64 buffer; at
     # 10^10 bins, clicks 2^32 apart would share one bin if cast to int32
@@ -130,37 +154,31 @@ class TestCountCoincidences:
         counts = count_coincidences(stream, tau=tau_ps / PS_PER_SECOND)
         assert counts.n_bin == duration_ps
         assert (counts.n_coincidence, counts.n_a, counts.n_b) == occupied_bin_tallies(
-            times_a, times_b, tau_ps, 1, 0, duration_ps)
+            times_a, times_b, tau_ps, 1, duration_ps)
 
-    def test_finer_bin_than_stream_rejected(self):
-        stream = toy_stream([0], [0], bin_width_ps=1000)
-        with pytest.raises(ValueError, match="finer"):
-            count_coincidences(stream, bin_width=0.5e-9)
-
-    def test_empty_window_rejected(self):
-        stream = toy_stream([0], [0])
-        with pytest.raises(ValueError, match="window"):
-            count_coincidences(stream, window=(5e-9, 5e-9))
+    @pytest.mark.parametrize("count", [count_coincidences, lambda stream: scan_tau(stream, [0.0])],
+                             ids=["count_coincidences", "scan_tau"])
+    def test_stream_shorter_than_one_bin_rejected(self, count):
+        stream = toy_stream([0, 400], [10], bin_width_ps=1000, duration_ps=500)
+        with pytest.raises(ValueError, match="shorter than one bin"):
+            count(stream)
 
 
 class TestEstimateG2:
     def test_uncorrelated_expectation_is_one(self):
-        counts = CoincidenceCounts(n_coincidence=25, n_a=500, n_b=500, n_bin=10_000,
-                                   bin_width=1e-9, tau=0.0)
+        counts = CoincidenceCounts(n_coincidence=25, n_a=500, n_b=500, n_bin=10_000, tau=0.0)
         g2, _ = estimate_g2(counts)
         assert g2 == pytest.approx(25 * 10_000 / (500 * 500))
         assert g2 == pytest.approx(1.0)
 
     def test_zero_coincidences_upper_bound_sigma(self):
-        counts = CoincidenceCounts(n_coincidence=0, n_a=100, n_b=100, n_bin=1000,
-                                   bin_width=1e-9, tau=0.0)
+        counts = CoincidenceCounts(n_coincidence=0, n_a=100, n_b=100, n_bin=1000, tau=0.0)
         g2, sigma = estimate_g2(counts)
         assert g2 == 0.0
         assert sigma == pytest.approx(1000 / (100 * 100))
 
     def test_zero_singles_rejected(self):
-        counts = CoincidenceCounts(n_coincidence=0, n_a=0, n_b=10, n_bin=1000,
-                                   bin_width=1e-9, tau=0.0)
+        counts = CoincidenceCounts(n_coincidence=0, n_a=0, n_b=10, n_bin=1000, tau=0.0)
         with pytest.raises(ValueError, match="zero counts"):
             estimate_g2(counts)
 
@@ -174,16 +192,6 @@ class TestEstimateG2:
         g2, sigma = estimate_g2(count_coincidences(stream))
         assert abs(g2 - (1.0 + model.visibility / 2.0)) < 3.0 * sigma
         assert g2 == pytest.approx(1.295, abs=0.05)
-
-    @pytest.mark.parametrize("analysis_bin", [20e-9, 100e-9])
-    def test_rebinned_uncorrelated_stream_is_one(self, analysis_bin):
-        # coarse bins often hold several clicks of one channel; singles are
-        # counted as occupied bins like the coincidences, so g2 stays 1
-        cfg = StreamConfig(bin_width=1e-9, rate_a=2e7, rate_b=2e7, seed=7,
-                           model=None, delay_schedule=((0.0, 5e-3),))
-        stream = simulate_stream(cfg)
-        g2, sigma = estimate_g2(count_coincidences(stream, bin_width=analysis_bin))
-        assert abs(g2 - 1.0) < 4.0 * sigma
 
     def test_normalization_over_thirty_seeds(self):
         # uncorrelated million-bin streams: mean g2 within one percent of 1
@@ -282,6 +290,16 @@ class TestScans:
         for tau, g2 in zip(curve.x, curve.g2):
             assert g2 == estimate_g2(count_coincidences(stream, tau=tau))[0]
 
+    @given(off_grid_scans())
+    def test_off_grid_taus_count_as_floored_whole_bins(self, case):
+        # on-grid times make floor((t_b + tau) / bin) = t_b / bin + floor(tau / bin):
+        # off-grid taus, counted one at a time, give the same g2 and sigma as
+        # the whole-bin shifts below them through the all-shifts pass
+        stream, taus_ps, shifts = case
+        bw_ps = stream.meta.bin_width_ps
+        off_grid = scan_outcome(stream, [t / PS_PER_SECOND for t in taus_ps])
+        assert off_grid == scan_outcome(stream, [k * bw_ps / PS_PER_SECOND for k in shifts])
+
     def test_scan_tau_fractional_shift_uses_general_path(self):
         cfg = StreamConfig(bin_width=2e-9, rate_a=2e7, rate_b=2e7, seed=34,
                            delay_schedule=((0.0, 1e-4),))
@@ -327,4 +345,4 @@ class TestG2Curve:
 
     def test_inconsistent_counts_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):
-            CoincidenceCounts(n_coincidence=5, n_a=2, n_b=9, n_bin=100, bin_width=1e-9, tau=0.0)
+            CoincidenceCounts(n_coincidence=5, n_a=2, n_b=9, n_bin=100, tau=0.0)

@@ -308,6 +308,48 @@ class TestCli:
         code = main(["--out-dir", str(tmp_path), "analyze", "--input", str(tmp_path / "nope.txt")])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "manifest, message",
+        [
+            ({"kind": "tau", "taus": [1e300]}, "reaches beyond the stream duration"),
+            ({"kind": "tau", "taus": [0.0, math.inf]}, "tau inf is not finite"),
+            ({"kind": "tau", "taus": [math.nan]}, "tau nan is not finite"),
+            ({"kind": "delay", "t_delays": [0.0, 1e-12, math.nan]}, "finite x"),
+        ],
+        ids=["tau-1e300", "tau-inf", "tau-nan", "t_delay-nan"],
+    )
+    def test_analyze_non_finite_manifest_number_exits_3(self, tmp_path, capsys, manifest, message):
+        # taus are checked as floats before any is rounded to whole ps
+        (tmp_path / "step.txt").write_text("#binwidth_ps=1000\n#duration_ps=100000\n#seed=1\nA 0\nB 0\n")
+        t_delays = manifest.pop("t_delays", [0.0])
+        manifest["streams"] = [{"file": "step.txt", "t_delay": t} for t in t_delays]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        code = main(["--out-dir", str(tmp_path), "analyze", "--input", str(path)])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("column", ["x", "g2", "sigma"])
+    def test_fit_non_finite_point_exits_3(self, tmp_path, capsys, column, value):
+        from chromatic_hbt.analysis import G2Curve
+        from chromatic_hbt.fitting import delay_fringe
+
+        truth = np.array([0.59, -0.16, 210.1e9])
+        x = np.linspace(0.0, 5.0 / truth[2], 24)
+        curve_path = tmp_path / "curve.csv"
+        G2Curve(x, delay_fringe(truth, x), np.full(x.size, 0.01), "t_delay").to_csv(curve_path)
+        lines = curve_path.read_text().splitlines()
+        row = lines[7].split(",")
+        row[["x", "g2", "sigma"].index(column)] = value
+        lines[7] = ",".join(row)
+        curve_path.write_text("\n".join(lines) + "\n")
+        code = main(["--out-dir", str(tmp_path), "fit", "--curve", str(curve_path)])
+        assert code == 3
+        assert f"finite {column}" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_fit_on_synthetic_curve(self, tmp_path, capsys):
         from chromatic_hbt.analysis import G2Curve
         from chromatic_hbt.fitting import delay_fringe
