@@ -146,7 +146,8 @@ def _analyze_manifest(config: RunConfig, manifest_path: Path) -> G2Curve:
         return scan_delay(pairs)
     if kind == "tau":
         stream = read_stream(base / entries[0]["file"])
-        return scan_tau(stream, [float(t) for t in taus or config.tau_scan.taus()])
+        # only a missing list takes the config's taus; scan_tau refuses an empty one
+        return scan_tau(stream, config.tau_scan.taus() if taus is None else [float(t) for t in taus])
     raise DataError(f"{manifest_path}: unknown manifest kind {kind!r}")
 
 

@@ -229,50 +229,49 @@ def _complement_bins(excluded: np.ndarray, index: np.ndarray) -> np.ndarray:
     return index + np.searchsorted(below, index, side="right")
 
 
-# pairs per pass of _window_pairs; bounds the memory of the pair arrays
-# (about 52 bytes per pair while a pass is live, 3.4 MB per pass of 2^16).
-# Passes that fit in a 2 MB L2 cache ran fastest: on a Xeon vCPU the fig3
-# kernel sums took 68 ms per 0.5 s of stream at 2^16 pairs, 75 ms at 2^18
-# and 102 ms unchunked.
-_PAIR_BUDGET = 1 << 16
-# centers per block of _window_pairs, and candidates per block of the
-# _segment_kernel thinning.  A block's per-center arrays (window bounds and
-# pair counts, then kernel sums, probabilities and uniforms) take 24 to 40
-# bytes a center, about 0.3 MB; with its pair passes, one block of the
-# default fig3 sampler peaked at 2.9 MB (tracemalloc), whatever the
-# acquisition length.  On the fig3 benchmark (2-core Xeon vCPU, numpy 2.4)
-# 2^13 ran as fast as whole-acquisition passes; 2^14 and 2^15 ran 1-10 %
-# slower.
+# centers per block of _window_ranks, and candidates per block of the
+# _segment_kernel thinning.  The scratch arrays hold a few numbers per center
+# of one block (window starts, counts, order, kernel sums, probabilities),
+# whatever the acquisition length.  On one Xeon vCPU (numpy 2.4) the default
+# fig3 sampler took 21 ms per 0.5 s of stream at 2^13, 20-22 ms at 2^14 and
+# 2^15 and 23 ms at 2^12, so the smallest of the fast sizes is kept.
 _CENTER_BLOCK = 1 << 13
 
 
-def _window_pairs(positions: np.ndarray, centers: np.ndarray, lo: int, hi: int):
-    """All (center, position) pairs with lo <= position - center <= hi.
+def _rank_passes(positions: np.ndarray, starts: np.ndarray, origins: np.ndarray, ranked: np.ndarray):
+    """Rank k's offsets positions[starts + k] - origins over the first
+    ranked[k] entries, for k = 0, 1, ...; starts is advanced in place."""
+    for n in ranked.tolist():
+        head = starts[:n]
+        yield positions[head] - origins[:n]
+        head += 1
 
-    positions and centers are sorted integer arrays.  Pairs come in chunks
-    of centers as (start, index, offset): index counts centers from
-    centers[start] and does not decrease, offset is position - center.
-    A chunk holds at most _PAIR_BUDGET pairs, or one center's pairs when
-    that center alone has more, and never spans two blocks of
-    _CENTER_BLOCK centers.
+
+def _window_ranks(positions: np.ndarray, centers: np.ndarray, lo: int, hi: int):
+    """The offsets position - (center + lo) of every position within
+    [center + lo, center + hi] of each center, one neighbour rank at a time.
+
+    positions and centers are sorted integer arrays.  Per block of
+    _CENTER_BLOCK centers this yields (base, order, passes).  order lists
+    the block's centers, counted from centers[base], most positions first
+    (a stable sort, so ties keep center order).  Pass k of passes holds the
+    k-th position of the window of each of the first n_k centers of order,
+    where n_k counts the centers with more than k: each pass is a prefix
+    of the one before it, and a center's offsets come in position order.
     """
     for base in range(0, centers.size, _CENTER_BLOCK):
         block = centers[base : base + _CENTER_BLOCK]
         first = np.searchsorted(positions, block + lo)
         counts = np.searchsorted(positions, block + hi + 1) - first
-        ends = np.cumsum(counts)  # pairs of all centers up to and including each
-        start = 0
-        while start < block.size:
-            done = int(ends[start] - counts[start])  # pairs before this chunk
-            stop = max(int(np.searchsorted(ends, done + _PAIR_BUDGET, side="right")), start + 1)
-            total = int(ends[stop - 1]) - done
-            if total:
-                c, n = block[start:stop], counts[start:stop]
-                index = np.repeat(np.arange(c.size), n)
-                skip = first[start:stop] - (ends[start:stop] - n - done)
-                flat = np.arange(total) + np.repeat(skip, n)
-                yield base + start, index, positions[flat] - c[index]
-            start = stop
+        top = int(counts.max())
+        # numpy's stable sort of 16-bit keys is a radix sort: 33 us for the
+        # 2^13 window counts of a fig3 block, against 200 us as int64 (one
+        # Xeon vCPU, numpy 2.4); -counts fit an int16 while counts stay below 2^15
+        keys = np.negative(counts).astype(np.int16 if top < 2**15 else np.int64)
+        order = np.argsort(keys, kind="stable")
+        # ranked[k] = centers with more than k positions, k = 0 .. top - 1
+        ranked = np.cumsum(np.bincount(counts)[:0:-1])[::-1]
+        yield base, order, _rank_passes(positions, first[order], block[order] + lo, ranked)
 
 
 def _segment_same_bin(
@@ -328,12 +327,14 @@ def _segment_kernel(
     accepted = [np.empty(0, dtype=np.int64)]
     # PCG64 yields the same doubles whether random() is called once or block
     # by block, so the accepted clicks do not depend on the block size
-    for base in range(0, candidates.size, _CENTER_BLOCK):
-        block = candidates[base : base + _CENTER_BLOCK]
-        sums = np.zeros(block.size)
-        for start, index, offset in _window_pairs(a_bins, block, -reach, reach):
-            part = np.bincount(index, weights=kernel[offset + reach])
-            sums[start : start + part.size] = part
+    for base, order, passes in _window_ranks(a_bins, candidates, -reach, reach):
+        block = candidates[base : base + order.size]
+        # each candidate's kernel terms are added from 0.0 in time order
+        part = np.zeros(block.size)
+        for offset in passes:
+            part[: offset.size] += kernel[offset]
+        sums = np.empty(block.size)
+        sums[order] = part
         prob = p_b * np.clip(1.0 + sums - mean_shift, 0.0, _KERNEL_CAP)
         accepted.append(block[rng.random(block.size) < prob / envelope_prob])
     return a_bins, np.concatenate(accepted)

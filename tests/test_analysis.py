@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -156,6 +157,12 @@ class TestCountCoincidences:
         assert (counts.n_coincidence, counts.n_a, counts.n_b) == occupied_bin_tallies(
             times_a, times_b, tau_ps, 1, duration_ps)
 
+    @pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
+    def test_non_finite_tau_rejected(self, tau):
+        # checked as a float before it is rounded to whole ps
+        with pytest.raises(ValueError, match=f"^tau {tau} is not finite$"):
+            count_coincidences(toy_stream([0], [0]), tau=tau)
+
     @pytest.mark.parametrize("count", [count_coincidences, lambda stream: scan_tau(stream, [0.0])],
                              ids=["count_coincidences", "scan_tau"])
     def test_stream_shorter_than_one_bin_rejected(self, count):
@@ -271,14 +278,16 @@ class TestScans:
 
     @given(st.sets(st.integers(0, 300), max_size=80), st.sets(st.integers(0, 300), max_size=80),
            st.lists(st.integers(-60, 60), min_size=1, max_size=12),
-           st.one_of(st.just(1), st.just(3), st.integers(1, 100)), st.integers(1, 40))
-    @example(set(), {1, 2, 3}, [0, 5], 1, 1)  # an empty A channel
-    def test_shift_histogram_blocks_match_per_shift_intersections(self, a, b, shifts, block, budget):
+           st.one_of(st.just(1), st.just(3), st.integers(1, 100)))
+    @example(set(), {1, 2, 3}, [0, 5], 1)  # an empty A channel
+    # up to 121 differences for each of 3000 centers, 359k in all: the 2^16
+    # buffer is histogrammed five times when full and once at the end
+    @example(set(range(3000)), set(range(3000)), [-60, 0, 60], 1 << 13)
+    def test_shift_histogram_blocks_match_per_shift_intersections(self, a, b, shifts, block):
         bins_a = np.array(sorted(a), dtype=np.int64)
         bins_b = np.array(sorted(b), dtype=np.int64)
         shifts = np.array(shifts, dtype=np.int64)
-        with mock.patch.object(streams, "_PAIR_BUDGET", budget), \
-                mock.patch.object(streams, "_CENTER_BLOCK", block):
+        with mock.patch.object(streams, "_CENTER_BLOCK", block):
             counts = _multi_shift_coincidences(bins_a, bins_b, shifts)
         assert counts.tolist() == per_shift_coincidences(bins_a, bins_b, shifts.tolist())
 

@@ -315,11 +315,13 @@ class TestCli:
             ({"kind": "tau", "taus": [0.0, math.inf]}, "tau inf is not finite"),
             ({"kind": "tau", "taus": [math.nan]}, "tau nan is not finite"),
             ({"kind": "delay", "t_delays": [0.0, 1e-12, math.nan]}, "finite x"),
+            ({"kind": "tau", "taus": []}, "tau list is empty"),
         ],
-        ids=["tau-1e300", "tau-inf", "tau-nan", "t_delay-nan"],
+        ids=["tau-1e300", "tau-inf", "tau-nan", "t_delay-nan", "tau-empty"],
     )
     def test_analyze_non_finite_manifest_number_exits_3(self, tmp_path, capsys, manifest, message):
-        # taus are checked as floats before any is rounded to whole ps
+        # taus are checked as floats before any is rounded to whole ps; an
+        # empty list is refused, not read as "use the config's taus"
         (tmp_path / "step.txt").write_text("#binwidth_ps=1000\n#duration_ps=100000\n#seed=1\nA 0\nB 0\n")
         t_delays = manifest.pop("t_delays", [0.0])
         manifest["streams"] = [{"file": "step.txt", "t_delay": t} for t in t_delays]

@@ -21,7 +21,7 @@ from chromatic_hbt.streams import (
     _bernoulli_bins,
     _complement_bins,
     _segment_kernel,
-    _window_pairs,
+    _window_ranks,
     read_stream,
     simulate_stream,
     write_stream,
@@ -123,24 +123,32 @@ sorted_ints = st.lists(st.integers(0, 200), max_size=40).map(sorted)
 center_blocks = st.one_of(st.just(1), st.just(3), st.integers(1, 400))
 
 
-class TestWindowPairs:
-    @given(sorted_ints.map(set).map(sorted), sorted_ints, st.integers(-20, 20),
-           st.integers(0, 30), st.integers(1, 12), center_blocks)
-    # the center at 50 alone has 21 pairs, more than the budget of 4
-    @example(list(range(40, 61)), [5, 50, 50, 120], -10, 20, 4, 1 << 15)
-    def test_chunks_concatenate_to_one_enumeration(self, positions, centers, lo, width, budget, block):
+class TestWindowRanks:
+    @given(sorted_ints, sorted_ints, st.integers(-20, 20), st.integers(0, 30), center_blocks)
+    # windows of 2^15 + 1 and 2^15 - 1 positions in one block: the block
+    # sorts int64 keys, since -(2^15 + 1) would wrap as an int16 and put the
+    # smaller window first
+    @example(list(range((1 << 15) + 1)), [0, 2], 0, 1 << 15, 3)
+    def test_ranks_list_each_window_in_position_order(self, positions, centers, lo, width, block):
         hi = lo + width
-        expected = [(i, p - c) for i, c in enumerate(centers) for p in positions if lo <= p - c <= hi]
-        got = []
-        with mock.patch.object(streams, "_PAIR_BUDGET", budget), \
-                mock.patch.object(streams, "_CENTER_BLOCK", block):
-            chunks = _window_pairs(np.array(positions, dtype=np.int64),
-                                   np.array(centers, dtype=np.int64), lo, hi)
-            for start, index, offset in chunks:
-                # over budget only when the chunk is one center's pairs
-                assert index.size <= budget or index[-1] == 0
-                assert start // block == (start + index[-1]) // block  # within one block
-                got.extend(zip((start + index).tolist(), offset.tolist()))
+        expected = [[p - c - lo for p in positions if lo <= p - c <= hi] for c in centers]
+        got = [[] for _ in centers]
+        with mock.patch.object(streams, "_CENTER_BLOCK", block):
+            ranks = _window_ranks(np.array(positions, dtype=np.int64),
+                                  np.array(centers, dtype=np.int64), lo, hi)
+            for base, order, passes in ranks:
+                assert base % block == 0 and order.size == min(block, len(centers) - base)
+                counts = [len(expected[base + i]) for i in order.tolist()]
+                # most positions first; equal counts keep center order
+                keys = [(-n, i) for n, i in zip(counts, order.tolist())]
+                assert keys == sorted(keys)
+                sizes = []
+                for offsets in passes:
+                    sizes.append(offsets.size)
+                    for i, offset in zip(order.tolist(), offsets.tolist()):
+                        got[base + i].append(offset)
+                # pass k covers exactly the centers with more than k positions
+                assert sizes == [sum(n > k for n in counts) for k in range(max(counts))]
         assert got == expected
 
 
@@ -151,15 +159,13 @@ NARROW_MODEL = G2Model(visibility=0.576, phase=-0.434, frequency=3e7, linewidth=
 
 
 class TestKernelBlocks:
-    @given(st.integers(0, 2**32), st.integers(1, 4000), click_probs, click_probs, center_blocks,
-           st.integers(1, 64))
-    @example(7, 3000, 0.0, 0.05, 3, 64)  # no A clicks: every kernel sum is 0
-    @example(7, 5, 0.05, 1e-6, 1, 64)  # no candidates
-    @example(7, 4000, 0.1, 0.1, 1, 1)  # one center per block and per pass
-    def test_blocks_match_the_whole_segment_oracle(self, seed, n_bins, p_a, p_b, block, budget):
+    @given(st.integers(0, 2**32), st.integers(1, 4000), click_probs, click_probs, center_blocks)
+    @example(7, 3000, 0.0, 0.05, 3)  # no A clicks: every kernel sum is 0
+    @example(7, 5, 0.05, 1e-6, 1)  # no candidates
+    @example(7, 4000, 0.1, 0.1, 1)  # one center per block
+    def test_blocks_match_the_whole_segment_oracle(self, seed, n_bins, p_a, p_b, block):
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        with mock.patch.object(streams, "_PAIR_BUDGET", budget), \
-                mock.patch.object(streams, "_CENTER_BLOCK", block):
+        with mock.patch.object(streams, "_CENTER_BLOCK", block):
             a_bins, b_bins = _segment_kernel(rng, n_bins, p_a, p_b, NARROW_MODEL, 1e-9)
         a_ref, b_ref = whole_segment_kernel(oracle_rng, n_bins, p_a, p_b, NARROW_MODEL, 1e-9)
         assert np.array_equal(a_bins, a_ref)
@@ -182,9 +188,12 @@ class TestSimulateMemory:
         output = stream.times_a.nbytes + stream.times_b.nbytes
         # A, the candidates (drawn at 3 p_b, so 1.5x the output), the accepted
         # B clicks and their concatenation: 3x the output.  Plus one block's
-        # scratch: a pair pass at 64 B a pair and a block at 96 B a center.
-        # A sampler whose scratch spans the whole acquisition peaks near 8.8x.
-        bound = 3 * output + 64 * streams._PAIR_BUDGET + 96 * streams._CENTER_BLOCK
+        # scratch at 160 B a center: about twenty 8-byte numbers a center
+        # (window starts and counts, the rank order and origins, the kernel
+        # terms and sums, the probabilities and uniforms), of which 136 B
+        # were measured live at the peak.  A sampler whose scratch spans the
+        # whole acquisition peaks near 8.8x.
+        bound = 3 * output + 160 * streams._CENTER_BLOCK
         assert peak < bound, f"peak {peak / 1e6:.1f} MB for {output / 1e6:.1f} MB of output"
 
 
