@@ -226,14 +226,26 @@ def _tally_curve(x_kind: str, points: Iterable[tuple[float, CoincidenceCounts]])
     return G2Curve(np.array(xs), np.array(g2s), np.array(sigmas), x_kind)
 
 
-def scan_delay(delay_streams: Sequence[tuple[float, TdcStream]]) -> G2Curve:
-    """One zero-shift g2 point per controller delay setting."""
-    delays = [t for t, _ in delay_streams]
-    if len(delays) < 3:
-        raise ValueError(f"a delay scan needs >= 3 settings, got {len(delays)}")
-    if len(set(delays)) != len(delays):
-        raise ValueError("duplicate delay settings in scan")
-    return _tally_curve("t_delay", ((t_delay, count_coincidences(stream)) for t_delay, stream in delay_streams))
+def scan_delay(delay_streams: Iterable[tuple[float, TdcStream]]) -> G2Curve:
+    """One zero-shift g2 point per controller delay setting.
+
+    The (delay, stream) pairs are taken once, in order, and each stream is
+    counted as it comes, so a lazy source holds one stream at a time.  A
+    repeated delay is refused when it appears, fewer than 3 settings once
+    the source is done.
+    """
+
+    def points() -> Iterator[tuple[float, CoincidenceCounts]]:
+        seen: set[float] = set()
+        for t_delay, stream in delay_streams:
+            if t_delay in seen:
+                raise ValueError("duplicate delay settings in scan")
+            seen.add(t_delay)
+            yield t_delay, count_coincidences(stream)
+        if len(seen) < 3:
+            raise ValueError(f"a delay scan needs >= 3 settings, got {len(seen)}")
+
+    return _tally_curve("t_delay", points())
 
 
 def _multi_shift_coincidences(

@@ -31,7 +31,13 @@ from .protocol import (
     build_erasure_registry,
     run_erasure_pipeline,
 )
-from .streams import StreamFormatError, read_stream, simulate_stream, write_stream
+from .streams import (
+    StreamFormatError,
+    read_stream,
+    simulate_segments,
+    simulate_stream,
+    write_stream,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -95,22 +101,32 @@ def cmd_simulate(config: RunConfig, kind: str, binary: bool) -> int:
     out.mkdir(parents=True, exist_ok=True)
     suffix = ".tdc" if binary else ".txt"
     manifest: dict = {"kind": kind, "streams": []}
-    if kind == "delay":
-        stream = simulate_stream(config.delay_stream)
-        for index, (t_delay, sub) in enumerate(stream.split_segments()):
-            name = f"delay_step_{index:02d}{suffix}"
-            write_stream(sub, out / name, binary=binary)
-            manifest["streams"].append({"file": name, "t_delay": t_delay})
-    else:
-        stream = simulate_stream(config.tau_stream)
-        name = f"tau_stream{suffix}"
-        write_stream(stream, out / name, binary=binary)
-        manifest["streams"].append({"file": name, "t_delay": 0.0})
-        manifest["taus"] = list(config.tau_scan.taus())
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2))
-    total = sum(1 for _ in manifest["streams"])
-    print(f"wrote {total} stream file(s) and {manifest_path}")
+    # an earlier run's manifest would name files this run overwrites or removes
+    manifest_path.unlink(missing_ok=True)
+    written: list[Path] = []
+    try:
+        if kind == "delay":
+            # each segment is written as soon as it is drawn, so one is held at a time
+            for index, (t_delay, sub) in enumerate(simulate_segments(config.delay_stream)):
+                name = f"delay_step_{index:02d}{suffix}"
+                written.append(out / name)
+                write_stream(sub, written[-1], binary=binary)
+                manifest["streams"].append({"file": name, "t_delay": t_delay})
+        else:
+            stream = simulate_stream(config.tau_stream)
+            name = f"tau_stream{suffix}"
+            written.append(out / name)
+            write_stream(stream, written[-1], binary=binary)
+            manifest["streams"].append({"file": name, "t_delay": 0.0})
+            manifest["taus"] = list(config.tau_scan.taus())
+        written.append(manifest_path)
+        manifest_path.write_text(json.dumps(manifest, indent=2))
+    except Exception:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    print(f"wrote {len(manifest['streams'])} stream file(s) and {manifest_path}")
     return EXIT_OK
 
 
@@ -139,11 +155,8 @@ def _analyze_manifest(config: RunConfig, manifest_path: Path) -> G2Curve:
     if taus is not None and not (isinstance(taus, list) and all(map(_is_number, taus))):
         raise DataError(f"{manifest_path}: 'taus' must be a list of numbers, got {taus!r}")
     if kind == "delay":
-        pairs = []
-        for entry in entries:
-            stream = read_stream(base / entry["file"])
-            pairs.append((float(entry["t_delay"]), stream))
-        return scan_delay(pairs)
+        # one stream file read and counted at a time
+        return scan_delay((float(entry["t_delay"]), read_stream(base / entry["file"])) for entry in entries)
     if kind == "tau":
         stream = read_stream(base / entries[0]["file"])
         # only a missing list takes the config's taus; scan_tau refuses an empty one
@@ -242,8 +255,7 @@ def cmd_reproduce(config: RunConfig, figure: str) -> int:
                 f"injected fringe: visibility {truth.visibility}, phase {truth.phase} rad, "
                 f"beat {truth.frequency / 1e9:.4g} GHz"
             )
-            stream = simulate_stream(config.delay_stream)
-            curve = scan_delay(stream.split_segments())
+            curve = scan_delay(simulate_segments(config.delay_stream))
             result = _fit_curve(config, curve, "delay")
         else:
             truth = config.tau_stream.model

@@ -8,7 +8,10 @@ only; damped models spread the correlation over a kernel covering five
 envelope widths.  Generation is event-based: the bins between two clicks of
 a Bernoulli process are a geometric gap, so clicks are drawn as cumulative
 sums of geometric gaps and bins are never materialized.  Output is
-deterministic for a given seed.  A stream holds each channel's sorted click
+deterministic for a given seed.  simulate_segments yields the schedule's
+steps one at a time, each from its own child seed, so a delay scan can count
+one step's stream while the next is not yet drawn; simulate_stream plays
+them back to back as one stream.  A stream holds each channel's sorted click
 times; interleaved (channel, time) records exist only in the two file
 formats, a simple text one and a compact binary one, which round-trip
 bit-exactly.
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -346,19 +350,16 @@ def _merge_channel(signal: np.ndarray, dark: np.ndarray) -> np.ndarray:
     return _dedupe_sorted(np.sort(np.concatenate([signal, dark])))
 
 
-def simulate_stream(config: StreamConfig) -> TdcStream:
-    """Generate one seeded acquisition following the configured schedule.
+def simulate_segments(config: StreamConfig) -> Iterator[tuple[float, TdcStream]]:
+    """Each schedule step's acquisition as (controller delay, stream), in
+    schedule order, with times counted from the step's start.
 
-    Each schedule segment draws from an independent child seed of
-    (seed, segment index), so output does not depend on how segments are
-    batched or parallelized.
+    Each segment draws from an independent child seed of (seed, segment
+    index), so output does not depend on how segments are batched or
+    parallelized, and a consumer that takes one segment at a time holds one
+    segment's arrays, however long the schedule.
     """
     bw_ps = config.bin_width_ps
-    # each channel's segment arrays follow one another, so they concatenate sorted
-    parts_a = [np.empty(0, dtype=np.int64)]
-    parts_b = [np.empty(0, dtype=np.int64)]
-    segments: list[tuple[float, int, int]] = []
-    offset_bins = 0
     p_a = config.rate_a * config.bin_width
     p_b = config.rate_b * config.bin_width
     dark_a = config.dark_rate_a * config.bin_width
@@ -368,8 +369,10 @@ def simulate_stream(config: StreamConfig) -> TdcStream:
             np.random.PCG64(np.random.SeedSequence(entropy=config.seed, spawn_key=(index,)))
         )
         n_bins = round(dwell / config.bin_width)
+        meta = StreamMeta(bin_width_ps=bw_ps, duration_ps=n_bins * bw_ps, seed=config.seed)
         if n_bins == 0:
-            segments.append((t_delay, offset_bins * bw_ps, offset_bins * bw_ps))
+            yield t_delay, TdcStream(times_a=np.empty(0, dtype=np.int64),
+                                     times_b=np.empty(0, dtype=np.int64), meta=meta)
             continue
         if config.model is None:
             a_bins, b_bins = _segment_same_bin(rng, n_bins, p_a, p_b, 1.0)
@@ -380,14 +383,40 @@ def simulate_stream(config: StreamConfig) -> TdcStream:
             a_bins, b_bins = _segment_kernel(rng, n_bins, p_a, p_b, config.model, config.bin_width)
         a_bins = _merge_channel(a_bins, _bernoulli_bins(rng, n_bins, dark_a))
         b_bins = _merge_channel(b_bins, _bernoulli_bins(rng, n_bins, dark_b))
-        parts_a.append((a_bins + offset_bins) * bw_ps)
-        parts_b.append((b_bins + offset_bins) * bw_ps)
-        segments.append((t_delay, offset_bins * bw_ps, (offset_bins + n_bins) * bw_ps))
-        offset_bins += n_bins
+        a_bins *= bw_ps
+        b_bins *= bw_ps
+        yield t_delay, TdcStream(times_a=a_bins, times_b=b_bins, meta=meta)
 
-    meta = StreamMeta(bin_width_ps=bw_ps, duration_ps=offset_bins * bw_ps, seed=config.seed)
-    return TdcStream(times_a=np.concatenate(parts_a), times_b=np.concatenate(parts_b),
-                     meta=meta, segments=tuple(segments))
+
+def simulate_stream(config: StreamConfig) -> TdcStream:
+    """The schedule's segments of simulate_segments played back to back as
+    one stream, with the step windows in its segment bookkeeping.
+
+    A one-segment schedule is that segment's stream; a longer one is one
+    concatenation per channel, each segment's offset then added in place.
+    """
+    parts = list(simulate_segments(config))
+    segments: list[tuple[float, int, int]] = []
+    start_ps = 0
+    for t_delay, part in parts:
+        segments.append((t_delay, start_ps, start_ps + part.meta.duration_ps))
+        start_ps += part.meta.duration_ps
+    if len(parts) == 1:
+        stream = parts[0][1]
+        stream.segments = tuple(segments)
+        return stream
+    # each channel's segment arrays follow one another, so they concatenate sorted
+    channels = []
+    for channel in (CHANNEL_A, CHANNEL_B):
+        pieces = [part.channel_times(channel) for _, part in parts]
+        times = np.concatenate(pieces)
+        start = 0
+        for (_, offset_ps, _), piece in zip(segments, pieces):
+            times[start : start + piece.size] += offset_ps
+            start += piece.size
+        channels.append(times)
+    meta = StreamMeta(bin_width_ps=config.bin_width_ps, duration_ps=start_ps, seed=config.seed)
+    return TdcStream(times_a=channels[0], times_b=channels[1], meta=meta, segments=tuple(segments))
 
 
 def _interleave(stream: TdcStream) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ from chromatic_hbt.streams import (
     StreamConfig,
     StreamMeta,
     TdcStream,
+    simulate_segments,
     simulate_stream,
 )
 
@@ -226,6 +227,38 @@ class TestScans:
         stream = simulate_stream(cfg)
         with pytest.raises(ValueError, match="duplicate"):
             scan_delay([(0.0, stream), (0.0, stream), (1e-12, stream)])
+
+    @staticmethod
+    def delay_pairs(steps):
+        cfg = StreamConfig(bin_width=1e-9, rate_a=2e7, rate_b=2e7, seed=8,
+                           model=G2Model(visibility=0.5, phase=0.3, frequency=210.1e9),
+                           delay_schedule=tuple((k * 1e-12, 2e-4) for k in range(steps)))
+        return list(simulate_segments(cfg))
+
+    def test_scan_delay_over_a_generator_matches_the_list(self):
+        pairs = self.delay_pairs(5)
+        from_list = scan_delay(pairs)
+        from_generator = scan_delay(pair for pair in pairs)
+        for name in ("x", "g2", "sigma"):
+            assert np.array_equal(getattr(from_generator, name), getattr(from_list, name))
+
+    def test_scan_delay_generator_needs_three_settings(self):
+        pairs = self.delay_pairs(2)
+        with pytest.raises(ValueError, match=">= 3"):
+            scan_delay(pair for pair in pairs)
+
+    def test_scan_delay_generator_refuses_a_duplicate_when_it_appears(self):
+        (_, first), (_, second), (_, third) = self.delay_pairs(3)
+        taken = []
+
+        def source():
+            for pair in ((0.0, first), (1e-12, second), (0.0, third), (2e-12, first)):
+                taken.append(pair[0])
+                yield pair
+
+        with pytest.raises(ValueError, match="duplicate"):
+            scan_delay(source())
+        assert taken == [0.0, 1e-12, 0.0]
 
     def test_flat_scan_for_zero_visibility(self):
         model = G2Model(visibility=0.0, phase=0.0, frequency=210.1e9)

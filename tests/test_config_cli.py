@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from chromatic_hbt import cli
 from chromatic_hbt.cli import main
 from chromatic_hbt.config import (
     DEFAULT_CONFIG,
@@ -395,6 +396,42 @@ class TestCli:
         assert result["converged"] is True
         # visibility recovered within a loose statistical window
         assert result["params"]["visibility"]["value"] == pytest.approx(0.59, abs=0.15)
+
+    @pytest.mark.parametrize("flags", [[], ["--binary"]])
+    def test_failed_simulate_removes_its_files(self, tmp_path, capsys, monkeypatch, flags):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("[delay_scan]\nsteps = 5\ndwell = 0.2 ms\n")
+        write_stream, calls = cli.write_stream, []
+
+        def full_disk_on_the_third(stream, path, binary=False):
+            calls.append(path)
+            if len(calls) == 3:
+                path.write_bytes(b"A 1")  # the file is half written
+                raise OSError(28, "No space left on device")
+            write_stream(stream, path, binary=binary)
+
+        monkeypatch.setattr(cli, "write_stream", full_disk_on_the_third)
+        out_dir = tmp_path / "out"
+        code = main(["--config", str(cfg), "--out-dir", str(out_dir),
+                     "simulate", "--kind", "delay", *flags])
+        assert code == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert len(calls) == 3
+        assert not list(out_dir.glob("delay_step_*")) and not (out_dir / "manifest.json").exists()
+
+    def test_failed_simulate_over_an_earlier_run_leaves_no_manifest(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("[delay_scan]\nsteps = 5\ndwell = 0.2 ms\n")
+        argv = ["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "simulate", "--kind", "delay"]
+        assert main(argv) == 0
+
+        def full_disk(stream, path, binary=False):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_stream", full_disk)
+        assert main(argv) == 3
+        # the earlier manifest named step files this run removed
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = tmp_path / "small.cfg"

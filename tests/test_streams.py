@@ -8,6 +8,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from chromatic_hbt import streams
+from chromatic_hbt.analysis import scan_delay
 from chromatic_hbt.protocol import G2Model
 from chromatic_hbt.streams import (
     _GAP_CHUNK,
@@ -23,6 +24,7 @@ from chromatic_hbt.streams import (
     _segment_kernel,
     _window_ranks,
     read_stream,
+    simulate_segments,
     simulate_stream,
     write_stream,
 )
@@ -196,6 +198,24 @@ class TestSimulateMemory:
         bound = 3 * output + 160 * streams._CENTER_BLOCK
         assert peak < bound, f"peak {peak / 1e6:.1f} MB for {output / 1e6:.1f} MB of output"
 
+    def test_delay_scan_peak_does_not_grow_with_the_schedule(self):
+        # 1 ms steps at 20 MHz per channel: about 40k records a step.  A scan
+        # that counts each step as it is drawn holds one or two steps at a
+        # time; one that holds the whole acquisition peaks near 4x at 40 steps
+        def peak(steps):
+            cfg = basic_config(rate_a=2e7, rate_b=2e7, seed=3,
+                               delay_schedule=tuple((k * 1e-13, 1e-3) for k in range(steps)))
+            tracemalloc.start()
+            try:
+                scan_delay(simulate_segments(cfg))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(3)  # first-call allocations are not the scan's
+        short, long = peak(10), peak(40)
+        assert long < 1.2 * short, f"peak {long / 1e6:.2f} MB at 40 steps, {short / 1e6:.2f} MB at 10"
+
 
 class TestSimulateStream:
     def test_deterministic_for_seed(self):
@@ -303,6 +323,29 @@ class TestSimulateStream:
         assert parts[1][0] == 2e-12
         total = sum(len(sub) for _, sub in parts)
         assert total == len(stream)
+
+
+@st.composite
+def schedules(draw):
+    """1 to 6 (delay, dwell) steps of 0 to 3000 bins of 1 ns."""
+    steps = st.tuples(st.floats(-1e-11, 1e-11), st.integers(0, 3000).map(lambda n: n * 1e-9))
+    return tuple(draw(st.lists(steps, min_size=1, max_size=6)))
+
+
+class TestSimulateSegments:
+    @given(schedules(), st.integers(0, 2**32), st.sampled_from([0.0, 3e6]), st.sampled_from([0.0, 1e6]),
+           st.sampled_from([None, ZERO_MODEL, NARROW_MODEL]))
+    def test_segments_match_the_split_stream(self, schedule, seed, dark_a, dark_b, model):
+        cfg = basic_config(rate_a=2e7, rate_b=2e7, seed=seed, model=model, delay_schedule=schedule,
+                           dark_rate_a=dark_a, dark_rate_b=dark_b)
+        got = list(simulate_segments(cfg))
+        expected = simulate_stream(cfg).split_segments()
+        assert len(got) == len(expected) == len(schedule)
+        for (t_delay, sub), (t_ref, ref) in zip(got, expected):
+            assert t_delay == t_ref
+            assert sub.meta == ref.meta
+            assert np.array_equal(sub.times_a, ref.times_a) and sub.times_a.dtype == np.int64
+            assert np.array_equal(sub.times_b, ref.times_b) and sub.times_b.dtype == np.int64
 
 
 @st.composite
