@@ -19,7 +19,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .fock import SPEED_OF_LIGHT
 from .streams import (
     _CENTER_BLOCK,
     CHANNEL_A,
@@ -177,12 +176,6 @@ class G2Curve:
 
     def __len__(self) -> int:
         return int(self.x.size)
-
-    def as_path_length(self) -> "G2Curve":
-        """Delay scan re-expressed as extra path length (x -> c * t_delay)."""
-        if self.x_kind != "t_delay":
-            raise ValueError("only delay scans convert to path length")
-        return G2Curve(self.x * SPEED_OF_LIGHT, self.g2.copy(), self.sigma.copy(), "path_length")
 
     def to_csv(self, path) -> None:
         write_csv_columns(path, self.x_kind, {"x": self.x, "g2": self.g2, "sigma": self.sigma})

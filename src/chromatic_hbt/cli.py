@@ -123,6 +123,10 @@ def cmd_simulate(config: RunConfig, kind: str, binary: bool) -> int:
         written.append(manifest_path)
         manifest_path.write_text(json.dumps(manifest, indent=2))
     except Exception:
+        if kind == "delay":
+            # an earlier run's step files past the failure point are not this run's
+            steps = len(config.delay_stream.delay_schedule)
+            written += [out / f"delay_step_{index:02d}{suffix}" for index in range(steps)]
         for path in written:
             path.unlink(missing_ok=True)
         raise

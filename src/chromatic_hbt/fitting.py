@@ -15,6 +15,8 @@ a frequency grid it solves their 2x2 weighted linear least squares and keeps
 the frequency that lowers the fit's own chi2 the most (Golub & Pereyra, SIAM
 J. Numer. Anal. 10, 413 (1973); with a flat envelope, a weighted Lomb-Scargle
 periodogram about g2 = 1, cf. Zechmeister & Kuerster, A&A 496, 577 (2009)).
+It sums over the grid in blocks of about _GUESS_BLOCK grid-by-point elements
+(one grid row at least), so its scratch does not grow with the grid.
 Damped Gauss-Newton with a Levenberg-Marquardt damping schedule and the
 analytic Jacobian then refines the fit.  Parameter errors come from the
 inverse curvature matrix scaled by sqrt(chi2/dof).  Results are reported in
@@ -41,6 +43,8 @@ GRADIENT_TOL = 1e-12
 STEP_TOL = 1e-13
 CHI2_REL_TOL = 1e-14
 CONDITION_LIMIT = 1e13
+# grid-by-point elements of initial_guess's scratch per block of grid rows
+_GUESS_BLOCK = 2**15
 
 
 @dataclass
@@ -176,7 +180,9 @@ def initial_guess(
     """Starting point that minimizes the fit's own weighted chi2 over a
     frequency grid, with (c, s) solved exactly at each frequency.
 
-    weights are the fit's 1/sigma (ones when None).
+    weights are the fit's 1/sigma (ones when None).  The sums run over
+    blocks of max(1, _GUESS_BLOCK // x.size) grid rows, so the scratch is
+    two block-by-point arrays, not two grid-by-point ones.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -210,17 +216,21 @@ def initial_guess(
     f_low = 0.5 / span
     f_high = max(0.5 / spacing, 2.0 * f_low) if spacing > 0 else 2.0 * f_low
     grid = np.linspace(f_low, f_high, int(np.clip(4.0 * span * (f_high - f_low), 256, 8192)))
-    # normal-equation sums of the 2x2 solve, built in place so that only two
-    # grid-by-point arrays exist at once
-    cos = np.outer(grid, x)
-    cos *= 2.0 * math.pi
-    sin = np.sin(cos)
-    np.cos(cos, out=cos)
-    uc, us = cos @ u, sin @ u
-    sin *= cos
-    cs = sin @ a
-    cos *= cos
-    cc = cos @ a
+    # normal-equation sums of the 2x2 solve, one block of grid rows at a
+    # time, each built in place so that two block-by-point arrays exist at once
+    uc, us, cs, cc = np.empty((4, grid.size))
+    rows = max(1, _GUESS_BLOCK // x.size)
+    for start in range(0, grid.size, rows):
+        block = slice(start, start + rows)
+        cos = np.outer(grid[block], x)
+        cos *= 2.0 * math.pi
+        sin = np.sin(cos)
+        np.cos(cos, out=cos)
+        uc[block], us[block] = cos @ u, sin @ u
+        sin *= cos
+        cs[block] = sin @ a
+        cos *= cos
+        cc[block] = cos @ a
     ss = a.sum() - cc
     det = cc * ss - cs * cs
     with np.errstate(divide="ignore", invalid="ignore"):

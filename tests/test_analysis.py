@@ -370,17 +370,6 @@ class TestG2Curve:
         assert np.array_equal(back.g2, curve.g2)
         assert np.array_equal(back.sigma, curve.sigma)
 
-    def test_path_length_conversion(self):
-        curve = G2Curve(
-            x=np.array([0.0, 1e-12, 2e-12]),
-            g2=np.ones(3),
-            sigma=np.full(3, 0.1),
-            x_kind="t_delay",
-        )
-        path_curve = curve.as_path_length()
-        assert path_curve.x_kind == "path_length"
-        assert path_curve.x[1] == pytest.approx(1e-12 * 299792458.0)
-
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma"):
             G2Curve(np.array([0.0]), np.array([1.0]), np.array([0.0]))

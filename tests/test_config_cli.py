@@ -433,6 +433,28 @@ class TestCli:
         # the earlier manifest named step files this run removed
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("flags", [[], ["--binary"]])
+    def test_failed_simulate_over_an_earlier_run_leaves_no_step_files(self, tmp_path, monkeypatch, flags):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("[delay_scan]\nsteps = 5\ndwell = 0.2 ms\n")
+        out_dir = tmp_path / "out"
+        argv = ["--config", str(cfg), "--out-dir", str(out_dir), "simulate", "--kind", "delay", *flags]
+        assert main(argv) == 0
+        assert len(list(out_dir.glob("delay_step_*"))) == 5
+        write_stream, calls = cli.write_stream, []
+
+        def full_disk_on_the_third(stream, path, binary=False):
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError(28, "No space left on device")
+            write_stream(stream, path, binary=binary)
+
+        monkeypatch.setattr(cli, "write_stream", full_disk_on_the_third)
+        assert main(argv) == 3
+        assert len(calls) == 3
+        # the earlier run's steps 03 and 04 were never rewritten
+        assert not list(out_dir.glob("delay_step_*")) and not (out_dir / "manifest.json").exists()
+
     def test_deterministic_outputs(self, tmp_path):
         cfg = tmp_path / "small.cfg"
         cfg.write_text(

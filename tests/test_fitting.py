@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,6 +169,37 @@ class TestInitialGuess:
         assert guess[-1] == freq
         assert 0.5 * v * math.cos(phase) == pytest.approx(c, abs=1e-9)
         assert -0.5 * v * math.sin(phase) == pytest.approx(s, abs=1e-9)
+
+    @staticmethod
+    def fine_shift_scan():
+        """A fig3-like tau curve at half the default step: 401 taus in +-12 us
+        and 6 far ones, so the guess grid has 2931 frequencies, 37 blocks."""
+        rng = np.random.default_rng(16)
+        x = np.concatenate([np.arange(-200, 201) * 0.06e-6, np.array([-44, -41, -38, 38, 41, 44]) * 1e-6])
+        x.sort()
+        sigma = rng.uniform(0.01, 0.05, x.size)
+        y = tau_fringe(np.array([0.576, 0.118e6, -0.434, 1.32e6]), x) + sigma * rng.normal(size=x.size)
+        return x, y, 1.0 / sigma
+
+    def test_multi_block_start_matches_lstsq_oracle(self):
+        x, y, weights = self.fine_shift_scan()
+        guess = initial_guess(x, y, "tau", weights)
+        freq, c, s = profiled_fringe_start(x, y, weights, np.exp(-((guess[1] * x) ** 2)))
+        assert guess[-1] == freq
+        # not bitwise: BLAS row sums depend on how the rows are partitioned
+        assert 0.5 * guess[0] * math.cos(guess[2]) == pytest.approx(c, abs=1e-9)
+        assert -0.5 * guess[0] * math.sin(guess[2]) == pytest.approx(s, abs=1e-9)
+
+    def test_start_scratch_is_one_block(self):
+        x, y, weights = self.fine_shift_scan()
+        tracemalloc.start()
+        try:
+            initial_guess(x, y, "tau", weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two whole 2931 x 407 float64 arrays would take 19 MB
+        assert peak < 4e6
 
     def test_tau_guess_linewidth_scale(self):
         width = 0.4
