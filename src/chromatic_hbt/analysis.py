@@ -29,8 +29,8 @@ from .streams import (
     _window_ranks,
 )
 
-X_KINDS = ("t_delay", "tau", "path_length")
-_X_UNITS = {"t_delay": "s", "tau": "s", "path_length": "m"}
+X_KINDS = ("t_delay", "tau")
+_X_UNITS = {"t_delay": "s", "tau": "s"}
 # widest span of whole-bin shifts the all-shifts pass takes; its difference
 # histogram and each bincount added to it hold one int64 per bin of the span
 _MAX_SHIFT_SPAN = 50_000_000

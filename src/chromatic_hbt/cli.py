@@ -10,12 +10,14 @@ reproduce   chain simulate/analyze/fit in memory for the fig2 or fig3 study
 model       evaluate the configured analytic fringe on its grid, to CSV
 
 Exit codes: 0 success, 2 configuration error, 3 I/O or data error,
-4 fit did not converge.
+4 fit did not converge.  Every command declares its output files once, in
+`_outputs`; a run that fails leaves none of them.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -49,11 +51,33 @@ class DataError(RuntimeError):
     """I/O or data-content failure distinct from configuration mistakes."""
 
 
+@contextlib.contextmanager
+def _outputs(out_dir: Path, names, inputs=()):
+    """Yield out_dir / name for each name, in order; remove them all if the block raises.
+
+    An earlier run's file of one of these names goes too, so a failed or
+    interrupted run leaves none of its outputs.  An input that is one of
+    them is refused before anything is written or removed.
+    """
+    paths = [out_dir / name for name in names]
+    targets = {path.resolve() for path in paths}
+    for source in inputs:
+        if source.resolve() in targets:
+            raise DataError(f"input {source} is also an output of this command")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        yield paths
+    except BaseException:
+        for path in paths:
+            path.unlink(missing_ok=True)
+        raise
+
+
 def _fmt_complex(z: complex) -> str:
     return f"{z.real:+.6f}{z.imag:+.6f}j"
 
 
-def cmd_protocol(config: RunConfig, dump_state: bool) -> int:
+def cmd_protocol(config: RunConfig, args: argparse.Namespace) -> int:
     freqs = config.modes.frequencies()
     print("modes:")
     print(f"  f1 = {freqs.f1 / 1e12:.6f} THz   (wavelength_1)")
@@ -86,51 +110,33 @@ def cmd_protocol(config: RunConfig, dump_state: bool) -> int:
     print(f"filter discarded probability: {run.discarded_probability:.6f}")
     if detector.is_ideal_tuning():
         print("tuning: ideal (detection amplitude equals (alpha + beta) / 2)")
-    if dump_state:
-        out = config.out_dir
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "protocol_states.json"
-        payload = {name: st.to_json_dict() for name, st in run.stages.items()}
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    if args.dump_state:
+        with _outputs(config.out_dir, ["protocol_states.json"]) as (path,):
+            payload = {name: st.to_json_dict() for name, st in run.stages.items()}
+            path.write_text(json.dumps(payload, indent=2, sort_keys=True))
         print(f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_simulate(config: RunConfig, kind: str, binary: bool) -> int:
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    suffix = ".tdc" if binary else ".txt"
-    manifest: dict = {"kind": kind, "streams": []}
-    manifest_path = out / "manifest.json"
-    # an earlier run's manifest would name files this run overwrites or removes
-    manifest_path.unlink(missing_ok=True)
-    written: list[Path] = []
-    try:
-        if kind == "delay":
-            # each segment is written as soon as it is drawn, so one is held at a time
-            for index, (t_delay, sub) in enumerate(simulate_segments(config.delay_stream)):
-                name = f"delay_step_{index:02d}{suffix}"
-                written.append(out / name)
-                write_stream(sub, written[-1], binary=binary)
-                manifest["streams"].append({"file": name, "t_delay": t_delay})
-        else:
-            stream = simulate_stream(config.tau_stream)
-            name = f"tau_stream{suffix}"
-            written.append(out / name)
-            write_stream(stream, written[-1], binary=binary)
-            manifest["streams"].append({"file": name, "t_delay": 0.0})
-            manifest["taus"] = list(config.tau_scan.taus())
-        written.append(manifest_path)
+def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
+    suffix = ".tdc" if args.binary else ".txt"
+    manifest: dict = {"kind": args.kind, "streams": []}
+    if args.kind == "delay":
+        steps = range(len(config.delay_stream.delay_schedule))
+        names = [f"delay_step_{index:02d}{suffix}" for index in steps]
+        # each segment is written as soon as it is drawn, so one is held at a time
+        segments = simulate_segments(config.delay_stream)
+    else:
+        names = [f"tau_stream{suffix}"]
+        # drawn lazily too, so that a failed draw also goes through _outputs
+        segments = ((0.0, simulate_stream(config.tau_stream)) for _ in names)
+        manifest["taus"] = list(config.tau_scan.taus())
+    with _outputs(config.out_dir, [*names, "manifest.json"]) as (*stream_paths, manifest_path):
+        for path, (t_delay, stream) in zip(stream_paths, segments):
+            write_stream(stream, path, binary=args.binary)
+            manifest["streams"].append({"file": path.name, "t_delay": t_delay})
         manifest_path.write_text(json.dumps(manifest, indent=2))
-    except Exception:
-        if kind == "delay":
-            # an earlier run's step files past the failure point are not this run's
-            steps = len(config.delay_stream.delay_schedule)
-            written += [out / f"delay_step_{index:02d}{suffix}" for index in range(steps)]
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
-    print(f"wrote {len(manifest['streams'])} stream file(s) and {manifest_path}")
+    print(f"wrote {len(stream_paths)} stream file(s) and {manifest_path}")
     return EXIT_OK
 
 
@@ -168,24 +174,21 @@ def _analyze_manifest(config: RunConfig, manifest_path: Path) -> G2Curve:
     raise DataError(f"{manifest_path}: unknown manifest kind {kind!r}")
 
 
-def cmd_analyze(config: RunConfig, input_path: Path | None) -> int:
-    if input_path is None:
-        input_path = config.analyze_input
+def cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
+    input_path = args.input or config.analyze_input
     if input_path is None:
         raise ConfigError("analyze.input", "no input given (flag --input or config key)")
-    if not input_path.exists():
-        raise DataError(f"input not found: {input_path}")
-    if input_path.suffix == ".json":
-        curve = _analyze_manifest(config, input_path)
-    else:
-        stream = read_stream(input_path)
-        if len(stream) == 0:
-            raise DataError(f"{input_path}: stream holds no click records")
-        curve = scan_tau(stream, config.tau_scan.taus())
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    curve_path = out / "curve.csv"
-    curve.to_csv(curve_path)
+    with _outputs(config.out_dir, ["curve.csv"], inputs=[input_path]) as (curve_path,):
+        if not input_path.exists():
+            raise DataError(f"input not found: {input_path}")
+        if input_path.suffix == ".json":
+            curve = _analyze_manifest(config, input_path)
+        else:
+            stream = read_stream(input_path)
+            if len(stream) == 0:
+                raise DataError(f"{input_path}: stream holds no click records")
+            curve = scan_tau(stream, config.tau_scan.taus())
+        curve.to_csv(curve_path)
     print(f"wrote {curve_path} ({len(curve)} points, x_kind={curve.x_kind})")
     return EXIT_OK
 
@@ -197,43 +200,45 @@ def _fit_curve(config: RunConfig, curve: G2Curve, model_kind: str | None) -> Fit
     return fit_fn(curve, weighted=config.fit.weighted)
 
 
-def cmd_fit(config: RunConfig, curve_path: Path, model_kind: str | None) -> int:
-    if not curve_path.exists():
-        raise DataError(f"curve file not found: {curve_path}")
-    try:
-        curve = G2Curve.from_csv(curve_path)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
-    result = _fit_curve(config, curve, model_kind)
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    fit_path = out / "fit.json"
-    fit_path.write_text(result.to_json())
-    for line in result.summary_lines():
-        print(line)
-    print(f"wrote {fit_path}")
+def _fit_exit(result: FitResult, paths: list[Path]) -> int:
+    """Name the written files; a fit that did not converge exits 4."""
+    for path in paths:
+        print(f"wrote {path}")
     if not result.converged:
         print("fit did not converge", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
 
-def cmd_model(config: RunConfig, kind: str) -> int:
+def cmd_fit(config: RunConfig, args: argparse.Namespace) -> int:
+    with _outputs(config.out_dir, ["fit.json"], inputs=[args.curve]) as (fit_path,):
+        if not args.curve.exists():
+            raise DataError(f"curve file not found: {args.curve}")
+        try:
+            curve = G2Curve.from_csv(args.curve)
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
+        result = _fit_curve(config, curve, args.model)
+        fit_path.write_text(result.to_json())
+    for line in result.summary_lines():
+        print(line)
+    return _fit_exit(result, [fit_path])
+
+
+def cmd_model(config: RunConfig, args: argparse.Namespace) -> int:
     """Evaluate the configured analytic fringe on its scan grid, to CSV."""
     from .protocol import g2_tau_model, g2_zero_model
 
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"model_{kind}.csv"
-    if kind == "delay":
-        xs = [t for t, _ in config.delay_stream.delay_schedule]
-        values = [g2_zero_model(config.delay_stream.model, x) for x in xs]
-        x_kind = "t_delay"
-    else:
-        xs = config.tau_scan.taus()
-        values = [g2_tau_model(config.tau_stream.model, x) for x in xs]
-        x_kind = "tau"
-    write_csv_columns(path, x_kind, {"x": xs, "g2": values})
+    with _outputs(config.out_dir, [f"model_{args.kind}.csv"]) as (path,):
+        if args.kind == "delay":
+            xs = [t for t, _ in config.delay_stream.delay_schedule]
+            values = [g2_zero_model(config.delay_stream.model, x) for x in xs]
+            x_kind = "t_delay"
+        else:
+            xs = config.tau_scan.taus()
+            values = [g2_tau_model(config.tau_stream.model, x) for x in xs]
+            x_kind = "tau"
+        write_csv_columns(path, x_kind, {"x": xs, "g2": values})
     print(f"wrote {path} ({len(xs)} points)")
     return EXIT_OK
 
@@ -248,11 +253,10 @@ def _write_plot_data(path: Path, curve: G2Curve, result: FitResult) -> None:
     write_csv_columns(path, curve.x_kind, columns)
 
 
-def cmd_reproduce(config: RunConfig, figure: str) -> int:
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    try:
+def cmd_reproduce(config: RunConfig, args: argparse.Namespace) -> int:
+    figure = args.figure
+    names = [f"{figure}_curve.csv", f"{figure}_fit.json", f"{figure}_plotdata.csv"]
+    with _outputs(config.out_dir, names) as paths:
         if figure == "fig2":
             truth = config.delay_stream.model
             print(
@@ -271,20 +275,10 @@ def cmd_reproduce(config: RunConfig, figure: str) -> int:
             stream = simulate_stream(config.tau_stream)
             curve = scan_tau(stream, config.tau_scan.taus())
             result = _fit_curve(config, curve, "tau")
-
-        curve_path = out / f"{figure}_curve.csv"
+        curve_path, fit_path, plot_path = paths
         curve.to_csv(curve_path)
-        written.append(curve_path)
-        fit_path = out / f"{figure}_fit.json"
         fit_path.write_text(result.to_json())
-        written.append(fit_path)
-        plot_path = out / f"{figure}_plotdata.csv"
         _write_plot_data(plot_path, curve, result)
-        written.append(plot_path)
-    except Exception:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
     for line in result.summary_lines():
         print(line)
     if figure == "fig2":
@@ -292,12 +286,7 @@ def cmd_reproduce(config: RunConfig, figure: str) -> int:
         length = SPEED_OF_LIGHT / freq
         err = SPEED_OF_LIGHT * (freq_err / freq**2) if freq_err else float("nan")
         print(f"fringe period as path length: {length * 1e3:.4f} +/- {err * 1e3:.4f} mm")
-    for path in written:
-        print(f"wrote {path}")
-    if not result.converged:
-        print("fit did not converge", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    return _fit_exit(result, paths)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,47 +300,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--dump-state", action="store_true", help="write stage state vectors as JSON (protocol)"
     )
+    # each command runs as args.run(config, args)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("protocol", help="run the single-stage erasure pipeline exactly")
+    p_proto = sub.add_parser("protocol", help="run the single-stage erasure pipeline exactly")
+    p_proto.set_defaults(run=cmd_protocol)
 
     p_sim = sub.add_parser("simulate", help="generate click streams and a manifest")
+    p_sim.set_defaults(run=cmd_simulate)
     p_sim.add_argument("--kind", choices=("delay", "tau"), default="delay")
     p_sim.add_argument("--binary", action="store_true", help="write compact binary streams")
 
     p_ana = sub.add_parser("analyze", help="estimate a g2 curve from streams")
+    p_ana.set_defaults(run=cmd_analyze)
     p_ana.add_argument("--input", type=Path, default=None, help="manifest.json or stream file")
 
     p_fit = sub.add_parser("fit", help="fit a fringe model to a curve CSV")
+    p_fit.set_defaults(run=cmd_fit)
     p_fit.add_argument("--curve", type=Path, required=True)
     p_fit.add_argument("--model", choices=("delay", "tau"), default=None)
 
     p_rep = sub.add_parser("reproduce", help="simulate, analyze and fit one study")
+    p_rep.set_defaults(run=cmd_reproduce)
     p_rep.add_argument("figure", choices=("fig2", "fig3"))
 
     p_model = sub.add_parser("model", help="evaluate the configured analytic fringe to CSV")
+    p_model.set_defaults(run=cmd_model)
     p_model.add_argument("--kind", choices=("delay", "tau"), default="delay")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = RunConfig.load(args.config, seed=args.seed, out_dir=args.out_dir)
-        if args.command == "protocol":
-            return cmd_protocol(config, args.dump_state)
-        if args.command == "simulate":
-            return cmd_simulate(config, args.kind, args.binary)
-        if args.command == "analyze":
-            return cmd_analyze(config, args.input)
-        if args.command == "fit":
-            return cmd_fit(config, args.curve, args.model)
-        if args.command == "reproduce":
-            return cmd_reproduce(config, args.figure)
-        if args.command == "model":
-            return cmd_model(config, args.kind)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -364,7 +347,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .elements import ConversionSettings
+from .fitting import _MODELS
 from .protocol import G2Model, ModeFrequencies
 from .streams import StreamConfig
 
@@ -261,7 +262,8 @@ class _ScanSection:
 
 @dataclass(frozen=True)
 class DelayScanSection(_ScanSection):
-    steps: int = _key(parse_int, above=2)
+    # each fit needs one point more than it has parameters
+    steps: int = _key(parse_int, above=len(_MODELS["delay"]))
     scan_periods: float = _key(parse_float)
     dwell: float = _key(_in_units(TIME_UNITS), above=0.0)
 
@@ -293,9 +295,14 @@ class TauScanSection(_ScanSection):
         if self.tau_max < 0:
             raise ConfigError("tau_scan.tau_max", f"must be >= 0, got {self.tau_max:g}")
         half = self.tau_max / self.tau_step
-        if not math.isfinite(half) or 2 * round(half) + 1 + 2 * len(self.far_taus) > MAX_TAUS:
+        count = 2 * round(half) + 1 + 2 * len(self.far_taus) if math.isfinite(half) else math.inf
+        if count > MAX_TAUS:
             raise ConfigError(
                 "tau_scan.tau_step", f"tau_max / tau_step = {half:.6g} gives more than {MAX_TAUS} taus"
+            )
+        if count <= len(_MODELS["tau"]):
+            raise ConfigError(
+                "tau_scan.tau_max", f"{count} taus, far_taus included; the tau fit needs > {len(_MODELS['tau'])}"
             )
         # the shift scan refuses a shift of the whole stream, in whole picoseconds
         reach = max([round(half) * self.tau_step, *map(abs, self.far_taus)])

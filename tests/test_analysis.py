@@ -342,6 +342,16 @@ class TestScans:
         off_grid = scan_outcome(stream, [t / PS_PER_SECOND for t in taus_ps])
         assert off_grid == scan_outcome(stream, [k * bw_ps / PS_PER_SECOND for k in shifts])
 
+    def test_off_grid_tau_on_off_grid_times_is_not_a_floored_shift(self):
+        # the equivalence above needs B times on the bin grid: B at 195 000 ps
+        # shifted by 5000 ps meets A's bin, but the floored shift 0 leaves it
+        # in the bin before, so the per-tau counter and the histogram differ
+        stream = toy_stream([200_000], [195_000], bin_width_ps=20_000)
+        assert count_coincidences(stream, tau=5e-9).n_coincidence == 1
+        assert count_coincidences(stream, tau=0.0).n_coincidence == 0
+        assert scan_tau(stream, [5e-9]).g2[0] > 0.0
+        assert scan_tau(stream, [0.0]).g2[0] == 0.0
+
     def test_scan_tau_fractional_shift_uses_general_path(self):
         cfg = StreamConfig(bin_width=2e-9, rate_a=2e7, rate_b=2e7, seed=34,
                            delay_schedule=((0.0, 1e-4),))

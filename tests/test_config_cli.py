@@ -2,13 +2,14 @@ import configparser
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chromatic_hbt import cli
+from chromatic_hbt import analysis, cli
 from chromatic_hbt.cli import main
 from chromatic_hbt.config import (
     DEFAULT_CONFIG,
@@ -150,6 +151,79 @@ class TestRunConfig:
             with pytest.raises(ConfigError, match="tau_scan.tau_step"):
                 RunConfig.load(path)
 
+    @pytest.mark.parametrize("steps, accepted", [(3, False), (4, True)])
+    def test_delay_steps_floor_is_one_more_than_the_fit_parameters(self, tmp_path, steps, accepted):
+        # the delay fit has three parameters and needs four points
+        path = tmp_path / "steps.cfg"
+        path.write_text(f"[delay_scan]\nsteps = {steps}\n")
+        if accepted:
+            assert len(RunConfig.load(path).delay_scan.schedule()) == steps
+        else:
+            with pytest.raises(ConfigError, match="delay_scan.steps"):
+                RunConfig.load(path)
+
+    @pytest.mark.parametrize(
+        "grid, count",
+        [
+            ("tau_max = 2 ps\ntau_step = 1 ps\nfar_taus =\n", 5),
+            ("tau_max = 1 ps\ntau_step = 1 ps\nfar_taus =\n", 3),
+            ("tau_max = 0 us\nfar_taus = 40 us, 42 us\n", 5),
+            ("tau_max = 0 us\nfar_taus = 40 us\n", 3),
+        ],
+    )
+    def test_tau_grid_floor_is_one_more_than_the_fit_parameters(self, tmp_path, grid, count):
+        # the tau fit has four parameters and needs five points, far taus included
+        path = tmp_path / "grid.cfg"
+        path.write_text(f"[tau_scan]\n{grid}")
+        if count >= 5:
+            assert len(RunConfig.load(path).tau_scan.taus()) == count
+        else:
+            with pytest.raises(ConfigError, match=f"tau_scan.tau_max.* {count} taus"):
+                RunConfig.load(path)
+
+
+# each command's argv, after the config and the out dir, and every file it
+# declares, the one written last at the end; "{inputs}" is small_inputs' directory
+OUTPUT_CASES = [
+    (["--dump-state", "protocol"], ["protocol_states.json"]),
+    (["simulate", "--kind", "tau"], ["tau_stream.txt", "manifest.json"]),
+    (["simulate", "--kind", "delay", "--binary"], [f"delay_step_{i:02d}.tdc" for i in range(5)] + ["manifest.json"]),
+    (["analyze", "--input", "{inputs}/manifest.json"], ["curve.csv"]),
+    (["fit", "--curve", "{inputs}/curve.csv"], ["fit.json"]),
+    (["model", "--kind", "tau"], ["model_tau.csv"]),
+    (["reproduce", "fig2"], ["fig2_curve.csv", "fig2_fit.json", "fig2_plotdata.csv"]),
+    (["reproduce", "fig3"], ["fig3_curve.csv", "fig3_fit.json", "fig3_plotdata.csv"]),
+]
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    """A small config, and a directory holding its tau stream, manifest and curve."""
+    inputs = tmp_path_factory.mktemp("inputs")
+    cfg = inputs / "small.cfg"
+    cfg.write_text("[delay_scan]\nsteps = 5\ndwell = 0.2 ms\n[tau_scan]\nduration = 0.05 s\n")
+    base = ["--config", str(cfg), "--out-dir", str(inputs)]
+    assert main([*base, "simulate", "--kind", "tau"]) == 0
+    assert main([*base, "analyze", "--input", str(inputs / "manifest.json")]) == 0
+    return cfg, inputs
+
+
+def fail_writing(monkeypatch, name):
+    """Make every write of a file called `name` leave a partial file and fail."""
+
+    def failing(write):
+        def write_or_fail(path, *args, **kwargs):
+            if Path(path).name == name:
+                Path(path).write_bytes(b"partial")
+                raise OSError(28, "No space left on device")
+            return write(path, *args, **kwargs)
+
+        return write_or_fail
+
+    monkeypatch.setattr(Path, "write_text", failing(Path.write_text))
+    monkeypatch.setattr(analysis, "write_csv_columns", failing(analysis.write_csv_columns))
+    monkeypatch.setattr(cli, "write_csv_columns", failing(cli.write_csv_columns))
+
 
 def run_cli(*argv, capsys=None):
     code = main(list(argv))
@@ -215,6 +289,8 @@ class TestCli:
             ("[tau_scan]\ntau_max = -12 us\n", [], "tau_scan.tau_max"),
             ("[tau_scan]\nduration = 30 us\n", [], "tau_scan.duration"),
             ("[delay_scan]\nscan_periods = 0\n", [], "delay_scan.scan_periods"),
+            ("[delay_scan]\nsteps = 3\n", [], "delay_scan.steps"),
+            ("[tau_scan]\ntau_max = 0 us\nfar_taus =\n", [], "tau_scan.tau_max"),
         ],
     )
     def test_out_of_range_config_exits_2_whatever_the_command(
@@ -353,6 +429,22 @@ class TestCli:
         assert f"finite {column}" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
+    @pytest.mark.parametrize("x_kind", ["path_length", "bogus"])
+    def test_fit_of_an_unknown_x_kind_exits_3(self, tmp_path, capsys, x_kind):
+        from chromatic_hbt.analysis import G2Curve
+        from chromatic_hbt.fitting import delay_fringe
+
+        truth = np.array([0.59, -0.16, 210.1e9])
+        x = np.linspace(0.0, 5.0 / truth[2], 24)
+        curve_path = tmp_path / "curve.csv"
+        G2Curve(x, delay_fringe(truth, x), np.full(x.size, 0.01), "t_delay").to_csv(curve_path)
+        text = curve_path.read_text().replace("x_kind=t_delay", f"x_kind={x_kind}")
+        curve_path.write_text(text)
+        code = main(["--out-dir", str(tmp_path), "fit", "--curve", str(curve_path)])
+        assert code == 3
+        assert f"got {x_kind!r}" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_fit_on_synthetic_curve(self, tmp_path, capsys):
         from chromatic_hbt.analysis import G2Curve
         from chromatic_hbt.fitting import delay_fringe
@@ -454,6 +546,38 @@ class TestCli:
         assert len(calls) == 3
         # the earlier run's steps 03 and 04 were never rewritten
         assert not list(out_dir.glob("delay_step_*")) and not (out_dir / "manifest.json").exists()
+
+    @pytest.mark.parametrize("argv, outputs", OUTPUT_CASES, ids=[" ".join(c[0]) for c in OUTPUT_CASES])
+    def test_failed_last_write_leaves_none_of_the_outputs(
+        self, tmp_path, capsys, monkeypatch, small_inputs, argv, outputs
+    ):
+        # a rerun into the same directory fails at its last write: neither
+        # its own files nor the earlier run's are left
+        cfg, inputs = small_inputs
+        out_dir = tmp_path / "out"
+        argv = ["--config", str(cfg), "--out-dir", str(out_dir), *(a.format(inputs=inputs) for a in argv)]
+        assert main(argv) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(outputs)
+        fail_writing(monkeypatch, outputs[-1])
+        assert main(argv) == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, output",
+        [(["fit", "--curve"], "fit.json"), (["analyze", "--input"], "curve.csv")],
+    )
+    def test_input_that_is_also_an_output_exits_3_and_is_kept(self, tmp_path, capsys, argv, output):
+        from chromatic_hbt.analysis import G2Curve
+
+        path = tmp_path / output
+        G2Curve(np.arange(6.0), np.ones(6), np.full(6, 0.1), "tau").to_csv(path)
+        before = path.read_bytes()
+        # the same file through another spelling of the directory
+        code = main(["--out-dir", str(tmp_path), *argv, str(tmp_path / "." / output)])
+        assert code == 3
+        assert "is also an output" in capsys.readouterr().err
+        assert path.read_bytes() == before
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = tmp_path / "small.cfg"
