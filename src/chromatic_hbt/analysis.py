@@ -29,8 +29,8 @@ from .streams import (
     _window_ranks,
 )
 
+# both scan variables are in seconds
 X_KINDS = ("t_delay", "tau")
-_X_UNITS = {"t_delay": "s", "tau": "s"}
 # widest span of whole-bin shifts the all-shifts pass takes; its difference
 # histogram and each bincount added to it hold one int64 per bin of the span
 _MAX_SHIFT_SPAN = 50_000_000
@@ -137,11 +137,11 @@ def estimate_g2(counts: CoincidenceCounts) -> tuple[float, float]:
 def write_csv_columns(path, x_kind: str, columns: dict[str, Sequence[float]]) -> None:
     """Write equal-length columns as CSV, each value as its float repr.
 
-    The first line, '# x_kind=<kind> x_unit=<unit>', is what
-    G2Curve.from_csv reads the scan variable from.
+    The first line, '# x_kind=<kind> x_unit=s', is what G2Curve.from_csv
+    reads the scan variable from.
     """
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# x_kind={x_kind} x_unit={_X_UNITS[x_kind]}\n")
+        fh.write(f"# x_kind={x_kind} x_unit=s\n")
         fh.write(",".join(columns) + "\n")
         for row in zip(*columns.values()):
             fh.write(",".join(repr(float(value)) for value in row) + "\n")
@@ -169,10 +169,6 @@ class G2Curve:
                 raise ValueError(f"every curve point needs a finite {name}")
         if np.any(self.sigma <= 0):
             raise ValueError("every curve point needs a positive sigma")
-
-    @property
-    def x_unit(self) -> str:
-        return _X_UNITS[self.x_kind]
 
     def __len__(self) -> int:
         return int(self.x.size)

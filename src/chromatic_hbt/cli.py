@@ -5,7 +5,7 @@ Subcommands
 protocol    exact single-stage simulation of the configured input state
 simulate    write synthetic click streams plus a manifest into the out dir
 analyze     turn a manifest or stream file into a g2 curve CSV
-fit         fit a curve CSV and write the result as JSON
+fit         fit a curve CSV with the model of its x_kind, to JSON
 reproduce   chain simulate/analyze/fit in memory for the fig2 or fig3 study
 model       evaluate the configured analytic fringe on its grid, to CSV
 
@@ -175,28 +175,24 @@ def _analyze_manifest(config: RunConfig, manifest_path: Path) -> G2Curve:
 
 
 def cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
-    input_path = args.input or config.analyze_input
-    if input_path is None:
-        raise ConfigError("analyze.input", "no input given (flag --input or config key)")
-    with _outputs(config.out_dir, ["curve.csv"], inputs=[input_path]) as (curve_path,):
-        if not input_path.exists():
-            raise DataError(f"input not found: {input_path}")
-        if input_path.suffix == ".json":
-            curve = _analyze_manifest(config, input_path)
+    with _outputs(config.out_dir, ["curve.csv"], inputs=[args.input]) as (curve_path,):
+        if not args.input.exists():
+            raise DataError(f"input not found: {args.input}")
+        if args.input.suffix == ".json":
+            curve = _analyze_manifest(config, args.input)
         else:
-            stream = read_stream(input_path)
+            stream = read_stream(args.input)
             if len(stream) == 0:
-                raise DataError(f"{input_path}: stream holds no click records")
+                raise DataError(f"{args.input}: stream holds no click records")
             curve = scan_tau(stream, config.tau_scan.taus())
         curve.to_csv(curve_path)
     print(f"wrote {curve_path} ({len(curve)} points, x_kind={curve.x_kind})")
     return EXIT_OK
 
 
-def _fit_curve(config: RunConfig, curve: G2Curve, model_kind: str | None) -> FitResult:
-    if model_kind is None:
-        model_kind = "tau" if curve.x_kind == "tau" else "delay"
-    fit_fn = fit_tau_model if model_kind == "tau" else fit_delay_model
+def _fit_curve(config: RunConfig, curve: G2Curve) -> FitResult:
+    """The tau model for a shift scan, the delay model for a delay scan."""
+    fit_fn = fit_tau_model if curve.x_kind == "tau" else fit_delay_model
     return fit_fn(curve, weighted=config.fit.weighted)
 
 
@@ -218,7 +214,7 @@ def cmd_fit(config: RunConfig, args: argparse.Namespace) -> int:
             curve = G2Curve.from_csv(args.curve)
         except ValueError as exc:
             raise DataError(str(exc)) from None
-        result = _fit_curve(config, curve, args.model)
+        result = _fit_curve(config, curve)
         fit_path.write_text(result.to_json())
     for line in result.summary_lines():
         print(line)
@@ -264,7 +260,7 @@ def cmd_reproduce(config: RunConfig, args: argparse.Namespace) -> int:
                 f"beat {truth.frequency / 1e9:.4g} GHz"
             )
             curve = scan_delay(simulate_segments(config.delay_stream))
-            result = _fit_curve(config, curve, "delay")
+            result = _fit_curve(config, curve)
         else:
             truth = config.tau_stream.model
             print(
@@ -274,7 +270,7 @@ def cmd_reproduce(config: RunConfig, args: argparse.Namespace) -> int:
             )
             stream = simulate_stream(config.tau_stream)
             curve = scan_tau(stream, config.tau_scan.taus())
-            result = _fit_curve(config, curve, "tau")
+            result = _fit_curve(config, curve)
         curve_path, fit_path, plot_path = paths
         curve.to_csv(curve_path)
         fit_path.write_text(result.to_json())
@@ -313,12 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ana = sub.add_parser("analyze", help="estimate a g2 curve from streams")
     p_ana.set_defaults(run=cmd_analyze)
-    p_ana.add_argument("--input", type=Path, default=None, help="manifest.json or stream file")
+    p_ana.add_argument("--input", type=Path, required=True, help="manifest.json or stream file")
 
     p_fit = sub.add_parser("fit", help="fit a fringe model to a curve CSV")
     p_fit.set_defaults(run=cmd_fit)
     p_fit.add_argument("--curve", type=Path, required=True)
-    p_fit.add_argument("--model", choices=("delay", "tau"), default=None)
 
     p_rep = sub.add_parser("reproduce", help="simulate, analyze and fit one study")
     p_rep.set_defaults(run=cmd_reproduce)

@@ -91,9 +91,6 @@ far_taus = 38 us, 41 us, 44 us
 
 [fit]
 weighted = on
-
-[analyze]
-input =
 """
 
 
@@ -268,6 +265,14 @@ class DelayScanSection(_ScanSection):
     dwell: float = _key(_in_units(TIME_UNITS), above=0.0)
 
     def __post_init__(self):
+        # the delay fit needs half a period of the beat between the first and last delay
+        span = abs(self.scan_periods) * (self.steps - 1) / self.steps
+        if span < 0.5:
+            raise ConfigError(
+                "delay_scan.scan_periods",
+                f"{self.scan_periods:g} periods in {self.steps} steps span {span:.3g} periods "
+                "from the first delay to the last; the delay fit needs >= 0.5",
+            )
         # scan_delay needs distinct delays; a step of 0 (or one that underflows to 0) repeats them
         if self.schedule()[1][0] == 0.0:
             raise ConfigError(
@@ -378,7 +383,6 @@ class RunConfig:
     fit: FitSection
     delay_stream: StreamConfig
     tau_stream: StreamConfig
-    analyze_input: Path | None = None
 
     @classmethod
     def load(
@@ -423,13 +427,6 @@ class RunConfig:
         tau_scan = _section(parser, "tau_scan", TauScanSection)
         fit = _section(parser, "fit", FitSection)
 
-        analyze_input = None
-        raw_input = parser["analyze"]["input"].strip()
-        if raw_input:
-            analyze_input = Path(raw_input)
-            if not analyze_input.exists():
-                raise ConfigError("analyze.input", f"referenced file does not exist: {analyze_input}")
-
         return cls(
             seed=seed,
             out_dir=Path(out_dir),
@@ -441,5 +438,4 @@ class RunConfig:
             fit=fit,
             delay_stream=_built("delay_scan", delay_scan.stream, seed),
             tau_stream=_built("tau_scan", tau_scan.stream, seed),
-            analyze_input=analyze_input,
         )

@@ -391,20 +391,22 @@ def _fit(curve, model: str, initial: np.ndarray | None, weighted: bool) -> FitRe
     if x.size <= len(names):
         raise ValueError(f"{model} fit needs >= {len(names) + 1} points, got {x.size}")
     if initial is None:
+        # needs neither check below: the guess takes its width from the data,
+        # and its frequency grid begins at half a period over the span
         p0 = initial_guess(x, y, model, weights)
     else:
         p0 = np.array(initial, dtype=float)
-    _, width, _, freq = _all_params(model, p0)
-    if initial is not None and width > 0 and np.abs(x).max() < 2.0 / width:
-        raise ValueError(
-            "shift scan too short to constrain the envelope: "
-            f"max|x| = {np.abs(x).max():.3g} < 2/linewidth = {2.0 / width:.3g}"
-        )
-    span = x.max() - x.min()
-    if model == "delay" and freq > 0 and span * freq < 0.5:
-        raise ValueError(
-            f"delay scan spans {span * freq:.3g} oscillation periods; need at least 0.5"
-        )
+        _, width, _, freq = _all_params(model, p0)
+        if width > 0 and np.abs(x).max() < 2.0 / width:
+            raise ValueError(
+                "shift scan too short to constrain the envelope: "
+                f"max|x| = {np.abs(x).max():.3g} < 2/linewidth = {2.0 / width:.3g}"
+            )
+        span = x.max() - x.min()
+        if model == "delay" and freq > 0 and span * freq < 0.5:
+            raise ValueError(
+                f"delay scan spans {span * freq:.3g} oscillation periods; need at least 0.5"
+            )
     p, trace, converged, iterations, jtj = _levenberg_marquardt(model, p0, x, y, weights)
     return _finish(model, p, trace, converged, iterations, jtj, x.size)
 
@@ -412,8 +414,9 @@ def _fit(curve, model: str, initial: np.ndarray | None, weighted: bool) -> FitRe
 def fit_delay_model(curve, initial: np.ndarray | None = None, weighted: bool = True) -> FitResult:
     """Fit the undamped fringe to a delay-scan curve.
 
-    curve needs >= 4 points spanning at least half an oscillation period of
-    the starting frequency.
+    curve needs >= 4 points.  With an explicit initial guess they must span
+    at least half an oscillation period of its frequency; the automatic
+    guess starts at half a period over the span.
     """
     return _fit(curve, "delay", initial, weighted)
 

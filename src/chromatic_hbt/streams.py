@@ -62,14 +62,15 @@ class StreamConfig:
         if self.bin_width <= 0:
             raise ValueError(f"bin_width must be > 0, got {self.bin_width}")
         bw_ps = self.bin_width * PS_PER_SECOND
-        if not math.isfinite(bw_ps) or abs(bw_ps - round(bw_ps)) > 1e-6 or round(bw_ps) < 1:
+        if not math.isfinite(bw_ps) or abs(bw_ps - round(bw_ps)) > 1e-6:
             raise ValueError(f"bin_width must be a whole number of picoseconds, got {self.bin_width}")
         for name, rate in (("rate_a", self.rate_a), ("rate_b", self.rate_b),
                            ("dark_rate_a", self.dark_rate_a), ("dark_rate_b", self.dark_rate_b)):
             if rate < 0:
                 raise ValueError(f"{name} must be >= 0, got {rate}")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        # the damped sampler's kernel reaches 5 / linewidth; the delay model has no linewidth
+        if self.model is not None and self.model.linewidth is not None and not self.model.linewidth > 0:
+            raise ValueError(f"a damped stream needs a linewidth > 0, got {self.model.linewidth}")
         ceiling = 1.0 + (0.0 if self.model is None else self.model.visibility / 2.0)
         worst = max((self.rate_a + self.dark_rate_a), (self.rate_b + self.dark_rate_b) * ceiling)
         if worst * self.bin_width >= MAX_RATE_BIN_PRODUCT:
@@ -89,10 +90,8 @@ class StreamConfig:
                 raise ValueError(
                     f"dwell {dwell} is not a whole number of bins of {self.bin_width}"
                 )
-        if self.duration_ps >= 2**63:
-            raise ValueError(
-                f"the schedule lasts {self.duration:.3g} s, past the int64 picosecond clock"
-            )
+        # the seed and the schedule's length in ps must fit the stream header
+        StreamMeta(bin_width_ps=self.bin_width_ps, duration_ps=self.duration_ps, seed=self.seed)
 
     @property
     def bin_width_ps(self) -> int:
@@ -111,11 +110,20 @@ class StreamConfig:
 
 @dataclass(frozen=True)
 class StreamMeta:
-    """The provenance fields the file format carries."""
+    """The provenance fields the file format carries, each in the range
+    its header field can hold."""
 
     bin_width_ps: int
     duration_ps: int
     seed: int
+
+    def __post_init__(self):
+        if self.bin_width_ps < 1:
+            raise ValueError(f"bin width {self.bin_width_ps} ps is below 1 ps")
+        if not 0 <= self.duration_ps < 2**63:
+            raise ValueError(f"duration {self.duration_ps} ps is not in [0, 2^63) ps, the int64 clock")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed {self.seed} is not an unsigned 64-bit integer")
 
 
 @dataclass
@@ -149,20 +157,15 @@ class TdcStream:
     def channel_times(self, channel: int) -> np.ndarray:
         return (self.times_a, self.times_b)[channel]
 
-    def counts(self) -> tuple[int, int]:
-        return int(self.times_a.size), int(self.times_b.size)
-
-    def same_records(self, other: "TdcStream") -> bool:
+    def __eq__(self, other: object) -> bool:
+        """Same meta and click times; the segment bookkeeping is not compared."""
+        if not isinstance(other, TdcStream):
+            return NotImplemented
         return (
             self.meta == other.meta
             and np.array_equal(self.times_a, other.times_a)
             and np.array_equal(self.times_b, other.times_b)
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TdcStream):
-            return NotImplemented
-        return self.same_records(other)
 
     # the arrays are mutable, so a stream cannot be a dict key or set member
     __hash__ = None
@@ -468,7 +471,7 @@ def write_stream(stream: TdcStream, path, binary: bool = False) -> None:
             fh.write(BINARY_MAGIC)
             fh.write(np.int64(stream.meta.bin_width_ps).tobytes())
             fh.write(np.int64(stream.meta.duration_ps).tobytes())
-            fh.write(np.uint64(stream.meta.seed & (2**64 - 1)).tobytes())
+            fh.write(np.uint64(stream.meta.seed).tobytes())
             records = np.empty(len(stream), dtype=[("ch", "u1"), ("t", "<u8")])
             records["ch"] = channels
             records["t"] = times.astype(np.uint64)
@@ -485,6 +488,14 @@ def write_stream(stream: TdcStream, path, binary: bool = False) -> None:
             fh.write(_text_lines(channels[block], times[block]))
 
 
+def _header_meta(path, bin_width_ps: int, duration_ps: int, seed: int) -> StreamMeta:
+    """The meta of a parsed file's header; a field out of its range is a format error."""
+    try:
+        return StreamMeta(bin_width_ps=bin_width_ps, duration_ps=duration_ps, seed=seed)
+    except ValueError as exc:
+        raise StreamFormatError(f"{path}: invalid header ({exc})") from None
+
+
 def _checked_stream(path, times_a, times_b, meta: StreamMeta) -> TdcStream:
     """The stream of a parsed file; records out of range or order are a format error."""
     try:
@@ -497,11 +508,12 @@ def _read_binary(raw: bytes, path) -> TdcStream:
     header_size = len(BINARY_MAGIC) + 8 + 8 + 8
     if len(raw) < header_size:
         raise StreamFormatError(f"{path}: truncated header at byte offset {len(raw)}")
-    bw_ps = int(np.frombuffer(raw, dtype=np.int64, count=1, offset=4)[0])
-    duration_ps = int(np.frombuffer(raw, dtype=np.int64, count=1, offset=12)[0])
-    seed = int(np.frombuffer(raw, dtype=np.uint64, count=1, offset=20)[0])
-    if bw_ps < 1 or duration_ps < 0:
-        raise StreamFormatError(f"{path}: invalid header (binwidth {bw_ps} ps, duration {duration_ps} ps)")
+    meta = _header_meta(
+        path,
+        bin_width_ps=int(np.frombuffer(raw, dtype=np.int64, count=1, offset=4)[0]),
+        duration_ps=int(np.frombuffer(raw, dtype=np.int64, count=1, offset=12)[0]),
+        seed=int(np.frombuffer(raw, dtype=np.uint64, count=1, offset=20)[0]),
+    )
     body = raw[header_size:]
     record_size = 9
     if len(body) % record_size:
@@ -512,12 +524,11 @@ def _read_binary(raw: bytes, path) -> TdcStream:
         bad = int(np.argmax(records["ch"] > CHANNEL_B))
         raise StreamFormatError(f"{path}: record {bad}: invalid channel {records['ch'][bad]}")
     # checked on the unsigned times: the int64 cast would wrap those past 2^63
-    late = records["t"] >= max(duration_ps, 1)
+    late = records["t"] >= max(meta.duration_ps, 1)
     if late.any():
         bad = int(np.argmax(late))
         raise StreamFormatError(f"{path}: record {bad}: time {records['t'][bad]} ps is past the duration")
     is_a = records["ch"] == CHANNEL_A
-    meta = StreamMeta(bin_width_ps=bw_ps, duration_ps=duration_ps, seed=seed)
     return _checked_stream(path, records["t"][is_a], records["t"][~is_a], meta)
 
 
@@ -534,18 +545,7 @@ def _text_stream(path, headers: dict[str, int], times_a, times_b) -> TdcStream:
     for key in ("binwidth_ps", "duration_ps", "seed"):
         if key not in headers:
             raise StreamFormatError(f"{path}: missing required header #{key}=")
-    if not (0 <= headers["seed"] < 2**64):
-        raise StreamFormatError(f"{path}: seed {headers['seed']} is not an unsigned 64-bit integer")
-    if headers["binwidth_ps"] < 1 or headers["duration_ps"] < 0:
-        raise StreamFormatError(
-            f"{path}: invalid header (binwidth {headers['binwidth_ps']} ps, "
-            f"duration {headers['duration_ps']} ps)"
-        )
-    meta = StreamMeta(
-        bin_width_ps=headers["binwidth_ps"],
-        duration_ps=headers["duration_ps"],
-        seed=headers["seed"],
-    )
+    meta = _header_meta(path, headers["binwidth_ps"], headers["duration_ps"], headers["seed"])
     return _checked_stream(path, times_a, times_b, meta)
 
 

@@ -113,12 +113,6 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="not found"):
             RunConfig.load("/nonexistent/path.cfg")
 
-    def test_missing_referenced_input_rejected(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("[analyze]\ninput = /nonexistent/stream.txt\n")
-        with pytest.raises(ConfigError, match="analyze.input"):
-            RunConfig.load(path)
-
     def test_default_config_lists_exactly_the_declared_fields(self):
         parser = configparser.ConfigParser()
         parser.read_string(DEFAULT_CONFIG)
@@ -129,7 +123,7 @@ class TestRunConfig:
             for key in dataclasses.fields(getattr(config, name))
         }
         listed = {(name, key) for name in parser.sections() for key in parser[name]}
-        read_by_load = {(name, key) for name in ("run", "conversion", "analyze") for key in parser[name]}
+        read_by_load = {(name, key) for name in ("run", "conversion") for key in parser[name]}
         assert listed - read_by_load == declared
 
     def test_delay_schedule_spans_requested_periods(self):
@@ -291,6 +285,9 @@ class TestCli:
             ("[delay_scan]\nscan_periods = 0\n", [], "delay_scan.scan_periods"),
             ("[delay_scan]\nsteps = 3\n", [], "delay_scan.steps"),
             ("[tau_scan]\ntau_max = 0 us\nfar_taus =\n", [], "tau_scan.tau_max"),
+            # 0.075 periods of the beat between the first and the last delay
+            ("[delay_scan]\nsteps = 4\nscan_periods = 0.1\ndwell = 0.2 ms\n", [], "delay_scan.scan_periods"),
+            ("[tau_scan]\nlinewidth = 0 MHz\n", [], "[tau_scan]"),
         ],
     )
     def test_out_of_range_config_exits_2_whatever_the_command(
@@ -353,6 +350,39 @@ class TestCli:
         assert code == 2
         assert location in captured.err
         assert not list(tmp_path.glob("fig3_*"))
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["fit", "--curve", "curve.csv", "--model", "delay"]])
+    def test_analyze_without_input_and_fit_model_are_usage_errors(self, tmp_path, capsys, argv):
+        # analyze reads only --input; fit takes its model from the curve's x_kind
+        with pytest.raises(SystemExit) as exc:
+            main(["--out-dir", str(tmp_path), *argv])
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags", [[], ["--binary"]])
+    def test_bare_tau_stream_gives_the_manifest_curve(self, tmp_path, capsys, small_inputs, flags):
+        # a bare stream file takes the config's taus, which the manifest lists too
+        cfg, _ = small_inputs
+        base = ["--config", str(cfg), "--out-dir"]
+        assert main([*base, str(tmp_path), "simulate", "--kind", "tau", *flags]) == 0
+        assert main([*base, str(tmp_path), "analyze", "--input", str(tmp_path / "manifest.json")]) == 0
+        (stream,) = tmp_path.glob("tau_stream.*")
+        bare = tmp_path / "bare"
+        assert main([*base, str(bare), "analyze", "--input", str(stream)]) == 0
+        assert (bare / "curve.csv").read_bytes() == (tmp_path / "curve.csv").read_bytes()
+
+    def test_fit_that_does_not_converge_exits_4_and_keeps_its_result(
+        self, tmp_path, capsys, monkeypatch, small_inputs
+    ):
+        from chromatic_hbt import fitting
+
+        monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
+        _, inputs = small_inputs
+        code = main(["--out-dir", str(tmp_path), "fit", "--curve", str(inputs / "curve.csv")])
+        assert code == 4
+        assert "fit did not converge" in capsys.readouterr().err
+        result = json.loads((tmp_path / "fit.json").read_text())
+        assert result["model"] == "tau" and result["converged"] is False
 
     def test_analyze_empty_stream_exits_3(self, tmp_path, capsys):
         stream = tmp_path / "empty.txt"
@@ -482,7 +512,7 @@ class TestCli:
                      "analyze", "--input", str(out_dir / "manifest.json")]) == 0
         assert (out_dir / "curve.csv").exists()
         code = main(["--config", str(cfg), "--out-dir", str(out_dir),
-                     "fit", "--curve", str(out_dir / "curve.csv"), "--model", "delay"])
+                     "fit", "--curve", str(out_dir / "curve.csv")])
         assert code == 0
         result = json.loads((out_dir / "fit.json").read_text())
         assert result["converged"] is True
@@ -724,7 +754,7 @@ def _fuzzed_keys():
         (name, key): _fuzz_value(parser[name][key])
         for name in parser.sections()
         for key in parser[name]
-        if (name, key) not in (("run", "out_dir"), ("analyze", "input"))
+        if (name, key) != ("run", "out_dir")
     }
 
 

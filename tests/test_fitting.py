@@ -292,6 +292,15 @@ class TestDelayFit:
         with pytest.raises(ValueError, match="period"):
             fit_delay_model(make_curve(x, y), initial=np.array([0.3, 0.0, 1.0]))
 
+    def test_automatic_start_takes_a_scan_under_half_a_period(self):
+        # the delays of [delay_scan] steps = 4, scan_periods = 0.1 (0.075
+        # periods of the beat); the span check runs only on an explicit start,
+        # since the automatic one's grid begins at 0.5 / span and fails it by rounding
+        truth = np.array([0.59, -0.16, 210.1e9])
+        x = np.arange(4) * (0.1 * (1.0 / truth[2]) / 4)
+        result = fit_delay_model(make_curve(x, delay_fringe(truth, x)))
+        assert result.model == "delay"
+
     def test_too_few_points_rejected(self):
         x = np.linspace(0, 2, 3)
         with pytest.raises(ValueError, match=">= 4"):

@@ -70,6 +70,12 @@ class TestStreamConfig:
         with pytest.raises(ValueError, match="seed"):
             basic_config(seed=-1)
 
+    def test_zero_linewidth_rejected(self):
+        # the delay model is the fringe at linewidth 0, but the damped
+        # sampler's kernel reaches 5 / linewidth
+        with pytest.raises(ValueError, match="linewidth > 0"):
+            basic_config(model=G2Model(visibility=0.576, phase=-0.434, frequency=1.32e6, linewidth=0.0))
+
 
 class BoundedGeometric:
     """A generator's geometric draws, failing the test past a number of
@@ -222,12 +228,12 @@ class TestSimulateStream:
         cfg = basic_config()
         s1 = simulate_stream(cfg)
         s2 = simulate_stream(cfg)
-        assert s1.same_records(s2)
+        assert s1 == s2
 
     def test_different_seeds_differ(self):
         s1 = simulate_stream(basic_config(seed=1))
         s2 = simulate_stream(basic_config(seed=2))
-        assert not s1.same_records(s2)
+        assert s1 != s2
 
     def test_zero_duration_empty(self):
         cfg = basic_config(delay_schedule=((0.0, 0.0),))
@@ -238,7 +244,7 @@ class TestSimulateStream:
         cfg = basic_config()
         stream = simulate_stream(cfg)
         expected = cfg.rate_a * cfg.duration
-        for n in stream.counts():
+        for n in (stream.times_a.size, stream.times_b.size):
             assert abs(n - expected) < 5.0 * math.sqrt(expected)
 
     def test_timestamps_sorted_and_in_range(self):
@@ -311,8 +317,8 @@ class TestSimulateStream:
         noisy = basic_config(seed=5, dark_rate_a=2e6, dark_rate_b=2e6)
         s_quiet = simulate_stream(quiet)
         s_noisy = simulate_stream(noisy)
-        for q, n in zip(s_quiet.counts(), s_noisy.counts()):
-            assert n > q * 1.7
+        for name in ("times_a", "times_b"):
+            assert getattr(s_noisy, name).size > getattr(s_quiet, name).size * 1.7
 
     def test_segment_bookkeeping(self):
         cfg = basic_config(delay_schedule=((0.0, 1e-3), (2e-12, 1e-3)))
@@ -510,7 +516,7 @@ class TestStreamIO:
             one, two = base / f"one_{name}", base / f"two_{name}"
             write_stream(stream, one, binary=binary)
             back = read_stream(one)
-            assert back.same_records(stream)
+            assert back == stream
             write_stream(back, two, binary=binary)
             assert one.read_bytes() == two.read_bytes()
         records = text_records(base / "one_rt.txt")
@@ -531,14 +537,14 @@ class TestStreamIO:
         path = tmp_path / "clicks.txt"
         write_stream(stream, path)
         back = read_stream(path)
-        assert back.same_records(stream)
+        assert back == stream
 
     def test_binary_round_trip(self, tmp_path):
         stream = simulate_stream(basic_config(delay_schedule=((0.0, 2e-4),)))
         path = tmp_path / "clicks.tdc"
         write_stream(stream, path, binary=True)
         back = read_stream(path)
-        assert back.same_records(stream)
+        assert back == stream
 
     def test_write_read_write_is_byte_identical(self, tmp_path):
         stream = simulate_stream(basic_config(delay_schedule=((0.0, 1e-4),)))
@@ -600,6 +606,19 @@ class TestStreamIO:
         path = tmp_path / "badbw.txt"
         path.write_text("#binwidth_ps=0\n#duration_ps=10000\n#seed=5\n")
         with pytest.raises(StreamFormatError, match="invalid header"):
+            read_stream(path)
+
+    @pytest.mark.parametrize("name, header, problem", [
+        ("zero_bin.tdc", BINARY_MAGIC + np.array([0, 5000, 1], dtype="<i8").tobytes(), "bin width 0 ps"),
+        ("negative.tdc", BINARY_MAGIC + np.array([1000, -5000, 1], dtype="<i8").tobytes(), "duration -5000 ps"),
+        ("big_seed.txt", f"#binwidth_ps=1000\n#duration_ps=5000\n#seed={2**64}\n".encode(), f"seed {2**64}"),
+    ], ids=["binary-bin-width-0", "binary-negative-duration", "text-seed-2^64"])
+    def test_header_out_of_range_names_file(self, tmp_path, name, header, problem):
+        # each file also holds a record, past the negative duration in one case: the header is refused first
+        record = b"A 100\n" if name.endswith(".txt") else np.array([(0, 100)], dtype=RECORD).tobytes()
+        path = tmp_path / name
+        path.write_bytes(header + record)
+        with pytest.raises(StreamFormatError, match=f"{name}: invalid header \\({problem}"):
             read_stream(path)
 
     def test_truncated_binary_names_offset(self, tmp_path):
