@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .streams import (
-    _CENTER_BLOCK,
     CHANNEL_A,
     CHANNEL_B,
     PS_PER_SECOND,
@@ -31,14 +30,8 @@ from .streams import (
 
 # both scan variables are in seconds
 X_KINDS = ("t_delay", "tau")
-# widest span of whole-bin shifts the all-shifts pass takes; its difference
-# histogram and each bincount added to it hold one int64 per bin of the span
+# widest span of whole-bin shifts the all-shifts pass takes, one int64 a bin
 _MAX_SHIFT_SPAN = 50_000_000
-# differences the all-shifts pass gathers per histogram update: the span,
-# but at least 2^16 (0.5 MB), so that a rank pass, which holds at most one
-# block of centers, always fits, and at most 2^22 (32 MB)
-_DIFF_BUFFER_MIN = 8 * _CENTER_BLOCK
-_DIFF_BUFFER_MAX = 1 << 22
 
 
 def _count_distinct_sorted(values: np.ndarray) -> int:
@@ -245,26 +238,14 @@ def _multi_shift_coincidences(
     bins_a and bins_b are sorted duplicate-free; a coincidence at shift s is
     a pair with bins_a - bins_b = s, which is unique per bin, so the pair
     histogram over differences equals the per-shift bin intersections.
-    The differences come one neighbour rank at a time.  Each rank pass is
-    copied into one buffer, which is histogrammed when the next pass would
-    not fit.  A bincount costs a span's worth of work on top of its
-    differences, so there is one per buffer, never one per pass, and the
-    buffer holds a span's worth where it can: on a 0.5 s fig3 stream at 1 us
-    steps (one Xeon vCPU, numpy 2.4), a 2^16 buffer took 0.25 s at
-    tau_max = 2 ms and 3.6 s at 10 ms, a span-sized one 0.18 s and 0.89 s.
+    The differences come one neighbour rank at a time, and each rank pass is
+    scatter-added into the histogram in place.
     """
     s_min, s_max = int(shifts.min()), int(shifts.max())
     histogram = np.zeros(s_max - s_min + 1, dtype=np.int64)
-    buffer = np.empty(min(max(histogram.size, _DIFF_BUFFER_MIN), _DIFF_BUFFER_MAX), dtype=np.int64)
-    fill = 0
     for _, _, passes in _window_ranks(bins_a, bins_b, s_min, s_max):
         for diffs in passes:
-            if fill + diffs.size > buffer.size:
-                histogram += np.bincount(buffer[:fill], minlength=histogram.size)
-                fill = 0
-            buffer[fill : fill + diffs.size] = diffs
-            fill += diffs.size
-    histogram += np.bincount(buffer[:fill], minlength=histogram.size)
+            np.add.at(histogram, diffs, 1)
     return histogram[shifts - s_min]
 
 

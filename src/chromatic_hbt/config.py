@@ -22,6 +22,7 @@ import configparser
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import ClassVar
 
 from .elements import ConversionSettings
 from .fitting import _MODELS
@@ -235,6 +236,7 @@ class ScenarioSection:
 class _ScanSection:
     """The keys both scans share; each scan adds model() and schedule()."""
 
+    section: ClassVar[str]
     visibility: float = _key(parse_float)
     phase: float = _key(parse_angle)
     beat_frequency: float = _key(_in_units(FREQUENCY_UNITS), above=0.0)
@@ -243,6 +245,12 @@ class _ScanSection:
     rate_b: float = _key(_in_units(FREQUENCY_UNITS))
     dark_rate_a: float = _key(_in_units(FREQUENCY_UNITS))
     dark_rate_b: float = _key(_in_units(FREQUENCY_UNITS))
+
+    def __post_init__(self):
+        # g2 divides by each channel's clicked bins; negative rates are StreamConfig's to refuse
+        for rate, dark in (("rate_a", "dark_rate_a"), ("rate_b", "dark_rate_b")):
+            if getattr(self, rate) == 0 and getattr(self, dark) == 0:
+                raise ConfigError(f"{self.section}.{rate}", f"{rate} and {dark} are both 0 Hz: no clicks, no g2")
 
     def stream(self, seed: int) -> StreamConfig:
         return StreamConfig(
@@ -259,12 +267,14 @@ class _ScanSection:
 
 @dataclass(frozen=True)
 class DelayScanSection(_ScanSection):
+    section = "delay_scan"
     # each fit needs one point more than it has parameters
     steps: int = _key(parse_int, above=len(_MODELS["delay"]))
     scan_periods: float = _key(parse_float)
     dwell: float = _key(_in_units(TIME_UNITS), above=0.0)
 
     def __post_init__(self):
+        super().__post_init__()
         # the delay fit needs half a period of the beat between the first and last delay
         span = abs(self.scan_periods) * (self.steps - 1) / self.steps
         if span < 0.5:
@@ -290,6 +300,7 @@ class DelayScanSection(_ScanSection):
 
 @dataclass(frozen=True)
 class TauScanSection(_ScanSection):
+    section = "tau_scan"
     linewidth: float = _key(_in_units(FREQUENCY_UNITS))
     duration: float = _key(_in_units(TIME_UNITS), above=0.0)
     tau_max: float = _key(_in_units(TIME_UNITS))
@@ -297,6 +308,7 @@ class TauScanSection(_ScanSection):
     far_taus: tuple[float, ...] = _key(_in_units(TIME_UNITS, parse_quantity_list))
 
     def __post_init__(self):
+        super().__post_init__()
         if self.tau_max < 0:
             raise ConfigError("tau_scan.tau_max", f"must be >= 0, got {self.tau_max:g}")
         half = self.tau_max / self.tau_step

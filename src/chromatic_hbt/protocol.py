@@ -11,10 +11,11 @@ coincidence rate; this module computes the exact state-vector amplitudes and
 evaluates the one analytic fringe of `fitting` for a G2Model.
 
 Every step of a stage is linear in the state, and the path delay only
-multiplies each source basis state by a phase.  The coincidence amplitude at
-a delay is therefore the phased source weights contracted with the stages'
-response to each undelayed source basis state, which is computed once per
-scenario, not once per delay.
+multiplies each source configuration by a phase.  The coincidence amplitude
+at a delay is therefore alpha' r1 + beta' r2: the delayed source weights of
+`HbtScenario.delayed_weights` times the stages' responses r1 and r2 to the
+two undelayed configurations, which are computed once per scenario, not
+once per delay.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .elements import (
     bs_unitary,
     delay_phase_factor,
     evolve,
-    phase_delay,
     sfg_unitary,
     spectral_filter,
 )
@@ -282,37 +281,21 @@ class HbtCoincidence:
         return (abs(a) ** 2 + abs(b) ** 2) / 16.0
 
 
-def _coincidence_response(scenario: HbtScenario) -> Callable[[float], complex]:
-    """Exact coincidence amplitude of the scenario as a function of the delay.
-
-    Each basis state of the undelayed two-source state runs through both
-    stages once; the amplitude at a delay contracts the delayed source
-    weights with those responses (see the module docstring).
-    """
+def _coincidence_response(scenario: HbtScenario) -> tuple[complex, complex]:
+    """Exact coincidence amplitudes (r1, r2) of the two undelayed source
+    configurations, (f1 at A, f2 at B) and (f2 at A, f1 at B), each run
+    once through both stages; the amplitude at a delay is alpha' r1 + beta' r2
+    (see the module docstring)."""
     registry, arms_a, arms_b = build_hbt_registry(scenario.freqs)
-    vacuum = StateVector.vacuum(registry)
-
-    def pair_state(color_at_a: str, color_at_b: str) -> StateVector:
-        first = apply_creation(vacuum, getattr(arms_a.arm_a, color_at_a))
-        return apply_creation(first, getattr(arms_b.arm_a, color_at_b))
-
-    source = pair_state("f1", "f2").scaled(scenario.alpha).plus(
-        pair_state("f2", "f1").scaled(scenario.beta)
-    )
-    keep_a, keep_b = arms_a.arm_a.f3, arms_b.arm_a.f3
-    responses = {}
-    for basis_state in source.amplitudes:
-        unit = StateVector(registry, {basis_state: 1.0 + 0.0j})
-        run_a = run_erasure_pipeline(unit, registry, arms_a, scenario.detector_a)
-        run_b = run_erasure_pipeline(run_a.stages["after_filter"], registry, arms_b, scenario.detector_b)
-        responses[basis_state] = run_b.stages["after_filter"].amplitude_of({keep_a: 1, keep_b: 1})
-    delayed_modes = arms_a.arm_a.all()
-
-    def amplitude(t_delay: float) -> complex:
-        delayed = phase_delay(source, delayed_modes, t_delay)
-        return complex(sum(a * responses[s] for s, a in delayed.amplitudes.items()))
-
-    return amplitude
+    keep = {arms_a.arm_a.f3: 1, arms_b.arm_a.f3: 1}
+    responses = []
+    for color_at_a, color_at_b in (("f1", "f2"), ("f2", "f1")):
+        pair = apply_creation(StateVector.vacuum(registry), getattr(arms_a.arm_a, color_at_a))
+        pair = apply_creation(pair, getattr(arms_b.arm_a, color_at_b))
+        after_a = run_erasure_pipeline(pair, registry, arms_a, scenario.detector_a).stages["after_filter"]
+        after_b = run_erasure_pipeline(after_a, registry, arms_b, scenario.detector_b).stages["after_filter"]
+        responses.append(after_b.amplitude_of(keep))
+    return responses[0], responses[1]
 
 
 def hbt_coincidence_amplitude(scenario: HbtScenario) -> HbtCoincidence:
@@ -325,7 +308,8 @@ def hbt_coincidence_amplitude(scenario: HbtScenario) -> HbtCoincidence:
     alpha_d, beta_d = scenario.delayed_weights()
     if not scenario.erasure_enabled:
         return HbtCoincidence(interfering=False, amplitude=None, components=(alpha_d, beta_d))
-    amplitude = _coincidence_response(scenario)(scenario.t_delay)
+    r1, r2 = _coincidence_response(scenario)
+    amplitude = alpha_d * r1 + beta_d * r2
     return HbtCoincidence(interfering=True, amplitude=amplitude, components=(alpha_d, beta_d))
 
 
@@ -334,15 +318,16 @@ def predicted_g2_curve(scenario: HbtScenario, t_delays: np.ndarray) -> np.ndarra
 
     The erasure stages are linear and independent of the delay, which only
     phases the two source configurations.  So both stages run once per
-    source basis state, and each delay costs one `phase_delay` on the
-    two-term source state and a contraction with those stage responses.
-    With erasure disabled the curve is exactly flat at 1.
+    configuration, and each delay costs its delayed weights alpha', beta'
+    and the sum alpha' r1 + beta' r2.  With erasure disabled the curve is
+    exactly flat at 1.
     """
     t_delays = np.asarray(t_delays, dtype=float)
     if not scenario.erasure_enabled:
         return np.ones_like(t_delays)
-    amplitude = _coincidence_response(scenario)
-    probs = np.array([abs(amplitude(t)) ** 2 for t in t_delays])
+    r1, r2 = _coincidence_response(scenario)
+    weights = (scenario.with_delay(t).delayed_weights() for t in t_delays)
+    probs = np.array([abs(alpha_d * r1 + beta_d * r2) ** 2 for alpha_d, beta_d in weights])
     mean = probs.mean()
     if mean == 0.0:
         return np.ones_like(probs)

@@ -69,8 +69,16 @@ class StreamConfig:
             if rate < 0:
                 raise ValueError(f"{name} must be >= 0, got {rate}")
         # the damped sampler's kernel reaches 5 / linewidth; the delay model has no linewidth
-        if self.model is not None and self.model.linewidth is not None and not self.model.linewidth > 0:
-            raise ValueError(f"a damped stream needs a linewidth > 0, got {self.model.linewidth}")
+        if self.model is not None and self.model.linewidth is not None:
+            if not self.model.linewidth > 0:
+                raise ValueError(f"a damped stream needs a linewidth > 0, got {self.model.linewidth}")
+            reach = _kernel_reach(self.model.linewidth, self.bin_width)
+            if reach > _KERNEL_REACH_MAX:
+                floor = 5.0 / (_KERNEL_REACH_MAX * self.bin_width)
+                raise ValueError(
+                    f"linewidth {self.model.linewidth:g} Hz needs a sampler kernel of {reach:.3g} bins each "
+                    f"side, at most {_KERNEL_REACH_MAX} are built: the linewidth must be >= {floor:.4g} Hz"
+                )
         ceiling = 1.0 + (0.0 if self.model is None else self.model.visibility / 2.0)
         worst = max((self.rate_a + self.dark_rate_a), (self.rate_b + self.dark_rate_b) * ceiling)
         if worst * self.bin_width >= MAX_RATE_BIN_PRODUCT:
@@ -308,6 +316,17 @@ def _segment_same_bin(
 # moving the mean acceptance by about 4e-5.  The sum's spread, and with it
 # the clipped share, grows like sqrt(rate_a * bin_width * reach).
 _KERNEL_CAP = 3.0
+# The kernel table holds 2 * reach + 1 float64 entries, built from an int64
+# arange as long; StreamConfig bounds the reach before any table exists, to
+# a 2^22-entry table of 64 MB with its arange.  At 20 ns bins that refuses
+# linewidths below about 119 Hz; the default fig3 kernel reaches 2119 bins.
+_KERNEL_REACH_MAX = (1 << 21) - 1
+
+
+def _kernel_reach(linewidth: float, bin_width: float) -> float:
+    """The kernel's reach in bins, 5 envelope widths; inf where linewidth * bin_width underflows."""
+    width = linewidth * bin_width
+    return 5.0 / width if width > 0 else math.inf
 
 
 def _segment_kernel(
@@ -319,7 +338,7 @@ def _segment_kernel(
     bin_width: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Clicks correlated over a damped oscillating kernel of +-5 envelope widths."""
-    reach = int(math.ceil(5.0 / (model.linewidth * bin_width)))
+    reach = int(math.ceil(_kernel_reach(model.linewidth, bin_width)))
     # table offset d = (A bin - B bin); the shift estimator pairs clicks with
     # t_A - t_B = tau, so offset d carries the model at tau = d * bin_width
     deltas = np.arange(-reach, reach + 1)

@@ -313,9 +313,11 @@ class TestScans:
            st.lists(st.integers(-60, 60), min_size=1, max_size=12),
            st.one_of(st.just(1), st.just(3), st.integers(1, 100)))
     @example(set(), {1, 2, 3}, [0, 5], 1)  # an empty A channel
-    # up to 121 differences for each of 3000 centers, 359k in all: the 2^16
-    # buffer is histogrammed five times when full and once at the end
+    # up to 121 differences for each of 3000 centers in one block: 121 rank
+    # passes, each scatter-added into the histogram
     @example(set(range(3000)), set(range(3000)), [-60, 0, 60], 1 << 13)
+    # repeated and unsorted shifts each read their own histogram bin
+    @example(set(range(0, 300, 2)), set(range(0, 300, 3)), [5, -3, 5, 60, 0, -3, -60], 7)
     def test_shift_histogram_blocks_match_per_shift_intersections(self, a, b, shifts, block):
         bins_a = np.array(sorted(a), dtype=np.int64)
         bins_b = np.array(sorted(b), dtype=np.int64)

@@ -288,6 +288,12 @@ class TestCli:
             # 0.075 periods of the beat between the first and the last delay
             ("[delay_scan]\nsteps = 4\nscan_periods = 0.1\ndwell = 0.2 ms\n", [], "delay_scan.scan_periods"),
             ("[tau_scan]\nlinewidth = 0 MHz\n", [], "[tau_scan]"),
+            # sampler kernels of inf and 2.5e8 bins, refused before any table is built
+            ("[tau_scan]\nlinewidth = 1e-300 Hz\nduration = 0.05 s\n", [], "[tau_scan]"),
+            ("[tau_scan]\nlinewidth = 1 Hz\n", [], "[tau_scan]"),
+            # a channel with no signal and no dark clicks
+            ("[delay_scan]\nrate_a = 0 Hz\n", [], "delay_scan.rate_a"),
+            ("[tau_scan]\nrate_b = 0 Hz\n", [], "tau_scan.rate_b"),
         ],
     )
     def test_out_of_range_config_exits_2_whatever_the_command(

@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chromatic_hbt import elements, fock
@@ -28,6 +28,8 @@ from chromatic_hbt.protocol import (
 from oracles import fresh_erasure_pipeline, per_delay_g2_curve
 
 SQ2 = 1.0 / math.sqrt(2.0)
+DETUNED_A = ErasureDetectorConfig(ConversionSettings.from_angles(0.3, 1.1, 0.7, 2.0, 0.1, -0.4, 0.9, 0.2), "A")
+DETUNED_B = ErasureDetectorConfig(ConversionSettings.from_angles(1.3, 0.4, 2.7, 1.0, -0.6, 0.4, 0.3, 1.2), "B")
 
 
 angles = st.floats(0.0, 2.0 * math.pi)
@@ -267,6 +269,9 @@ class TestHbtCoincidence:
         assert np.abs(normalized - expected).max() < 1e-10
 
     @given(general_scenarios())
+    # one weight 0: that configuration still runs through both stages, times a zero weight
+    @example(HbtScenario(alpha=1.0, beta=0.0, detector_a=DETUNED_A, detector_b=DETUNED_B))
+    @example(HbtScenario(alpha=0.0, beta=-1j, detector_a=DETUNED_A, detector_b=DETUNED_B))
     def test_curve_matches_per_delay_oracle(self, scenario):
         delays = np.linspace(0.0, 2.0 / scenario.freqs.delta_f21, 9)
         expected = per_delay_g2_curve(scenario, delays)

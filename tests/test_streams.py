@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -75,6 +76,24 @@ class TestStreamConfig:
         # sampler's kernel reaches 5 / linewidth
         with pytest.raises(ValueError, match="linewidth > 0"):
             basic_config(model=G2Model(visibility=0.576, phase=-0.434, frequency=1.32e6, linewidth=0.0))
+
+    @pytest.mark.parametrize("linewidth", [1e-300, 5e-324, 1.0, 119.0])
+    def test_kernel_too_wide_to_build_rejected(self, linewidth):
+        # refused as a float reach, before any int or table; at 1e-300 Hz
+        # the reach is inf, at 5e-324 Hz linewidth * bin_width underflows to 0
+        with pytest.raises(ValueError, match="sampler kernel"):
+            basic_config(bin_width=20e-9, model=replace(TAU_MODEL, linewidth=linewidth))
+
+    def test_narrowest_accepted_kernel_stays_within_its_bound(self):
+        linewidth = 5.0 / (streams._KERNEL_REACH_MAX * 20e-9)
+        basic_config(bin_width=20e-9, model=replace(TAU_MODEL, linewidth=linewidth))
+        assert math.ceil(streams._kernel_reach(linewidth, 20e-9)) <= streams._KERNEL_REACH_MAX
+        with pytest.raises(ValueError, match="sampler kernel"):
+            basic_config(bin_width=20e-9, model=replace(TAU_MODEL, linewidth=linewidth * (1 - 1e-9)))
+
+    def test_silent_channels_allowed(self):
+        # the config refuses a scan channel that never clicks; library callers may build one
+        assert basic_config(rate_a=0.0, rate_b=0.0).rate_a == 0.0
 
 
 class BoundedGeometric:
