@@ -32,6 +32,11 @@ from .streams import (
 X_KINDS = ("t_delay", "tau")
 # widest span of whole-bin shifts the all-shifts pass takes, one int64 a bin
 _MAX_SHIFT_SPAN = 50_000_000
+# The all-shifts pass pairs each B bin with about span * n_A / n_bin A bins;
+# a per-tau count sorts both channels once.  On one Xeon vCPU (numpy 2.4.6,
+# 0.2 s and 0.8 s default-rate streams, 209 taus) the two broke even at about
+# 2.5 pairs per tau; the all-shifts pass takes up to this many.
+_PAIRS_PER_TAU = 2.0
 
 
 def _count_distinct_sorted(values: np.ndarray) -> int:
@@ -276,9 +281,11 @@ def scan_tau(stream: TdcStream, taus: Sequence[float]) -> G2Curve:
     """g2 against the post-processing shift, all points from one stream.
 
     The taus are checked as floats before any is rounded to whole ps or
-    bins.  Taus that are all whole stream bins, spanning at most
-    _MAX_SHIFT_SPAN bins, take the all-shifts pass; any other taus are
-    counted one at a time.  Both give the same tallies for the same shift.
+    bins.  Taus that are all whole stream bins take the all-shifts pass
+    while their span is at most _MAX_SHIFT_SPAN bins and span * n_A / n_bin
+    is at most _PAIRS_PER_TAU per tau, where it is the cheaper path; any
+    other taus are counted one at a time.  Both give the same tallies for
+    the same shift.
     """
     taus = np.array(taus, dtype=float)
     if taus.size == 0:
@@ -291,7 +298,10 @@ def scan_tau(stream: TdcStream, taus: Sequence[float]) -> G2Curve:
         raise ValueError(f"shift {taus[beyond][0]} s reaches beyond the stream duration")
     shifts = taus * PS_PER_SECOND / stream.meta.bin_width_ps
     whole = np.round(shifts)
-    if np.all(np.abs(shifts - whole) <= 1e-9) and whole.max() - whole.min() <= _MAX_SHIFT_SPAN:
+    span = whole.max() - whole.min()
+    pairs = span * stream.channel_times(CHANNEL_A).size / _whole_bins(stream)[1]
+    on_grid = np.all(np.abs(shifts - whole) <= 1e-9)
+    if on_grid and span <= _MAX_SHIFT_SPAN and pairs <= _PAIRS_PER_TAU * taus.size:
         tallies = _all_shift_tallies(stream, whole.astype(np.int64))
     else:
         tallies = (count_coincidences(stream, tau) for tau in taus.tolist())

@@ -168,6 +168,8 @@ def _analyze_manifest(config: RunConfig, manifest_path: Path) -> G2Curve:
         # one stream file read and counted at a time
         return scan_delay((float(entry["t_delay"]), read_stream(base / entry["file"])) for entry in entries)
     if kind == "tau":
+        if len(entries) != 1:
+            raise DataError(f"{manifest_path}: a tau manifest names one stream, not {len(entries)}")
         stream = read_stream(base / entries[0]["file"])
         # only a missing list takes the config's taus; scan_tau refuses an empty one
         return scan_tau(stream, config.tau_scan.taus() if taus is None else [float(t) for t in taus])
@@ -293,14 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, default=None, help="INI config file")
     parser.add_argument("--seed", type=int, default=None, help="override [run] seed")
     parser.add_argument("--out-dir", type=Path, default=None, help="override [run] out_dir")
-    parser.add_argument(
-        "--dump-state", action="store_true", help="write stage state vectors as JSON (protocol)"
-    )
     # each command runs as args.run(config, args)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_proto = sub.add_parser("protocol", help="run the single-stage erasure pipeline exactly")
     p_proto.set_defaults(run=cmd_protocol)
+    p_proto.add_argument("--dump-state", action="store_true", help="write stage state vectors as JSON")
 
     p_sim = sub.add_parser("simulate", help="generate click streams and a manifest")
     p_sim.set_defaults(run=cmd_simulate)

@@ -6,13 +6,14 @@ the dominant failure mode in this kind of pipeline, so bare numbers are
 rejected for dimensioned keys.  Defaults reproduce the nominal two-color
 experiment; any file just overrides what it names.
 
-Each key is named once in DEFAULT_CONFIG and once as a section field that
-declares its parser.  `RunConfig.load` validates every section whichever
-command runs: it builds the conversion settings and both scans'
-StreamConfig, so a range error of the streams or the fringe models (a rate
-past the per-bin limit, a visibility outside [0, 1]) is a ConfigError
-naming its section, like a bad unit.  [scenario] holds only the input
-weights alpha and beta.
+Each key is declared once, as a field of its section's class that names
+its parser and its default text; DEFAULT_CONFIG is rendered from those
+fields, section by section in SECTIONS' order.  `RunConfig.load` builds
+every section through the same loop whichever command runs, and with them
+the conversion settings and both scans' StreamConfig, so a range error of
+the streams or the fringe models (a rate past the per-bin limit, a
+visibility outside [0, 1]) is a ConfigError naming its section, like a bad
+unit.  [scenario] holds only the input weights alpha and beta.
 """
 
 from __future__ import annotations
@@ -38,61 +39,11 @@ FREQUENCY_UNITS = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9, "THz": 1e12}
 # of taus is built.
 MAX_TAUS = 2**20
 
-DEFAULT_CONFIG = """\
-[run]
-seed = 12345
-out_dir = out
-
-[modes]
-wavelength_1 = 1064.4 nm
-wavelength_2 = 1063.6 nm
-wavelength_3 = 630.8 nm
-
-[conversion]
-theta_31 = pi:0.5
-theta_32 = pi:2
-theta_2p2 = pi:2
-theta_1p1 = pi:2
-phi_31 = 0 rad
-phi_32 = 0 rad
-phi_2p2 = 0 rad
-phi_1p1 = 0 rad
-
-[scenario]
-alpha = 0.7071067811865476
-beta = 0.7071067811865476
-
-[delay_scan]
-visibility = 0.59
-phase = -0.16 rad
-beat_frequency = 210.1 GHz
-steps = 20
-scan_periods = 5.0
-bin_width = 1 ns
-rate_a = 10 MHz
-rate_b = 10 MHz
-dark_rate_a = 0 Hz
-dark_rate_b = 0 Hz
-dwell = 40 ms
-
-[tau_scan]
-visibility = 0.576
-linewidth = 0.118 MHz
-phase = -0.434 rad
-beat_frequency = 1.32 MHz
-bin_width = 20 ns
-rate_a = 150 kHz
-rate_b = 150 kHz
-dark_rate_a = 0 Hz
-dark_rate_b = 0 Hz
-duration = 12 s
-tau_max = 12 us
-tau_step = 0.12 us
-far_taus = 38 us, 41 us, 44 us
-
-[fit]
-weighted = on
-"""
+# Load builds and checks every delay step's schedule entry, and `chbt
+# simulate` writes one file per step.  On one Xeon vCPU, 10^6 steps of 1 ns
+# took 1.7 s and 130 MB to load, 2^16 steps 0.1 s; more steps than this cap
+# are refused before the schedule is built.
+MAX_STEPS = 2**16
 
 
 class ConfigError(ValueError):
@@ -188,12 +139,14 @@ def parse_quantity_list(text: str, units: dict[str, float], location: str) -> tu
     return tuple(parse_quantity(item, units, location) for item in text.split(","))
 
 
-def _key(parse, above: float | None = None):
+def _key(parse, default: str | dict[str, str], above: float | None = None):
     """A section field read from its INI text by parse(text, location).
 
-    With `above`, a parsed value that is not greater than it is refused.
+    `default` is the key's text in DEFAULT_CONFIG; a key that both scans
+    share takes a {section: text} mapping.  With `above`, a parsed value
+    that is not greater than it is refused.
     """
-    return field(metadata={"parse": parse, "above": above})
+    return field(metadata={"parse": parse, "default": default, "above": above})
 
 
 def _in_units(units: dict[str, float], parse=parse_quantity):
@@ -202,10 +155,20 @@ def _in_units(units: dict[str, float], parse=parse_quantity):
 
 
 @dataclass(frozen=True)
+class RunSection:
+    seed: int = _key(parse_int, "12345")
+    out_dir: Path = _key(lambda text, location: Path(text), "out")
+
+    def __post_init__(self):
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("run.seed", f"must be an unsigned 64-bit integer, got {self.seed}")
+
+
+@dataclass(frozen=True)
 class ModesSection:
-    wavelength_1: float = _key(_in_units(LENGTH_UNITS), above=0.0)  # m
-    wavelength_2: float = _key(_in_units(LENGTH_UNITS), above=0.0)
-    wavelength_3: float = _key(_in_units(LENGTH_UNITS), above=0.0)
+    wavelength_1: float = _key(_in_units(LENGTH_UNITS), "1064.4 nm", above=0.0)  # m
+    wavelength_2: float = _key(_in_units(LENGTH_UNITS), "1063.6 nm", above=0.0)
+    wavelength_3: float = _key(_in_units(LENGTH_UNITS), "630.8 nm", above=0.0)
 
     def __post_init__(self):
         # the shifted lines are differences, so valid wavelengths can still
@@ -221,9 +184,21 @@ class ModesSection:
 
 
 @dataclass(frozen=True)
+class ConversionSection:
+    theta_31: float = _key(parse_angle, "pi:0.5")
+    theta_32: float = _key(parse_angle, "pi:2")
+    theta_2p2: float = _key(parse_angle, "pi:2")
+    theta_1p1: float = _key(parse_angle, "pi:2")
+    phi_31: float = _key(parse_angle, "0 rad")
+    phi_32: float = _key(parse_angle, "0 rad")
+    phi_2p2: float = _key(parse_angle, "0 rad")
+    phi_1p1: float = _key(parse_angle, "0 rad")
+
+
+@dataclass(frozen=True)
 class ScenarioSection:
-    alpha: complex = _key(parse_complex)
-    beta: complex = _key(parse_complex)
+    alpha: complex = _key(parse_complex, "0.7071067811865476")
+    beta: complex = _key(parse_complex, "0.7071067811865476")
 
     def __post_init__(self):
         # hypot, unlike abs(z) ** 2, gives inf instead of raising OverflowError
@@ -237,14 +212,16 @@ class _ScanSection:
     """The keys both scans share; each scan adds model() and schedule()."""
 
     section: ClassVar[str]
-    visibility: float = _key(parse_float)
-    phase: float = _key(parse_angle)
-    beat_frequency: float = _key(_in_units(FREQUENCY_UNITS), above=0.0)
-    bin_width: float = _key(_in_units(TIME_UNITS))
-    rate_a: float = _key(_in_units(FREQUENCY_UNITS))
-    rate_b: float = _key(_in_units(FREQUENCY_UNITS))
-    dark_rate_a: float = _key(_in_units(FREQUENCY_UNITS))
-    dark_rate_b: float = _key(_in_units(FREQUENCY_UNITS))
+    visibility: float = _key(parse_float, {"delay_scan": "0.59", "tau_scan": "0.576"})
+    phase: float = _key(parse_angle, {"delay_scan": "-0.16 rad", "tau_scan": "-0.434 rad"})
+    beat_frequency: float = _key(
+        _in_units(FREQUENCY_UNITS), {"delay_scan": "210.1 GHz", "tau_scan": "1.32 MHz"}, above=0.0
+    )
+    bin_width: float = _key(_in_units(TIME_UNITS), {"delay_scan": "1 ns", "tau_scan": "20 ns"})
+    rate_a: float = _key(_in_units(FREQUENCY_UNITS), {"delay_scan": "10 MHz", "tau_scan": "150 kHz"})
+    rate_b: float = _key(_in_units(FREQUENCY_UNITS), {"delay_scan": "10 MHz", "tau_scan": "150 kHz"})
+    dark_rate_a: float = _key(_in_units(FREQUENCY_UNITS), "0 Hz")
+    dark_rate_b: float = _key(_in_units(FREQUENCY_UNITS), "0 Hz")
 
     def __post_init__(self):
         # g2 divides by each channel's clicked bins; negative rates are StreamConfig's to refuse
@@ -269,11 +246,13 @@ class _ScanSection:
 class DelayScanSection(_ScanSection):
     section = "delay_scan"
     # each fit needs one point more than it has parameters
-    steps: int = _key(parse_int, above=len(_MODELS["delay"]))
-    scan_periods: float = _key(parse_float)
-    dwell: float = _key(_in_units(TIME_UNITS), above=0.0)
+    steps: int = _key(parse_int, "20", above=len(_MODELS["delay"]))
+    scan_periods: float = _key(parse_float, "5.0")
+    dwell: float = _key(_in_units(TIME_UNITS), "40 ms", above=0.0)
 
     def __post_init__(self):
+        if self.steps > MAX_STEPS:
+            raise ConfigError("delay_scan.steps", f"{self.steps} steps exceed the cap of {MAX_STEPS}")
         super().__post_init__()
         # the delay fit needs half a period of the beat between the first and last delay
         span = abs(self.scan_periods) * (self.steps - 1) / self.steps
@@ -301,11 +280,11 @@ class DelayScanSection(_ScanSection):
 @dataclass(frozen=True)
 class TauScanSection(_ScanSection):
     section = "tau_scan"
-    linewidth: float = _key(_in_units(FREQUENCY_UNITS))
-    duration: float = _key(_in_units(TIME_UNITS), above=0.0)
-    tau_max: float = _key(_in_units(TIME_UNITS))
-    tau_step: float = _key(_in_units(TIME_UNITS), above=0.0)
-    far_taus: tuple[float, ...] = _key(_in_units(TIME_UNITS, parse_quantity_list))
+    linewidth: float = _key(_in_units(FREQUENCY_UNITS), "0.118 MHz")
+    duration: float = _key(_in_units(TIME_UNITS), "12 s", above=0.0)
+    tau_max: float = _key(_in_units(TIME_UNITS), "12 us")
+    tau_step: float = _key(_in_units(TIME_UNITS), "0.12 us", above=0.0)
+    far_taus: tuple[float, ...] = _key(_in_units(TIME_UNITS, parse_quantity_list), "38 us, 41 us, 44 us")
 
     def __post_init__(self):
         super().__post_init__()
@@ -349,7 +328,31 @@ class TauScanSection(_ScanSection):
 
 @dataclass(frozen=True)
 class FitSection:
-    weighted: bool = _key(parse_bool)
+    weighted: bool = _key(parse_bool, "on")
+
+
+# every section of the config, in DEFAULT_CONFIG's order
+SECTIONS = {
+    "run": RunSection,
+    "modes": ModesSection,
+    "conversion": ConversionSection,
+    "scenario": ScenarioSection,
+    "delay_scan": DelayScanSection,
+    "tau_scan": TauScanSection,
+    "fit": FitSection,
+}
+
+
+def _default_text(name: str, key) -> str:
+    default = key.metadata["default"]
+    return default[name] if isinstance(default, dict) else default
+
+
+# the built-in configuration, which documents every section and key
+DEFAULT_CONFIG = "\n".join(
+    f"[{name}]\n" + "".join(f"{key.name} = {_default_text(name, key)}\n" for key in fields(cls))
+    for name, cls in SECTIONS.items()
+)
 
 
 def _section(parser: configparser.ConfigParser, name: str, cls):
@@ -422,32 +425,20 @@ class RunConfig:
                 raise ConfigError("config", f"{path}: {exc}") from None
             _refuse_unknown_keys(parser, known)
 
-        if seed is None:
-            seed = parse_int(parser["run"]["seed"], "run.seed")
-        if not 0 <= seed < 2**64:
-            raise ConfigError("run.seed", f"must be an unsigned 64-bit integer, got {seed}")
-        if out_dir is None:
-            out_dir = parser["run"]["out_dir"]
-
-        modes = _section(parser, "modes", ModesSection)
-        angles = {
-            key: parse_angle(text, f"conversion.{key}") for key, text in parser["conversion"].items()
-        }
-        conversion = _built("conversion", ConversionSettings, **angles)
-        scenario = _section(parser, "scenario", ScenarioSection)
-        delay_scan = _section(parser, "delay_scan", DelayScanSection)
-        tau_scan = _section(parser, "tau_scan", TauScanSection)
-        fit = _section(parser, "fit", FitSection)
-
+        if seed is not None:
+            # an overridden file seed is never parsed
+            parser["run"]["seed"] = str(seed)
+        sections = {name: _section(parser, name, section) for name, section in SECTIONS.items()}
+        run, delay_scan, tau_scan = sections["run"], sections["delay_scan"], sections["tau_scan"]
         return cls(
-            seed=seed,
-            out_dir=Path(out_dir),
-            modes=modes,
-            conversion=conversion,
-            scenario=scenario,
+            seed=run.seed,
+            out_dir=run.out_dir if out_dir is None else Path(out_dir),
+            modes=sections["modes"],
+            conversion=_built("conversion", ConversionSettings, **vars(sections["conversion"])),
+            scenario=sections["scenario"],
             delay_scan=delay_scan,
             tau_scan=tau_scan,
-            fit=fit,
-            delay_stream=_built("delay_scan", delay_scan.stream, seed),
-            tau_stream=_built("tau_scan", tau_scan.stream, seed),
+            fit=sections["fit"],
+            delay_stream=_built("delay_scan", delay_scan.stream, run.seed),
+            tau_stream=_built("tau_scan", tau_scan.stream, run.seed),
         )

@@ -86,8 +86,8 @@ class FitResult:
             "notes": list(self.notes),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def summary_lines(self) -> list[str]:
         unit = {"frequency": "Hz", "linewidth": "Hz"}

@@ -185,8 +185,8 @@ class StateVector:
             ],
         }
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=False)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), sort_keys=False)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "StateVector":

@@ -95,23 +95,19 @@ def _register_arm(registry: ModeRegistry, freqs: ModeFrequencies, prefix: str, b
     return ArmModes(**modes)
 
 
-def build_erasure_registry(
-    freqs: ModeFrequencies | None = None, n_max: int = 2
-) -> tuple[ModeRegistry, ArmPair]:
+def build_erasure_registry(freqs: ModeFrequencies | None = None) -> tuple[ModeRegistry, ArmPair]:
     """Registry for one erasure stage: five colors on each of two arms."""
     freqs = freqs or ModeFrequencies.nominal()
-    registry = ModeRegistry(n_max=n_max)
+    registry = ModeRegistry(n_max=2)
     arm_a = _register_arm(registry, freqs, "a.", "a")
     arm_b = _register_arm(registry, freqs, "b.", "b")
     return registry, ArmPair(arm_a, arm_b)
 
 
-def build_hbt_registry(
-    freqs: ModeFrequencies | None = None, n_max: int = 2
-) -> tuple[ModeRegistry, ArmPair, ArmPair]:
+def build_hbt_registry(freqs: ModeFrequencies | None = None) -> tuple[ModeRegistry, ArmPair, ArmPair]:
     """Registry for the two-detector interferometer: arm pairs for stages A and B."""
     freqs = freqs or ModeFrequencies.nominal()
-    registry = ModeRegistry(n_max=n_max)
+    registry = ModeRegistry(n_max=2)
     arms_a = ArmPair(
         _register_arm(registry, freqs, "A.a.", "a"),
         _register_arm(registry, freqs, "A.b.", "b"),
@@ -134,10 +130,11 @@ class ErasureDetectorConfig:
     def ideal(cls, label: str = "A") -> "ErasureDetectorConfig":
         return cls(settings=ConversionSettings.ideal(), label=label)
 
-    def is_ideal_tuning(self, tol: float = 1e-12) -> bool:
+    def is_ideal_tuning(self) -> bool:
         """True when theta_31 sits a quarter cycle in (mod full cycles), theta_32 on
-        a full cycle, and both conversion phases vanish."""
+        a full cycle, and both conversion phases vanish, each to within 1e-12."""
         s = self.settings
+        tol = 1e-12
         two_pi = 2.0 * math.pi
         on_quarter = abs(math.remainder(s.theta_31 - math.pi / 2.0, two_pi)) <= tol
         on_full = abs(math.remainder(s.theta_32, two_pi)) <= tol
@@ -189,12 +186,7 @@ def run_erasure_pipeline(
     return ErasureRun(stages=stages, detection_amplitude=amplitude, discarded_probability=discarded)
 
 
-def erase_and_detect(
-    alpha: complex,
-    beta: complex,
-    config: ErasureDetectorConfig,
-    freqs: ModeFrequencies | None = None,
-) -> complex:
+def erase_and_detect(alpha: complex, beta: complex, config: ErasureDetectorConfig) -> complex:
     """Detection amplitude of one erasure stage fed alpha*f1 + beta*f2.
 
     For ideal tuning this equals (alpha + beta) / 2 exactly; in general it is
@@ -202,7 +194,7 @@ def erase_and_detect(
     """
     if abs(alpha) ** 2 + abs(beta) ** 2 > 1.0 + 1e-9:
         raise ValueError("input weights exceed unit norm: |alpha|^2 + |beta|^2 > 1")
-    registry, arms = build_erasure_registry(freqs)
+    registry, arms = build_erasure_registry()
     vacuum = StateVector.vacuum(registry)
     state = apply_creation(vacuum, arms.arm_a.f1).scaled(alpha).plus(
         apply_creation(vacuum, arms.arm_a.f2).scaled(beta)

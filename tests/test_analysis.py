@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -6,16 +7,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from chromatic_hbt import streams
+from chromatic_hbt import analysis, streams
 from chromatic_hbt.analysis import (
     CoincidenceCounts,
     G2Curve,
+    _all_shift_tallies,
     _multi_shift_coincidences,
     count_coincidences,
     estimate_g2,
     scan_delay,
     scan_tau,
 )
+from chromatic_hbt.config import RunConfig
 from chromatic_hbt.protocol import G2Model
 from chromatic_hbt.streams import (
     PS_PER_SECOND,
@@ -338,11 +341,14 @@ class TestScans:
     def test_off_grid_taus_count_as_floored_whole_bins(self, case):
         # on-grid times make floor((t_b + tau) / bin) = t_b / bin + floor(tau / bin):
         # off-grid taus, counted one at a time, give the same g2 and sigma as
-        # the whole-bin shifts below them through the all-shifts pass
+        # the whole-bin shifts below them through the all-shifts pass, which
+        # these dense toy streams take only with its cost rule lifted
         stream, taus_ps, shifts = case
         bw_ps = stream.meta.bin_width_ps
         off_grid = scan_outcome(stream, [t / PS_PER_SECOND for t in taus_ps])
-        assert off_grid == scan_outcome(stream, [k * bw_ps / PS_PER_SECOND for k in shifts])
+        with mock.patch.object(analysis, "_PAIRS_PER_TAU", math.inf):
+            whole = scan_outcome(stream, [k * bw_ps / PS_PER_SECOND for k in shifts])
+        assert off_grid == whole
 
     def test_off_grid_tau_on_off_grid_times_is_not_a_floored_shift(self):
         # the equivalence above needs B times on the bin grid: B at 195 000 ps
@@ -353,6 +359,29 @@ class TestScans:
         assert count_coincidences(stream, tau=0.0).n_coincidence == 0
         assert scan_tau(stream, [5e-9]).g2[0] > 0.0
         assert scan_tau(stream, [0.0]).g2[0] == 0.0
+
+    def test_scan_tau_takes_the_all_shifts_pass_only_where_it_is_cheaper(self, monkeypatch):
+        # a far +-16 ms pair on a 0.2 s default-rate stream spans 1.6M bins:
+        # about 4800 A bins per B bin, 23 per tau, so each tau is counted alone
+        config = RunConfig.load()
+        stream = simulate_stream(dataclasses.replace(config.tau_stream, delay_schedule=((0.0, 0.2),)))
+        calls = []
+
+        def counted(stream, tau=0.0):
+            calls.append(tau)
+            return count_coincidences(stream, tau)
+
+        monkeypatch.setattr(analysis, "count_coincidences", counted)
+        taus = sorted(config.tau_scan.taus() + [16e-3, -16e-3])
+        curve = scan_tau(stream, taus)
+        assert len(calls) == 209
+        shifts = np.round(np.array(taus) / config.tau_scan.bin_width).astype(np.int64)
+        histogram = [estimate_g2(counts) for counts in _all_shift_tallies(stream, shifts)]
+        assert list(zip(curve.g2.tolist(), curve.sigma.tolist())) == histogram
+        # the default taus span 4400 bins: 13 A bins per B bin, 0.06 per tau
+        calls.clear()
+        scan_tau(stream, config.tau_scan.taus())
+        assert calls == []
 
     def test_scan_tau_fractional_shift_uses_general_path(self):
         cfg = StreamConfig(bin_width=2e-9, rate_a=2e7, rate_b=2e7, seed=34,

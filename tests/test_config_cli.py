@@ -13,6 +13,7 @@ from chromatic_hbt import analysis, cli
 from chromatic_hbt.cli import main
 from chromatic_hbt.config import (
     DEFAULT_CONFIG,
+    MAX_STEPS,
     MAX_TAUS,
     ConfigError,
     FREQUENCY_UNITS,
@@ -179,7 +180,7 @@ class TestRunConfig:
 # each command's argv, after the config and the out dir, and every file it
 # declares, the one written last at the end; "{inputs}" is small_inputs' directory
 OUTPUT_CASES = [
-    (["--dump-state", "protocol"], ["protocol_states.json"]),
+    (["protocol", "--dump-state"], ["protocol_states.json"]),
     (["simulate", "--kind", "tau"], ["tau_stream.txt", "manifest.json"]),
     (["simulate", "--kind", "delay", "--binary"], [f"delay_step_{i:02d}.tdc" for i in range(5)] + ["manifest.json"]),
     (["analyze", "--input", "{inputs}/manifest.json"], ["curve.csv"]),
@@ -234,7 +235,7 @@ class TestCli:
         assert "0.500000" in out
 
     def test_protocol_dump_state(self, tmp_path, capsys):
-        code = main(["--out-dir", str(tmp_path), "--dump-state", "protocol"])
+        code = main(["--out-dir", str(tmp_path), "protocol", "--dump-state"])
         assert code == 0
         payload = json.loads((tmp_path / "protocol_states.json").read_text())
         assert "after_filter" in payload
@@ -294,6 +295,8 @@ class TestCli:
             # a channel with no signal and no dark clicks
             ("[delay_scan]\nrate_a = 0 Hz\n", [], "delay_scan.rate_a"),
             ("[tau_scan]\nrate_b = 0 Hz\n", [], "tau_scan.rate_b"),
+            # refused before the schedule of that many steps is built
+            (f"[delay_scan]\nsteps = {MAX_STEPS + 1}\ndwell = 1 ns\n", [], "delay_scan.steps"),
         ],
     )
     def test_out_of_range_config_exits_2_whatever_the_command(
@@ -357,9 +360,12 @@ class TestCli:
         assert location in captured.err
         assert not list(tmp_path.glob("fig3_*"))
 
-    @pytest.mark.parametrize("argv", [["analyze"], ["fit", "--curve", "curve.csv", "--model", "delay"]])
+    @pytest.mark.parametrize(
+        "argv", [["analyze"], ["fit", "--curve", "curve.csv", "--model", "delay"], ["--dump-state", "protocol"]]
+    )
     def test_analyze_without_input_and_fit_model_are_usage_errors(self, tmp_path, capsys, argv):
-        # analyze reads only --input; fit takes its model from the curve's x_kind
+        # analyze reads only --input; fit takes its model from the curve's
+        # x_kind; --dump-state is an option of protocol, after the command
         with pytest.raises(SystemExit) as exc:
             main(["--out-dir", str(tmp_path), *argv])
         assert exc.value.code == 2
@@ -406,6 +412,8 @@ class TestCli:
             {"kind": "delay", "streams": [{"file": "step.txt"}]},
             {"kind": "delay", "streams": [{"file": "step.txt", "t_delay": [1]}]},
             {"kind": "tau", "streams": [{"file": "step.txt", "t_delay": 0.0}], "taus": 5},
+            # a second stream, here a missing one, that a tau scan would not read
+            {"kind": "tau", "streams": [{"file": "step.txt", "t_delay": 0.0}, {"file": "gone.txt", "t_delay": 0.0}]},
         ],
     )
     def test_analyze_malformed_manifest_exits_3(self, tmp_path, capsys, manifest):

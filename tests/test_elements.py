@@ -209,7 +209,7 @@ class TestSfgUnitary:
 
     def test_missing_modes_listed(self, stage):
         registry, arms = stage
-        other_registry, other_arms = build_erasure_registry(n_max=2)
+        other_registry, other_arms = build_erasure_registry()
         small = ModeRegistry(n_max=2)
         small.register("only", 1e14, "a")
         with pytest.raises(ValueError, match="not registered"):
