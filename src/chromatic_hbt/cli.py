@@ -27,12 +27,8 @@ import numpy as np
 from .analysis import G2Curve, scan_delay, scan_tau, write_csv_columns
 from .config import ConfigError, RunConfig
 from .fitting import FitResult, fit_delay_model, fit_tau_model
-from .fock import SPEED_OF_LIGHT, StateVector, apply_creation
-from .protocol import (
-    ErasureDetectorConfig,
-    build_erasure_registry,
-    run_erasure_pipeline,
-)
+from .fock import SPEED_OF_LIGHT
+from .protocol import ErasureDetectorConfig, run_two_color_erasure
 from .streams import (
     StreamFormatError,
     read_stream,
@@ -91,13 +87,8 @@ def cmd_protocol(config: RunConfig, args: argparse.Namespace) -> int:
     print(f"  phi_31 = {s.phi_31:.6f} rad   phi_32 = {s.phi_32:.6f} rad")
 
     alpha, beta = config.scenario.alpha, config.scenario.beta
-    registry, arms = build_erasure_registry(freqs)
-    vacuum = StateVector.vacuum(registry)
-    state = apply_creation(vacuum, arms.arm_a.f1).scaled(alpha).plus(
-        apply_creation(vacuum, arms.arm_a.f2).scaled(beta)
-    )
     detector = ErasureDetectorConfig(settings=s, label="A")
-    run = run_erasure_pipeline(state, registry, arms, detector)
+    run, arms = run_two_color_erasure(freqs, alpha, beta, detector)
     pre_filter = run.stages["after_second_beamsplitter"]
     print("input weights:")
     print(f"  alpha = {_fmt_complex(alpha)}   beta = {_fmt_complex(beta)}")

@@ -411,7 +411,8 @@ class RunConfig:
         A value that the stream or fringe-model constructors would refuse
         is a ConfigError here, whichever command is about to run.
         """
-        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        # no key interpolates, so a '%' is read as written
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
         parser.read_string(DEFAULT_CONFIG)
         if path is not None:
             path = Path(path)

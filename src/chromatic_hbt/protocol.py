@@ -186,6 +186,18 @@ def run_erasure_pipeline(
     return ErasureRun(stages=stages, detection_amplitude=amplitude, discarded_probability=discarded)
 
 
+def run_two_color_erasure(
+    freqs: ModeFrequencies, alpha: complex, beta: complex, config: ErasureDetectorConfig
+) -> tuple[ErasureRun, ArmPair]:
+    """One erasure stage fed alpha*f1 + beta*f2 on arm a, and the arms its states refer to."""
+    registry, arms = build_erasure_registry(freqs)
+    vacuum = StateVector.vacuum(registry)
+    state = apply_creation(vacuum, arms.arm_a.f1).scaled(alpha).plus(
+        apply_creation(vacuum, arms.arm_a.f2).scaled(beta)
+    )
+    return run_erasure_pipeline(state, registry, arms, config), arms
+
+
 def erase_and_detect(alpha: complex, beta: complex, config: ErasureDetectorConfig) -> complex:
     """Detection amplitude of one erasure stage fed alpha*f1 + beta*f2.
 
@@ -194,12 +206,7 @@ def erase_and_detect(alpha: complex, beta: complex, config: ErasureDetectorConfi
     """
     if abs(alpha) ** 2 + abs(beta) ** 2 > 1.0 + 1e-9:
         raise ValueError("input weights exceed unit norm: |alpha|^2 + |beta|^2 > 1")
-    registry, arms = build_erasure_registry()
-    vacuum = StateVector.vacuum(registry)
-    state = apply_creation(vacuum, arms.arm_a.f1).scaled(alpha).plus(
-        apply_creation(vacuum, arms.arm_a.f2).scaled(beta)
-    )
-    return run_erasure_pipeline(state, registry, arms, config).detection_amplitude
+    return run_two_color_erasure(ModeFrequencies.nominal(), alpha, beta, config)[0].detection_amplitude
 
 
 def erasure_amplitude_closed_form(alpha: complex, beta: complex, settings: ConversionSettings) -> complex:

@@ -20,6 +20,7 @@ bit-exactly.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -516,10 +517,10 @@ def _header_meta(path, bin_width_ps: int, duration_ps: int, seed: int) -> Stream
 
 
 def _checked_stream(path, times_a, times_b, meta: StreamMeta) -> TdcStream:
-    """The stream of a parsed file; records out of range or order are a format error."""
+    """The stream of a parsed file; records out of order are a format error."""
     try:
         return TdcStream(times_a=times_a, times_b=times_b, meta=meta)
-    except (ValueError, OverflowError) as exc:  # OverflowError: a time past int64
+    except ValueError as exc:
         raise StreamFormatError(f"{path}: {exc}") from None
 
 
@@ -551,124 +552,88 @@ def _read_binary(raw: bytes, path) -> TdcStream:
     return _checked_stream(path, records["t"][is_a], records["t"][~is_a], meta)
 
 
-def _parse_header(line: str, lineno: int, headers: dict[str, int], path) -> None:
-    key, _, value = line[1:].partition("=")
+# a header line is printable ascii and ends in a newline
+_HEADER_LINE = re.compile(rb"#([ -~]*)\n")
+# up to 4096 records in a row: matched run by run, the search for a bad line
+# makes one call per run, not one per line, and its backtracking state stays
+# that of one run (a single match of the whole body held one per line)
+_RECORD_RUN = re.compile(rb"(?:[AB] [0-9]{1,19}\n){1,4096}")
+
+
+def _parse_header(line: bytes, lineno: int, headers: dict[str, int], path) -> None:
+    """Add one '#key=value' line, its newline included, to headers."""
+    match = _HEADER_LINE.fullmatch(line)
+    # a line that does not match has no value, and int() refuses that
+    key, _, value = match[1].partition(b"=") if match else (b"", b"", b"")
     try:
-        headers[key.strip()] = int(value)
+        headers[key.strip().decode()] = int(value)
     except ValueError:
         raise StreamFormatError(f"{path}: line {lineno}: bad header {line!r}") from None
 
 
-def _text_stream(path, headers: dict[str, int], times_a, times_b) -> TdcStream:
-    """The stream of a parsed text file, once its headers pass their checks."""
+def _bad_record(raw: bytes, start: int, lineno: int, path) -> StreamFormatError:
+    """The error naming the first line from byte `start` on that is not a
+    record; `lineno` lines come before that byte."""
+    first = start
+    while match := _RECORD_RUN.match(raw, start):
+        start = match.end()
+    line = raw[start : raw.find(b"\n", start) + 1 or len(raw)]
+    lineno += 1 + raw.count(b"\n", first, start)
+    return StreamFormatError(f"{path}: line {lineno}: malformed record {line[:40]!r}")
+
+
+def _read_text(raw: bytes, path) -> TdcStream:
+    r"""Parse a text stream in the one form the writer makes: '#key=value'
+    header lines, then one record '[AB] [0-9]{1,19}\n' a line.  Any other
+    file is refused at its first bad line.
+
+    The records are checked and read as whole arrays.  Their digits
+    accumulate into uint64 column by column (Horner's rule, shorter times
+    padded with leading zeros): 19 digits stay below 10^19 < 2^64, so no
+    time wraps, and a time at or past the duration is refused before the
+    int64 cast.
+    """
+    headers: dict[str, int] = {}
+    start = lineno = 0
+    while raw.startswith(b"#", start):
+        stop = raw.find(b"\n", start) + 1 or len(raw)
+        lineno += 1
+        _parse_header(raw[start:stop], lineno, headers, path)
+        start = stop
     for key in ("binwidth_ps", "duration_ps", "seed"):
         if key not in headers:
             raise StreamFormatError(f"{path}: missing required header #{key}=")
     meta = _header_meta(path, headers["binwidth_ps"], headers["duration_ps"], headers["seed"])
-    return _checked_stream(path, times_a, times_b, meta)
-
-
-def _read_text_lines(raw: bytes, path) -> TdcStream:
-    """Parse a text stream line by line: any line order, any whitespace,
-    anything int() reads as a time; a bad line is named by its number."""
-    try:
-        text = raw.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise StreamFormatError(f"{path}: not an ascii stream file ({exc})") from None
-    headers: dict[str, int] = {}
-    times: dict[str, list[int]] = {letter: [] for letter in CHANNEL_LETTERS}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            _parse_header(line, lineno, headers, path)
-            continue
-        parts = line.split()
-        if len(parts) != 2 or parts[0] not in times:
-            raise StreamFormatError(f"{path}: line {lineno}: malformed record {line!r}")
-        try:
-            times[parts[0]].append(int(parts[1]))
-        except ValueError:
-            raise StreamFormatError(
-                f"{path}: line {lineno}: timestamp {parts[1]!r} is not an integer"
-            ) from None
-    return _text_stream(path, headers, times["A"], times["B"])
-
-
-def _leading_headers(raw: bytes) -> tuple[list[str], int] | None:
-    """The '#' lines that open a text file and the offset of the first other
-    line; None unless each of them ends at a newline and nowhere else."""
-    start = 0
-    while raw.startswith(b"#", start):
-        start = raw.find(b"\n", start) + 1
-        if start == 0:
-            return None
-    try:
-        lines = raw[:start].decode("ascii").splitlines()
-    except UnicodeDecodeError:
-        return None
-    if len(lines) != raw.count(b"\n", 0, start):  # a line also broke at \r, \f, ...
-        return None
-    return lines, start
-
-
-def _canonical_records(raw: bytes, start: int) -> tuple[np.ndarray, np.ndarray] | None:
-    r"""(A times, B times) when every line from byte `start` on is
-    '[AB] [0-9]{1,18}\n', else None.
-
-    18 digits stay below 2^63, so the digits accumulate into int64 column by
-    column (Horner's rule, shorter times padded with leading zeros).
-    """
     body = np.frombuffer(raw, dtype=np.uint8, offset=start)
     ends = np.flatnonzero(body == ord("\n"))
     if ends.size == 0 or ends[-1] != body.size - 1:
         # no records, or text after the last newline
-        return (ends[:0], ends[:0]) if body.size == 0 else None
-    starts = np.empty_like(ends)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    widths = ends - starts - 2  # digits per line
+        if body.size:
+            raise _bad_record(raw, start, lineno, path)
+        return _checked_stream(path, ends[:0], ends[:0], meta)
+    widths = np.diff(ends, prepend=-1) - 3  # digits per line
     shortest, longest = int(widths.min()), int(widths.max())
-    if shortest < 1 or longest > 18:
-        return None
-    letters = body[starts]
+    letters = body[ends - widths - 2]
     is_a = letters == ord("A")
-    if not (np.all(is_a | (letters == ord("B"))) and np.all(body[starts + 1] == ord(" "))):
-        return None
-    digits = body - np.uint8(ord("0"))  # other bytes wrap to 10 and above
-    # the letters, spaces and newlines are not digits, so the rest all are
-    # exactly when the digit count is the byte count less three a line
-    if np.count_nonzero(digits < 10) != body.size - 3 * ends.size:
-        return None
-    times = np.zeros(ends.size, dtype=np.int64)
+    if (shortest < 1 or longest > 19 or not np.all(is_a | (letters == ord("B")))
+            or not np.all(body[ends - widths - 1] == ord(" "))):
+        raise _bad_record(raw, start, lineno, path)
+    times = np.zeros(ends.size, dtype=np.uint64)
     for column in range(longest, 0, -1):
-        digit = digits.take(ends - column, mode="clip")  # the column-th digit before the newline
+        # the column-th byte before each newline; bytes other than digits wrap to 10 and above
+        digit = body.take(ends - column, mode="clip") - np.uint8(ord("0"))
         if column > shortest:
-            digit = np.where(widths >= column, digit, 0)
+            digit[widths < column] = 0
+        if digit.max() > 9:
+            raise _bad_record(raw, start, lineno, path)
         times *= 10
         times += digit
-    return times[is_a], times[~is_a]
-
-
-def _read_text(raw: bytes, path) -> TdcStream:
-    r"""Parse a text stream, from whole arrays when its records are canonical.
-
-    A canonical file is '#key=value' header lines, then one '<A|B> <time>'
-    record a line, each time 1 to 18 digits and each line ending in '\n':
-    every file the writer makes of times below 10^18 ps.  Anything else, such
-    as CRLF line ends, blank lines, headers among the records, signs,
-    underscores, 19 or more digits, a missing last newline or non-ascii
-    bytes, goes to the line loop, which reads what it can and names the
-    first bad line.
-    """
-    found = _leading_headers(raw)
-    records = None if found is None else _canonical_records(raw, found[1])
-    if records is None:
-        return _read_text_lines(raw, path)
-    headers: dict[str, int] = {}
-    for lineno, line in enumerate(found[0], start=1):
-        _parse_header(line, lineno, headers, path)
-    return _text_stream(path, headers, *records)
+    late = times >= max(meta.duration_ps, 1)
+    if late.any():
+        bad = int(np.argmax(late))
+        raise StreamFormatError(f"{path}: line {lineno + 1 + bad}: time {times[bad]} ps is past the duration")
+    times = times.view(np.int64)
+    return _checked_stream(path, times[is_a], times[~is_a], meta)
 
 
 def read_stream(path) -> TdcStream:

@@ -99,6 +99,14 @@ class TestRunConfig:
         # untouched keys keep their defaults
         assert config.delay_scan.steps == 20
 
+    def test_percent_sign_is_read_as_written(self, tmp_path, capsys):
+        # no key interpolates: '%' is read as written, also where --out-dir replaces the value
+        path = tmp_path / "run.cfg"
+        path.write_text("[run]\nout_dir = a%b\n")
+        assert RunConfig.load(path).out_dir == Path("a%b")
+        assert main(["--config", str(path), "protocol"]) == 0
+        assert main(["--config", str(path), "--out-dir", str(tmp_path), "protocol"]) == 0
+
     def test_seed_override_argument_wins(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("[run]\nseed = 99\n")
@@ -395,6 +403,16 @@ class TestCli:
         assert "fit did not converge" in capsys.readouterr().err
         result = json.loads((tmp_path / "fit.json").read_text())
         assert result["model"] == "tau" and result["converged"] is False
+
+    def test_analyze_of_a_crlf_stream_exits_3_at_line_1(self, tmp_path, capsys, small_inputs):
+        cfg, inputs = small_inputs
+        stream = tmp_path / "crlf.txt"
+        stream.write_bytes((inputs / "tau_stream.txt").read_bytes().replace(b"\n", b"\r\n"))
+        out_dir = tmp_path / "out"
+        code = main(["--config", str(cfg), "--out-dir", str(out_dir), "analyze", "--input", str(stream)])
+        assert code == 3
+        assert f"{stream}: line 1: bad header" in capsys.readouterr().err
+        assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
     def test_analyze_empty_stream_exits_3(self, tmp_path, capsys):
         stream = tmp_path / "empty.txt"
@@ -749,7 +767,7 @@ class TestCli:
 
 def _fuzz_value(default: str):
     """Values for a key in the form of its default text: unit, pi:, list or bare."""
-    numbers = st.sampled_from(["0", "-0", "-1", "1e300", "-1e300", "1e-300", "nan", "inf", "-inf"])
+    numbers = st.sampled_from(["0", "-0", "-1", "1e300", "-1e300", "1e-300", "nan", "inf", "-inf", "5%"])
     numbers |= st.floats(allow_nan=False, allow_infinity=False).map(repr)
     if default in ("on", "off"):
         return st.sampled_from(["on", "off", "maybe"])
@@ -787,7 +805,7 @@ def test_fuzzed_config_loads_or_refuses(tmp_path, capsys, overrides):
     # every accepted config gives a finite protocol answer; any other is a
     # ConfigError (exit 2), never a data error or a traceback
     cfg = tmp_path / "fuzz.cfg"
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict({name: {} for name, _ in overrides})
     for (name, key), value in overrides.items():
         parser[name][key] = value

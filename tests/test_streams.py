@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -412,27 +413,18 @@ binary_records = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2**64 - 1)
 stream_file_bytes = st.one_of(
     st.binary(max_size=200),
     st.binary(max_size=200).map(lambda raw: BINARY_MAGIC + raw),
-    st.text("AB#=_+- 0123456789\n", max_size=200).map(lambda s: (TEXT_HEADER + s).encode()),
+    st.text("AB#=_+- 0123456789\r\n", max_size=200).map(lambda s: (TEXT_HEADER + s).encode()),
     binary_records.map(lambda recs: BINARY_HEADER + np.array(recs, dtype=RECORD).tobytes()),
 )
 
 
-def parse_outcomes(path):
-    """What read_stream and the line loop each make of a file: a stream, or
-    the message of the StreamFormatError it raised."""
-    outcomes = []
-    for read in (read_stream, lambda path: streams._read_text_lines(path.read_bytes(), path)):
-        try:
-            outcomes.append(read(path))
-        except StreamFormatError as exc:
-            outcomes.append(str(exc))
-    return outcomes
-
-
 CANONICAL = TEXT_HEADER + "A 0\nB 7\nA 1000\nB 1000\nA 4999\n"
+CANONICAL_STREAM = TdcStream(times_a=[0, 1000, 4999], times_b=[7, 1000], meta=StreamMeta(1000, 5000, 1))
+# the writer's form: the header lines, then records of 1 to 19 digits
+WRITTEN_FORM = re.compile(rb"(?:#[^\n]*\n)*((?:[AB] [0-9]{1,19}\n)*)")
 
 
-class TestTextFastPath:
+class TestTextFormat:
     @given(st.one_of(valid_streams(), wide_streams()), st.integers(1, 8))
     @example(EVERY_WIDTH, 5)
     def test_writer_bytes_match_string_formatting(self, tmp_path_factory, stream, block):
@@ -443,54 +435,72 @@ class TestTextFastPath:
 
     @given(st.one_of(valid_streams(), wide_streams()))
     @example(EVERY_WIDTH)
-    def test_written_files_parse_like_the_line_loop(self, tmp_path_factory, stream):
-        path = tmp_path_factory.getbasetemp() / "written.txt"
-        write_stream(stream, path)
-        with mock.patch.object(streams, "_read_text_lines", wraps=streams._read_text_lines) as loop:
-            fast, slow = parse_outcomes(path)
-        assert isinstance(fast, TdcStream) and fast == slow == stream
-        # one call is parse_outcomes' own; read_stream makes a second only for 19-digit times
-        long_times = max(stream.times_a.max(initial=0), stream.times_b.max(initial=0)) >= 10**18
-        assert loop.call_count == 1 + long_times
+    def test_written_files_round_trip(self, tmp_path_factory, stream):
+        path = tmp_path_factory.getbasetemp() / "written"
+        for binary in (False, True):
+            write_stream(stream, path, binary=binary)
+            assert read_stream(path) == stream
 
     @given(stream_file_bytes)
-    def test_any_bytes_parse_like_the_line_loop(self, tmp_path_factory, raw):
+    def test_accepted_files_hold_only_records_after_the_headers(self, tmp_path_factory, raw):
         assume(not raw.startswith(BINARY_MAGIC))
         path = tmp_path_factory.getbasetemp() / "fuzz.txt"
         path.write_bytes(raw)
-        fast, slow = parse_outcomes(path)
-        assert fast == slow
+        try:
+            stream = read_stream(path)
+        except StreamFormatError:
+            return
+        form = WRITTEN_FORM.fullmatch(raw)
+        assert form is not None, raw
+        records = [line.split(b" ") for line in form[1].splitlines()]
+        assert stream.times_a.tolist() == [int(t) for letter, t in records if letter == b"A"]
+        assert stream.times_b.tolist() == [int(t) for letter, t in records if letter == b"B"]
 
-    @pytest.mark.parametrize("text, fast", [
-        (CANONICAL, True),
-        (CANONICAL.replace("B 7", "B 007"), True),  # leading zeros
-        (CANONICAL.replace("\n", "\r\n"), False),
-        (CANONICAL.replace("B 7\n", "B 7\n\n"), False),  # blank line
-        (CANONICAL.replace("B 7\n", "B 7\n#seed=9\n"), False),  # header among the records
-        (CANONICAL.replace("B 7", "B +7"), False),
-        (CANONICAL.replace("A 1000", "A 1_000"), False),
-        (CANONICAL.replace("B 7", "B 0000000000000000007"), False),  # 19 digits
-        (CANONICAL.replace("A 4999", "A 1000000000000000000"), False),  # 19 digits, past the duration
-        (CANONICAL.replace("A 4999", "A 9999999999999999999"), False),  # past int64
-        (CANONICAL.replace("B 7", "B -7"), False),
-        (CANONICAL.replace("B 7", "B\t7"), False),
-        (CANONICAL.replace("B 7", "C 7"), False),
-        (CANONICAL.replace("A 1000", "A 1000 5"), False),
-        (CANONICAL.replace("A 1000", "A 100é"), False),
-        (CANONICAL.replace("#seed=1\n", "#seed=1\r#seed=2\n"), False),  # a header line broken at CR
-        (CANONICAL.replace("#seed=1", "#seed=x"), True),  # bad header, canonical records
-        (CANONICAL.replace("#seed=1\n", ""), True),  # missing header
-        (CANONICAL[:-1], False),  # no newline after the last record
-        (TEXT_HEADER, True),
-        (TEXT_HEADER[:-1], False),
+    @pytest.mark.parametrize("text", [
+        CANONICAL,
+        CANONICAL.replace("B 7", "B 007"),  # leading zeros
+        CANONICAL.replace("B 7", "B 0000000000000000007"),  # 19 digits
     ])
-    def test_mutated_files_parse_like_the_line_loop(self, tmp_path, text, fast):
+    def test_canonical_files_are_read(self, tmp_path, text):
+        path = tmp_path / "canonical.txt"
+        path.write_bytes(text.encode())
+        assert read_stream(path) == CANONICAL_STREAM
+
+    # lines 1-3 are the headers, 4-8 the records "A 0" .. "A 4999"
+    @pytest.mark.parametrize("text, problem", [
+        pytest.param(CANONICAL.replace("\n", "\r\n"), "line 1: bad header", id="crlf"),
+        pytest.param(CANONICAL.replace("B 7\n", "B 7\n\n"), "line 6: malformed record", id="blank-line"),
+        pytest.param(CANONICAL.replace("B 7\n", "B 7\n#seed=9\n"), "line 6: malformed record",
+                     id="header-among-records"),
+        pytest.param(CANONICAL.replace("B 7", "B +7"), "line 5: malformed record", id="plus-sign"),
+        pytest.param(CANONICAL.replace("A 1000", "A 1_000"), "line 6: malformed record", id="underscore"),
+        pytest.param(CANONICAL.replace("A 4999", "A 5000"), "line 8: time 5000 ps is past the duration",
+                     id="time-at-duration"),
+        pytest.param(CANONICAL.replace("A 4999", "A 1000000000000000000"),
+                     "line 8: time 1000000000000000000 ps is past the duration", id="19-digits-past-duration"),
+        pytest.param(CANONICAL.replace("A 4999", "A 9999999999999999999"),
+                     "line 8: time 9999999999999999999 ps is past the duration", id="19-digits-past-int64"),
+        pytest.param(CANONICAL.replace("A 4999", "A 10000000000000000000"), "line 8: malformed record", id="20-digits"),
+        pytest.param(CANONICAL.replace("B 7", "B -7"), "line 5: malformed record", id="minus-sign"),
+        pytest.param(CANONICAL.replace("B 7", "B\t7"), "line 5: malformed record", id="tab"),
+        pytest.param(CANONICAL.replace("B 7", "C 7"), "line 5: malformed record", id="channel-C"),
+        pytest.param(CANONICAL.replace("A 1000", "A 1000 5"), "line 6: malformed record", id="third-field"),
+        pytest.param(CANONICAL.replace("A 1000", "A 100é"), "line 6: malformed record", id="non-ascii"),
+        pytest.param(CANONICAL.replace("#seed=1\n", "#seed=1\r#seed=2\n"), "line 3: bad header",
+                     id="header-broken-at-cr"),
+        pytest.param(CANONICAL.replace("#seed=1", "#seed=x"), "line 3: bad header", id="bad-header"),
+        pytest.param(CANONICAL.replace("#seed=1\n", ""), "missing required header #seed=", id="missing-header"),
+        pytest.param(CANONICAL[:-1], "line 8: malformed record b'A 4999'", id="no-last-newline"),
+        pytest.param(TEXT_HEADER[:-1], "line 3: bad header b'#seed=1'", id="header-without-newline"),
+        # the search for the bad line matches the records thousands at a time
+        pytest.param(TEXT_HEADER + "A 1\n" * 10_000 + "A x\n", "line 10004: malformed record",
+                     id="10000-records-first"),
+    ])
+    def test_other_files_are_refused_at_their_first_bad_line(self, tmp_path, text, problem):
         path = tmp_path / "mutated.txt"
         path.write_bytes(text.encode("utf-8"))
-        with mock.patch.object(streams, "_read_text_lines", wraps=streams._read_text_lines) as loop:
-            one, two = parse_outcomes(path)
-        assert one == two
-        assert loop.call_count == 1 + (not fast)
+        with pytest.raises(StreamFormatError, match=f"mutated.txt: {re.escape(problem)}"):
+            read_stream(path)
 
 
 class TestTdcStreamEquality:
@@ -586,14 +596,14 @@ class TestStreamIO:
             read_stream(path)
 
     @pytest.mark.parametrize("records, duration, problem", [
-        ("A -5\n", 10000, "timestamp -5 is not in"),
-        ("A 9000\n", 5000, "timestamp 9000 is not in"),
-        ("A 3000\nA 1000\n", 10000, "timestamps are not sorted: 1000 after 3000"),
+        ("A -5\n", 10000, "line 4: malformed record"),
+        ("A 9000\n", 5000, "line 4: time 9000 ps is past the duration"),
+        ("A 3000\nA 1000\n", 10000, "channel A timestamps are not sorted: 1000 after 3000"),
     ])
     def test_bad_record_content_names_file(self, tmp_path, records, duration, problem):
         path = tmp_path / "content.txt"
         path.write_text(f"#binwidth_ps=1000\n#duration_ps={duration}\n#seed=1\n{records}")
-        with pytest.raises(StreamFormatError, match=f"content.txt: channel A {problem}"):
+        with pytest.raises(StreamFormatError, match=f"content.txt: {problem}"):
             read_stream(path)
 
     def test_binary_time_past_int64_names_record(self, tmp_path):
