@@ -52,7 +52,8 @@ def _outputs(out_dir: Path, names, inputs=()):
     """Yield out_dir / name for each name, in order; remove them all if the block raises.
 
     An earlier run's file of one of these names goes too, so a failed or
-    interrupted run leaves none of its outputs.  An input that is one of
+    interrupted run leaves none of its outputs, and the directories that
+    this call made go if they are still empty.  An input that is one of
     them is refused before anything is written or removed.
     """
     paths = [out_dir / name for name in names]
@@ -60,12 +61,16 @@ def _outputs(out_dir: Path, names, inputs=()):
     for source in inputs:
         if source.resolve() in targets:
             raise DataError(f"input {source} is also an output of this command")
+    made = [folder for folder in (out_dir, *out_dir.parents) if not folder.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         yield paths
     except BaseException:
         for path in paths:
             path.unlink(missing_ok=True)
+        for folder in made:  # the deepest first
+            with contextlib.suppress(OSError):  # not empty
+                folder.rmdir()
         raise
 
 

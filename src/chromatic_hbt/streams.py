@@ -442,22 +442,51 @@ def simulate_stream(config: StreamConfig) -> TdcStream:
     return TdcStream(times_a=channels[0], times_b=channels[1], meta=meta, segments=tuple(segments))
 
 
-def _interleave(stream: TdcStream) -> tuple[np.ndarray, np.ndarray]:
-    """Both channels as (channel, time) records sorted by (time, channel).
-
-    Each channel is sorted already, so a stable sort of A's times followed
-    by B's is one merge of two runs and keeps A ahead of B on equal times.
-    """
-    times = np.concatenate([stream.times_a, stream.times_b])
-    order = np.argsort(times, kind="stable")
-    return (order >= stream.times_a.size).astype(np.uint8), times[order]
-
-
-# records per block of the text writer; a block's scratch arrays take about
-# 80 bytes a record (5 MB), however long the stream
-_TEXT_BLOCK = 1 << 16
+# records per block of the file writer and reader.  A block's scratch
+# arrays take at most about 110 bytes a record (1.7 MB, the text writer's),
+# however long the stream.  On one Xeon vCPU (numpy 2.4.6) the files-offgrid
+# benchmark operation peaked at 2.76 MB traced with blocks of 2^12 to 2^14
+# records, where the sampler of `simulate` sets its peak, but at 3.70 MB
+# at 2^15 and 4.96 MB at 2^16, where the text writer's block does.  At
+# 1.2M records (best of 5) 2^12 to 2^16 wrote and read a binary file in
+# 22-37 ms each and wrote a text file in 190-240 ms; the text reader took
+# 193, 141 and 117 ms at 2^12, 2^13 and 2^14, and 81 ms at 2^16.
+_BLOCK = 1 << 14
 # 10^1 .. 10^18: a time of k digits is at or above the first k - 1 of them
 _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+# the magic, then the bin width, the duration and the seed as 8 bytes each
+_BINARY_HEADER_SIZE = len(BINARY_MAGIC) + 8 + 8 + 8
+_BINARY_RECORD = np.dtype([("ch", "u1"), ("t", "<u8")])
+
+
+def _record_blocks(stream: TdcStream) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Both channels as (channel, time) records sorted by (time, channel),
+    one block of at most _BLOCK records at a time.
+
+    Two cursors walk the channels.  A block takes every record before a stop
+    time: the time of the first record past the next half block of either
+    channel, whichever is earlier.  So equal times stay in one block, and a
+    stable sort of the block's A times followed by its B times, one merge
+    of two sorted runs, keeps A ahead of B on equal times.  Only a time that
+    one channel repeats more than half a block in a row makes a longer
+    block: all the records of that time.
+    """
+    a, b = stream.times_a, stream.times_b
+    half = _BLOCK // 2
+    i = j = 0
+    while i < a.size or j < b.size:
+        stops = [t[k + half] for t, k in ((a, i), (b, j)) if k + half < t.size]
+        if not stops:
+            stop_a, stop_b = a.size, b.size
+        else:
+            stop = min(stops)
+            stop_a, stop_b = np.searchsorted(a, stop), np.searchsorted(b, stop)
+            if stop_a == i and stop_b == j:
+                stop_a, stop_b = np.searchsorted(a, stop, "right"), np.searchsorted(b, stop, "right")
+        times = np.concatenate([a[i:stop_a], b[j:stop_b]])
+        order = np.argsort(times, kind="stable")
+        yield (order >= stop_a - i).astype(np.uint8), times[order]
+        i, j = stop_a, stop_b
 
 
 def _text_lines(channels: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -483,29 +512,29 @@ def _text_lines(channels: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
+def _binary_records(channels: np.ndarray, times: np.ndarray) -> np.ndarray:
+    records = np.empty(times.size, dtype=_BINARY_RECORD)
+    records["ch"] = channels
+    records["t"] = times
+    return records
+
+
 def write_stream(stream: TdcStream, path, binary: bool = False) -> None:
-    """Persist a stream; the two formats round-trip bit-exactly."""
-    channels, times = _interleave(stream)
-    if binary:
-        with open(path, "wb") as fh:
-            fh.write(BINARY_MAGIC)
-            fh.write(np.int64(stream.meta.bin_width_ps).tobytes())
-            fh.write(np.int64(stream.meta.duration_ps).tobytes())
-            fh.write(np.uint64(stream.meta.seed).tobytes())
-            records = np.empty(len(stream), dtype=[("ch", "u1"), ("t", "<u8")])
-            records["ch"] = channels
-            records["t"] = times.astype(np.uint64)
-            fh.write(records.tobytes())
-        return
+    """Persist a stream; the two formats round-trip bit-exactly.  The records
+    are laid out and written one block of _record_blocks at a time."""
+    meta = stream.meta
     with open(path, "wb") as fh:
-        fh.write(
-            f"#binwidth_ps={stream.meta.bin_width_ps}\n"
-            f"#duration_ps={stream.meta.duration_ps}\n"
-            f"#seed={stream.meta.seed}\n".encode("ascii")
-        )
-        for start in range(0, len(stream), _TEXT_BLOCK):
-            block = slice(start, start + _TEXT_BLOCK)
-            fh.write(_text_lines(channels[block], times[block]))
+        if binary:
+            fh.write(BINARY_MAGIC)
+            fh.write(np.int64(meta.bin_width_ps).tobytes())
+            fh.write(np.int64(meta.duration_ps).tobytes())
+            fh.write(np.uint64(meta.seed).tobytes())
+        else:
+            fh.write(f"#binwidth_ps={meta.bin_width_ps}\n#duration_ps={meta.duration_ps}\n"
+                     f"#seed={meta.seed}\n".encode("ascii"))
+        layout = _binary_records if binary else _text_lines
+        for channels, times in _record_blocks(stream):
+            fh.write(layout(channels, times))
 
 
 def _header_meta(path, bin_width_ps: int, duration_ps: int, seed: int) -> StreamMeta:
@@ -516,108 +545,138 @@ def _header_meta(path, bin_width_ps: int, duration_ps: int, seed: int) -> Stream
         raise StreamFormatError(f"{path}: invalid header ({exc})") from None
 
 
-def _checked_stream(path, times_a, times_b, meta: StreamMeta) -> TdcStream:
-    """The stream of a parsed file; records out of order are a format error."""
+def _file_pieces(fh, size: int, cut) -> Iterator[memoryview]:
+    """The rest of an open file, read through one buffer of `size` bytes.
+
+    Each fill of the buffer is handed out up to cut(buffer, end), and the
+    bytes after that open the next fill.  A fill with nothing to cut is
+    handed out whole, and so is what is left at the end of the file.
+    """
+    buffer = bytearray(size)
+    view = memoryview(buffer)
+    held = 0
+    while got := fh.readinto(view[held:]):
+        end = held + got
+        stop = cut(buffer, end) or end
+        yield view[:stop]
+        held = end - stop
+        buffer[:held] = buffer[stop:end]
+    if held:
+        yield view[:held]
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts as one array; the list is emptied, so each channel's parts
+    are freed as soon as they are joined."""
+    times = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    parts.clear()
+    return times
+
+
+def _checked_stream(path, parts_a: list, parts_b: list, meta: StreamMeta) -> TdcStream:
+    """The stream of a parsed file's blocks; records out of order are a format error."""
     try:
-        return TdcStream(times_a=times_a, times_b=times_b, meta=meta)
+        return TdcStream(times_a=_joined(parts_a), times_b=_joined(parts_b), meta=meta)
     except ValueError as exc:
         raise StreamFormatError(f"{path}: {exc}") from None
 
 
-def _read_binary(raw: bytes, path) -> TdcStream:
-    header_size = len(BINARY_MAGIC) + 8 + 8 + 8
-    if len(raw) < header_size:
-        raise StreamFormatError(f"{path}: truncated header at byte offset {len(raw)}")
-    meta = _header_meta(
-        path,
-        bin_width_ps=int(np.frombuffer(raw, dtype=np.int64, count=1, offset=4)[0]),
-        duration_ps=int(np.frombuffer(raw, dtype=np.int64, count=1, offset=12)[0]),
-        seed=int(np.frombuffer(raw, dtype=np.uint64, count=1, offset=20)[0]),
-    )
-    body = raw[header_size:]
-    record_size = 9
-    if len(body) % record_size:
-        offset = header_size + (len(body) // record_size) * record_size
-        raise StreamFormatError(f"{path}: truncated record at byte offset {offset}")
-    records = np.frombuffer(body, dtype=[("ch", "u1"), ("t", "<u8")])
-    if records.size and records["ch"].max() > CHANNEL_B:
-        bad = int(np.argmax(records["ch"] > CHANNEL_B))
-        raise StreamFormatError(f"{path}: record {bad}: invalid channel {records['ch'][bad]}")
-    # checked on the unsigned times: the int64 cast would wrap those past 2^63
-    late = records["t"] >= max(meta.duration_ps, 1)
-    if late.any():
-        bad = int(np.argmax(late))
-        raise StreamFormatError(f"{path}: record {bad}: time {records['t'][bad]} ps is past the duration")
-    is_a = records["ch"] == CHANNEL_A
-    return _checked_stream(path, records["t"][is_a], records["t"][~is_a], meta)
+def _read_binary(fh, path) -> TdcStream:
+    """Parse a binary stream whose magic has been read, one block of records at a time.
+
+    As if the whole file were checked at once: a truncated record, then the
+    first invalid channel, then the first time at or past the duration, then
+    records out of order; each is found in a block, but the order of the
+    checks decides which one is raised.
+    """
+    header = fh.read(_BINARY_HEADER_SIZE - len(BINARY_MAGIC))
+    if (offset := len(BINARY_MAGIC) + len(header)) < _BINARY_HEADER_SIZE:
+        raise StreamFormatError(f"{path}: truncated header at byte offset {offset}")
+    bin_width_ps, duration_ps = np.frombuffer(header, dtype=np.int64, count=2).tolist()
+    meta = _header_meta(path, bin_width_ps, duration_ps, int(np.frombuffer(header, dtype=np.uint64, offset=16)[0]))
+    top = max(meta.duration_ps, 1)
+    size = _BINARY_RECORD.itemsize
+    parts_a, parts_b = [], []
+    channel_error = late_error = None
+    done = 0  # records before this block
+    for piece in _file_pieces(fh, size * _BLOCK, lambda buffer, end: end - end % size):
+        records = np.frombuffer(piece, dtype=_BINARY_RECORD, count=len(piece) // size)
+        if len(piece) % size:
+            offset = _BINARY_HEADER_SIZE + (done + records.size) * size
+            raise StreamFormatError(f"{path}: truncated record at byte offset {offset}")
+        channels, times = records["ch"], records["t"]
+        if channel_error is None and channels.max() > CHANNEL_B:
+            bad = int(np.argmax(channels > CHANNEL_B))
+            channel_error = f"record {done + bad}: invalid channel {channels[bad]}"
+        elif channel_error is None and late_error is None:
+            # checked on the unsigned times: the int64 view would wrap those past 2^63
+            late = times >= top
+            if late.any():
+                bad = int(np.argmax(late))
+                late_error = f"record {done + bad}: time {times[bad]} ps is past the duration"
+            else:
+                is_a = channels == CHANNEL_A
+                times = times.view(np.int64)
+                parts_a.append(times[is_a])
+                parts_b.append(times[~is_a])
+        done += records.size
+    if channel_error or late_error:
+        raise StreamFormatError(f"{path}: {channel_error or late_error}")
+    return _checked_stream(path, parts_a, parts_b, meta)
 
 
-# a header line is printable ascii and ends in a newline
-_HEADER_LINE = re.compile(rb"#([ -~]*)\n")
+# a header line is one of the writer's three keys, '=', digits and a newline
+_HEADER_LINE = re.compile(rb"#(binwidth_ps|duration_ps|seed)=([0-9]+)\n")
+_HEADER_KEYS = ("binwidth_ps", "duration_ps", "seed")
 # up to 4096 records in a row: matched run by run, the search for a bad line
 # makes one call per run, not one per line, and its backtracking state stays
 # that of one run (a single match of the whole body held one per line)
 _RECORD_RUN = re.compile(rb"(?:[AB] [0-9]{1,19}\n){1,4096}")
+# bytes of a malformed line that its error quotes
+_LINE_QUOTE = 40
 
 
 def _parse_header(line: bytes, lineno: int, headers: dict[str, int], path) -> None:
-    """Add one '#key=value' line, its newline included, to headers."""
+    """Add one '#key=digits' line, its newline included, to headers.  Any
+    other line, or a key seen before, is a bad header."""
     match = _HEADER_LINE.fullmatch(line)
-    # a line that does not match has no value, and int() refuses that
-    key, _, value = match[1].partition(b"=") if match else (b"", b"", b"")
     try:
-        headers[key.strip().decode()] = int(value)
-    except ValueError:
+        if match is None or match[1].decode() in headers:
+            raise ValueError
+        headers[match[1].decode()] = int(match[2])
+    except ValueError:  # int() refuses more than 4300 digits
         raise StreamFormatError(f"{path}: line {lineno}: bad header {line!r}") from None
 
 
-def _bad_record(raw: bytes, start: int, lineno: int, path) -> StreamFormatError:
-    """The error naming the first line from byte `start` on that is not a
-    record; `lineno` lines come before that byte."""
-    first = start
+def _bad_record(raw: bytes, lineno: int, path) -> StreamFormatError:
+    """The error naming the first line of `raw` that is not a record;
+    `lineno` lines come before it."""
+    start = 0
     while match := _RECORD_RUN.match(raw, start):
         start = match.end()
     line = raw[start : raw.find(b"\n", start) + 1 or len(raw)]
-    lineno += 1 + raw.count(b"\n", first, start)
-    return StreamFormatError(f"{path}: line {lineno}: malformed record {line[:40]!r}")
+    lineno += 1 + raw.count(b"\n", 0, start)
+    return StreamFormatError(f"{path}: line {lineno}: malformed record {line[:_LINE_QUOTE]!r}")
 
 
-def _read_text(raw: bytes, path) -> TdcStream:
-    r"""Parse a text stream in the one form the writer makes: '#key=value'
-    header lines, then one record '[AB] [0-9]{1,19}\n' a line.  Any other
-    file is refused at its first bad line.
+def _text_times(body: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    r"""The times, as uint64, and the A mask of the records '[AB] [0-9]{1,19}\n'
+    that make up body, a uint8 array; None if any line is not such a record.
 
-    The records are checked and read as whole arrays.  Their digits
-    accumulate into uint64 column by column (Horner's rule, shorter times
-    padded with leading zeros): 19 digits stay below 10^19 < 2^64, so no
-    time wraps, and a time at or past the duration is refused before the
-    int64 cast.
+    The digits accumulate into uint64 column by column (Horner's rule,
+    shorter times padded with leading zeros): 19 digits stay below
+    10^19 < 2^64, so no time wraps.
     """
-    headers: dict[str, int] = {}
-    start = lineno = 0
-    while raw.startswith(b"#", start):
-        stop = raw.find(b"\n", start) + 1 or len(raw)
-        lineno += 1
-        _parse_header(raw[start:stop], lineno, headers, path)
-        start = stop
-    for key in ("binwidth_ps", "duration_ps", "seed"):
-        if key not in headers:
-            raise StreamFormatError(f"{path}: missing required header #{key}=")
-    meta = _header_meta(path, headers["binwidth_ps"], headers["duration_ps"], headers["seed"])
-    body = np.frombuffer(raw, dtype=np.uint8, offset=start)
     ends = np.flatnonzero(body == ord("\n"))
     if ends.size == 0 or ends[-1] != body.size - 1:
-        # no records, or text after the last newline
-        if body.size:
-            raise _bad_record(raw, start, lineno, path)
-        return _checked_stream(path, ends[:0], ends[:0], meta)
+        return None  # text after the last newline
     widths = np.diff(ends, prepend=-1) - 3  # digits per line
     shortest, longest = int(widths.min()), int(widths.max())
     letters = body[ends - widths - 2]
     is_a = letters == ord("A")
     if (shortest < 1 or longest > 19 or not np.all(is_a | (letters == ord("B")))
             or not np.all(body[ends - widths - 1] == ord(" "))):
-        raise _bad_record(raw, start, lineno, path)
+        return None
     times = np.zeros(ends.size, dtype=np.uint64)
     for column in range(longest, 0, -1):
         # the column-th byte before each newline; bytes other than digits wrap to 10 and above
@@ -625,21 +684,66 @@ def _read_text(raw: bytes, path) -> TdcStream:
         if column > shortest:
             digit[widths < column] = 0
         if digit.max() > 9:
-            raise _bad_record(raw, start, lineno, path)
+            return None
         times *= 10
         times += digit
-    late = times >= max(meta.duration_ps, 1)
-    if late.any():
-        bad = int(np.argmax(late))
-        raise StreamFormatError(f"{path}: line {lineno + 1 + bad}: time {times[bad]} ps is past the duration")
-    times = times.view(np.int64)
-    return _checked_stream(path, times[is_a], times[~is_a], meta)
+    return times, is_a
+
+
+def _read_text(fh, path) -> TdcStream:
+    r"""Parse a text stream in the one form the writer makes: '#key=digits'
+    header lines for its three keys, then one record '[AB] [0-9]{1,19}\n' a
+    line.  Any other file is refused at its first bad line.
+
+    The records are read through one buffer, cut at its last newline, and
+    each piece is checked and read as whole arrays.  A malformed line is
+    refused as soon as it is found, since no earlier line can be; a time at
+    or past the duration, found on the unsigned times before the int64
+    view, is refused once every later line has been checked for form.
+    """
+    headers: dict[str, int] = {}
+    lineno = 0
+    while fh.peek(1)[:1] == b"#":
+        lineno += 1
+        _parse_header(fh.readline(), lineno, headers, path)
+    for key in _HEADER_KEYS:
+        if key not in headers:
+            raise StreamFormatError(f"{path}: missing required header #{key}=")
+    meta = _header_meta(path, *(headers[key] for key in _HEADER_KEYS))
+    top = max(meta.duration_ps, 1)
+    parts_a, parts_b = [], []
+    late_error = None
+    # 4 bytes a record of a block, the shortest record 'A 0\n', so a fill holds
+    # at most _BLOCK records; and at least a whole record (22 bytes at most)
+    # or the bytes that an error quotes of a longer line
+    size = max(4 * _BLOCK, _LINE_QUOTE)
+    for piece in _file_pieces(fh, size, lambda buffer, end: buffer.rfind(b"\n", 0, end) + 1):
+        records = _text_times(np.frombuffer(piece, dtype=np.uint8))
+        if records is None:
+            raise _bad_record(bytes(piece), lineno, path)
+        times, is_a = records
+        if late_error is None:
+            late = times >= top
+            if late.any():
+                bad = int(np.argmax(late))
+                late_error = f"line {lineno + 1 + bad}: time {times[bad]} ps is past the duration"
+            else:
+                times = times.view(np.int64)
+                parts_a.append(times[is_a])
+                parts_b.append(times[~is_a])
+        lineno += times.size
+    if late_error:
+        raise StreamFormatError(f"{path}: {late_error}")
+    return _checked_stream(path, parts_a, parts_b, meta)
 
 
 def read_stream(path) -> TdcStream:
-    """Load a stream file, recognizing the binary format by its magic bytes."""
+    """Load a stream file, recognizing the binary format by its magic bytes.
+
+    The file is read one block at a time, and only the click times are kept.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[: len(BINARY_MAGIC)] == BINARY_MAGIC:
-        return _read_binary(raw, path)
-    return _read_text(raw, path)
+        if fh.peek(len(BINARY_MAGIC))[: len(BINARY_MAGIC)] == BINARY_MAGIC:
+            fh.read(len(BINARY_MAGIC))
+            return _read_binary(fh, path)
+        return _read_text(fh, path)

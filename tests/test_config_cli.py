@@ -414,6 +414,20 @@ class TestCli:
         assert f"{stream}: line 1: bad header" in capsys.readouterr().err
         assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
+    def test_refused_run_removes_only_the_directories_it_made(self, tmp_path, small_inputs):
+        cfg, inputs = small_inputs
+        stream = tmp_path / "crlf.txt"
+        stream.write_bytes((inputs / "tau_stream.txt").read_bytes().replace(b"\n", b"\r\n"))
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("an earlier file")
+        for out_dir in (tmp_path / "runs" / "a" / "out", kept / "out", kept):
+            argv = ["--config", str(cfg), "--out-dir", str(out_dir), "analyze", "--input", str(stream)]
+            assert main(argv) == 3
+        # runs/a/out, runs/a and runs were made by the run and are gone; kept and its file stay
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["crlf.txt", "kept"]
+        assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+
     def test_analyze_empty_stream_exits_3(self, tmp_path, capsys):
         stream = tmp_path / "empty.txt"
         stream.write_text("#binwidth_ps=1000\n#duration_ps=0\n#seed=1\n")

@@ -429,7 +429,7 @@ class TestTextFormat:
     @example(EVERY_WIDTH, 5)
     def test_writer_bytes_match_string_formatting(self, tmp_path_factory, stream, block):
         path = tmp_path_factory.getbasetemp() / "oracle.txt"
-        with mock.patch.object(streams, "_TEXT_BLOCK", block):
+        with mock.patch.object(streams, "_BLOCK", block):
             write_stream(stream, path)
         assert path.read_bytes() == text_stream_bytes(stream)
 
@@ -489,6 +489,15 @@ class TestTextFormat:
         pytest.param(CANONICAL.replace("#seed=1\n", "#seed=1\r#seed=2\n"), "line 3: bad header",
                      id="header-broken-at-cr"),
         pytest.param(CANONICAL.replace("#seed=1", "#seed=x"), "line 3: bad header", id="bad-header"),
+        # a header is '#<key>=<digits>\n' for each of the writer's three keys, once
+        pytest.param(CANONICAL.replace("=1000", "=+1000"), "line 1: bad header b'#binwidth_ps=+1000\\n'",
+                     id="header-sign"),
+        pytest.param(CANONICAL.replace("=1000", "= 1000 "), "line 1: bad header", id="header-spaces"),
+        pytest.param(CANONICAL.replace("=1000", "=1_000"), "line 1: bad header", id="header-underscore"),
+        pytest.param(CANONICAL.replace("#seed=1\n", "#seed=1\n#seed=2\n"), "line 4: bad header b'#seed=2\\n'",
+                     id="header-repeated"),
+        pytest.param(CANONICAL.replace("#seed=1\n", "#gain=5\n#seed=1\n"), "line 3: bad header b'#gain=5\\n'",
+                     id="header-unknown"),
         pytest.param(CANONICAL.replace("#seed=1\n", ""), "missing required header #seed=", id="missing-header"),
         pytest.param(CANONICAL[:-1], "line 8: malformed record b'A 4999'", id="no-last-newline"),
         pytest.param(TEXT_HEADER[:-1], "line 3: bad header b'#seed=1'", id="header-without-newline"),
@@ -658,3 +667,131 @@ class TestStreamIO:
         path.write_bytes(raw[:-4])
         with pytest.raises(StreamFormatError, match="byte offset"):
             read_stream(path)
+
+
+# block sizes of one record (each block is one time's records), a few, and
+# one that cuts between A and B records of a time when cut by count
+FILE_BLOCKS = [1, 2, 3, 7]
+# every time on both channels, a time that A repeats for more than half a
+# block of 7, and runs of equal times on either side of every cut
+TIED = TdcStream(times_a=[0, 3, 3, 3, 3, 3, 3, 3, 3, 5, 9, 9], times_b=[0, 1, 3, 5, 5, 9, 9],
+                 meta=StreamMeta(1, 10, 4))
+
+
+def refusal(path):
+    with pytest.raises(StreamFormatError) as info:
+        read_stream(path)
+    return str(info.value)
+
+
+LONG_HEADER = "#binwidth_ps=1\n#duration_ps=1000000\n#seed=1\n"
+# lines 4 to 43, the records 'A 0', 'B 10', 'A 20', ...
+LONG_RECORDS = ["AB"[k % 2] + f" {10 * k}\n" for k in range(40)]
+LONG_BINARY_HEADER = BINARY_MAGIC + np.array([1, 1_000_000, 1], dtype="<i8").tobytes()
+LONG_BINARY = np.array([(k % 2, 10 * k) for k in range(40)], dtype=RECORD)
+
+
+def long_text(**changes):
+    """The long text file with records replaced by index: changes r<k>=line."""
+    records = list(LONG_RECORDS)
+    for key, line in changes.items():
+        records[int(key[1:])] = line
+    return (LONG_HEADER + "".join(records)).encode()
+
+
+def long_binary(**changes):
+    """The long binary file with records replaced by index: changes r<k>=(channel, time)."""
+    records = LONG_BINARY.copy()
+    for key, record in changes.items():
+        records[int(key[1:])] = record
+    return LONG_BINARY_HEADER + records.tobytes()
+
+
+class TestFileBlocks:
+    @given(st.one_of(valid_streams(), wide_streams()), st.sampled_from(FILE_BLOCKS))
+    @example(TIED, 1)
+    @example(TIED, 2)
+    @example(TIED, 3)
+    @example(TIED, 7)
+    def test_any_block_writes_and_reads_the_same_files(self, tmp_path_factory, stream, block):
+        base = tmp_path_factory.getbasetemp()
+        whole, cut = base / "whole", base / "cut"
+        with mock.patch.object(streams, "_BLOCK", block):
+            blocks = list(streams._record_blocks(stream))
+            # at most a block of records, or the records of one time
+            assert all(times.size <= block or times[0] == times[-1] for _, times in blocks)
+            for binary in (False, True):
+                write_stream(stream, cut, binary=binary)
+                assert read_stream(cut) == stream
+                with mock.patch.object(streams, "_BLOCK", 1 << 14):
+                    write_stream(stream, whole, binary=binary)
+                assert cut.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("name, raw, problem", [
+        ("text", long_text(r30="A 3x0\n"), "line 34: malformed record b'A 3x0\\n'"),
+        ("text", long_text(r39="B 390"), "line 43: malformed record b'B 390'"),
+        ("text", long_text(r33="B 2000000\n"), "line 37: time 2000000 ps is past the duration"),
+        # a malformed line is refused before a time past the duration on an earlier line
+        ("text", long_text(r2="A 2000000\n", r36="A -360\n"), "line 40: malformed record b'A -360\\n'"),
+        ("text", long_text(r38="A 350\n"), "channel A timestamps are not sorted: 350 after 360"),
+        ("text", (LONG_HEADER + "".join(LONG_RECORDS[:20]) + "A " + "1" * 60 + "\n").encode(),
+         f"line 24: malformed record b'A {'1' * 38}'"),
+        ("binary", long_binary(r30=(2, 300)), "record 30: invalid channel 2"),
+        ("binary", long_binary(r33=(1, 2**63 + 5)), f"record 33: time {2**63 + 5} ps is past the duration"),
+        # an invalid channel is refused before an earlier time past the duration,
+        # and a truncated record before both
+        ("binary", long_binary(r2=(0, 2_000_000), r36=(3, 360)), "record 36: invalid channel 3"),
+        ("binary", long_binary(r30=(2, 300))[:-4], f"truncated record at byte offset {28 + 39 * 9}"),
+        ("binary", long_binary(r38=(0, 350)), "channel A timestamps are not sorted: 350 after 360"),
+    ], ids=["text-bad-line", "text-no-last-newline", "text-late", "text-bad-line-after-late", "text-unsorted",
+            "text-long-line", "binary-channel", "binary-late", "binary-channel-after-late", "binary-truncated",
+            "binary-unsorted"])
+    def test_an_error_in_a_later_block_is_named_as_in_one_block(self, tmp_path, name, raw, problem):
+        path = tmp_path / f"late_error.{name}"
+        path.write_bytes(raw)
+        assert refusal(path) == f"{path}: {problem}"
+        for block in FILE_BLOCKS:
+            with mock.patch.object(streams, "_BLOCK", block):
+                assert refusal(path) == f"{path}: {problem}", block
+
+
+def spread_stream(n: int) -> TdcStream:
+    """n records of 1 to 9 digits, split at random between the channels."""
+    rng = np.random.default_rng(5)
+    times = np.cumsum(rng.integers(1, 1000, n))
+    is_a = rng.random(n) < 0.5
+    return TdcStream(times_a=times[is_a], times_b=times[~is_a], meta=StreamMeta(1, int(times[-1]) + 1, 5))
+
+
+def traced_peak(call, *args, **kwargs) -> int:
+    tracemalloc.start()
+    try:
+        call(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFileMemory:
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_writer_peak_does_not_grow_with_the_stream(self, tmp_path, binary):
+        # a writer that interleaves the whole stream at once holds about 25
+        # bytes a record: 13 MB at 2^19 records
+        path = tmp_path / "written"
+        short, long = spread_stream(1 << 16), spread_stream(1 << 19)
+        write_stream(short, path, binary=binary)  # first-call allocations are not the writer's
+        peaks = [traced_peak(write_stream, stream, path, binary=binary) for stream in (short, long)]
+        assert peaks[1] - peaks[0] < 1e6, f"peaks {peaks[0] / 1e6:.2f} and {peaks[1] / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_reader_peak_stays_near_the_stream_it_returns(self, tmp_path, binary):
+        # the channels' blocks, then each joined channel while the other's
+        # blocks are held: 1.5x on balanced channels, plus one block of
+        # scratch.  A reader that holds the whole file peaks past 2.5x.
+        stream = spread_stream(1 << 19)
+        path = tmp_path / "read"
+        write_stream(stream, path, binary=binary)
+        read_stream(path)
+        output = stream.times_a.nbytes + stream.times_b.nbytes
+        peak = traced_peak(read_stream, path)
+        assert peak < 2.2 * output + 2e6, f"peak {peak / 1e6:.2f} MB for {output / 1e6:.2f} MB of times"
