@@ -513,6 +513,7 @@ def _text_lines(channels: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def _binary_records(channels: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The binary records, a channel byte and a little-endian uint64 time each."""
     records = np.empty(times.size, dtype=_BINARY_RECORD)
     records["ch"] = channels
     records["t"] = times

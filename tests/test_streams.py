@@ -669,8 +669,7 @@ class TestStreamIO:
             read_stream(path)
 
 
-# block sizes of one record (each block is one time's records), a few, and
-# one that cuts between A and B records of a time when cut by count
+# from blocks of one record, where each block holds one time's records, to a few records
 FILE_BLOCKS = [1, 2, 3, 7]
 # every time on both channels, a time that A repeats for more than half a
 # block of 7, and runs of equal times on either side of every cut
@@ -691,19 +690,19 @@ LONG_BINARY_HEADER = BINARY_MAGIC + np.array([1, 1_000_000, 1], dtype="<i8").tob
 LONG_BINARY = np.array([(k % 2, 10 * k) for k in range(40)], dtype=RECORD)
 
 
-def long_text(**changes):
-    """The long text file with records replaced by index: changes r<k>=line."""
+def long_text(changes: dict[int, str]) -> bytes:
+    """The long text file with the records of the given indices replaced by the given lines."""
     records = list(LONG_RECORDS)
-    for key, line in changes.items():
-        records[int(key[1:])] = line
+    for index, line in changes.items():
+        records[index] = line
     return (LONG_HEADER + "".join(records)).encode()
 
 
-def long_binary(**changes):
-    """The long binary file with records replaced by index: changes r<k>=(channel, time)."""
+def long_binary(changes: dict[int, tuple[int, int]]) -> bytes:
+    """The long binary file with the records of the given indices replaced by (channel, time)."""
     records = LONG_BINARY.copy()
-    for key, record in changes.items():
-        records[int(key[1:])] = record
+    for index, record in changes.items():
+        records[index] = record
     return LONG_BINARY_HEADER + records.tobytes()
 
 
@@ -728,21 +727,21 @@ class TestFileBlocks:
                 assert cut.read_bytes() == whole.read_bytes()
 
     @pytest.mark.parametrize("name, raw, problem", [
-        ("text", long_text(r30="A 3x0\n"), "line 34: malformed record b'A 3x0\\n'"),
-        ("text", long_text(r39="B 390"), "line 43: malformed record b'B 390'"),
-        ("text", long_text(r33="B 2000000\n"), "line 37: time 2000000 ps is past the duration"),
+        ("text", long_text({30: "A 3x0\n"}), "line 34: malformed record b'A 3x0\\n'"),
+        ("text", long_text({39: "B 390"}), "line 43: malformed record b'B 390'"),
+        ("text", long_text({33: "B 2000000\n"}), "line 37: time 2000000 ps is past the duration"),
         # a malformed line is refused before a time past the duration on an earlier line
-        ("text", long_text(r2="A 2000000\n", r36="A -360\n"), "line 40: malformed record b'A -360\\n'"),
-        ("text", long_text(r38="A 350\n"), "channel A timestamps are not sorted: 350 after 360"),
+        ("text", long_text({2: "A 2000000\n", 36: "A -360\n"}), "line 40: malformed record b'A -360\\n'"),
+        ("text", long_text({38: "A 350\n"}), "channel A timestamps are not sorted: 350 after 360"),
         ("text", (LONG_HEADER + "".join(LONG_RECORDS[:20]) + "A " + "1" * 60 + "\n").encode(),
          f"line 24: malformed record b'A {'1' * 38}'"),
-        ("binary", long_binary(r30=(2, 300)), "record 30: invalid channel 2"),
-        ("binary", long_binary(r33=(1, 2**63 + 5)), f"record 33: time {2**63 + 5} ps is past the duration"),
+        ("binary", long_binary({30: (2, 300)}), "record 30: invalid channel 2"),
+        ("binary", long_binary({33: (1, 2**63 + 5)}), f"record 33: time {2**63 + 5} ps is past the duration"),
         # an invalid channel is refused before an earlier time past the duration,
         # and a truncated record before both
-        ("binary", long_binary(r2=(0, 2_000_000), r36=(3, 360)), "record 36: invalid channel 3"),
-        ("binary", long_binary(r30=(2, 300))[:-4], f"truncated record at byte offset {28 + 39 * 9}"),
-        ("binary", long_binary(r38=(0, 350)), "channel A timestamps are not sorted: 350 after 360"),
+        ("binary", long_binary({2: (0, 2_000_000), 36: (3, 360)}), "record 36: invalid channel 3"),
+        ("binary", long_binary({30: (2, 300)})[:-4], f"truncated record at byte offset {28 + 39 * 9}"),
+        ("binary", long_binary({38: (0, 350)}), "channel A timestamps are not sorted: 350 after 360"),
     ], ids=["text-bad-line", "text-no-last-newline", "text-late", "text-bad-line-after-late", "text-unsorted",
             "text-long-line", "binary-channel", "binary-late", "binary-channel-after-late", "binary-truncated",
             "binary-unsorted"])
