@@ -248,9 +248,11 @@ def _complement_bins(excluded: np.ndarray, index: np.ndarray) -> np.ndarray:
 # centers per block of _window_ranks, and candidates per block of the
 # _segment_kernel thinning.  The scratch arrays hold a few numbers per center
 # of one block (window starts, counts, order, kernel sums, probabilities),
-# whatever the acquisition length.  On one Xeon vCPU (numpy 2.4) the default
-# fig3 sampler took 21 ms per 0.5 s of stream at 2^13, 20-22 ms at 2^14 and
-# 2^15 and 23 ms at 2^12, so the smallest of the fast sizes is kept.
+# whatever the acquisition length.  On one Xeon vCPU (numpy 2.4.6) the
+# fig3 sampler took 47 ms per 0.5 s of stream at 2^13, 43 ms at 2^14, 42 ms
+# at 2^15 and 54 ms at 2^12, and scan_tau 15.5, 14.5, 14.4 and 17.8 ms.  But
+# each doubling past 2^13 adds its scratch to the sampler's traced peak:
+# 0.64 MiB at 2^14 and 1.96 MiB at 2^15 on that 3.66 MiB peak, so 2^13 is kept.
 _CENTER_BLOCK = 1 << 13
 
 
@@ -263,22 +265,57 @@ def _rank_passes(positions: np.ndarray, starts: np.ndarray, origins: np.ndarray,
         head += 1
 
 
+def _merge_ranks(positions: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """np.searchsorted(positions, keys) of sorted int64 positions and sorted,
+    nonempty int64 keys that span less than 2^63, by one stable merge.
+
+    Only the positions in [keys[0], keys[-1]) lie between two keys; two
+    scalar searches find them.  The keys and then those positions go into
+    one buffer as offsets from keys[0], int32 while the keys span less than
+    2^31 and int64 otherwise, and its stable argsort merges the two sorted
+    runs in one linear pass.  Stability puts each key before the positions
+    equal to it, the left side, so a key's index in the merged order minus
+    its own index counts the positions below it.
+    """
+    start, stop = np.searchsorted(positions, (keys[0], keys[-1]))
+    origin = keys[0]
+    buffer = np.empty(keys.size + stop - start, dtype=np.int32 if keys[-1] - origin < 2**31 else np.int64)
+    np.subtract(keys, origin, out=buffer[: keys.size], casting="unsafe")
+    np.subtract(positions[start:stop], origin, out=buffer[keys.size :], casting="unsafe")
+    # in place, so that the sampler's peak stays that of a binary search
+    ranks = np.flatnonzero(np.argsort(buffer, kind="stable") < keys.size)
+    ranks -= np.arange(keys.size)
+    ranks += start
+    return ranks
+
+
 def _window_ranks(positions: np.ndarray, centers: np.ndarray, lo: int, hi: int):
     """The offsets position - (center + lo) of every position within
     [center + lo, center + hi] of each center, one neighbour rank at a time.
 
-    positions and centers are sorted integer arrays.  Per block of
+    positions and centers are sorted int64 arrays.  Per block of
     _CENTER_BLOCK centers this yields (base, order, passes).  order lists
     the block's centers, counted from centers[base], most positions first
     (a stable sort, so ties keep center order).  Pass k of passes holds the
     k-th position of the window of each of the first n_k centers of order,
     where n_k counts the centers with more than k: each pass is a prefix
     of the one before it, and a center's offsets come in position order.
+
+    Each block's window starts and ends come from two merges of its
+    centers with the positions that their windows can reach (_merge_ranks),
+    so a block costs time linear in its centers plus the positions within
+    its reach, not a binary search of all positions per center.  Where the
+    positions are much denser than the centers, the merge walks every
+    position in reach: at 0.3 s of the fig3 config with rate_b = 1.5 kHz
+    (about 33 A clicks per sampler candidate and 100 per histogram center)
+    the sampler took 3.0 ms against 2.5 ms by binary search and scan_tau
+    2.4 against 1.9 ms, while with rate_a = 1.5 kHz they took 13.8 and
+    3.5 ms against 14.6 and 3.8 ms (one Xeon vCPU, numpy 2.4.6).
     """
     for base in range(0, centers.size, _CENTER_BLOCK):
         block = centers[base : base + _CENTER_BLOCK]
-        first = np.searchsorted(positions, block + lo)
-        counts = np.searchsorted(positions, block + hi + 1) - first
+        first = _merge_ranks(positions, block + lo)
+        counts = _merge_ranks(positions, block + hi + 1) - first
         top = int(counts.max())
         # numpy's stable sort of 16-bit keys is a radix sort: 33 us for the
         # 2^13 window counts of a fig3 block, against 200 us as int64 (one

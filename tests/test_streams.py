@@ -23,6 +23,7 @@ from chromatic_hbt.streams import (
     TdcStream,
     _bernoulli_bins,
     _complement_bins,
+    _merge_ranks,
     _segment_kernel,
     _window_ranks,
     read_stream,
@@ -151,12 +152,38 @@ sorted_ints = st.lists(st.integers(0, 200), max_size=40).map(sorted)
 center_blocks = st.one_of(st.just(1), st.just(3), st.integers(1, 400))
 
 
+# small values with repeats, or values near 2^62 that span past 2^31
+rank_values = st.one_of(st.integers(-40, 40), st.integers(2**62 - 40, 2**62 + 40))
+
+
+class TestMergeRanks:
+    @given(st.lists(rank_values, max_size=40).map(sorted),
+           st.lists(rank_values, min_size=1, max_size=40).map(sorted))
+    @example([], [3])  # no positions
+    @example([], [-5, 2**62])
+    @example([5, 5, 5, 7, 7], [4, 5, 5, 7, 7, 8])  # keys tied with repeated positions
+    @example([0, 1, 2], [-10, 10])  # keys past both ends
+    @example([0, 1, 2, 2**62, 2**62 + 1], [-1, 1, 2**62, 2**62 + 2])  # an int64 span
+    @example([2**31 - 2, 2**31 - 1], [0, 2**31 - 1])  # the widest int32 span
+    @example([2**31 - 1, 2**31], [0, 2**31])  # the narrowest int64 span
+    def test_ranks_equal_the_left_searchsorted(self, positions, keys):
+        positions = np.array(positions, dtype=np.int64)
+        keys = np.array(keys, dtype=np.int64)
+        assert _merge_ranks(positions, keys).tolist() == np.searchsorted(positions, keys).tolist()
+
+
 class TestWindowRanks:
     @given(sorted_ints, sorted_ints, st.integers(-20, 20), st.integers(0, 30), center_blocks)
     # windows of 2^15 + 1 and 2^15 - 1 positions in one block: the block
     # sorts int64 keys, since -(2^15 + 1) would wrap as an int16 and put the
     # smaller window first
     @example(list(range((1 << 15) + 1)), [0, 2], 0, 1 << 15, 3)
+    # many positions for 2 centers, and many centers for 2 positions, at
+    # blocks of one and three centers
+    @example(list(range(3000)), [1000, 1003], -700, 1500, 1)
+    @example(list(range(3000)), [1000, 1003], -700, 1500, 3)
+    @example([50, 52], list(range(300)), -30, 40, 1)
+    @example([50, 52], list(range(300)), -30, 40, 3)
     def test_ranks_list_each_window_in_position_order(self, positions, centers, lo, width, block):
         hi = lo + width
         expected = [[p - c - lo for p in positions if lo <= p - c <= hi] for c in centers]
@@ -170,13 +197,20 @@ class TestWindowRanks:
                 # most positions first; equal counts keep center order
                 keys = [(-n, i) for n, i in zip(counts, order.tolist())]
                 assert keys == sorted(keys)
-                sizes = []
-                for offsets in passes:
-                    sizes.append(offsets.size)
-                    for i, offset in zip(order.tolist(), offsets.tolist()):
-                        got[base + i].append(offset)
+                passes = list(passes)
+                sizes = np.array([offsets.size for offsets in passes], dtype=np.int64)
                 # pass k covers exactly the centers with more than k positions
-                assert sizes == [sum(n > k for n in counts) for k in range(max(counts))]
+                covered = np.array(counts) > np.arange(max(counts))[:, None]
+                assert sizes.tolist() == covered.sum(axis=1).tolist()
+                # pass k holds one offset for each of order[:sizes[k]]: group
+                # the offsets by their column, keeping pass order, in array
+                # operations, since a window may take 2^15 passes
+                column = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+                offsets = np.concatenate([np.empty(0, dtype=np.int64), *passes])
+                by_column = offsets[np.argsort(column, kind="stable")]
+                ends = np.cumsum(np.bincount(column, minlength=order.size))[:-1]
+                for i, window in zip(order.tolist(), np.split(by_column, ends)):
+                    got[base + i].extend(window.tolist())
         assert got == expected
 
 
