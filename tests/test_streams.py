@@ -197,20 +197,14 @@ class TestWindowRanks:
                 # most positions first; equal counts keep center order
                 keys = [(-n, i) for n, i in zip(counts, order.tolist())]
                 assert keys == sorted(keys)
-                passes = list(passes)
-                sizes = np.array([offsets.size for offsets in passes], dtype=np.int64)
-                # pass k covers exactly the centers with more than k positions
+                rows = [offsets.tolist() for offsets in passes]
+                # pass k covers exactly the centers with more than k positions;
+                # counted by numpy, since a window may take 2^15 passes
                 covered = np.array(counts) > np.arange(max(counts))[:, None]
-                assert sizes.tolist() == covered.sum(axis=1).tolist()
-                # pass k holds one offset for each of order[:sizes[k]]: group
-                # the offsets by their column, keeping pass order, in array
-                # operations, since a window may take 2^15 passes
-                column = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-                offsets = np.concatenate([np.empty(0, dtype=np.int64), *passes])
-                by_column = offsets[np.argsort(column, kind="stable")]
-                ends = np.cumsum(np.bincount(column, minlength=order.size))[:-1]
-                for i, window in zip(order.tolist(), np.split(by_column, ends)):
-                    got[base + i].extend(window.tolist())
+                assert [len(row) for row in rows] == covered.sum(axis=1).tolist()
+                # pass k holds one offset for each of order[:len(row k)]
+                for j, i in enumerate(order.tolist()):
+                    got[base + i].extend(row[j] for row in rows if j < len(row))
         assert got == expected
 
 
