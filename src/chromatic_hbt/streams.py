@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -603,73 +604,75 @@ def _file_pieces(fh, size: int, cut) -> Iterator[memoryview]:
         yield view[:held]
 
 
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """The parts as one array; the list is emptied, so each channel's parts
-    are freed as soon as they are joined."""
-    times = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    parts.clear()
-    return times
+def _read_records(path, meta: StreamMeta, blocks: Iterator) -> TdcStream:
+    """The stream of a file's record blocks, each (name, times, is_a): the
+    uint64 times, their A mask, and name(k) naming the block's k-th record.
 
-
-def _checked_stream(path, parts_a: list, parts_b: list, meta: StreamMeta) -> TdcStream:
-    """The stream of a parsed file's blocks; records out of order are a format error."""
+    The blocks raise their own form errors.  A time at or past the
+    duration, found on the unsigned times before the int64 view, is refused
+    once every later block has been checked for form, and records out of
+    order once both channels are joined.  Each channel's blocks are freed as
+    soon as it is joined, so the read peaks at its times and the other
+    channel's blocks: 1.5x the times it returns on balanced channels.
+    """
+    top = max(meta.duration_ps, 1)
+    channels = ([], [])
+    late_error = None
+    for name, times, is_a in blocks:
+        if late_error is None:
+            late = times >= top
+            if late.any():
+                bad = int(np.argmax(late))
+                late_error = f"{name(bad)}: time {times[bad]} ps is past the duration"
+            else:
+                times = times.view(np.int64)
+                channels[0].append(times[is_a])
+                channels[1].append(times[~is_a])
+    if late_error:
+        raise StreamFormatError(f"{path}: {late_error}")
+    # the last block, and with it the file buffer that it views, goes before the join
+    name = times = is_a = late = None
+    joined = []
+    for parts in channels:
+        joined.append(np.concatenate(parts) if parts else np.empty(0, dtype=np.int64))
+        parts.clear()
     try:
-        return TdcStream(times_a=_joined(parts_a), times_b=_joined(parts_b), meta=meta)
+        return TdcStream(times_a=joined[0], times_b=joined[1], meta=meta)
     except ValueError as exc:
         raise StreamFormatError(f"{path}: {exc}") from None
 
 
-def _read_binary(fh, path) -> TdcStream:
-    """Parse a binary stream whose magic has been read, one block of records at a time.
+def _binary_blocks(fh, path) -> Iterator[tuple]:
+    """The record blocks of a binary stream whose header has been read.
 
-    As if the whole file were checked at once: a truncated record, then the
-    first invalid channel, then the first time at or past the duration, then
-    records out of order; each is found in a block, but the order of the
-    checks decides which one is raised.
+    As if the whole file were checked at once, a truncated record is
+    refused before the first invalid channel, and that channel before a
+    time at or past the duration: an invalid channel ends the blocks, and
+    is refused once every later record has been checked for truncation.
     """
-    header = fh.read(_BINARY_HEADER_SIZE - len(BINARY_MAGIC))
-    if (offset := len(BINARY_MAGIC) + len(header)) < _BINARY_HEADER_SIZE:
-        raise StreamFormatError(f"{path}: truncated header at byte offset {offset}")
-    bin_width_ps, duration_ps = np.frombuffer(header, dtype=np.int64, count=2).tolist()
-    meta = _header_meta(path, bin_width_ps, duration_ps, int(np.frombuffer(header, dtype=np.uint64, offset=16)[0]))
-    top = max(meta.duration_ps, 1)
     size = _BINARY_RECORD.itemsize
-    parts_a, parts_b = [], []
-    channel_error = late_error = None
+    channel_error = None
     done = 0  # records before this block
     for piece in _file_pieces(fh, size * _BLOCK, lambda buffer, end: end - end % size):
         records = np.frombuffer(piece, dtype=_BINARY_RECORD, count=len(piece) // size)
         if len(piece) % size:
             offset = _BINARY_HEADER_SIZE + (done + records.size) * size
             raise StreamFormatError(f"{path}: truncated record at byte offset {offset}")
-        channels, times = records["ch"], records["t"]
+        name = lambda k, first=done: f"record {first + k}"
+        channels = records["ch"]
         if channel_error is None and channels.max() > CHANNEL_B:
             bad = int(np.argmax(channels > CHANNEL_B))
-            channel_error = f"record {done + bad}: invalid channel {channels[bad]}"
-        elif channel_error is None and late_error is None:
-            # checked on the unsigned times: the int64 view would wrap those past 2^63
-            late = times >= top
-            if late.any():
-                bad = int(np.argmax(late))
-                late_error = f"record {done + bad}: time {times[bad]} ps is past the duration"
-            else:
-                is_a = channels == CHANNEL_A
-                times = times.view(np.int64)
-                parts_a.append(times[is_a])
-                parts_b.append(times[~is_a])
+            channel_error = f"{name(bad)}: invalid channel {channels[bad]}"
+        elif channel_error is None:
+            yield name, records["t"], channels == CHANNEL_A
         done += records.size
-    if channel_error or late_error:
-        raise StreamFormatError(f"{path}: {channel_error or late_error}")
-    return _checked_stream(path, parts_a, parts_b, meta)
+    if channel_error:
+        raise StreamFormatError(f"{path}: {channel_error}")
 
 
 # a header line is one of the writer's three keys, '=', digits and a newline
 _HEADER_LINE = re.compile(rb"#(binwidth_ps|duration_ps|seed)=([0-9]+)\n")
 _HEADER_KEYS = ("binwidth_ps", "duration_ps", "seed")
-# up to 4096 records in a row: matched run by run, the search for a bad line
-# makes one call per run, not one per line, and its backtracking state stays
-# that of one run (a single match of the whole body held one per line)
-_RECORD_RUN = re.compile(rb"(?:[AB] [0-9]{1,19}\n){1,4096}")
 # bytes of a malformed line that its error quotes
 _LINE_QUOTE = 40
 
@@ -686,102 +689,94 @@ def _parse_header(line: bytes, lineno: int, headers: dict[str, int], path) -> No
         raise StreamFormatError(f"{path}: line {lineno}: bad header {line!r}") from None
 
 
-def _bad_record(raw: bytes, lineno: int, path) -> StreamFormatError:
-    """The error naming the first line of `raw` that is not a record;
-    `lineno` lines come before it."""
-    start = 0
-    while match := _RECORD_RUN.match(raw, start):
-        start = match.end()
-    line = raw[start : raw.find(b"\n", start) + 1 or len(raw)]
-    lineno += 1 + raw.count(b"\n", 0, start)
-    return StreamFormatError(f"{path}: line {lineno}: malformed record {line[:_LINE_QUOTE]!r}")
-
-
-def _text_times(body: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _text_times(body: np.ndarray) -> tuple[np.ndarray, np.ndarray] | int:
     r"""The times, as uint64, and the A mask of the records '[AB] [0-9]{1,19}\n'
-    that make up body, a uint8 array; None if any line is not such a record.
+    that make up body, a uint8 array that ends at a newline or holds none;
+    or, if any line is not such a record, the offset in body of the first
+    line that is not.
 
-    The digits accumulate into uint64 column by column (Horner's rule,
-    shorter times padded with leading zeros): 19 digits stay below
+    Each check tests every line at once, and only a check that fails lists
+    the lines that fail it, so a piece of records costs no per-line fault
+    mask.  The digits accumulate into uint64 column by column (Horner's
+    rule, shorter times padded with leading zeros): 19 digits stay below
     10^19 < 2^64, so no time wraps.
     """
     ends = np.flatnonzero(body == ord("\n"))
-    if ends.size == 0 or ends[-1] != body.size - 1:
-        return None  # text after the last newline
+    if ends.size == 0:
+        return 0  # a line longer than the buffer, or text after the file's last newline
     widths = np.diff(ends, prepend=-1) - 3  # digits per line
+    starts = ends - widths - 2  # one past the newline before each line
+    faults = []  # per line, of each check that fails
     shortest, longest = int(widths.min()), int(widths.max())
-    letters = body[ends - widths - 2]
+    if shortest < 1 or longest > 19:
+        faults.append((widths < 1) | (widths > 19))
+    letters = body[starts]
     is_a = letters == ord("A")
-    if (shortest < 1 or longest > 19 or not np.all(is_a | (letters == ord("B")))
-            or not np.all(body[ends - widths - 1] == ord(" "))):
-        return None
+    # clipped: the byte after a blank last line is past the piece
+    form = (is_a | (letters == ord("B"))) & (body.take(starts + 1, mode="clip") == ord(" "))
+    if not form.all():
+        faults.append(~form)
     times = np.zeros(ends.size, dtype=np.uint64)
-    for column in range(longest, 0, -1):
+    for column in range(min(longest, 19), 0, -1):
         # the column-th byte before each newline; bytes other than digits wrap to 10 and above
         digit = body.take(ends - column, mode="clip") - np.uint8(ord("0"))
         if column > shortest:
             digit[widths < column] = 0
         if digit.max() > 9:
-            return None
+            faults.append(digit > 9)
         times *= 10
         times += digit
+    if faults:
+        return int(starts[np.argmax(np.logical_or.reduce(faults))])
     return times, is_a
 
 
-def _read_text(fh, path) -> TdcStream:
-    r"""Parse a text stream in the one form the writer makes: '#key=digits'
-    header lines for its three keys, then one record '[AB] [0-9]{1,19}\n' a
-    line.  Any other file is refused at its first bad line.
-
-    The records are read through one buffer, cut at its last newline, and
-    each piece is checked and read as whole arrays.  A malformed line is
-    refused as soon as it is found, since no earlier line can be; a time at
-    or past the duration, found on the unsigned times before the int64
-    view, is refused once every later line has been checked for form.
+def _text_blocks(fh, path, lineno: int) -> Iterator[tuple]:
+    r"""The record blocks of a text stream whose `lineno` header lines have
+    been read.  The records are read through one buffer, cut at its last
+    newline; a malformed line is refused as soon as it is found, since no
+    earlier line can be, with its first _LINE_QUOTE bytes quoted.
     """
-    headers: dict[str, int] = {}
-    lineno = 0
-    while fh.peek(1)[:1] == b"#":
-        lineno += 1
-        _parse_header(fh.readline(), lineno, headers, path)
-    for key in _HEADER_KEYS:
-        if key not in headers:
-            raise StreamFormatError(f"{path}: missing required header #{key}=")
-    meta = _header_meta(path, *(headers[key] for key in _HEADER_KEYS))
-    top = max(meta.duration_ps, 1)
-    parts_a, parts_b = [], []
-    late_error = None
     # 4 bytes a record of a block, the shortest record 'A 0\n', so a fill holds
     # at most _BLOCK records; and at least a whole record (22 bytes at most)
     # or the bytes that an error quotes of a longer line
     size = max(4 * _BLOCK, _LINE_QUOTE)
     for piece in _file_pieces(fh, size, lambda buffer, end: buffer.rfind(b"\n", 0, end) + 1):
-        records = _text_times(np.frombuffer(piece, dtype=np.uint8))
-        if records is None:
-            raise _bad_record(bytes(piece), lineno, path)
+        name = lambda k, first=lineno + 1: f"line {first + k}"
+        body = np.frombuffer(piece, dtype=np.uint8)
+        records = _text_times(body)
+        if isinstance(records, int):
+            quote = bytes(piece[records : records + _LINE_QUOTE])
+            quote = quote[: quote.find(b"\n") + 1 or None]
+            bad = np.count_nonzero(body[:records] == ord("\n"))
+            raise StreamFormatError(f"{path}: {name(bad)}: malformed record {quote!r}")
         times, is_a = records
-        if late_error is None:
-            late = times >= top
-            if late.any():
-                bad = int(np.argmax(late))
-                late_error = f"line {lineno + 1 + bad}: time {times[bad]} ps is past the duration"
-            else:
-                times = times.view(np.int64)
-                parts_a.append(times[is_a])
-                parts_b.append(times[~is_a])
+        yield name, times, is_a
         lineno += times.size
-    if late_error:
-        raise StreamFormatError(f"{path}: {late_error}")
-    return _checked_stream(path, parts_a, parts_b, meta)
 
 
 def read_stream(path) -> TdcStream:
-    """Load a stream file, recognizing the binary format by its magic bytes.
+    r"""Load a stream file, recognizing the binary format by its magic bytes.
 
     The file is read one block at a time, and only the click times are kept.
+    A text file is read in the one form the writer makes: '#key=digits'
+    header lines for its three keys, then one record '[AB] [0-9]{1,19}\n' a
+    line; any other file is refused at its first bad line.
     """
     with open(path, "rb") as fh:
         if fh.peek(len(BINARY_MAGIC))[: len(BINARY_MAGIC)] == BINARY_MAGIC:
-            fh.read(len(BINARY_MAGIC))
-            return _read_binary(fh, path)
-        return _read_text(fh, path)
+            header = fh.read(_BINARY_HEADER_SIZE)
+            if len(header) < _BINARY_HEADER_SIZE:
+                raise StreamFormatError(f"{path}: truncated header at byte offset {len(header)}")
+            meta = _header_meta(path, *struct.unpack("=qqQ", header[len(BINARY_MAGIC) :]))
+            return _read_records(path, meta, _binary_blocks(fh, path))
+        headers: dict[str, int] = {}
+        lineno = 0
+        while fh.peek(1)[:1] == b"#":
+            lineno += 1
+            _parse_header(fh.readline(), lineno, headers, path)
+        for key in _HEADER_KEYS:
+            if key not in headers:
+                raise StreamFormatError(f"{path}: missing required header #{key}=")
+        meta = _header_meta(path, *(headers[key] for key in _HEADER_KEYS))
+        return _read_records(path, meta, _text_blocks(fh, path, lineno))

@@ -781,6 +781,56 @@ class TestFileBlocks:
             with mock.patch.object(streams, "_BLOCK", block):
                 assert refusal(path) == f"{path}: {problem}", block
 
+    @given(valid_streams().filter(len), st.data())
+    def test_record_k_is_named_line_k_plus_4_and_record_k(self, tmp_path_factory, stream, data):
+        k = data.draw(st.integers(0, len(stream) - 1), label="k")
+        late = data.draw(st.integers(stream.meta.duration_ps, 10**19 - 1), label="late")
+        bad_line = data.draw(st.sampled_from([b"C 0\n", b"A x\n", b"\n"]), label="bad_line")
+        path = tmp_path_factory.getbasetemp() / "named"
+        write_stream(stream, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        write_stream(stream, path, binary=True)
+        raw = path.read_bytes()
+        header, records = raw[: len(BINARY_HEADER)], np.frombuffer(raw, dtype=RECORD, offset=len(BINARY_HEADER))
+        cases = []
+        # the three header lines come first, so record k is line k + 4
+        for line, problem in ((lines[k + 3][:2] + b"%d\n" % late, f"time {late} ps is past the duration"),
+                              (bad_line, f"malformed record {bad_line!r}")):
+            cases.append((b"".join(lines[: k + 3] + [line] + lines[k + 4 :]), f"line {k + 4}: {problem}"))
+        for record, problem in (((records[k]["ch"], late), f"time {late} ps is past the duration"),
+                                ((2, records[k]["t"]), "invalid channel 2")):
+            changed = records.copy()
+            changed[k] = record
+            cases.append((header + changed.tobytes(), f"record {k}: {problem}"))
+        for raw, problem in cases:
+            path.write_bytes(raw)
+            assert refusal(path) == f"{path}: {problem}"
+            for block in FILE_BLOCKS:
+                with mock.patch.object(streams, "_BLOCK", block):
+                    assert refusal(path) == f"{path}: {problem}", block
+
+    @given(valid_streams().filter(len), st.integers(0, 29), st.one_of(
+        st.from_regex(r"[ABC\t ]{0,3}[0-9x+-]{0,21}", fullmatch=True),
+        st.text("AB 0123456789C-+\t\ré", max_size=60),
+    ), st.booleans())
+    # a line longer than the 40-byte buffer of every FILE_BLOCKS size; a last line with no newline
+    @example(TIED, 3, "A " + "1" * 100, True)
+    @example(TIED, len(TIED) - 1, "B 9", False)
+    @example(TIED, 5, "A ", True)
+    def test_the_first_line_out_of_form_is_named_and_quoted(self, tmp_path_factory, stream, index, text, newline):
+        path = tmp_path_factory.getbasetemp() / "located.txt"
+        write_stream(stream, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        k = 4 + index % len(stream)  # a record line; lines 1-3 are the headers
+        line = text.encode() + (b"\n" if newline or k < len(lines) else b"")
+        path.write_bytes(b"".join(lines[: k - 1] + [line] + lines[k:]))
+        assume(WRITTEN_FORM.fullmatch(path.read_bytes()) is None)
+        problem = f"line {k}: malformed record {line[:40]!r}"
+        assert refusal(path) == f"{path}: {problem}"
+        for block in FILE_BLOCKS:
+            with mock.patch.object(streams, "_BLOCK", block):
+                assert refusal(path) == f"{path}: {problem}", block
+
 
 def spread_stream(n: int) -> TdcStream:
     """n records of 1 to 9 digits, split at random between the channels."""
