@@ -612,8 +612,9 @@ def _read_records(path, meta: StreamMeta, blocks: Iterator) -> TdcStream:
     duration, found on the unsigned times before the int64 view, is refused
     once every later block has been checked for form, and records out of
     order once both channels are joined.  Each channel's blocks are freed as
-    soon as it is joined, so the read peaks at its times and the other
-    channel's blocks: 1.5x the times it returns on balanced channels.
+    soon as it is joined, so the read peaks while the second channel is
+    joined, at both channels' times and that channel's blocks: 1.5x the
+    times it returns on balanced channels.
     """
     top = max(meta.duration_ps, 1)
     channels = ([], [])
@@ -630,7 +631,7 @@ def _read_records(path, meta: StreamMeta, blocks: Iterator) -> TdcStream:
                 channels[1].append(times[~is_a])
     if late_error:
         raise StreamFormatError(f"{path}: {late_error}")
-    # the last block, and with it the file buffer that it views, goes before the join
+    # the last block, and with it the file buffer that it views, is dropped before the join
     name = times = is_a = late = None
     joined = []
     for parts in channels:

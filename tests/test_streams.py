@@ -711,6 +711,14 @@ def refusal(path):
     return str(info.value)
 
 
+def refused_at_every_block(path, problem):
+    """The reader refuses path with `problem` at the default block and at every FILE_BLOCKS size."""
+    assert refusal(path) == f"{path}: {problem}"
+    for block in FILE_BLOCKS:
+        with mock.patch.object(streams, "_BLOCK", block):
+            assert refusal(path) == f"{path}: {problem}", block
+
+
 LONG_HEADER = "#binwidth_ps=1\n#duration_ps=1000000\n#seed=1\n"
 # lines 4 to 43, the records 'A 0', 'B 10', 'A 20', ...
 LONG_RECORDS = ["AB"[k % 2] + f" {10 * k}\n" for k in range(40)]
@@ -802,12 +810,9 @@ class TestFileBlocks:
             changed = records.copy()
             changed[k] = record
             cases.append((header + changed.tobytes(), f"record {k}: {problem}"))
-        for raw, problem in cases:
-            path.write_bytes(raw)
-            assert refusal(path) == f"{path}: {problem}"
-            for block in FILE_BLOCKS:
-                with mock.patch.object(streams, "_BLOCK", block):
-                    assert refusal(path) == f"{path}: {problem}", block
+        for content, problem in cases:
+            path.write_bytes(content)
+            refused_at_every_block(path, problem)
 
     @given(valid_streams().filter(len), st.integers(0, 29), st.one_of(
         st.from_regex(r"[ABC\t ]{0,3}[0-9x+-]{0,21}", fullmatch=True),
@@ -825,11 +830,7 @@ class TestFileBlocks:
         line = text.encode() + (b"\n" if newline or k < len(lines) else b"")
         path.write_bytes(b"".join(lines[: k - 1] + [line] + lines[k:]))
         assume(WRITTEN_FORM.fullmatch(path.read_bytes()) is None)
-        problem = f"line {k}: malformed record {line[:40]!r}"
-        assert refusal(path) == f"{path}: {problem}"
-        for block in FILE_BLOCKS:
-            with mock.patch.object(streams, "_BLOCK", block):
-                assert refusal(path) == f"{path}: {problem}", block
+        refused_at_every_block(path, f"line {k}: malformed record {line[:40]!r}")
 
 
 def spread_stream(n: int) -> TdcStream:
