@@ -203,9 +203,9 @@ def _dedupe_sorted(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-# geometric gaps drawn per call (8 MB of int64).  This bounds each draw,
-# not the total: the concatenation of a huge segment's parts holds every
-# part plus the result, twice the drawn bins, at its peak.
+# geometric gaps drawn per call (8 MB of int64).  A segment that needs more
+# copies each part into one buffer as it is drawn, so its draw peaks at the
+# result plus one part.
 _GAP_CHUNK = 1 << 20
 
 
@@ -213,27 +213,42 @@ def _bernoulli_bins(rng: np.random.Generator, n_bins: int, p: float) -> np.ndarr
     """Sorted bins of an independent Bernoulli(p) trial per bin of [0, n_bins).
 
     The gaps between successive successes are iid geometric(p), so the
-    clicks are a cumulative sum of geometric draws cut at n_bins.
+    clicks are a cumulative sum of geometric draws cut at n_bins.  A draw
+    of one part is that part, cut.  Otherwise the parts' bins in the
+    segment go into one buffer of the first part's uncapped estimate, mean
+    + 5 sd + 16 clicks of the whole segment, which grows only if the draws
+    outrun it.
     """
     if p <= 0 or n_bins <= 0:
         return np.empty(0, dtype=np.int64)
-    parts = []
+    out, kept = None, 0  # the buffer of a draw of more than one part, and its bins so far
     last = -1  # every bin up to and including `last` is decided
     while last < n_bins - 1:
         room = n_bins - last  # a gap of `room` or more lands past the segment
         mean = (room - 1) * p
+        estimate = int(mean + 5.0 * math.sqrt(mean)) + 16
         # the last bound keeps the running sum of clipped gaps below 2^63
-        size = min(int(mean + 5.0 * math.sqrt(mean)) + 16, _GAP_CHUNK, (2**63 - 1 - last) // room)
-        bins = rng.geometric(p, size=size)
+        bins = rng.geometric(p, size=min(estimate, _GAP_CHUNK, (2**63 - 1 - last) // room))
         # rng.geometric saturates at 2^63 - 1 for p below about 1e-19, so the
         # sum could wrap; a clipped gap still lands past the segment
         np.minimum(bins, room, out=bins)
         np.cumsum(bins, out=bins)
         bins += last
-        parts.append(bins)
         last = int(bins[-1])
-    bins = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return bins[: np.searchsorted(bins, n_bins)]
+        if out is None:
+            if last >= n_bins - 1:
+                return bins[: np.searchsorted(bins, n_bins)]
+            out = np.empty(estimate, dtype=np.int64)
+        # only the last part reaches past the segment
+        size = int(np.searchsorted(bins, n_bins))
+        if kept + size > out.size:
+            grown = np.empty(2 * (kept + size), dtype=np.int64)
+            grown[:kept] = out[:kept]
+            out = grown
+        out[kept : kept + size] = bins[:size]
+        kept += size
+        del bins  # so that the next part is drawn with one part alive, not two
+    return out[:kept]
 
 
 def _complement_bins(excluded: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -389,7 +404,10 @@ def _segment_kernel(
         return a_bins, np.empty(0, dtype=np.int64)
     envelope_prob = min(_KERNEL_CAP * p_b, 0.5)
     candidates = _bernoulli_bins(rng, n_bins, envelope_prob)
-    accepted = [np.empty(0, dtype=np.int64)]
+    # the accepted clicks are compacted to the front of candidates: a block's
+    # passes are read before its accepted clicks are written, and those
+    # never outnumber the candidates of this and earlier blocks
+    kept = 0
     # PCG64 yields the same doubles whether random() is called once or block
     # by block, so the accepted clicks do not depend on the block size
     for base, order, passes in _window_ranks(a_bins, candidates, -reach, reach):
@@ -401,8 +419,11 @@ def _segment_kernel(
         sums = np.empty(block.size)
         sums[order] = part
         prob = p_b * np.clip(1.0 + sums - mean_shift, 0.0, _KERNEL_CAP)
-        accepted.append(block[rng.random(block.size) < prob / envelope_prob])
-    return a_bins, np.concatenate(accepted)
+        accepted = block[rng.random(block.size) < prob / envelope_prob]
+        candidates[kept : kept + accepted.size] = accepted
+        kept += accepted.size
+    # a copy, so that the candidates are freed on return
+    return a_bins, candidates[:kept].copy()
 
 
 def _merge_channel(signal: np.ndarray, dark: np.ndarray) -> np.ndarray:
@@ -674,7 +695,8 @@ def _binary_blocks(fh, path) -> Iterator[tuple]:
 # a header line is one of the writer's three keys, '=', digits and a newline
 _HEADER_LINE = re.compile(rb"#(binwidth_ps|duration_ps|seed)=([0-9]+)\n")
 _HEADER_KEYS = ("binwidth_ps", "duration_ps", "seed")
-# bytes of a malformed line that its error quotes
+# bytes of a malformed line that its error quotes, and the most of a header
+# line that is read: the writer's longest header line is 33 bytes
 _LINE_QUOTE = 40
 
 
@@ -682,12 +704,9 @@ def _parse_header(line: bytes, lineno: int, headers: dict[str, int], path) -> No
     """Add one '#key=digits' line, its newline included, to headers.  Any
     other line, or a key seen before, is a bad header."""
     match = _HEADER_LINE.fullmatch(line)
-    try:
-        if match is None or match[1].decode() in headers:
-            raise ValueError
-        headers[match[1].decode()] = int(match[2])
-    except ValueError:  # int() refuses more than 4300 digits
-        raise StreamFormatError(f"{path}: line {lineno}: bad header {line!r}") from None
+    if match is None or match[1].decode() in headers:
+        raise StreamFormatError(f"{path}: line {lineno}: bad header {line!r}")
+    headers[match[1].decode()] = int(match[2])
 
 
 def _text_times(body: np.ndarray) -> tuple[np.ndarray, np.ndarray] | int:
@@ -775,7 +794,8 @@ def read_stream(path) -> TdcStream:
         lineno = 0
         while fh.peek(1)[:1] == b"#":
             lineno += 1
-            _parse_header(fh.readline(), lineno, headers, path)
+            # a line longer than _LINE_QUOTE is cut before its newline: a bad header
+            _parse_header(fh.readline(_LINE_QUOTE), lineno, headers, path)
         for key in _HEADER_KEYS:
             if key not in headers:
                 raise StreamFormatError(f"{path}: missing required header #{key}=")

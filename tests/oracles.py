@@ -162,6 +162,28 @@ def text_stream_bytes(stream) -> bytes:
     return (header + "".join(map("{} {}\n".format, letters, (t for t, _ in records)))).encode("ascii")
 
 
+def bernoulli_bins_by_parts(rng, n_bins: int, p: float, chunk: int) -> np.ndarray:
+    """streams._bernoulli_bins with its parts of at most `chunk` gaps kept in
+    a list and joined by one concatenation once the segment is covered: the
+    same rng.geometric calls, each part's gaps clipped and summed the same way."""
+    if p <= 0 or n_bins <= 0:
+        return np.empty(0, dtype=np.int64)
+    parts = []
+    last = -1
+    while last < n_bins - 1:
+        room = n_bins - last
+        mean = (room - 1) * p
+        size = min(int(mean + 5.0 * math.sqrt(mean)) + 16, chunk, (2**63 - 1 - last) // room)
+        bins = rng.geometric(p, size=size)
+        np.minimum(bins, room, out=bins)
+        np.cumsum(bins, out=bins)
+        bins += last
+        parts.append(bins)
+        last = int(bins[-1])
+    bins = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return bins[: np.searchsorted(bins, n_bins)]
+
+
 def whole_segment_kernel(rng, n_bins, p_a, p_b, model, bin_width) -> tuple[np.ndarray, np.ndarray]:
     """streams._segment_kernel over the whole segment at once: each
     candidate's kernel sum by a loop over the A clicks in its window, in

@@ -32,7 +32,7 @@ from chromatic_hbt.streams import (
     write_stream,
 )
 
-from oracles import text_stream_bytes, whole_segment_kernel
+from oracles import bernoulli_bins_by_parts, text_stream_bytes, whole_segment_kernel
 
 ZERO_MODEL = G2Model(visibility=0.59, phase=-0.16, frequency=210.1e9)
 TAU_MODEL = G2Model(visibility=0.576, phase=-0.434, frequency=1.32e6, linewidth=0.118e6)
@@ -111,7 +111,38 @@ class BoundedGeometric:
         return self.rng.geometric(p, size=size)
 
 
+class UnitGaps:
+    """Geometric draws whose gaps are all 1, whatever p, with the size of
+    each call recorded."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def geometric(self, p, size):
+        self.sizes.append(size)
+        return np.ones(size, dtype=np.int64)
+
+
 class TestBernoulliBins:
+    @given(st.integers(0, 2**32), st.integers(1, 500), st.floats(1e-4, 0.5), st.sampled_from([1, 2, 7, 64]))
+    def test_parts_in_one_buffer_match_the_joined_parts(self, seed, n_bins, p, chunk):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        with mock.patch.object(streams, "_GAP_CHUNK", chunk):
+            bins = _bernoulli_bins(rng, n_bins, p)
+        expected = bernoulli_bins_by_parts(oracle_rng, n_bins, p, chunk)
+        assert np.array_equal(bins, expected) and bins.dtype == expected.dtype
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_draws_that_outrun_the_estimate_grow_the_buffer(self):
+        # every bin clicks: 1000 bins against a buffer of the 41 clicks
+        # (mean + 5 sd + 16) that p = 0.01 makes likely, grown several times
+        gaps, oracle_gaps = UnitGaps(), UnitGaps()
+        with mock.patch.object(streams, "_GAP_CHUNK", 7):
+            bins = _bernoulli_bins(gaps, 1000, 0.01)
+        assert np.array_equal(bins, bernoulli_bins_by_parts(oracle_gaps, 1000, 0.01, 7))
+        assert np.array_equal(bins, np.arange(1000))
+        assert gaps.sizes == oracle_gaps.sizes
+
     @given(st.integers(0, 300).flatmap(
         lambda n: st.tuples(st.just(n), st.sets(st.integers(0, max(n - 1, 0)), max_size=n))))
     def test_complement_map_lists_the_free_bins(self, case):
@@ -242,15 +273,26 @@ class TestSimulateMemory:
         finally:
             tracemalloc.stop()
         output = stream.times_a.nbytes + stream.times_b.nbytes
-        # A, the candidates (drawn at 3 p_b, so 1.5x the output), the accepted
-        # B clicks and their concatenation: 3x the output.  Plus one block's
-        # scratch at 160 B a center: about twenty 8-byte numbers a center
-        # (window starts and counts, the rank order and origins, the kernel
-        # terms and sums, the probabilities and uniforms), of which 136 B
-        # were measured live at the peak.  A sampler whose scratch spans the
-        # whole acquisition peaks near 8.8x.
-        bound = 3 * output + 160 * streams._CENTER_BLOCK
+        # A, the candidates (drawn at 3 p_b, so 1.5x the output) with the
+        # accepted B clicks compacted into their front, and one copy of B:
+        # 2.5x the output.  Plus one block's scratch at 160 B a center: about
+        # twenty 8-byte numbers a center (window starts and counts, the rank
+        # order and origins, the kernel terms and sums, the probabilities and
+        # uniforms), of which 136 B were measured live at the peak.  A sampler
+        # that also joins a list of accepted blocks peaks near 3x, and one
+        # whose scratch spans the whole acquisition near 8.8x.
+        bound = 2.5 * output + 160 * streams._CENTER_BLOCK
         assert peak < bound, f"peak {peak / 1e6:.1f} MB for {output / 1e6:.1f} MB of output"
+
+    def test_a_draw_of_many_parts_peaks_near_its_result(self):
+        # about 20 parts of 2^12 gaps, each copied into one buffer of the
+        # result as it is drawn: the draw holds that buffer and a part.  A
+        # draw that joins its parts at the end holds the result twice
+        n_bins, part = 20 * (1 << 13), 8 * (1 << 12)
+        with mock.patch.object(streams, "_GAP_CHUNK", 1 << 12):
+            bins = _bernoulli_bins(np.random.default_rng(3), n_bins, 0.5)
+            peak = traced_peak(_bernoulli_bins, np.random.default_rng(3), n_bins, 0.5)
+        assert peak - 2 * part < 1.1 * bins.nbytes, f"peak {peak / 1e6:.3f} MB for {bins.nbytes / 1e6:.3f} MB"
 
     def test_delay_scan_peak_does_not_grow_with_the_schedule(self):
         # 1 ms steps at 20 MHz per channel: about 40k records a step.  A scan
@@ -538,6 +580,20 @@ class TestTextFormat:
         path.write_bytes(text.encode("utf-8"))
         with pytest.raises(StreamFormatError, match=f"mutated.txt: {re.escape(problem)}"):
             read_stream(path)
+
+    def test_a_header_line_is_read_no_further_than_its_quote(self, tmp_path):
+        # '#' and 1 MB with no newline
+        path = tmp_path / "long.txt"
+        path.write_bytes(b"#" + b"9" * (1 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(StreamFormatError, match="long.txt: line 1: bad header b'#999") as refused:
+                read_stream(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(str(refused.value).encode()) < 200
+        assert peak < path.stat().st_size / 16, f"peak {peak / 1e6:.2f} MB for a 1 MB header line"
 
 
 class TestTdcStreamEquality:
