@@ -15,8 +15,14 @@ a frequency grid it solves their 2x2 weighted linear least squares and keeps
 the frequency that lowers the fit's own chi2 the most (Golub & Pereyra, SIAM
 J. Numer. Anal. 10, 413 (1973); with a flat envelope, a weighted Lomb-Scargle
 periodogram about g2 = 1, cf. Zechmeister & Kuerster, A&A 496, 577 (2009)).
-It sums over the grid in blocks of about _GUESS_BLOCK grid-by-point elements
-(one grid row at least), so its scratch does not grow with the grid.
+The grid is uniform, so each grid frequency's phase is a giant-step phase
+times a baby-step phase (the trigonometric recurrence of fast periodograms,
+Press & Rybicki, ApJ 338, 277 (1989), here kept exact), and the scan's sums
+are two complex matrix products of those tables: about 2 sqrt(grid size)
+cosines and sines a point instead of two per grid frequency.  The products run
+over blocks of points of at most _GUESS_BLOCK multiply-adds each, so the
+scratch does not grow with the points and the start does not change with the
+BLAS thread count.
 Damped Gauss-Newton with a Levenberg-Marquardt damping schedule and the
 analytic Jacobian then refines the fit.  Parameter errors come from the
 inverse curvature matrix scaled by sqrt(chi2/dof).  Results are reported in
@@ -43,8 +49,10 @@ GRADIENT_TOL = 1e-12
 STEP_TOL = 1e-13
 CHI2_REL_TOL = 1e-14
 CONDITION_LIMIT = 1e13
-# grid-by-point elements of initial_guess's scratch per block of grid rows
-_GUESS_BLOCK = 2**15
+# complex multiply-adds of each of initial_guess's matrix products.  OpenBLAS
+# runs a zgemm this small on one thread; with OpenBLAS 0.3.31, larger ones
+# gave different bits at 1 and 2 threads
+_GUESS_BLOCK = 2**16
 
 
 @dataclass
@@ -174,15 +182,27 @@ def canonicalize(model: str, params: np.ndarray) -> np.ndarray:
     return np.array([v, abs(width), _wrap_phase(phase), freq])[_SLOTS[model]]
 
 
+def _phases(rates: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """exp(1j * outer(rates, x)), one cosine and one sine per element."""
+    arg = np.outer(rates, x)
+    table = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=table.real)
+    np.sin(arg, out=table.imag)
+    return table
+
+
 def initial_guess(
     x: np.ndarray, y: np.ndarray, model: str, weights: np.ndarray | None = None
 ) -> np.ndarray:
     """Starting point that minimizes the fit's own weighted chi2 over a
     frequency grid, with (c, s) solved exactly at each frequency.
 
-    weights are the fit's 1/sigma (ones when None).  The sums run over
-    blocks of max(1, _GUESS_BLOCK // x.size) grid rows, so the scratch is
-    two block-by-point arrays, not two grid-by-point ones.
+    weights are the fit's 1/sigma (ones when None).  With baby ~ sqrt(grid
+    size), grid row g = j * baby + k has the phase exp(2 pi i grid[g] x) =
+    giant[j] * baby[k], and both tables are built with exact trig.  The sums
+    take _GUESS_BLOCK // (giants * baby) points at a time, so each product
+    stays on one BLAS thread and the scratch is a few tables of one block of
+    points, never a grid-by-point array.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -216,22 +236,33 @@ def initial_guess(
     f_low = 0.5 / span
     f_high = max(0.5 / spacing, 2.0 * f_low) if spacing > 0 else 2.0 * f_low
     grid = np.linspace(f_low, f_high, int(np.clip(4.0 * span * (f_high - f_low), 256, 8192)))
-    # normal-equation sums of the 2x2 solve, one block of grid rows at a
-    # time, each built in place so that two block-by-point arrays exist at once
-    uc, us, cs, cc = np.empty((4, grid.size))
-    rows = max(1, _GUESS_BLOCK // x.size)
-    for start in range(0, grid.size, rows):
-        block = slice(start, start + rows)
-        cos = np.outer(grid[block], x)
-        cos *= 2.0 * math.pi
-        sin = np.sin(cos)
-        np.cos(cos, out=cos)
-        uc[block], us[block] = cos @ u, sin @ u
-        sin *= cos
-        cs[block] = sin @ a
-        cos *= cos
-        cc[block] = cos @ a
-    ss = a.sum() - cc
+    # grid row g = j * baby + k has the phase giant[j] * baby[k], so the
+    # normal-equation sums are (giants x points) @ (points x baby) products:
+    # sum(u e^{i theta}) = uc + i us, sum(a e^{2i theta}) = 2 cc - sum(a) + 2i cs
+    baby = math.isqrt(grid.size - 1) + 1
+    giants = -(-grid.size // baby)
+    step = 2.0 * math.pi * (f_high - f_low) / (grid.size - 1)
+    giant_rates = 2.0 * math.pi * f_low + step * baby * np.arange(giants)
+    baby_rates = step * np.arange(baby)
+    points = _GUESS_BLOCK // (giants * baby)
+    single = np.zeros((giants, baby), dtype=complex)
+    double = np.zeros((giants, baby), dtype=complex)
+    for start in range(0, x.size, points):
+        block = slice(start, start + points)
+        giant_phase = _phases(giant_rates, x[block])
+        baby_phase = _phases(baby_rates, x[block])
+        single += giant_phase @ (baby_phase * u[block]).T
+        giant_phase *= giant_phase
+        baby_phase *= baby_phase
+        double += giant_phase @ (baby_phase * a[block]).T
+    # the rows past the grid's end are dropped
+    single = single.ravel()[: grid.size]
+    double = double.ravel()[: grid.size]
+    uc, us = single.real, single.imag
+    total = a.sum()
+    cc = 0.5 * (total + double.real)
+    cs = 0.5 * double.imag
+    ss = total - cc
     det = cc * ss - cs * cs
     with np.errstate(divide="ignore", invalid="ignore"):
         c = np.where(det > 0, (ss * uc - cs * us) / det, 0.0)

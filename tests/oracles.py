@@ -216,22 +216,24 @@ def per_shift_coincidences(bins_a: np.ndarray, bins_b: np.ndarray, shifts) -> li
     return [np.intersect1d(bins_a, bins_b + s).size for s in shifts]
 
 
+def guess_grid(x: np.ndarray) -> np.ndarray:
+    """The guess's frequency grid: from half a cycle over the span of x to the
+    Nyquist rate of the median sample spacing, four points per 1/span, 256 to
+    8192 points."""
+    span = x.max() - x.min()
+    f_low = 0.5 / span
+    f_high = max(0.5 / np.median(np.diff(np.sort(x))), 2.0 * f_low)
+    return np.linspace(f_low, f_high, int(np.clip(4.0 * span * (f_high - f_low), 256, 8192)))
+
+
 def profiled_fringe_start(
     x: np.ndarray, y: np.ndarray, weights: np.ndarray, envelope: np.ndarray
 ) -> tuple[float, float, float]:
     """(frequency, c, s) minimizing sum(weights^2 (y - 1 - envelope (c cos + s sin))^2)
-    over the guess grid, by one np.linalg.lstsq solve per grid frequency.
-
-    The grid runs from half a cycle over the span of x to the Nyquist rate of
-    the median sample spacing, four points per 1/span, 256 to 8192 points.
-    """
-    span = x.max() - x.min()
-    f_low = 0.5 / span
-    f_high = max(0.5 / np.median(np.diff(np.sort(x))), 2.0 * f_low)
-    n_grid = int(np.clip(4.0 * span * (f_high - f_low), 256, 8192))
+    over guess_grid(x), by one np.linalg.lstsq solve per grid frequency."""
     target = weights * (y - 1.0)
     best = (-math.inf, 0.0, 0.0, 0.0)
-    for freq in np.linspace(f_low, f_high, n_grid):
+    for freq in guess_grid(x):
         arg = 2.0 * math.pi * freq * x
         basis = (weights * envelope)[:, None] * np.column_stack([np.cos(arg), np.sin(arg)])
         coef, *_ = np.linalg.lstsq(basis, target, rcond=None)

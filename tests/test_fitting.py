@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from chromatic_hbt.fitting import (
     tau_fringe_jacobian,
 )
 
-from oracles import profiled_fringe_start
+from oracles import guess_grid, profiled_fringe_start
 
 
 @dataclass
@@ -173,7 +177,8 @@ class TestInitialGuess:
     @staticmethod
     def fine_shift_scan():
         """A fig3-like tau curve at half the default step: 401 taus in +-12 us
-        and 6 far ones, so the guess grid has 2931 frequencies, 37 blocks."""
+        and 6 far ones, so the guess grid has 2931 frequencies, summed over
+        19 blocks of 22 taus."""
         rng = np.random.default_rng(16)
         x = np.concatenate([np.arange(-200, 201) * 0.06e-6, np.array([-44, -41, -38, 38, 41, 44]) * 1e-6])
         x.sort()
@@ -200,6 +205,80 @@ class TestInitialGuess:
             tracemalloc.stop()
         # two whole 2931 x 407 float64 arrays would take 19 MB
         assert peak < 4e6
+
+    @staticmethod
+    def edge_curve(case):
+        """(model, x, y, weights) of a curve at one edge of the start's grid."""
+        rng = np.random.default_rng(18)
+        far = np.array([-44, -41, -38, 38, 41, 44]) * 1e-6
+        model, truth = "tau", [0.576, 0.118e6, -0.434, 1.32e6]
+        if case == "floor":
+            x = np.linspace(-3.0, 3.0, 24)
+            truth = [0.4, 0.3, 0.5, 1.1]
+        elif case == "ragged":
+            x = np.sort(np.concatenate([np.arange(-100, 101) * 0.12e-6, far]))
+        elif case == "delay":
+            x = np.linspace(0.0, 5.0, 200)
+            model, truth = "delay", [0.59, -0.16, 7.3]
+        else:  # "cap"
+            x = np.sort(np.concatenate([np.arange(-600, 601) * 0.02e-6, far]))
+        fringe = delay_fringe if model == "delay" else tau_fringe
+        sigma = rng.uniform(0.01, 0.05, x.size)
+        y = fringe(np.array(truth), x) + sigma * rng.normal(size=x.size)
+        return model, x, y, 1.0 / sigma
+
+    @pytest.mark.parametrize(
+        "case, n_grid",
+        [
+            ("floor", 256),  # the 256-frequency floor, 16 x 16 rows, one block of taus
+            ("ragged", 1464),  # the default fig3 taus: 38 x 39 rows, the last 18 dropped
+            ("delay", 396),  # 20 x 20 rows, the last 4 dropped, 2 blocks of taus
+            ("cap", 8192),  # the 1207-tau fine-step curve: 91 x 91 rows, 173 blocks of 7 taus
+        ],
+    )
+    def test_grid_edges_match_lstsq_oracle(self, case, n_grid):
+        model, x, y, weights = self.edge_curve(case)
+        assert guess_grid(x).size == n_grid
+        guess = initial_guess(x, y, model, weights)
+        envelope = np.ones(x.size) if model == "delay" else np.exp(-((guess[1] * x) ** 2))
+        freq, c, s = profiled_fringe_start(x, y, weights, envelope)
+        assert guess[-1] == freq
+        assert 0.5 * guess[0] * math.cos(guess[-2]) == pytest.approx(c, abs=1e-9)
+        assert -0.5 * guess[0] * math.sin(guess[-2]) == pytest.approx(s, abs=1e-9)
+
+    def test_start_does_not_depend_on_the_blas_thread_count(self):
+        # each of the start's matrix products is small enough that OpenBLAS
+        # runs it on one thread; one product over all 40 000 taus would not be
+        probe = """
+import numpy as np
+from chromatic_hbt.fitting import initial_guess, tau_fringe
+far = np.array([-44, -41, -38, 38, 41, 44]) * 1e-6
+for n in (207, 1207, 5000, 40_000):
+    rng = np.random.default_rng(n)
+    x = np.sort(np.concatenate([np.linspace(-12e-6, 12e-6, n - 6), far]))
+    sigma = rng.uniform(0.01, 0.05, n)
+    y = tau_fringe(np.array([0.576, 0.118e6, -0.434, 1.32e6]), x) + sigma * rng.normal(size=n)
+    print(n, initial_guess(x, y, "tau", 1.0 / sigma).tobytes().hex())
+"""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", probe],
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            for threads in ("1", "2")
+        ]
+        try:
+            outputs = [run.communicate(timeout=60)[0] for run in runs]
+        finally:
+            for run in runs:
+                run.kill()
+        assert [run.returncode for run in runs] == [0, 0]
+        assert len(outputs[0].splitlines()) == 4
+        assert outputs[0] == outputs[1]
 
     def test_tau_guess_linewidth_scale(self):
         width = 0.4
