@@ -14,7 +14,6 @@ from .fock import (
     apply_creation,
     frequency_of_wavelength,
     inner_product,
-    project_single_photon,
 )
 from .elements import (
     ArmModes,

@@ -28,7 +28,7 @@ from .analysis import G2Curve, scan_delay, scan_tau, write_csv_columns
 from .config import ConfigError, RunConfig
 from .fitting import FitResult, fit_delay_model, fit_tau_model
 from .fock import SPEED_OF_LIGHT
-from .protocol import ErasureDetectorConfig, run_two_color_erasure
+from .protocol import COLOR_LABELS, ErasureDetectorConfig, run_two_color_erasure
 from .streams import (
     StreamFormatError,
     read_stream,
@@ -98,7 +98,7 @@ def cmd_protocol(config: RunConfig, args: argparse.Namespace) -> int:
     print("input weights:")
     print(f"  alpha = {_fmt_complex(alpha)}   beta = {_fmt_complex(beta)}")
     print("pre-filter amplitudes on detection arm:")
-    for color in ("f1", "f2", "f3", "f1_shift", "f2_shift"):
+    for color in COLOR_LABELS:
         amp = pre_filter.amplitude_of({getattr(arms.arm_a, color): 1})
         print(f"  {color:9s} {_fmt_complex(amp)}")
     print(f"detection amplitude (arm a, f3): {_fmt_complex(run.detection_amplitude)}")

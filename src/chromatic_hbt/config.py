@@ -27,7 +27,7 @@ from typing import ClassVar
 
 from .elements import ConversionSettings
 from .fitting import _MODELS
-from .protocol import G2Model, ModeFrequencies
+from .protocol import COLOR_LABELS, G2Model, ModeFrequencies
 from .streams import StreamConfig
 
 LENGTH_UNITS = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9, "pm": 1e-12}
@@ -173,7 +173,9 @@ class ModesSection:
     def __post_init__(self):
         # the shifted lines are differences, so valid wavelengths can still
         # put one at or below 0 Hz, or overflow a line to inf
-        for label, frequency in self.frequencies().by_label().items():
+        freqs = self.frequencies()
+        for label in COLOR_LABELS:
+            frequency = getattr(freqs, label)
             if not 0.0 < frequency < math.inf:
                 raise ConfigError("modes", f"line {label} at {frequency:.6g} Hz is not finite and > 0")
 

@@ -131,10 +131,6 @@ class ModeUnitary:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "columns", columns)
 
-    @classmethod
-    def identity(cls, registry: ModeRegistry) -> "ModeUnitary":
-        return cls(registry, np.eye(len(registry), dtype=complex))
-
 
 def bs_unitary(registry: ModeRegistry, pairs: list[tuple[ModeId, ModeId]]) -> ModeUnitary:
     """50-50 beamsplitter on each (x, y) pair: x -> (x+y)/sqrt2, y -> (x-y)/sqrt2."""

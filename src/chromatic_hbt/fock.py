@@ -14,7 +14,6 @@ never mutate their inputs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, Iterator, Mapping
 
@@ -154,9 +153,6 @@ class StateVector:
     def norm2(self) -> float:
         return sum(abs(a) ** 2 for a in self.amplitudes.values())
 
-    def norm(self) -> float:
-        return self.norm2() ** 0.5
-
     def scaled(self, factor: complex) -> "StateVector":
         return StateVector(self.registry, {s: factor * a for s, a in self.amplitudes.items()})
 
@@ -185,9 +181,6 @@ class StateVector:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=False)
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "StateVector":
         registry = ModeRegistry(n_max=data["n_max"])
@@ -195,10 +188,6 @@ class StateVector:
             registry.register(entry["label"], entry["frequency"], entry["branch"])
         amps = {tuple(e["occ"]): complex(e["re"], e["im"]) for e in data["amplitudes"]}
         return cls(registry, amps)
-
-    @classmethod
-    def from_json(cls, text: str) -> "StateVector":
-        return cls.from_json_dict(json.loads(text))
 
 
 def _pruned(amps: dict[tuple[int, ...], complex]) -> dict[tuple[int, ...], complex]:
@@ -237,16 +226,7 @@ def apply_creation(state: StateVector, mode: ModeId) -> StateVector:
 def inner_product(s1: StateVector, s2: StateVector) -> complex:
     """<s1|s2>, conjugate-linear in the first argument."""
     _check_same_registry(s1, s2)
-    if len(s1.amplitudes) > len(s2.amplitudes):
-        return complex(sum(a2 * s1.amplitude(k).conjugate() for k, a2 in s2.amplitudes.items()))
     return complex(sum(s1.amplitudes[k].conjugate() * s2.amplitude(k) for k in s1.amplitudes))
-
-
-def project_single_photon(state: StateVector, mode: ModeId) -> complex:
-    """Amplitude of the basis state with exactly one photon, sitting in `mode`."""
-    if not (0 <= mode.index < len(state.registry)):
-        raise ValueError(f"mode {mode.label!r} does not belong to this registry")
-    return state.amplitude_of({mode: 1})
 
 
 def single_photon(registry: ModeRegistry, mode: ModeId, amplitude: complex = 1.0) -> StateVector:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -43,9 +43,6 @@ from .fock import (
     apply_creation,
     frequency_of_wavelength,
 )
-
-COLOR_LABELS = ("f1", "f2", "f3", "f1_shift", "f2_shift")
-
 
 @dataclass(frozen=True)
 class ModeFrequencies:
@@ -71,25 +68,19 @@ class ModeFrequencies:
         """Default line set: 1064.4 nm and 1063.6 nm inputs, 630.8 nm target."""
         return cls.from_wavelengths(1064.4e-9, 1063.6e-9, 630.8e-9)
 
-    def by_label(self) -> dict[str, float]:
-        return {
-            "f1": self.f1,
-            "f2": self.f2,
-            "f3": self.f3,
-            "f1_shift": self.f1_shift,
-            "f2_shift": self.f2_shift,
-        }
-
     @property
     def delta_f21(self) -> float:
         """Input color difference f2 - f1 in Hz."""
         return self.f2 - self.f1
 
 
+# the five colors in declaration order, which is the order of each arm's modes
+COLOR_LABELS = tuple(f.name for f in fields(ModeFrequencies))
+
+
 def _register_arm(registry: ModeRegistry, freqs: ModeFrequencies, prefix: str, branch: str) -> ArmModes:
-    by_label = freqs.by_label()
     modes = {
-        label: registry.register(f"{prefix}{label}", by_label[label], branch)
+        label: registry.register(f"{prefix}{label}", getattr(freqs, label), branch)
         for label in COLOR_LABELS
     }
     return ArmModes(**modes)
@@ -353,10 +344,6 @@ class G2Model:
             raise ValueError(f"visibility must lie in [0, 1], got {self.visibility}")
         if self.linewidth is not None and self.linewidth < 0.0:
             raise ValueError(f"linewidth must be >= 0, got {self.linewidth}")
-
-    @property
-    def period(self) -> float:
-        return 1.0 / self.frequency
 
 
 def g2_zero_model(model: G2Model, t_delay: float | np.ndarray) -> float | np.ndarray:

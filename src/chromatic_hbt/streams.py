@@ -108,10 +108,6 @@ class StreamConfig:
         return round(self.bin_width * PS_PER_SECOND)
 
     @property
-    def duration(self) -> float:
-        return sum(dwell for _, dwell in self.delay_schedule)
-
-    @property
     def duration_ps(self) -> int:
         return self.bin_width_ps * sum(
             round(dwell / self.bin_width) for _, dwell in self.delay_schedule
@@ -400,8 +396,6 @@ def _segment_kernel(
     mean_shift = p_a * kernel.sum()
 
     a_bins = _bernoulli_bins(rng, n_bins, p_a)
-    if p_b <= 0:
-        return a_bins, np.empty(0, dtype=np.int64)
     envelope_prob = min(_KERNEL_CAP * p_b, 0.5)
     candidates = _bernoulli_bins(rng, n_bins, envelope_prob)
     # the accepted clicks are compacted to the front of candidates: a block's
@@ -513,8 +507,9 @@ def simulate_stream(config: StreamConfig) -> TdcStream:
 _BLOCK = 1 << 14
 # 10^1 .. 10^18: a time of k digits is at or above the first k - 1 of them
 _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
-# the magic, then the bin width, the duration and the seed as 8 bytes each
-_BINARY_HEADER_SIZE = len(BINARY_MAGIC) + 8 + 8 + 8
+# the magic, then the bin width, the duration and the seed, little-endian
+# like the records' times, so a file reads the same on every host
+_BINARY_HEADER = struct.Struct("<4sqqQ")
 _BINARY_RECORD = np.dtype([("ch", "u1"), ("t", "<u8")])
 
 
@@ -585,10 +580,7 @@ def write_stream(stream: TdcStream, path, binary: bool = False) -> None:
     meta = stream.meta
     with open(path, "wb") as fh:
         if binary:
-            fh.write(BINARY_MAGIC)
-            fh.write(np.int64(meta.bin_width_ps).tobytes())
-            fh.write(np.int64(meta.duration_ps).tobytes())
-            fh.write(np.uint64(meta.seed).tobytes())
+            fh.write(_BINARY_HEADER.pack(BINARY_MAGIC, meta.bin_width_ps, meta.duration_ps, meta.seed))
         else:
             fh.write(f"#binwidth_ps={meta.bin_width_ps}\n#duration_ps={meta.duration_ps}\n"
                      f"#seed={meta.seed}\n".encode("ascii"))
@@ -678,7 +670,7 @@ def _binary_blocks(fh, path) -> Iterator[tuple]:
     for piece in _file_pieces(fh, size * _BLOCK, lambda buffer, end: end - end % size):
         records = np.frombuffer(piece, dtype=_BINARY_RECORD, count=len(piece) // size)
         if len(piece) % size:
-            offset = _BINARY_HEADER_SIZE + (done + records.size) * size
+            offset = _BINARY_HEADER.size + (done + records.size) * size
             raise StreamFormatError(f"{path}: truncated record at byte offset {offset}")
         name = lambda k, first=done: f"record {first + k}"
         channels = records["ch"]
@@ -785,10 +777,10 @@ def read_stream(path) -> TdcStream:
     """
     with open(path, "rb") as fh:
         if fh.peek(len(BINARY_MAGIC))[: len(BINARY_MAGIC)] == BINARY_MAGIC:
-            header = fh.read(_BINARY_HEADER_SIZE)
-            if len(header) < _BINARY_HEADER_SIZE:
+            header = fh.read(_BINARY_HEADER.size)
+            if len(header) < _BINARY_HEADER.size:
                 raise StreamFormatError(f"{path}: truncated header at byte offset {len(header)}")
-            meta = _header_meta(path, *struct.unpack("=qqQ", header[len(BINARY_MAGIC) :]))
+            meta = _header_meta(path, *_BINARY_HEADER.unpack(header)[1:])
             return _read_records(path, meta, _binary_blocks(fh, path))
         headers: dict[str, int] = {}
         lineno = 0

@@ -258,14 +258,22 @@ class TestCli:
         # cos(pi) = -1 flips the second weight: (alpha - beta)/2 = 0
         assert "+0.000000+0.000000j" in out
 
-    def test_malformed_config_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, location, message",
+        [
+            ("[delay_scan]\ndwell = 5 parsec\n", "delay_scan.dwell", "not recognized"),
+            ("[delay_scan]\nsteps = 4.5\n", "delay_scan.steps", "'4.5' is not an integer"),
+            ("[delay_scan]\nsteps\n", "[config]", "[line  2]: 'steps\\n'"),
+        ],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, text, location, message):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("[delay_scan]\ndwell = 5 parsec\n")
+        cfg.write_text(text)
         code = main(["--config", str(cfg), "protocol"])
         err = capsys.readouterr().err
         assert code == 2
-        assert "delay_scan.dwell" in err
-        assert "not recognized" in err
+        assert location in err
+        assert message in err
 
     @pytest.mark.parametrize(
         "text, flags, location",
@@ -332,21 +340,23 @@ class TestCli:
         assert not (tmp_path / "model_tau.csv").exists()
 
     @pytest.mark.parametrize(
-        "line, key",
+        "line, key, message",
         [
-            ("phi_31 = nan rad", "conversion.phi_31"),
-            ("phi_32 = inf rad", "conversion.phi_32"),
-            ("theta_31 = -1 rad", "theta_31"),
-            ("theta_32 = pi:inf", "conversion.theta_32"),
+            ("phi_31 = nan rad", "conversion.phi_31", "'nan' is not a finite number"),
+            ("phi_32 = inf rad", "conversion.phi_32", "'inf' is not a finite number"),
+            ("theta_31 = -1 rad", "theta_31", "must be finite and >= 0"),
+            ("theta_32 = pi:inf", "conversion.theta_32", "'pi:inf' is not a finite pi-multiple"),
+            ("theta_31 = 1 deg", "conversion.theta_31", "angles take 'rad' or the pi: prefix, got 'deg'"),
         ],
     )
-    def test_bad_conversion_value_exits_2(self, tmp_path, capsys, line, key):
+    def test_bad_conversion_value_exits_2(self, tmp_path, capsys, line, key, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"[conversion]\n{line}\n")
         code = main(["--config", str(cfg), "protocol"])
         captured = capsys.readouterr()
         assert code == 2
         assert key in captured.err
+        assert message in captured.err
         assert "detection amplitude" not in captured.out
 
     @pytest.mark.parametrize(
@@ -437,25 +447,32 @@ class TestCli:
         assert "no click records" in err
 
     @pytest.mark.parametrize(
-        "manifest",
+        "manifest, message",
         [
-            [1, 2],
-            {"kind": "tau", "streams": [{"name": "x"}]},
-            {"kind": "delay", "streams": [{"file": "step.txt"}]},
-            {"kind": "delay", "streams": [{"file": "step.txt", "t_delay": [1]}]},
-            {"kind": "tau", "streams": [{"file": "step.txt", "t_delay": 0.0}], "taus": 5},
+            ([1, 2], "manifest is not a JSON object"),
+            ({"kind": "tau", "streams": [{"name": "x"}]}, "needs a 'file' and a numeric 't_delay'"),
+            ({"kind": "delay", "streams": [{"file": "step.txt"}]}, "needs a 'file' and a numeric 't_delay'"),
+            ({"kind": "delay", "streams": [{"file": "step.txt", "t_delay": [1]}]}, "needs a 'file' and a numeric 't_delay'"),
+            ({"kind": "tau", "streams": [{"file": "step.txt", "t_delay": 0.0}], "taus": 5}, "'taus' must be a list"),
             # a second stream, here a missing one, that a tau scan would not read
-            {"kind": "tau", "streams": [{"file": "step.txt", "t_delay": 0.0}, {"file": "gone.txt", "t_delay": 0.0}]},
+            ({"kind": "tau", "streams": [{"file": "step.txt", "t_delay": 0.0}, {"file": "gone.txt", "t_delay": 0.0}]},
+             "a tau manifest names one stream, not 2"),
+            # written as is, not through json.dumps
+            ('{"kind": "delay", "streams": [', "not valid manifest JSON"),
+            ({"kind": "delay", "streams": []}, "manifest lists no streams"),
+            ({"kind": "shift", "streams": [{"file": "step.txt", "t_delay": 0.0}]}, "unknown manifest kind 'shift'"),
         ],
+        ids=["not-an-object", "entry-without-file", "entry-without-t_delay", "list-t_delay", "number-taus",
+             "tau-with-two-streams", "not-json", "no-streams", "unknown-kind"],
     )
-    def test_analyze_malformed_manifest_exits_3(self, tmp_path, capsys, manifest):
+    def test_analyze_malformed_manifest_exits_3(self, tmp_path, capsys, manifest, message):
         (tmp_path / "step.txt").write_text("#binwidth_ps=1000\n#duration_ps=0\n#seed=1\n")
         path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(manifest))
+        path.write_text(manifest if isinstance(manifest, str) else json.dumps(manifest))
         code = main(["--out-dir", str(tmp_path), "analyze", "--input", str(path)])
         err = capsys.readouterr().err
         assert code == 3
-        assert str(path) in err
+        assert str(path) in err and message in err
 
     def test_analyze_missing_input_exits_3(self, tmp_path, capsys):
         code = main(["--out-dir", str(tmp_path), "analyze", "--input", str(tmp_path / "nope.txt")])
@@ -503,6 +520,24 @@ class TestCli:
         code = main(["--out-dir", str(tmp_path), "fit", "--curve", str(curve_path)])
         assert code == 3
         assert f"finite {column}" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "curve file not found"),
+            ("# x_kind=t_delay\nx,g2,sigma\n0.0,1.0\n", "line 3: expected 3 columns, got '0.0,1.0'"),
+            ("# x_kind=t_delay\nx,g2,sigma\n", "no curve points found"),
+        ],
+        ids=["missing", "two-columns", "no-rows"],
+    )
+    def test_unreadable_curve_exits_3(self, tmp_path, capsys, text, message):
+        curve_path = tmp_path / "curve.csv"
+        if text is not None:
+            curve_path.write_text(text)
+        code = main(["--out-dir", str(tmp_path), "fit", "--curve", str(curve_path)])
+        assert code == 3
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
     @pytest.mark.parametrize("x_kind", ["path_length", "bogus"])

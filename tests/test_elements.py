@@ -221,7 +221,7 @@ class TestEvolve:
         registry, arms = stage
         rng = np.random.default_rng(5)
         state = random_state(registry, rng)
-        out = evolve(state, ModeUnitary.identity(registry))
+        out = evolve(state, ModeUnitary(registry, np.eye(len(registry))))
         assert out.allclose(state, tol=1e-15)
 
     def test_nan_amplitude_survives_pruning(self, stage):
@@ -229,7 +229,7 @@ class TestEvolve:
         registry, arms = stage
         photon = next(iter(single_photon(registry, arms.arm_a.f1).amplitudes))
         state = StateVector(registry, {photon: complex(math.nan, 0.0)})
-        out = evolve(state, ModeUnitary.identity(registry))
+        out = evolve(state, ModeUnitary(registry, np.eye(len(registry))))
         assert any(cmath.isnan(a) for a in out.amplitudes.values())
 
     def test_norm_preserved_random(self, stage):
@@ -238,7 +238,7 @@ class TestEvolve:
         for _ in range(1000):
             state = random_state(registry, rng)
             u = sfg_unitary(registry, random_settings(rng), arms)
-            assert evolve(state, u).norm() == pytest.approx(1.0, abs=1e-12)
+            assert evolve(state, u).norm2() == pytest.approx(1.0, abs=1e-12)
 
     def test_two_photon_full_conversion(self, stage):
         # photons in f1 and f2 on arm a: the pi/2 block moves f1 to f3
@@ -299,13 +299,18 @@ class TestEvolve:
         with pytest.raises(ValueError, match="not unitary"):
             ModeUnitary(registry, matrix)
 
+    def test_matrix_of_the_wrong_size_rejected(self, stage):
+        registry, _ = stage
+        with pytest.raises(ValueError, match=r"unitary dimension \(3, 3\) does not match registry size 10"):
+            ModeUnitary(registry, np.eye(3))
+
     def test_dimension_mismatch_rejected(self, stage):
         registry, arms = stage
         other = ModeRegistry(n_max=2)
         other.register("x", 1e14, "a")
         state = single_photon(registry, arms.arm_a.f1)
         with pytest.raises(ValueError, match="match"):
-            evolve(state, ModeUnitary.identity(other))
+            evolve(state, ModeUnitary(other, np.eye(len(other))))
 
     def test_hom_bunching_on_beamsplitter(self, stage):
         # two same-color photons on the two arms never split after mixing
@@ -339,8 +344,21 @@ class TestSpectralFilter:
         assert out.allclose(state, tol=1e-15)
         assert discarded == 0.0
 
+    def test_keep_mode_outside_the_beam_rejected(self, stage):
+        registry, arms = stage
+        state = single_photon(registry, arms.arm_a.f3)
+        with pytest.raises(ValueError, match="keep mode 'b.f3' is not part of the filtered beam"):
+            spectral_filter(state, arms.arm_b.f3, arms.arm_a.all())
+
 
 class TestPhaseDelay:
+    @pytest.mark.parametrize("t_delay", [math.nan, math.inf])
+    def test_non_finite_delay_rejected(self, stage, t_delay):
+        registry, arms = stage
+        state = single_photon(registry, arms.arm_a.f1)
+        with pytest.raises(ValueError, match=f"t_delay must be finite, got {t_delay}"):
+            phase_delay(state, arms.arm_a.all(), t_delay)
+
     def test_zero_delay_identity(self, stage):
         registry, arms = stage
         rng = np.random.default_rng(29)

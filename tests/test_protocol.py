@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import pickle
 
@@ -74,7 +75,7 @@ def two_color_input(registry, arm, alpha, beta):
 
 def stage_json(stages):
     # JSON floats round-trip exactly, so equal text means bit-identical states
-    return {name: state.to_json() for name, state in stages.items()}
+    return {name: json.dumps(state.to_json_dict()) for name, state in stages.items()}
 
 
 def random_unit_pair(rng):
@@ -332,14 +333,16 @@ class TestG2Models:
     def test_period_in_delay(self):
         model = G2Model(visibility=0.4, phase=0.2, frequency=210.1e9)
         t = 1.3e-12
-        assert g2_zero_model(model, t + model.period) == pytest.approx(g2_zero_model(model, t), abs=1e-12)
+        period = 1.0 / model.frequency
+        assert g2_zero_model(model, t + period) == pytest.approx(g2_zero_model(model, t), abs=1e-12)
 
     def test_argmax_at_minus_phase_over_angular_frequency(self):
         model = G2Model(visibility=0.59, phase=-0.16, frequency=210.1e9)
-        delays = np.linspace(0.0, model.period, 20001)
+        period = 1.0 / model.frequency
+        delays = np.linspace(0.0, period, 20001)
         best = delays[np.argmax(g2_zero_model(model, delays))]
-        expected = (-model.phase / (2 * math.pi * model.frequency)) % model.period
-        assert best == pytest.approx(expected, abs=model.period / 10000)
+        expected = (-model.phase / (2 * math.pi * model.frequency)) % period
+        assert best == pytest.approx(expected, abs=period / 10000)
 
     def test_tau_fringe_at_zero(self):
         model = G2Model(visibility=0.576, phase=-0.434, frequency=1.32e6, linewidth=0.118e6)

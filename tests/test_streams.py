@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -17,6 +18,7 @@ from chromatic_hbt.streams import (
     BINARY_MAGIC,
     CHANNEL_A,
     CHANNEL_B,
+    PS_PER_SECOND,
     StreamConfig,
     StreamFormatError,
     StreamMeta,
@@ -64,9 +66,16 @@ class TestStreamConfig:
         with pytest.raises(ValueError, match="rate_b"):
             basic_config(rate_b=-1.0)
 
+    @pytest.mark.parametrize("schedule, message", [
+        ((), "delay_schedule must contain at least one"),
+        (((0.0, 1e-3), (1e-12, -1e-3)), "dwell must be >= 0, got -0.001"),
+    ])
+    def test_empty_schedule_or_negative_dwell_rejected(self, schedule, message):
+        with pytest.raises(ValueError, match=message):
+            basic_config(delay_schedule=schedule)
+
     def test_duration_sums_schedule(self):
         cfg = basic_config(delay_schedule=((0.0, 1e-3), (1e-12, 3e-3)))
-        assert cfg.duration == pytest.approx(4e-3)
         assert cfg.duration_ps == 4_000_000_000
 
     def test_negative_seed_rejected(self):
@@ -250,6 +259,7 @@ class TestKernelBlocks:
     @example(7, 3000, 0.0, 0.05, 3)  # no A clicks: every kernel sum is 0
     @example(7, 5, 0.05, 1e-6, 1)  # no candidates
     @example(7, 4000, 0.1, 0.1, 1)  # one center per block
+    @example(7, 3000, 0.05, 0.0, 3)  # p_b = 0: no candidates, no uniforms drawn
     def test_blocks_match_the_whole_segment_oracle(self, seed, n_bins, p_a, p_b, block):
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         with mock.patch.object(streams, "_CENTER_BLOCK", block):
@@ -333,7 +343,7 @@ class TestSimulateStream:
     def test_singles_counts_within_5_sigma(self):
         cfg = basic_config()
         stream = simulate_stream(cfg)
-        expected = cfg.rate_a * cfg.duration
+        expected = cfg.rate_a * cfg.duration_ps / PS_PER_SECOND
         for n in (stream.times_a.size, stream.times_b.size):
             assert abs(n - expected) < 5.0 * math.sqrt(expected)
 
@@ -625,6 +635,21 @@ class TestTdcStreamEquality:
             hash(stream)
 
 
+class TestTdcStreamRefusals:
+    @pytest.mark.parametrize("times_a, times_b, message", [
+        ([-1, 0], [], r"channel A timestamp -1 is not in \[0, 50\)"),
+        ([0], [10, 50], r"channel B timestamp 50 is not in \[0, 50\)"),
+    ])
+    def test_time_outside_the_duration_rejected(self, times_a, times_b, message):
+        with pytest.raises(ValueError, match=message):
+            TdcStream(times_a=times_a, times_b=times_b, meta=StreamMeta(10, 50, 3))
+
+    def test_split_without_segments_rejected(self):
+        stream = TdcStream(times_a=[0], times_b=[10], meta=StreamMeta(10, 50, 3))
+        with pytest.raises(ValueError, match="no segment bookkeeping"):
+            stream.split_segments()
+
+
 class TestStreamIO:
     @given(valid_streams())
     # an empty channel, a repeat within a channel, a time on both channels,
@@ -667,6 +692,16 @@ class TestStreamIO:
         write_stream(stream, path, binary=True)
         back = read_stream(path)
         assert back == stream
+
+    def test_binary_header_is_little_endian_on_every_host(self, tmp_path):
+        # a seed above 2^63 checks that the last field is unsigned
+        meta = StreamMeta(bin_width_ps=20_000, duration_ps=3 * 2**40, seed=2**63 + 7)
+        stream = TdcStream(times_a=np.array([0]), times_b=np.array([20_000]), meta=meta)
+        path = tmp_path / "clicks.tdc"
+        write_stream(stream, path, binary=True)
+        expected = struct.pack("<4sqqQ", b"TDC1", meta.bin_width_ps, meta.duration_ps, meta.seed)
+        assert path.read_bytes()[: len(expected)] == expected
+        assert read_stream(path) == stream
 
     def test_write_read_write_is_byte_identical(self, tmp_path):
         stream = simulate_stream(basic_config(delay_schedule=((0.0, 1e-4),)))
