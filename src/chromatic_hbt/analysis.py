@@ -33,10 +33,11 @@ X_KINDS = ("t_delay", "tau")
 # widest span of whole-bin shifts the all-shifts pass takes, one int64 a bin
 _MAX_SHIFT_SPAN = 50_000_000
 # The all-shifts pass pairs each B bin with about span * n_A / n_bin A bins;
-# a per-tau count sorts both channels once.  On one Xeon vCPU (numpy 2.4.6,
-# 0.2 s and 0.8 s default-rate streams, 209 taus) the two broke even at about
-# 2.5 pairs per tau; the all-shifts pass takes up to this many.
-_PAIRS_PER_TAU = 2.0
+# a per-tau count floors B once and looks its bins up in A's occupancy.  On
+# one Xeon vCPU (numpy 2.4.6, 0.2 s and 0.8 s default-rate streams, 209
+# taus) the two broke even at about 1.5 pairs per tau; the all-shifts pass
+# takes up to this many.
+_PAIRS_PER_TAU = 1.25
 
 
 def _count_distinct_sorted(values: np.ndarray) -> int:
@@ -73,21 +74,113 @@ def _whole_bins(stream: TdcStream) -> tuple[int, int]:
     return bw_ps, n_bin
 
 
-def count_coincidences(stream: TdcStream, tau: float = 0.0) -> CoincidenceCounts:
+# clicks floored at a time by the prepared per-tau count (A once per scan,
+# B at each tau), so its temporaries stay a few MB however long the stream
+_COUNT_CHUNK = 1 << 16
+
+
+def _chunk_bins(times: np.ndarray, tau_ps: int, bw_ps: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(bins, new) for each chunk of _COUNT_CHUNK sorted times shifted by
+    tau_ps: the chunk's bins after the click before it, and which of them
+    start a bin not seen before.  The one click of overlap keeps a bin
+    whose run of clicks crosses a chunk edge from being counted twice."""
+    for lo in range(0, times.size, _COUNT_CHUNK):
+        bins = times[max(lo - 1, 0) : lo + _COUNT_CHUNK] + tau_ps
+        bins //= bw_ps
+        new = np.empty(bins.size, dtype=bool)
+        new[0] = lo == 0
+        np.not_equal(bins[1:], bins[:-1], out=new[1:])
+        yield bins, new
+
+
+@dataclass(frozen=True, eq=False)
+class _Occupancy:
+    """Channel A's bins, prepared once for the per-tau counts of one scan.
+
+    times are A's clicks inside the stream's whole bins and n_a their
+    distinct bins.  bitmap holds one bit per group of 2^shift bins, set
+    where A has a click in the group, packed eight groups a byte; shift is
+    the smallest that keeps the bitmap no larger than twice A's times
+    array.  A B bin whose group bit is set is confirmed by one binary
+    search into times, so no copy of A's bins is kept.
+    """
+
+    times: np.ndarray
+    n_a: int
+    shift: int
+    bitmap: np.ndarray
+
+    @classmethod
+    def of(cls, stream: TdcStream) -> "_Occupancy":
+        bw_ps, n_bin = _whole_bins(stream)
+        times_a = stream.channel_times(CHANNEL_A)
+        times = times_a[: np.searchsorted(times_a, n_bin * bw_ps)]
+        limit = max(2 * times_a.nbytes, 1)
+        shift = 0
+        while (n_bin - 1) >> (shift + 3) >= limit:
+            shift += 1
+        bitmap = np.zeros(((n_bin - 1) >> (shift + 3)) + 1, dtype=np.uint8)
+        n_a = 0
+        for bins, new in _chunk_bins(times, 0, bw_ps):
+            n_a += int(np.count_nonzero(new))
+            bins >>= shift
+            low = bins.astype(np.uint8) & 7
+            bins >>= 3
+            for bit in range(8):
+                # a byte listed twice takes the same bit twice
+                bitmap[bins[low == bit]] |= 1 << bit
+        return cls(times, n_a, shift, bitmap)
+
+    def tally(self, times_b: np.ndarray, tau_ps: int, bw_ps: int) -> tuple[int, int]:
+        """(n_B, n_coincidence) for B times that fall in the whole bins once
+        shifted by tau_ps: their distinct bins, and how many A occupies."""
+        n_b = n_coincidence = 0
+        for bins, new in _chunk_bins(times_b, tau_ps, bw_ps):
+            n_b += int(np.count_nonzero(new))
+            groups = bins >> self.shift
+            low = groups.astype(np.uint8) & 7
+            groups >>= 3
+            # each bin's group bit, shifted down to bit 0 of its byte; the
+            # indices stay int64, which numpy takes without the cast of int32
+            bit = self.bitmap.take(groups)
+            bit >>= low
+            bit &= 1
+            new &= bit.astype(bool)
+            candidates = bins[np.flatnonzero(new)]
+            # A's first click at or after the bin's start, if any, is in the bin
+            first = self.times.take(np.searchsorted(self.times, candidates * bw_ps), mode="clip")
+            n_coincidence += int(np.count_nonzero(first // bw_ps == candidates))
+        return n_b, n_coincidence
+
+
+def count_coincidences(
+    stream: TdcStream, tau: float = 0.0, occupancy: _Occupancy | None = None
+) -> CoincidenceCounts:
     """Count bins hit by both channels after shifting B by tau.
 
-    The coincident bins follow from distinct counts of the two channels'
-    bins and of their union: n_coincidence = n_a + n_b - |A union B|.  Both
-    channels' bins go into the two halves of one buffer; each half is sorted
-    already, so its distinct bins are counted first, and then the buffer is
-    sorted and its distinct bins counted.  A distinct count does not care
-    which of two equal bins comes first, so the sort needs no stability and
-    takes numpy's default quicksort, not the stable timsort that merges the
-    two runs.  Every bin lies in [0, n_bin), so the buffer is int32 unless
-    n_bin reaches 2^31, and numpy's vectorized 32-bit sort is the fast one:
-    on one Xeon vCPU (numpy 2.4), sorting the 45k bins of a files-offgrid
-    call took 150 us as int32 quicksort, 280 us as int64 timsort and 380 us
-    as int64 quicksort.
+    Without an occupancy, the coincident bins follow from distinct counts
+    of the two channels' bins and of their union: n_coincidence = n_a +
+    n_b - |A union B|.  Both channels' bins go into the two halves of one
+    buffer; each half is sorted already, so its distinct bins are counted
+    first, and then the buffer is sorted and its distinct bins counted.  A
+    distinct count does not care which of two equal bins comes first, so
+    the sort needs no stability and takes numpy's default quicksort, not
+    the stable timsort that merges the two runs.  Every bin lies in [0,
+    n_bin), so the buffer is int32 unless n_bin reaches 2^31, and numpy's
+    vectorized 32-bit sort is the fast one: on one Xeon vCPU (numpy 2.4),
+    sorting the 45k bins of a files-offgrid call took 150 us as int32
+    quicksort, 280 us as int64 timsort and 380 us as int64 quicksort.
+
+    scan_tau counts many taus of one stream, so it prepares A once, as an
+    _Occupancy of this stream, and passes it on each call.  Then A is not
+    floored or sorted again: B's shifted bins are floored in chunks of
+    _COUNT_CHUNK clicks, each after the last click of the chunk before, so
+    n_B and the coincidences stay distinct-bin counts; each new bin is
+    looked up in A's group bitmap, and the few whose group bit is set are
+    confirmed by a binary search into A's times.  The bitmap is at most
+    twice A's times array, and the chunks keep the count's temporaries
+    under a few MB.  scan_delay counts one tau per stream, where the
+    preparation would not pay, and keeps the sort.
     """
     bw_ps, n_bin = _whole_bins(stream)
     if not math.isfinite(tau):
@@ -96,21 +189,26 @@ def count_coincidences(stream: TdcStream, tau: float = 0.0) -> CoincidenceCounts
     if abs(tau_ps) >= stream.meta.duration_ps:
         raise ValueError(f"shift {tau} s reaches beyond the stream duration")
 
-    times_a = stream.channel_times(CHANNEL_A)
     times_b = stream.channel_times(CHANNEL_B)
     top_ps = n_bin * bw_ps
     # B is selected on its unshifted times, [-tau, top - tau)
-    sel_a = times_a[: np.searchsorted(times_a, top_ps)]
     sel_b = times_b[np.searchsorted(times_b, -tau_ps) : np.searchsorted(times_b, top_ps - tau_ps)]
-    merged = np.empty(sel_a.size + sel_b.size, dtype=np.int32 if n_bin < 2**31 else np.int64)
-    bins_a, bins_b = merged[: sel_a.size], merged[sel_a.size :]
-    np.floor_divide(sel_a, bw_ps, out=bins_a, casting="unsafe")
-    np.floor_divide(sel_b + tau_ps, bw_ps, out=bins_b, casting="unsafe")
-    n_a = _count_distinct_sorted(bins_a)
-    n_b = _count_distinct_sorted(bins_b)
-    merged.sort()
+    if occupancy is not None:
+        n_a = occupancy.n_a
+        n_b, n_coincidence = occupancy.tally(sel_b, tau_ps, bw_ps)
+    else:
+        times_a = stream.channel_times(CHANNEL_A)
+        sel_a = times_a[: np.searchsorted(times_a, top_ps)]
+        merged = np.empty(sel_a.size + sel_b.size, dtype=np.int32 if n_bin < 2**31 else np.int64)
+        bins_a, bins_b = merged[: sel_a.size], merged[sel_a.size :]
+        np.floor_divide(sel_a, bw_ps, out=bins_a, casting="unsafe")
+        np.floor_divide(sel_b + tau_ps, bw_ps, out=bins_b, casting="unsafe")
+        n_a = _count_distinct_sorted(bins_a)
+        n_b = _count_distinct_sorted(bins_b)
+        merged.sort()
+        n_coincidence = n_a + n_b - _count_distinct_sorted(merged)
     return CoincidenceCounts(
-        n_coincidence=n_a + n_b - _count_distinct_sorted(merged),
+        n_coincidence=n_coincidence,
         n_a=n_a,
         n_b=n_b,
         n_bin=int(n_bin),
@@ -284,8 +382,9 @@ def scan_tau(stream: TdcStream, taus: Sequence[float]) -> G2Curve:
     bins.  Taus that are all whole stream bins take the all-shifts pass
     while their span is at most _MAX_SHIFT_SPAN bins and span * n_A / n_bin
     is at most _PAIRS_PER_TAU per tau, where it is the cheaper path; any
-    other taus are counted one at a time.  Both give the same tallies for
-    the same shift.
+    other taus are counted one at a time, against channel A's occupancy
+    prepared once for the scan.  Both give the same tallies for the same
+    shift.
     """
     taus = np.array(taus, dtype=float)
     if taus.size == 0:
@@ -304,5 +403,6 @@ def scan_tau(stream: TdcStream, taus: Sequence[float]) -> G2Curve:
     if on_grid and span <= _MAX_SHIFT_SPAN and pairs <= _PAIRS_PER_TAU * taus.size:
         tallies = _all_shift_tallies(stream, whole.astype(np.int64))
     else:
-        tallies = (count_coincidences(stream, tau) for tau in taus.tolist())
+        occupancy = _Occupancy.of(stream)
+        tallies = (count_coincidences(stream, tau, occupancy) for tau in taus.tolist())
     return _tally_curve("tau", ((counts.tau, counts) for counts in tallies))

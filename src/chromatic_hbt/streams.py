@@ -124,8 +124,8 @@ class StreamMeta:
     seed: int
 
     def __post_init__(self):
-        if self.bin_width_ps < 1:
-            raise ValueError(f"bin width {self.bin_width_ps} ps is below 1 ps")
+        if not 1 <= self.bin_width_ps < 2**63:
+            raise ValueError(f"bin width {self.bin_width_ps} ps is not in [1, 2^63) ps")
         if not 0 <= self.duration_ps < 2**63:
             raise ValueError(f"duration {self.duration_ps} ps is not in [0, 2^63) ps, the int64 clock")
         if not 0 <= self.seed < 2**64:

@@ -32,6 +32,11 @@ from chromatic_hbt.streams import (
 from oracles import occupied_bin_tallies, pairwise_coincidences, per_shift_coincidences
 
 
+# clicks on both sides of 2^31 and 2^32 ps, with a repeated B time
+INT32_TIMES_A = [7, 2**31 - 1, 2**31, 2**31 + 7, 2**32 + 7, 2**32 + 12]
+INT32_TIMES_B = [2, 7, 2**31 - 1, 2**32 + 7, 2**32 + 7, 2**33 - 5]
+
+
 def toy_stream(times_a, times_b, bin_width_ps=1000, duration_ps=None):
     times_a = np.asarray(times_a, dtype=np.int64)
     times_b = np.asarray(times_b, dtype=np.int64)
@@ -160,6 +165,36 @@ class TestCountCoincidences:
         assert counts.n_bin == duration_ps
         assert (counts.n_coincidence, counts.n_a, counts.n_b) == occupied_bin_tallies(
             times_a, times_b, tau_ps, 1, duration_ps)
+
+    # pad_bins more empty bins at the end: A's few clicks in up to 5060
+    # bins make its bitmap group up to 2^10 bins a bit
+    @given(counter_cases(), st.integers(0, 5000), st.integers(1, 8))
+    @example((10, 395, [0, 20, 20, 130, 390], [], -7), 0, 2)  # B empty, a click past the last whole bin
+    @example((10, 400, [], [5, 15, 15], 3), 0, 1)  # A empty
+    # runs of equal bins in both channels across the edges of 2-click chunks
+    @example((1, 40, [3, 3, 3, 7, 7], [0, 3, 3, 3, 3, 7, 7], 0), 0, 2)
+    # 64-bin groups: B's bin 1234 matches A's, twice across a chunk edge;
+    # bin 1240 shares A's group but not its bin
+    @example((10, 50_000, [12_340], [12_345, 12_349, 12_400, 40_000], 0), 0, 1)
+    # 1 ps bins past 2^31 and 2^32, a group of 2^24 bins
+    @example((1, 10**10, INT32_TIMES_A, INT32_TIMES_B, -(2**31 + 5)), 0, 2)
+    @example((1, 10**10, INT32_TIMES_A, INT32_TIMES_B, 2**31), 0, 1)
+    @example((1, 3 * 10**9, INT32_TIMES_A[:4], INT32_TIMES_B[:3], 1 - 2**31), 0, 3)
+    def test_prepared_count_matches_sort_and_set_oracle(self, case, pad_bins, chunk):
+        stream_bw, duration, times_a, times_b, tau_ps = case
+        duration += pad_bins * stream_bw
+        stream = toy_stream(times_a, times_b, bin_width_ps=stream_bw, duration_ps=duration)
+        tau = tau_ps / PS_PER_SECOND
+        with mock.patch.object(analysis, "_COUNT_CHUNK", chunk):
+            occupancy = analysis._Occupancy.of(stream)
+            prepared = count_coincidences(stream, tau, occupancy)
+        # the smallest shift whose bitmap is at most twice A's times array
+        limit = max(2 * stream.times_a.nbytes, 1)
+        assert occupancy.bitmap.nbytes <= limit
+        assert occupancy.shift == 0 or ((duration // stream_bw - 1) >> (occupancy.shift + 2)) + 1 > limit
+        assert prepared == count_coincidences(stream, tau)
+        assert (prepared.n_coincidence, prepared.n_a, prepared.n_b) == occupied_bin_tallies(
+            times_a, times_b, tau_ps, stream_bw, duration)
 
     @pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
     def test_non_finite_tau_rejected(self, tau):
@@ -367,9 +402,9 @@ class TestScans:
         stream = simulate_stream(dataclasses.replace(config.tau_stream, delay_schedule=((0.0, 0.2),)))
         calls = []
 
-        def counted(stream, tau=0.0):
+        def counted(stream, tau=0.0, occupancy=None):
             calls.append(tau)
-            return count_coincidences(stream, tau)
+            return count_coincidences(stream, tau, occupancy)
 
         monkeypatch.setattr(analysis, "count_coincidences", counted)
         taus = sorted(config.tau_scan.taus() + [16e-3, -16e-3])

@@ -769,7 +769,9 @@ class TestStreamIO:
         ("zero_bin.tdc", BINARY_MAGIC + np.array([0, 5000, 1], dtype="<i8").tobytes(), "bin width 0 ps"),
         ("negative.tdc", BINARY_MAGIC + np.array([1000, -5000, 1], dtype="<i8").tobytes(), "duration -5000 ps"),
         ("big_seed.txt", f"#binwidth_ps=1000\n#duration_ps=5000\n#seed={2**64}\n".encode(), f"seed {2**64}"),
-    ], ids=["binary-bin-width-0", "binary-negative-duration", "text-seed-2^64"])
+        # a bin width the binary header's int64 field cannot hold
+        ("big_bin.txt", f"#binwidth_ps={2**63}\n#duration_ps=5000\n#seed=1\n".encode(), f"bin width {2**63} ps"),
+    ], ids=["binary-bin-width-0", "binary-negative-duration", "text-seed-2^64", "text-bin-width-2^63"])
     def test_header_out_of_range_names_file(self, tmp_path, name, header, problem):
         # each file also holds a record, past the negative duration in one case: the header is refused first
         record = b"A 100\n" if name.endswith(".txt") else np.array([(0, 100)], dtype=RECORD).tobytes()
