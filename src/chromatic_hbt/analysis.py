@@ -14,6 +14,7 @@ sigma = g2 / sqrt(n_coincidence).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -124,11 +125,11 @@ class _Occupancy:
         for bins, new in _chunk_bins(times, 0, bw_ps):
             n_a += int(np.count_nonzero(new))
             bins >>= shift
-            low = bins.astype(np.uint8) & 7
+            bits = np.left_shift(np.uint8(1), bins.astype(np.uint8) & 7)
             bins >>= 3
-            for bit in range(8):
-                # a byte listed twice takes the same bit twice
-                bitmap[bins[low == bit]] |= 1 << bit
+            # the chunk's bytes are sorted, so each byte's bits are one run
+            starts = np.flatnonzero(np.diff(bins, prepend=-1))
+            bitmap[bins[starts]] |= np.bitwise_or.reduceat(bits, starts)
         return cls(times, n_a, shift, bitmap)
 
     def tally(self, times_b: np.ndarray, tau_ps: int, bw_ps: int) -> tuple[int, int]:
@@ -230,37 +231,41 @@ def estimate_g2(counts: CoincidenceCounts) -> tuple[float, float]:
     return g2, sigma
 
 
-def write_csv_columns(path, x_kind: str, columns: dict[str, Sequence[float]]) -> None:
-    """Write equal-length columns as CSV, each value as its float repr.
+# the curve file's header, the only one G2Curve.from_csv reads
+KIND_LINE = "# x_kind={} x_unit=s\n"
+CURVE_COLUMNS = ("x", "g2", "sigma")
+COLUMN_LINE = ",".join(CURVE_COLUMNS) + "\n"
+# a curve row as write_csv_columns writes it: three float reprs, each of the
+# form of 1.5, 1e-05 or 1.5e+300 (inf and nan too, which G2Curve refuses)
+_REPR = r"(-?(?:\d+\.\d+(?:e[-+]\d+)?|\d+e[-+]\d+|inf|nan))"
+_ROW = re.compile(f"{_REPR},{_REPR},{_REPR}\n")
 
-    The first line, '# x_kind=<kind> x_unit=s', is what G2Curve.from_csv
-    reads the scan variable from.
-    """
+
+def write_csv_columns(path, x_kind: str, columns: dict[str, Sequence[float]]) -> None:
+    """Write equal-length columns as CSV under KIND_LINE, each value as its float repr."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# x_kind={x_kind} x_unit=s\n")
-        fh.write(",".join(columns) + "\n")
+        fh.write(KIND_LINE.format(x_kind) + ",".join(columns) + "\n")
         for row in zip(*columns.values()):
             fh.write(",".join(repr(float(value)) for value in row) + "\n")
 
 
 @dataclass
 class G2Curve:
-    """g2 samples against a scan variable, with per-point error bars."""
+    """g2 samples against a named scan variable, with per-point error bars."""
 
     x: np.ndarray
     g2: np.ndarray
     sigma: np.ndarray
-    x_kind: str = "t_delay"
+    x_kind: str
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.g2 = np.asarray(self.g2, dtype=float)
-        self.sigma = np.asarray(self.sigma, dtype=float)
+        for name in CURVE_COLUMNS:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.x_kind not in X_KINDS:
             raise ValueError(f"x_kind must be one of {X_KINDS}, got {self.x_kind!r}")
         if not (self.x.shape == self.g2.shape == self.sigma.shape):
             raise ValueError("x, g2 and sigma must have identical shape")
-        for name in ("x", "g2", "sigma"):
+        for name in CURVE_COLUMNS:
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"every curve point needs a finite {name}")
         if np.any(self.sigma <= 0):
@@ -270,45 +275,39 @@ class G2Curve:
         return int(self.x.size)
 
     def to_csv(self, path) -> None:
-        write_csv_columns(path, self.x_kind, {"x": self.x, "g2": self.g2, "sigma": self.sigma})
+        write_csv_columns(path, self.x_kind, {name: getattr(self, name) for name in CURVE_COLUMNS})
 
     @classmethod
     def from_csv(cls, path) -> "G2Curve":
-        x_kind = "t_delay"
+        """Read only what to_csv writes: KIND_LINE, COLUMN_LINE, then one row of
+        three float reprs a line; any other line (CRLF too) is refused by number."""
+        with open(path, "r", encoding="ascii", errors="replace", newline="") as fh:
+            lines = fh.readlines() or [""]
+        prefix, suffix = KIND_LINE.split("{}")
+        x_kind = lines[0].removeprefix(prefix).removesuffix(suffix)
+        if lines[0] != KIND_LINE.format(x_kind):
+            raise ValueError(f"{path}: line 1: expected {KIND_LINE.format('<kind>')!r}, got {lines[0]!r}")
+        if lines[1:2] != [COLUMN_LINE]:
+            raise ValueError(f"{path}: line 2: expected {COLUMN_LINE!r}, got {''.join(lines[1:2])!r}")
         rows = []
-        with open(path, "r", encoding="ascii") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    for token in line[1:].split():
-                        key, _, value = token.partition("=")
-                        if key == "x_kind":
-                            x_kind = value
-                    continue
-                if line.startswith("x,"):
-                    continue
-                parts = line.split(",")
-                if len(parts) != 3:
-                    raise ValueError(f"{path}: line {lineno}: expected 3 columns, got {line!r}")
-                rows.append(tuple(float(p) for p in parts))
+        for lineno, line in enumerate(lines[2:], start=3):
+            match = _ROW.fullmatch(line)
+            if match is None:
+                row = line.removesuffix("\n")
+                if row.count(",") != 2:
+                    raise ValueError(f"{path}: line {lineno}: expected 3 columns, got {row!r}")
+                raise ValueError(f"{path}: line {lineno}: expected 3 float reprs and a newline, got {line!r}")
+            rows.append(tuple(map(float, match.groups())))
         if not rows:
             raise ValueError(f"{path}: no curve points found")
-        data = np.array(rows)
-        return cls(data[:, 0], data[:, 1], data[:, 2], x_kind)
+        return cls(*np.array(rows).T, x_kind)
 
 
 def _tally_curve(x_kind: str, points: Iterable[tuple[float, CoincidenceCounts]]) -> G2Curve:
     """A curve from (x, tallies) points, each tally through estimate_g2;
     a lazy source of points holds one tally at a time."""
-    xs, g2s, sigmas = [], [], []
-    for x, counts in points:
-        g2, sigma = estimate_g2(counts)
-        xs.append(x)
-        g2s.append(g2)
-        sigmas.append(sigma)
-    return G2Curve(np.array(xs), np.array(g2s), np.array(sigmas), x_kind)
+    rows = [(x, *estimate_g2(counts)) for x, counts in points]
+    return G2Curve(*map(np.array, zip(*rows)), x_kind)
 
 
 def scan_delay(delay_streams: Iterable[tuple[float, TdcStream]]) -> G2Curve:

@@ -208,10 +208,7 @@ def cmd_fit(config: RunConfig, args: argparse.Namespace) -> int:
     with _outputs(config.out_dir, ["fit.json"], inputs=[args.curve]) as (fit_path,):
         if not args.curve.exists():
             raise DataError(f"curve file not found: {args.curve}")
-        try:
-            curve = G2Curve.from_csv(args.curve)
-        except ValueError as exc:
-            raise DataError(str(exc)) from None
+        curve = G2Curve.from_csv(args.curve)
         result = _fit_curve(config, curve)
         fit_path.write_text(result.to_json())
     for line in result.summary_lines():
@@ -227,12 +224,10 @@ def cmd_model(config: RunConfig, args: argparse.Namespace) -> int:
         if args.kind == "delay":
             xs = [t for t, _ in config.delay_stream.delay_schedule]
             values = [g2_zero_model(config.delay_stream.model, x) for x in xs]
-            x_kind = "t_delay"
         else:
             xs = config.tau_scan.taus()
             values = [g2_tau_model(config.tau_stream.model, x) for x in xs]
-            x_kind = "tau"
-        write_csv_columns(path, x_kind, {"x": xs, "g2": values})
+        write_csv_columns(path, "t_delay" if args.kind == "delay" else "tau", {"x": xs, "g2": values})
     print(f"wrote {path} ({len(xs)} points)")
     return EXIT_OK
 

@@ -230,9 +230,10 @@ def initial_guess(
     envelope = np.exp(-((width * x) ** 2))
     u = a * envelope * deviation
     a = a * envelope**2
-    # from half a cycle over the span up to the Nyquist rate of the typical
-    # sample spacing (median, so sparse outlying points don't cap the band)
-    spacing = float(np.median(np.diff(np.sort(x))))
+    # from half a cycle over the span up to the Nyquist rate of the median sample spacing (so
+    # sparse outlying points don't cap the band), by partition: np.median imports numpy.ma for good
+    middle = sorted({x.size // 2 - 1, (x.size - 1) // 2})
+    spacing = float(np.mean(np.partition(np.diff(np.sort(x)), middle)[middle]))
     f_low = 0.5 / span
     f_high = max(0.5 / spacing, 2.0 * f_low) if spacing > 0 else 2.0 * f_low
     grid = np.linspace(f_low, f_high, int(np.clip(4.0 * span * (f_high - f_low), 256, 8192)))

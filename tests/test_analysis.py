@@ -430,6 +430,20 @@ class TestScans:
             assert g2 == g2_ref
 
 
+# the smallest subnormal, the smallest normal and the largest float, each
+# signed, and -0.0; the first three are positive
+EXTREME_FLOATS = (5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -5e-324, -2.2250738585072014e-308, -1.7976931348623157e308, -0.0)
+
+
+@st.composite
+def curve_columns(draw):
+    """x, g2 and sigma of 1-20 points: finite floats of any exponent, sigma > 0."""
+    n = draw(st.integers(1, 20))
+    finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREME_FLOATS)
+    positive = st.floats(min_value=5e-324, allow_infinity=False) | st.sampled_from(EXTREME_FLOATS[:3])
+    return [draw(st.lists(values, min_size=n, max_size=n)) for values in (finite, finite, positive)]
+
+
 class TestG2Curve:
     def test_csv_round_trip(self, tmp_path):
         curve = G2Curve(
@@ -446,9 +460,19 @@ class TestG2Curve:
         assert np.array_equal(back.g2, curve.g2)
         assert np.array_equal(back.sigma, curve.sigma)
 
+    @given(columns=curve_columns(), x_kind=st.sampled_from(analysis.X_KINDS))
+    def test_csv_round_trip_is_bit_exact(self, tmp_path_factory, columns, x_kind):
+        curve = G2Curve(*map(np.array, columns), x_kind)
+        path = tmp_path_factory.mktemp("curve") / "curve.csv"
+        curve.to_csv(path)
+        back = G2Curve.from_csv(path)
+        assert back.x_kind == x_kind
+        for name in ("x", "g2", "sigma"):
+            assert getattr(back, name).tobytes() == getattr(curve, name).tobytes()
+
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma"):
-            G2Curve(np.array([0.0]), np.array([1.0]), np.array([0.0]))
+            G2Curve(np.array([0.0]), np.array([1.0]), np.array([0.0]), "t_delay")
 
     def test_inconsistent_counts_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):

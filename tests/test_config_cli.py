@@ -526,8 +526,8 @@ class TestCli:
         "text, message",
         [
             (None, "curve file not found"),
-            ("# x_kind=t_delay\nx,g2,sigma\n0.0,1.0\n", "line 3: expected 3 columns, got '0.0,1.0'"),
-            ("# x_kind=t_delay\nx,g2,sigma\n", "no curve points found"),
+            ("# x_kind=t_delay x_unit=s\nx,g2,sigma\n0.0,1.0\n", "line 3: expected 3 columns, got '0.0,1.0'"),
+            ("# x_kind=t_delay x_unit=s\nx,g2,sigma\n", "no curve points found"),
         ],
         ids=["missing", "two-columns", "no-rows"],
     )
@@ -538,6 +538,49 @@ class TestCli:
         code = main(["--out-dir", str(tmp_path), "fit", "--curve", str(curve_path)])
         assert code == 3
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize(
+        "edit, lineno",
+        [
+            (lambda lines: lines[1:], 1),
+            (lambda lines: [lines[0].replace("x_unit=s", "x_unit=us"), *lines[1:]], 1),
+            (lambda lines: [*lines[:5], "# a note\n", *lines[5:]], 6),
+            (lambda lines: [*lines[:5], "\n", *lines[5:]], 6),
+            (lambda lines: [line.replace("\n", "\r\n") for line in lines], 1),
+            (lambda lines: lines[:2] + [line.replace("\n", ",1.0\n") for line in lines[2:]], 3),
+            (lambda lines: [*lines[:-1], lines[-1].rstrip("\n")], 26),
+            (lambda lines: [*lines[:4], lines[4].replace(",", ", "), *lines[5:]], 5),
+            (lambda lines: [*lines[:6], lines[6].replace("0", "\u00e9", 1), *lines[7:]], 7),
+        ],
+        ids=[
+            "no-header",
+            "x_unit-us",
+            "comment",
+            "blank",
+            "crlf",
+            "fourth-column",
+            "no-last-newline",
+            "spaces",
+            "non-ascii",
+        ],
+    )
+    def test_curve_form_the_writer_never_makes_exits_3(self, tmp_path, capsys, edit, lineno):
+        # only the form G2Curve.to_csv writes is read, so a shift scan without
+        # its x_kind line cannot fall back to the delay model
+        from chromatic_hbt.analysis import G2Curve
+        from chromatic_hbt.fitting import tau_fringe
+
+        x = np.linspace(-12e-6, 12e-6, 24)
+        y = tau_fringe(np.array([0.576, 0.118e6, -0.434, 1.32e6]), x)
+        curve_path = tmp_path / "curve.csv"
+        G2Curve(x, y, np.full(x.size, 0.01), "tau").to_csv(curve_path)
+        lines = curve_path.read_text().splitlines(keepends=True)
+        assert len(lines) == 26
+        curve_path.write_bytes("".join(edit(lines)).encode("utf-8"))
+        code = main(["--out-dir", str(tmp_path), "fit", "--curve", str(curve_path)])
+        assert code == 3
+        assert f"{curve_path}: line {lineno}: expected" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
     @pytest.mark.parametrize("x_kind", ["path_length", "bogus"])

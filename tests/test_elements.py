@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chromatic_hbt.elements import (
+    ArmModes,
     ConversionSettings,
     ModeUnitary,
     beamsplitter,
@@ -16,7 +18,7 @@ from chromatic_hbt.elements import (
     spectral_filter,
 )
 from chromatic_hbt.fock import ModeRegistry, StateVector, apply_creation, single_photon
-from chromatic_hbt.protocol import ModeFrequencies, build_erasure_registry
+from chromatic_hbt.protocol import COLOR_LABELS, ModeFrequencies, build_erasure_registry
 
 from oracles import evolve_by_expm, expm_series, quadratic_mixer_generator
 
@@ -69,6 +71,18 @@ def generators_and_bunched_states(draw):
     amplitude = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
     amps = draw(st.lists(amplitude, min_size=len(chosen), max_size=len(chosen)))
     return h, StateVector(registry, dict(zip(chosen, amps)))
+
+
+class TestArmModes:
+    def test_fields_are_the_color_labels(self):
+        # protocol registers each arm's modes by these labels, ArmModes(**modes)
+        assert tuple(f.name for f in dataclasses.fields(ArmModes)) == COLOR_LABELS
+
+    def test_all_lists_the_fields_in_order(self, stage):
+        _, arms = stage
+        for arm in (arms.arm_a, arms.arm_b):
+            assert arm.all() == tuple(getattr(arm, label) for label in COLOR_LABELS)
+            assert len(set(arm.all())) == 5
 
 
 class TestConversionSettings:

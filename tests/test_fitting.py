@@ -280,6 +280,32 @@ for n in (207, 1207, 5000, 40_000):
         assert len(outputs[0].splitlines()) == 4
         assert outputs[0] == outputs[1]
 
+    def test_fit_leaves_numpy_ma_unimported(self):
+        # np.median imports numpy.ma on its first call, and the module stays
+        # allocated for the life of the process; the start takes its median
+        # sample spacing without it
+        probe = """
+import sys
+import numpy as np
+from chromatic_hbt.analysis import G2Curve
+from chromatic_hbt.fitting import delay_fringe, fit_delay_model
+x = np.linspace(0.0, 5.0 / 210.1e9, 24)
+curve = G2Curve(x, delay_fringe(np.array([0.59, -0.16, 210.1e9]), x), np.full(x.size, 0.01), "t_delay")
+assert fit_delay_model(curve).converged
+print("numpy.ma" in sys.modules)
+"""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        run = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "False\n"
+
     def test_tau_guess_linewidth_scale(self):
         width = 0.4
         x = np.linspace(-8, 8, 160)
