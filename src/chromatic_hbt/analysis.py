@@ -236,7 +236,7 @@ KIND_LINE = "# x_kind={} x_unit=s\n"
 CURVE_COLUMNS = ("x", "g2", "sigma")
 COLUMN_LINE = ",".join(CURVE_COLUMNS) + "\n"
 # a curve row as write_csv_columns writes it: three float reprs, each of the
-# form of 1.5, 1e-05 or 1.5e+300 (inf and nan too, which G2Curve refuses)
+# form of 1.5, 1e-05 or 1.5e+300 (inf and nan too, refused by line)
 _REPR = r"(-?(?:\d+\.\d+(?:e[-+]\d+)?|\d+e[-+]\d+|inf|nan))"
 _ROW = re.compile(f"{_REPR},{_REPR},{_REPR}\n")
 
@@ -280,13 +280,16 @@ class G2Curve:
     @classmethod
     def from_csv(cls, path) -> "G2Curve":
         """Read only what to_csv writes: KIND_LINE, COLUMN_LINE, then one row of
-        three float reprs a line; any other line (CRLF too) is refused by number."""
+        three float reprs a line.  Any other line (CRLF too), a kind not in
+        X_KINDS and a value that is not finite are refused by line number."""
         with open(path, "r", encoding="ascii", errors="replace", newline="") as fh:
             lines = fh.readlines() or [""]
         prefix, suffix = KIND_LINE.split("{}")
         x_kind = lines[0].removeprefix(prefix).removesuffix(suffix)
         if lines[0] != KIND_LINE.format(x_kind):
             raise ValueError(f"{path}: line 1: expected {KIND_LINE.format('<kind>')!r}, got {lines[0]!r}")
+        if x_kind not in X_KINDS:
+            raise ValueError(f"{path}: line 1: x_kind must be one of {X_KINDS}, got {x_kind!r}")
         if lines[1:2] != [COLUMN_LINE]:
             raise ValueError(f"{path}: line 2: expected {COLUMN_LINE!r}, got {''.join(lines[1:2])!r}")
         rows = []
@@ -300,7 +303,12 @@ class G2Curve:
             rows.append(tuple(map(float, match.groups())))
         if not rows:
             raise ValueError(f"{path}: no curve points found")
-        return cls(*np.array(rows).T, x_kind)
+        points = np.array(rows)
+        bad = np.argwhere(~np.isfinite(points))
+        if bad.size:
+            row, column = bad[0]
+            raise ValueError(f"{path}: line {row + 3}: every curve point needs a finite {CURVE_COLUMNS[column]}")
+        return cls(*points.T, x_kind)
 
 
 def _tally_curve(x_kind: str, points: Iterable[tuple[float, CoincidenceCounts]]) -> G2Curve:

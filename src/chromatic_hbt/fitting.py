@@ -24,9 +24,11 @@ over blocks of points of at most _GUESS_BLOCK multiply-adds each, so the
 scratch does not grow with the points and the start does not change with the
 BLAS thread count.
 Damped Gauss-Newton with a Levenberg-Marquardt damping schedule and the
-analytic Jacobian then refines the fit.  Parameter errors come from the
-inverse curvature matrix scaled by sqrt(chi2/dof).  Results are reported in
-the canonical gauge: visibility >= 0, phase in (-pi, pi], frequency >= 0.
+analytic Jacobian then refines the fit (More, LNM 630 (1978)); its sums run
+over blocks of _LM_BLOCK points for the same reason.  Parameter errors come
+from the inverse curvature matrix scaled by sqrt(chi2/dof).  Results are
+reported in the canonical gauge: visibility >= 0, phase in (-pi, pi],
+frequency >= 0.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ CONDITION_LIMIT = 1e13
 # runs a zgemm this small on one thread; with OpenBLAS 0.3.31, larger ones
 # gave different bits at 1 and 2 threads
 _GUESS_BLOCK = 2**16
+# rows of each of the LM loop's products (J^T J, J^T r, r . r); with OpenBLAS
+# 0.3.31, fits were the same at 1 and 2 threads up to 8192 rows, not at 16384
+_LM_BLOCK = 2048
 
 
 @dataclass
@@ -275,16 +280,21 @@ def initial_guess(
     return np.array([visibility, width, phase, grid[k]])[_SLOTS[model]]
 
 
-def _solve_damped(jtj: np.ndarray, grad: np.ndarray, damping: float) -> np.ndarray:
-    # solve in diagonally scaled space: parameters of wildly different
-    # physical magnitude (visibility vs frequency in Hz) stay well conditioned
+def _row_blocks_product(a: np.ndarray, b: np.ndarray):
+    """a.T @ b summed over _LM_BLOCK rows at a time, in row order; for at
+    most _LM_BLOCK rows it is the one product a.T @ b."""
+    total = a[:_LM_BLOCK].T @ b[:_LM_BLOCK]
+    for start in range(_LM_BLOCK, len(a), _LM_BLOCK):
+        total += a[start : start + _LM_BLOCK].T @ b[start : start + _LM_BLOCK]
+    return total
+
+
+def _unit_diagonal(jtj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(jtj scaled to a unit diagonal, the scale); a diagonal entry that is
+    not positive scales by 1."""
     scale = np.sqrt(np.diag(jtj))
     scale[scale <= 0] = 1.0
-    normalized = jtj / np.outer(scale, scale)
-    step_scaled = np.linalg.solve(
-        normalized + damping * np.eye(jtj.shape[0]), grad / scale
-    )
-    return step_scaled / scale
+    return jtj / np.outer(scale, scale), scale
 
 
 def _scaled_covariance(jtj: np.ndarray, chi2: float, dof: int) -> np.ndarray | None:
@@ -295,58 +305,57 @@ def _scaled_covariance(jtj: np.ndarray, chi2: float, dof: int) -> np.ndarray | N
     top = diag.max() if diag.size else 0.0
     if top <= 0 or np.any(diag <= 1e-28 * top):
         return None
-    scale = np.sqrt(diag)
-    normalized = jtj / np.outer(scale, scale)
+    normalized, scale = _unit_diagonal(jtj)
     if not np.all(np.isfinite(normalized)) or np.linalg.cond(normalized) > CONDITION_LIMIT:
         return None
     inverse = np.linalg.inv(normalized) / np.outer(scale, scale)
     return inverse * (chi2 / dof if chi2 > 0 else 1.0)
 
 
-def _levenberg_marquardt(
-    model: str,
-    p0: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    weights: np.ndarray,
-):
-    """Weighted LM loop; returns (params, trace, converged, iterations, jtj)."""
-    p = np.array(p0, dtype=float)
+def _levenberg_marquardt(model: str, p0: np.ndarray, x: np.ndarray, y: np.ndarray, weights: np.ndarray):
+    """Weighted LM loop; returns (params, trace, converged, iterations, jtj).
+    Each damped trial evaluates the fringe once, and an accepted trial's
+    residual is the next iteration's."""
     w = weights[:, None]
 
-    def chi2_of(params):
-        r = (y - tau_fringe(_all_params(model, params), x)) * weights
-        return float(r @ r)
+    def residual_chi2(params):
+        residual = (y - tau_fringe(_all_params(model, params), x)) * weights
+        return residual, float(_row_blocks_product(residual, residual))
 
-    chi2 = chi2_of(p)
+    p = np.array(p0, dtype=float)
+    residual, chi2 = residual_chi2(p)
     trace = [chi2]
     damping = 1e-3
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
-        residual = (y - tau_fringe(_all_params(model, p), x)) * weights
         jac = _model_jacobian(model, p, x) * w
-        jtj = jac.T @ jac
-        grad = jac.T @ residual
+        jtj = _row_blocks_product(jac, jac)
+        grad = _row_blocks_product(jac, residual)
         # MINPACK's orthogonality test: the residual is orthogonal to every
         # Jacobian column, which does not depend on the parameters' units
         if np.all(np.abs(grad) <= GRADIENT_TOL * np.sqrt(np.diag(jtj)) * math.sqrt(chi2)):
             converged = True
             break
+        # solve in diagonally scaled space: parameters of wildly different
+        # physical magnitude (visibility vs frequency in Hz) stay well conditioned
+        normalized, scale = _unit_diagonal(jtj)
+        scaled_grad = grad / scale
+        eye = np.eye(p.size)
         accepted = False
         for _ in range(50):
             try:
-                step = _solve_damped(jtj, grad, damping)
+                step = np.linalg.solve(normalized + damping * eye, scaled_grad) / scale
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
             trial = p + step
-            trial_chi2 = chi2_of(trial)
+            trial_residual, trial_chi2 = residual_chi2(trial)
             if trial_chi2 <= chi2:
-                scale = np.maximum(np.abs(p), 1e-30)
-                small_step = np.all(np.abs(step) < STEP_TOL * scale)
+                magnitude = np.maximum(np.abs(p), 1e-30)
+                small_step = np.all(np.abs(step) < STEP_TOL * magnitude)
                 small_drop = (chi2 - trial_chi2) <= CHI2_REL_TOL * max(chi2, 1e-300)
-                p, chi2 = trial, trial_chi2
+                p, residual, chi2 = trial, trial_residual, trial_chi2
                 trace.append(chi2)
                 damping = max(damping / 10.0, 1e-15)
                 accepted = True
@@ -363,52 +372,7 @@ def _levenberg_marquardt(
             break
     # curvature at the point actually reported
     jac = _model_jacobian(model, p, x) * w
-    jtj = jac.T @ jac
-    return p, trace, converged, iterations, jtj
-
-
-def _finish(
-    model: str,
-    p: np.ndarray,
-    trace: list[float],
-    converged: bool,
-    iterations: int,
-    jtj: np.ndarray,
-    n_points: int,
-) -> FitResult:
-    names = _MODELS[model]
-    p = canonicalize(model, p)
-    dof = max(n_points - len(names), 1)
-    chi2 = trace[-1]
-    degenerate = False
-    notes: list[str] = []
-    errors: list[float | None] = [None] * len(names)
-    covariance = _scaled_covariance(jtj, chi2, dof)
-    if covariance is None:
-        degenerate = True
-        notes.append("curvature matrix is near-singular; errors omitted")
-    else:
-        diag = np.diag(covariance)
-        if np.all(diag >= 0):
-            errors = list(np.sqrt(diag))
-        else:
-            degenerate = True
-            notes.append("covariance not positive definite; errors omitted")
-    params = {name: (float(value), err) for name, value, err in zip(names, p, errors)}
-    width, width_err = params.get("linewidth", (0.0, None))
-    if width_err is not None and width_err >= abs(width) > 0:
-        notes.append("linewidth weakly identified: error bar covers zero")
-    return FitResult(
-        model=model,
-        params=params,
-        chi2=chi2,
-        dof=dof,
-        converged=converged,
-        iterations=iterations,
-        degenerate=degenerate,
-        notes=tuple(notes),
-        chi2_trace=tuple(trace),
-    )
+    return p, trace, converged, iterations, _row_blocks_product(jac, jac)
 
 
 def _fit(curve, model: str, initial: np.ndarray | None, weighted: bool) -> FitResult:
@@ -440,7 +404,38 @@ def _fit(curve, model: str, initial: np.ndarray | None, weighted: bool) -> FitRe
                 f"delay scan spans {span * freq:.3g} oscillation periods; need at least 0.5"
             )
     p, trace, converged, iterations, jtj = _levenberg_marquardt(model, p0, x, y, weights)
-    return _finish(model, p, trace, converged, iterations, jtj, x.size)
+    p = canonicalize(model, p)
+    dof = max(x.size - len(names), 1)
+    chi2 = trace[-1]
+    degenerate = False
+    notes: list[str] = []
+    errors: list[float | None] = [None] * len(names)
+    covariance = _scaled_covariance(jtj, chi2, dof)
+    if covariance is None:
+        degenerate = True
+        notes.append("curvature matrix is near-singular; errors omitted")
+    else:
+        diag = np.diag(covariance)
+        if np.all(diag >= 0):
+            errors = list(np.sqrt(diag))
+        else:
+            degenerate = True
+            notes.append("covariance not positive definite; errors omitted")
+    params = {name: (float(value), err) for name, value, err in zip(names, p, errors)}
+    width, width_err = params.get("linewidth", (0.0, None))
+    if width_err is not None and width_err >= abs(width) > 0:
+        notes.append("linewidth weakly identified: error bar covers zero")
+    return FitResult(
+        model=model,
+        params=params,
+        chi2=chi2,
+        dof=dof,
+        converged=converged,
+        iterations=iterations,
+        degenerate=degenerate,
+        notes=tuple(notes),
+        chi2_trace=tuple(trace),
+    )
 
 
 def fit_delay_model(curve, initial: np.ndarray | None = None, weighted: bool = True) -> FitResult:

@@ -519,7 +519,7 @@ class TestCli:
         curve_path.write_text("\n".join(lines) + "\n")
         code = main(["--out-dir", str(tmp_path), "fit", "--curve", str(curve_path)])
         assert code == 3
-        assert f"finite {column}" in capsys.readouterr().err
+        assert f"{curve_path}: line 8: every curve point needs a finite {column}" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
     @pytest.mark.parametrize(
@@ -596,7 +596,9 @@ class TestCli:
         curve_path.write_text(text)
         code = main(["--out-dir", str(tmp_path), "fit", "--curve", str(curve_path)])
         assert code == 3
-        assert f"got {x_kind!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{curve_path}: line 1: x_kind must be one of" in err
+        assert f"got {x_kind!r}" in err
         assert not (tmp_path / "fit.json").exists()
 
     def test_fit_on_synthetic_curve(self, tmp_path, capsys):

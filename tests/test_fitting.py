@@ -40,6 +40,28 @@ def make_curve(x, y, sigma=None):
     return Curve(x=x, g2=y, sigma=np.asarray(sigma, dtype=float))
 
 
+def at_one_and_two_blas_threads(probe):
+    """What probe prints in two fresh interpreters, at 1 and 2 OpenBLAS threads."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for threads in ("1", "2")
+    ]
+    try:
+        outputs = [run.communicate(timeout=60)[0] for run in runs]
+    finally:
+        for run in runs:
+            run.kill()
+    assert [run.returncode for run in runs] == [0, 0]
+    return outputs
+
+
 def central_difference(fn, params, x, index, h):
     up = params.copy()
     down = params.copy()
@@ -260,23 +282,7 @@ for n in (207, 1207, 5000, 40_000):
     y = tau_fringe(np.array([0.576, 0.118e6, -0.434, 1.32e6]), x) + sigma * rng.normal(size=n)
     print(n, initial_guess(x, y, "tau", 1.0 / sigma).tobytes().hex())
 """
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        runs = [
-            subprocess.Popen(
-                [sys.executable, "-c", probe],
-                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
-                stdout=subprocess.PIPE,
-                text=True,
-            )
-            for threads in ("1", "2")
-        ]
-        try:
-            outputs = [run.communicate(timeout=60)[0] for run in runs]
-        finally:
-            for run in runs:
-                run.kill()
-        assert [run.returncode for run in runs] == [0, 0]
+        outputs = at_one_and_two_blas_threads(probe)
         assert len(outputs[0].splitlines()) == 4
         assert outputs[0] == outputs[1]
 
@@ -384,6 +390,15 @@ class TestDelayFit:
         for name in ("visibility", "phase", "frequency"):
             assert abs(result.value(name) - best.value(name)) < 1e-4 * best.stderr(name)
 
+    def test_start_at_zero_visibility_recovers(self):
+        # at v = 0 the phase and frequency columns of the Jacobian vanish, so
+        # the unit-diagonal scaling must leave their zero curvature unscaled
+        truth = np.array([0.5, 0.3, 1.0])
+        x = np.linspace(0.0, 5.0, 40)
+        result = fit_delay_model(make_curve(x, delay_fringe(truth, x)), initial=np.array([0.0, 0.3, 1.0]))
+        assert result.converged and not result.degenerate
+        assert result.value("visibility") == pytest.approx(truth[0], rel=1e-8)
+
     def test_flat_curve_flagged_degenerate(self):
         x = np.linspace(0.0, 5.0, 20)
         y = np.ones_like(x)
@@ -455,6 +470,50 @@ class TestTauFit:
         y = tau_fringe(self.TRUTH, x)
         with pytest.raises(ValueError, match="envelope"):
             fit_tau_model(make_curve(x, y), initial=self.TRUTH)
+
+    def test_each_trial_evaluates_the_fringe_once(self, monkeypatch):
+        # the start's chi2 takes one evaluation and each damped trial (one
+        # solve) one more; an accepted trial's residual is the next gradient's
+        import chromatic_hbt.fitting as fitting
+
+        calls = {"fringe": 0, "solve": 0}
+        fringe, solve = fitting.tau_fringe, np.linalg.solve
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return call
+
+        monkeypatch.setattr(fitting, "tau_fringe", counted("fringe", fringe))
+        monkeypatch.setattr(np.linalg, "solve", counted("solve", solve))
+        rng = np.random.default_rng(67)
+        x = np.linspace(-20e-6, 20e-6, 161)
+        y = tau_fringe(self.TRUTH, x) + rng.normal(0.0, 0.01, size=x.size)
+        result = fit_tau_model(make_curve(x, y), initial=1.05 * self.TRUTH)
+        assert result.converged and result.iterations > 2
+        assert calls["fringe"] == 1 + calls["solve"]
+
+    def test_fit_does_not_depend_on_the_blas_thread_count(self):
+        # J^T J, J^T r and r . r are summed over blocks of rows small enough
+        # that OpenBLAS runs each on one thread; whole products would not be
+        probe = """
+import numpy as np
+from chromatic_hbt.fitting import fit_tau_model, tau_fringe
+from chromatic_hbt.analysis import G2Curve
+truth = np.array([0.576, 0.118e6, -0.434, 1.32e6])
+far = np.array([-44, -41, -38, 38, 41, 44]) * 1e-6
+for n in (20_000, 65_536):
+    rng = np.random.default_rng(n)
+    x = np.sort(np.concatenate([np.linspace(-12e-6, 12e-6, n - 6), far]))
+    sigma = rng.uniform(0.01, 0.05, n)
+    curve = G2Curve(x, tau_fringe(truth, x) + sigma * rng.normal(size=n), sigma, "tau")
+    print(fit_tau_model(curve, initial=1.01 * truth).to_json())
+"""
+        outputs = at_one_and_two_blas_threads(probe)
+        assert outputs[0].count('"converged": true') == 2
+        assert outputs[0] == outputs[1]
 
     def test_result_serializes_to_json(self):
         x = np.linspace(-20e-6, 20e-6, 161)
