@@ -364,8 +364,6 @@ def _all_shift_tallies(stream: TdcStream, shifts: np.ndarray) -> Iterator[Coinci
     differences within the shifts' span; each equals count_coincidences at
     tau = shift * bin width."""
     bw_ps, n_bin = _whole_bins(stream)
-    if np.any(np.abs(shifts) >= n_bin):
-        raise ValueError("shift reaches beyond the stream duration")
     bins_a = _dedupe_sorted(stream.channel_times(CHANNEL_A) // bw_ps)
     bins_a = bins_a[: np.searchsorted(bins_a, n_bin)]
     bins_b = _dedupe_sorted(stream.channel_times(CHANNEL_B) // bw_ps)
@@ -385,13 +383,14 @@ def _all_shift_tallies(stream: TdcStream, shifts: np.ndarray) -> Iterator[Coinci
 def scan_tau(stream: TdcStream, taus: Sequence[float]) -> G2Curve:
     """g2 against the post-processing shift, all points from one stream.
 
-    The taus are checked as floats before any is rounded to whole ps or
-    bins.  Taus that are all whole stream bins take the all-shifts pass
-    while their span is at most _MAX_SHIFT_SPAN bins and span * n_A / n_bin
-    is at most _PAIRS_PER_TAU per tau, where it is the cheaper path; any
-    other taus are counted one at a time, against channel A's occupancy
-    prepared once for the scan.  Both give the same tallies for the same
-    shift.
+    The taus are checked as floats, then each is rounded once to whole ps,
+    as count_coincidences rounds it; one that reaches the stream's whole
+    bins is refused.  Taus whose ps are all multiples of the bin take the
+    all-shifts pass while their span is at most _MAX_SHIFT_SPAN bins and
+    span * n_A / n_bin is at most _PAIRS_PER_TAU per tau, where it is the
+    cheaper path; any other taus are counted one at a time, against channel
+    A's occupancy prepared once for the scan.  Both give the same tallies
+    for the same shift.
     """
     taus = np.array(taus, dtype=float)
     if taus.size == 0:
@@ -399,16 +398,18 @@ def scan_tau(stream: TdcStream, taus: Sequence[float]) -> G2Curve:
     finite = np.isfinite(taus)
     if not finite.all():
         raise ValueError(f"tau {taus[~finite][0]} is not finite")
-    beyond = np.abs(taus) >= stream.meta.duration_ps / PS_PER_SECOND
+    bw_ps, n_bin = _whole_bins(stream)
+    # a tau past about 1.8e296 s overflows to inf ps, refused with the rest
+    with np.errstate(over="ignore"):
+        taus_ps = np.round(taus * PS_PER_SECOND)
+    beyond = np.abs(taus_ps) >= n_bin * bw_ps
     if beyond.any():
-        raise ValueError(f"shift {taus[beyond][0]} s reaches beyond the stream duration")
-    shifts = taus * PS_PER_SECOND / stream.meta.bin_width_ps
-    whole = np.round(shifts)
-    span = whole.max() - whole.min()
-    pairs = span * stream.channel_times(CHANNEL_A).size / _whole_bins(stream)[1]
-    on_grid = np.all(np.abs(shifts - whole) <= 1e-9)
-    if on_grid and span <= _MAX_SHIFT_SPAN and pairs <= _PAIRS_PER_TAU * taus.size:
-        tallies = _all_shift_tallies(stream, whole.astype(np.int64))
+        raise ValueError(f"tau {taus[beyond][0]} s reaches beyond the stream's {n_bin} whole bins of {bw_ps} ps")
+    shifts, offsets = np.divmod(taus_ps.astype(np.int64), bw_ps)
+    span = shifts.max() - shifts.min()
+    pairs = span * stream.channel_times(CHANNEL_A).size / n_bin
+    if not offsets.any() and span <= _MAX_SHIFT_SPAN and pairs <= _PAIRS_PER_TAU * taus.size:
+        tallies = _all_shift_tallies(stream, shifts)
     else:
         occupancy = _Occupancy.of(stream)
         tallies = (count_coincidences(stream, tau, occupancy) for tau in taus.tolist())

@@ -58,13 +58,7 @@ def _split_quantity(text: str, location: str) -> tuple[float, str]:
     parts = text.split()
     if len(parts) != 2:
         raise ConfigError(location, f"expected '<number> <unit>', got {text!r}")
-    try:
-        value = float(parts[0])
-    except ValueError:
-        raise ConfigError(location, f"{parts[0]!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ConfigError(location, f"{parts[0]!r} is not a finite number")
-    return value, parts[1]
+    return parse_float(parts[0], location), parts[1]
 
 
 def parse_quantity(text: str, units: dict[str, float], location: str) -> float:

@@ -278,12 +278,11 @@ def phase_delay(
     """
     if not math.isfinite(t_delay):
         raise ValueError(f"t_delay must be finite, got {t_delay}")
-    factors = {m.index: delay_phase_factor(m.frequency, t_delay) for m in modes}
-    out: dict[tuple[int, ...], complex] = {}
-    for occ, amp in state.amplitudes.items():
-        for i, n in enumerate(occ):
-            if n and i in factors:
-                for _ in range(n):
-                    amp = amp * factors[i]
-        out[occ] = amp
-    return StateVector(state.registry, _pruned(out))
+    registry = state.registry
+    missing = [m.label for m in modes if not (0 <= m.index < len(registry))]
+    if missing:
+        raise ValueError(f"delayed modes not registered in this registry: {missing}")
+    u = np.eye(len(registry), dtype=complex)
+    for m in modes:
+        u[m.index, m.index] = delay_phase_factor(m.frequency, t_delay)
+    return evolve(state, ModeUnitary(registry, u))

@@ -450,13 +450,11 @@ def simulate_segments(config: StreamConfig) -> Iterator[tuple[float, TdcStream]]
             yield t_delay, TdcStream(times_a=np.empty(0, dtype=np.int64),
                                      times_b=np.empty(0, dtype=np.int64), meta=meta)
             continue
-        if config.model is None:
-            a_bins, b_bins = _segment_same_bin(rng, n_bins, p_a, p_b, 1.0)
-        elif config.model.linewidth is None:
-            g2_here = float(g2_zero_model(config.model, t_delay))
-            a_bins, b_bins = _segment_same_bin(rng, n_bins, p_a, p_b, g2_here)
-        else:
+        if config.model is not None and config.model.linewidth is not None:
             a_bins, b_bins = _segment_kernel(rng, n_bins, p_a, p_b, config.model, config.bin_width)
+        else:
+            g2 = 1.0 if config.model is None else float(g2_zero_model(config.model, t_delay))
+            a_bins, b_bins = _segment_same_bin(rng, n_bins, p_a, p_b, g2)
         a_bins = _merge_channel(a_bins, _bernoulli_bins(rng, n_bins, dark_a))
         b_bins = _merge_channel(b_bins, _bernoulli_bins(rng, n_bins, dark_b))
         a_bins *= bw_ps

@@ -202,6 +202,13 @@ class TestCountCoincidences:
         with pytest.raises(ValueError, match=f"^tau {tau} is not finite$"):
             count_coincidences(toy_stream([0], [0]), tau=tau)
 
+    @pytest.mark.parametrize("tau", [10.5e-9, -10.5e-9])
+    def test_shift_of_the_whole_duration_rejected(self, tau):
+        # the public counter's bound is the duration, partial last bin included
+        stream = toy_stream([0], [0], duration_ps=10_500)
+        with pytest.raises(ValueError, match=f"^shift {tau} s reaches beyond the stream duration$"):
+            count_coincidences(stream, tau=tau)
+
     @pytest.mark.parametrize("count", [count_coincidences, lambda stream: scan_tau(stream, [0.0])],
                              ids=["count_coincidences", "scan_tau"])
     def test_stream_shorter_than_one_bin_rejected(self, count):
@@ -324,6 +331,16 @@ class TestScans:
         stream = simulate_stream(cfg)
         with pytest.raises(ValueError, match="beyond"):
             scan_tau(stream, [2e-5])
+
+    @pytest.mark.parametrize("taus", [[k * 1e-9 for k in range(11)], [0.0, 1.5e-9, 10.2e-9]],
+                             ids=["whole-bins", "off-grid"])
+    def test_scan_tau_past_the_whole_bins_rejected_on_both_paths(self, taus):
+        # 10 whole bins of a 10 500 ps stream: 10 ns would take the all-shifts
+        # pass and 10.2 ns the per-tau count; each is refused by the same rule
+        stream = toy_stream([0, 2000, 5000], [0, 3000, 5000], duration_ps=10_500)
+        message = f"^tau {taus[-1]} s reaches beyond the stream's 10 whole bins of 1000 ps$"
+        with pytest.raises(ValueError, match=message):
+            scan_tau(stream, taus)
 
     def test_scan_tau_empty_list_rejected(self):
         cfg = StreamConfig(bin_width=1e-9, rate_a=1e6, rate_b=1e6, seed=2,
@@ -469,6 +486,17 @@ class TestG2Curve:
         assert back.x_kind == x_kind
         for name in ("x", "g2", "sigma"):
             assert getattr(back, name).tobytes() == getattr(curve, name).tobytes()
+
+    def test_columns_of_unequal_shape_rejected(self):
+        with pytest.raises(ValueError, match="identical shape"):
+            G2Curve(np.array([0.0, 1.0]), np.array([1.0]), np.array([0.1]), "t_delay")
+
+    def test_csv_without_the_column_line_rejected(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text(analysis.KIND_LINE.format("tau") + "0.0,1.0,0.1\n")
+        with pytest.raises(ValueError) as refused:
+            G2Curve.from_csv(path)
+        assert str(refused.value) == f"{path}: line 2: expected 'x,g2,sigma\\n', got '0.0,1.0,0.1\\n'"
 
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma"):

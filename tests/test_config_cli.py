@@ -481,7 +481,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "manifest, message",
         [
-            ({"kind": "tau", "taus": [1e300]}, "reaches beyond the stream duration"),
+            ({"kind": "tau", "taus": [1e300]}, "reaches beyond the stream's 100 whole bins"),
             ({"kind": "tau", "taus": [0.0, math.inf]}, "tau inf is not finite"),
             ({"kind": "tau", "taus": [math.nan]}, "tau nan is not finite"),
             ({"kind": "delay", "t_delays": [0.0, 1e-12, math.nan]}, "finite x"),

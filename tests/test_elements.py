@@ -12,13 +12,14 @@ from chromatic_hbt.elements import (
     ConversionSettings,
     ModeUnitary,
     beamsplitter,
+    delay_phase_factor,
     evolve,
     phase_delay,
     sfg_unitary,
     spectral_filter,
 )
 from chromatic_hbt.fock import ModeRegistry, StateVector, apply_creation, single_photon
-from chromatic_hbt.protocol import COLOR_LABELS, ModeFrequencies, build_erasure_registry
+from chromatic_hbt.protocol import COLOR_LABELS, ModeFrequencies, build_erasure_registry, build_hbt_registry
 
 from oracles import evolve_by_expm, expm_series, quadratic_mixer_generator
 
@@ -419,6 +420,22 @@ class TestPhaseDelay:
         freqs = ModeFrequencies.nominal()
         expected = cmath.exp(-2j * math.pi * (arms.arm_a.f1.frequency + arms.arm_a.f2.frequency) * t)
         assert amp == pytest.approx(expected, abs=1e-9)
+
+    def test_two_photons_in_one_delayed_mode_pick_up_the_factor_twice(self, stage):
+        # evolve lifts the one-photon phase to |2>: (a^dag e^{i phi})^2 |0> / sqrt(2)
+        registry, arms = stage
+        f1 = arms.arm_a.f1
+        state = apply_creation(single_photon(registry, f1), f1).scaled(1 / math.sqrt(2))
+        t = 3.1e-12
+        out = phase_delay(state, [f1], t)
+        assert abs(out.amplitude_of({f1: 2}) - delay_phase_factor(f1.frequency, t) ** 2) <= 1e-15
+
+    def test_mode_outside_the_registry_rejected(self, stage):
+        # the HBT registry's B.a.f1 has index 10, past the erasure registry's ten modes
+        registry, arms = stage
+        _, _, hbt_arms_b = build_hbt_registry()
+        with pytest.raises(ValueError, match=r"not registered in this registry: \['B.a.f1'\]"):
+            phase_delay(single_photon(registry, arms.arm_a.f1), [hbt_arms_b.arm_a.f1], 1e-12)
 
 
 class TestFilterProjectComposition:

@@ -42,6 +42,9 @@ def make_curve(x, y, sigma=None):
 
 def at_one_and_two_blas_threads(probe):
     """What probe prints in two fresh interpreters, at 1 and 2 OpenBLAS threads."""
+    # on one CPU, OpenBLAS runs one thread whatever the environment asks for
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs 2 CPUs in the affinity mask to run OpenBLAS on 2 threads")
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     runs = [
@@ -168,6 +171,26 @@ class TestInitialGuess:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match="4 points"):
             initial_guess(np.array([0.0, 1.0]), np.array([1.0, 1.0]), "delay")
+
+    @pytest.mark.parametrize(
+        "x, model, message",
+        [
+            (np.linspace(0.0, 1.0, 6), "shift", "unknown model kind 'shift'"),
+            (np.full(6, 2.0), "delay", "two distinct x values"),
+        ],
+        ids=["unknown-model", "one-x-value"],
+    )
+    def test_unusable_input_rejected(self, x, model, message):
+        with pytest.raises(ValueError, match=message):
+            initial_guess(x, np.ones_like(x), model)
+
+    def test_flat_curve_holds_the_envelope_at_half_the_widest_x(self):
+        # no deviation to take a half-maximum width from: the width falls
+        # back to 0.5 / max(|x|, 1), and the start lands on a flat fringe
+        x = np.linspace(-8.0, 8.0, 30)
+        guess = initial_guess(x, np.ones_like(x), "tau")
+        assert guess[1] == 0.5 / 8.0
+        assert guess[0] == pytest.approx(0.0, abs=1e-12)
 
     @given(
         st.sampled_from(["delay", "tau"]),

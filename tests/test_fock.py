@@ -56,6 +56,11 @@ class TestRegistry:
         with pytest.raises(ValueError):
             reg.register("bad", 1.0e14, "c")
 
+    def test_equality_with_a_non_registry_is_not_implemented(self):
+        reg = ModeRegistry()
+        assert reg.__eq__(object()) is NotImplemented
+        assert reg != object()
+
     def test_n_max_below_one_rejected(self):
         with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
             ModeRegistry(n_max=0)

@@ -420,6 +420,20 @@ class TestSimulateStream:
         for name in ("times_a", "times_b"):
             assert getattr(s_noisy, name).size > getattr(s_quiet, name).size * 1.7
 
+    def test_b_without_signal_holds_only_its_dark_clicks(self):
+        # rate_b = 0: the same-bin sampler gives B no clicks, so B's dark
+        # clicks are all it holds, at their rate and uncorrelated with A,
+        # where ZERO_MODEL would put g2(0) near 1.29
+        cfg = basic_config(rate_a=2e7, rate_b=0.0, dark_rate_b=2e7)
+        stream = simulate_stream(cfg)
+        n_bins = cfg.duration_ps // 1000
+        a = np.unique(stream.channel_times(CHANNEL_A) // 1000)
+        b = np.unique(stream.channel_times(CHANNEL_B) // 1000)
+        expected_b = n_bins * 0.02
+        assert abs(b.size - expected_b) < 5.0 * math.sqrt(expected_b)
+        g2 = np.intersect1d(a, b, assume_unique=True).size * n_bins / (a.size * b.size)
+        assert abs(g2 - 1.0) < 5.0 * g2 / math.sqrt(a.size * b.size / n_bins)
+
     def test_segment_bookkeeping(self):
         cfg = basic_config(delay_schedule=((0.0, 1e-3), (2e-12, 1e-3)))
         stream = simulate_stream(cfg)
