@@ -34,7 +34,7 @@ X_KINDS = ("t_delay", "tau")
 # widest span of whole-bin shifts the all-shifts pass takes, one int64 a bin
 _MAX_SHIFT_SPAN = 50_000_000
 # The all-shifts pass pairs each B bin with about span * n_A / n_bin A bins;
-# a per-tau count floors B once and looks its bins up in A's occupancy.  On
+# a per-tau count looks each of B's bins up in A's occupancy.  On
 # one Xeon vCPU (numpy 2.4.6, 0.2 s and 0.8 s default-rate streams, 209
 # taus) the two broke even at about 1.5 pairs per tau; the all-shifts pass
 # takes up to this many.
@@ -75,28 +75,55 @@ def _whole_bins(stream: TdcStream) -> tuple[int, int]:
     return bw_ps, n_bin
 
 
-# clicks floored at a time by the prepared per-tau count (A once per scan,
-# B at each tau), so its temporaries stay a few MB however long the stream
+# clicks, or prepared B bins, the per-tau count takes at a time, in a
+# scan's preparation and at each tau, so its temporaries stay a few MB
+# however long the stream
 _COUNT_CHUNK = 1 << 16
 
 
-def _chunk_bins(times: np.ndarray, tau_ps: int, bw_ps: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(bins, new) for each chunk of _COUNT_CHUNK sorted times shifted by
-    tau_ps: the chunk's bins after the click before it, and which of them
-    start a bin not seen before.  The one click of overlap keeps a bin
-    whose run of clicks crosses a chunk edge from being counted twice."""
+def _inside(times: np.ndarray, tau_ps: int, top_ps: int) -> np.ndarray:
+    """The sorted times that fall in [0, top_ps) once shifted by tau_ps."""
+    return times[np.searchsorted(times, -tau_ps) : np.searchsorted(times, top_ps - tau_ps)]
+
+
+def _chunk_bins(
+    times: np.ndarray, tau_ps: int, bw_ps: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(clicks, bins, new) for each chunk of _COUNT_CHUNK sorted times: the
+    chunk's clicks after the click before it, their bins once shifted by
+    tau_ps, and which of those start a bin not seen before.  The one click
+    of overlap keeps a bin whose run of clicks crosses a chunk edge from
+    being counted twice."""
     for lo in range(0, times.size, _COUNT_CHUNK):
-        bins = times[max(lo - 1, 0) : lo + _COUNT_CHUNK] + tau_ps
+        clicks = times[max(lo - 1, 0) : lo + _COUNT_CHUNK]
+        bins = clicks + tau_ps
         bins //= bw_ps
         new = np.empty(bins.size, dtype=bool)
         new[0] = lo == 0
         np.not_equal(bins[1:], bins[:-1], out=new[1:])
-        yield bins, new
+        yield clicks, bins, new
+
+
+def _aligned_bins(times: np.ndarray, bw_ps: int, n_bin: int) -> np.ndarray | None:
+    """The distinct bins of sorted times if every time is a multiple of
+    bw_ps, else None, found in one chunked pass.  They are int32 while 2 *
+    n_bin < 2^31, so that each key a shifted count looks up, in (-n_bin,
+    2 * n_bin), fits the same dtype; they are written chunk by chunk into
+    one buffer, with no temporary the size of the channel."""
+    out = np.empty(times.size, dtype=np.int32 if 2 * n_bin < 2**31 else np.int64)
+    size = 0
+    for clicks, bins, new in _chunk_bins(times, 0, bw_ps):
+        if not np.array_equal(bins * bw_ps, clicks):
+            return None
+        kept = bins[new]
+        out[size : size + kept.size] = kept
+        size += kept.size
+    return out[:size]
 
 
 @dataclass(frozen=True, eq=False)
 class _Occupancy:
-    """Channel A's bins, prepared once for the per-tau counts of one scan.
+    """Both channels' bins, prepared once for the per-tau counts of one scan.
 
     times are A's clicks inside the stream's whole bins and n_a their
     distinct bins.  bitmap holds one bit per group of 2^shift bins, set
@@ -104,12 +131,19 @@ class _Occupancy:
     the smallest that keeps the bitmap no larger than twice A's times
     array.  A B bin whose group bit is set is confirmed by one binary
     search into times, so no copy of A's bins is kept.
+
+    bins_b are B's distinct bins when every B time is a multiple of the
+    bin, as on every simulated stream: then floor((t + tau) / bin) is t /
+    bin + floor(tau / bin), so a tau only adds its whole-bin shift to them.
+    A B off the grid, as a TDC file's may be, holds no prepared bins
+    (bins_b is None), and each tau floors its shifted times again.
     """
 
     times: np.ndarray
     n_a: int
     shift: int
     bitmap: np.ndarray
+    bins_b: np.ndarray | None
 
     @classmethod
     def of(cls, stream: TdcStream) -> "_Occupancy":
@@ -122,7 +156,7 @@ class _Occupancy:
             shift += 1
         bitmap = np.zeros(((n_bin - 1) >> (shift + 3)) + 1, dtype=np.uint8)
         n_a = 0
-        for bins, new in _chunk_bins(times, 0, bw_ps):
+        for _, bins, new in _chunk_bins(times, 0, bw_ps):
             n_a += int(np.count_nonzero(new))
             bins >>= shift
             bits = np.left_shift(np.uint8(1), bins.astype(np.uint8) & 7)
@@ -130,28 +164,46 @@ class _Occupancy:
             # the chunk's bytes are sorted, so each byte's bits are one run
             starts = np.flatnonzero(np.diff(bins, prepend=-1))
             bitmap[bins[starts]] |= np.bitwise_or.reduceat(bits, starts)
-        return cls(times, n_a, shift, bitmap)
+        bins_b = _aligned_bins(stream.channel_times(CHANNEL_B), bw_ps, n_bin)
+        return cls(times, n_a, shift, bitmap, bins_b)
 
-    def tally(self, times_b: np.ndarray, tau_ps: int, bw_ps: int) -> tuple[int, int]:
-        """(n_B, n_coincidence) for B times that fall in the whole bins once
-        shifted by tau_ps: their distinct bins, and how many A occupies."""
-        n_b = n_coincidence = 0
-        for bins, new in _chunk_bins(times_b, tau_ps, bw_ps):
-            n_b += int(np.count_nonzero(new))
-            groups = bins >> self.shift
-            low = groups.astype(np.uint8) & 7
-            groups >>= 3
-            # each bin's group bit, shifted down to bit 0 of its byte; the
-            # indices stay int64, which numpy takes without the cast of int32
-            bit = self.bitmap.take(groups)
-            bit >>= low
-            bit &= 1
-            new &= bit.astype(bool)
-            candidates = bins[np.flatnonzero(new)]
-            # A's first click at or after the bin's start, if any, is in the bin
-            first = self.times.take(np.searchsorted(self.times, candidates * bw_ps), mode="clip")
-            n_coincidence += int(np.count_nonzero(first // bw_ps == candidates))
-        return n_b, n_coincidence
+    def tally(self, times_b: np.ndarray, tau_ps: int, bw_ps: int, n_bin: int) -> tuple[int, int]:
+        """(n_B, n_coincidence) at a shift of tau_ps: the distinct bins of
+        B's clicks that fall in the whole bins once shifted, and how many of
+        them A occupies."""
+        if self.bins_b is None:
+            n_b = n_coincidence = 0
+            for _, bins, new in _chunk_bins(_inside(times_b, tau_ps, n_bin * bw_ps), tau_ps, bw_ps):
+                n_b += int(np.count_nonzero(new))
+                n_coincidence += self._occupied(bins, new, bw_ps)
+            return n_b, n_coincidence
+        whole = tau_ps // bw_ps
+        # keys of another dtype would cast all of bins_b on every call
+        lo, hi = np.searchsorted(self.bins_b, np.array([-whole, n_bin - whole], dtype=self.bins_b.dtype))
+        step = self.bins_b.dtype.type(whole)
+        n_coincidence = 0
+        for start in range(lo, hi, _COUNT_CHUNK):
+            n_coincidence += self._occupied(self.bins_b[start : min(start + _COUNT_CHUNK, hi)] + step, None, bw_ps)
+        return int(hi - lo), n_coincidence
+
+    def _occupied(self, bins: np.ndarray, new: np.ndarray | None, bw_ps: int) -> int:
+        """How many of the bins, or of those flagged new, A occupies."""
+        groups = bins >> self.shift
+        low = groups.astype(np.uint8) & 7
+        groups >>= 3
+        # each bin's group bit, shifted down to bit 0 of its byte
+        bit = self.bitmap.take(groups)
+        bit >>= low
+        bit &= 1
+        # the 0/1 bytes viewed as bool: flatnonzero took 6 us on 22k of them
+        # against 42 us on the uint8 bytes
+        hit = bit.view(bool)
+        if new is not None:
+            hit &= new
+        candidates = bins[np.flatnonzero(hit)].astype(np.int64, copy=False)
+        # A's first click at or after the bin's start, if any, is in the bin
+        first = self.times.take(np.searchsorted(self.times, candidates * bw_ps), mode="clip")
+        return int(np.count_nonzero(first // bw_ps == candidates))
 
 
 def count_coincidences(
@@ -172,16 +224,22 @@ def count_coincidences(
     sorting the 45k bins of a files-offgrid call took 150 us as int32
     quicksort, 280 us as int64 timsort and 380 us as int64 quicksort.
 
-    scan_tau counts many taus of one stream, so it prepares A once, as an
-    _Occupancy of this stream, and passes it on each call.  Then A is not
-    floored or sorted again: B's shifted bins are floored in chunks of
-    _COUNT_CHUNK clicks, each after the last click of the chunk before, so
-    n_B and the coincidences stay distinct-bin counts; each new bin is
-    looked up in A's group bitmap, and the few whose group bit is set are
-    confirmed by a binary search into A's times.  The bitmap is at most
-    twice A's times array, and the chunks keep the count's temporaries
-    under a few MB.  scan_delay counts one tau per stream, where the
-    preparation would not pay, and keeps the sort.
+    scan_tau counts many taus of one stream, so it prepares both channels
+    once, as an _Occupancy of this stream, and passes it on each call.
+    Then A is not floored or sorted again.  When B's times are all on the
+    bin grid, B is not floored again either: the tau's whole-bin shift is
+    added to B's prepared distinct bins, n_B is read off them by two binary
+    searches, and their shifted bins are looked up in A's group bitmap, a
+    chunk of _COUNT_CHUNK bins at a time; the few whose group bit is set
+    are confirmed by a binary search into A's times.  A B off the grid is
+    selected on its unshifted times and its shifted bins floored in chunks
+    of _COUNT_CHUNK clicks, each after the last click of the chunk before,
+    so n_B and the coincidences stay distinct-bin counts, and then looked
+    up the same way.  The bitmap is at most twice A's times array, B's
+    bins are one int32 a distinct bin while 2 * n_bin < 2^31, and the
+    chunks keep the count's temporaries under a few MB.  scan_delay counts
+    one tau per stream, where the preparation would not pay, and keeps the
+    sort.
     """
     bw_ps, n_bin = _whole_bins(stream)
     if not math.isfinite(tau):
@@ -191,15 +249,14 @@ def count_coincidences(
         raise ValueError(f"shift {tau} s reaches beyond the stream duration")
 
     times_b = stream.channel_times(CHANNEL_B)
-    top_ps = n_bin * bw_ps
-    # B is selected on its unshifted times, [-tau, top - tau)
-    sel_b = times_b[np.searchsorted(times_b, -tau_ps) : np.searchsorted(times_b, top_ps - tau_ps)]
     if occupancy is not None:
         n_a = occupancy.n_a
-        n_b, n_coincidence = occupancy.tally(sel_b, tau_ps, bw_ps)
+        n_b, n_coincidence = occupancy.tally(times_b, tau_ps, bw_ps, n_bin)
     else:
+        top_ps = n_bin * bw_ps
         times_a = stream.channel_times(CHANNEL_A)
         sel_a = times_a[: np.searchsorted(times_a, top_ps)]
+        sel_b = _inside(times_b, tau_ps, top_ps)
         merged = np.empty(sel_a.size + sel_b.size, dtype=np.int32 if n_bin < 2**31 else np.int64)
         bins_a, bins_b = merged[: sel_a.size], merged[sel_a.size :]
         np.floor_divide(sel_a, bw_ps, out=bins_a, casting="unsafe")
@@ -388,9 +445,13 @@ def scan_tau(stream: TdcStream, taus: Sequence[float]) -> G2Curve:
     bins is refused.  Taus whose ps are all multiples of the bin take the
     all-shifts pass while their span is at most _MAX_SHIFT_SPAN bins and
     span * n_A / n_bin is at most _PAIRS_PER_TAU per tau, where it is the
-    cheaper path; any other taus are counted one at a time, against channel
-    A's occupancy prepared once for the scan.  Both give the same tallies
-    for the same shift.
+    cheaper path.  Any other taus are counted one at a time against both
+    channels, prepared once for the scan as an _Occupancy: A's bitmap and,
+    when every B time is on the bin grid (every simulated stream's are),
+    B's distinct bins, which each tau moves by its whole-bin shift, so an
+    off-grid tau counts as its floored shift; a B off the grid (a TDC
+    file's may be) is floored again at each tau.  All paths give the same
+    tallies for the same tau.
     """
     taus = np.array(taus, dtype=float)
     if taus.size == 0:

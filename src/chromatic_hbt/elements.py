@@ -195,7 +195,7 @@ def sfg_unitary(
     so the tuning theta_31 = pi/2, theta_32 = 2*pi converts both input
     colors completely.  This convention is fixed package-wide.
     """
-    missing = [m.label for m in arms.all_modes() if not (0 <= m.index < len(registry))]
+    missing = [m.label for m in arms.all_modes() if m not in registry]
     if missing:
         raise ValueError(f"arm modes not registered in this registry: {missing}")
     u = np.eye(len(registry), dtype=complex)
@@ -279,7 +279,7 @@ def phase_delay(
     if not math.isfinite(t_delay):
         raise ValueError(f"t_delay must be finite, got {t_delay}")
     registry = state.registry
-    missing = [m.label for m in modes if not (0 <= m.index < len(registry))]
+    missing = [m.label for m in modes if m not in registry]
     if missing:
         raise ValueError(f"delayed modes not registered in this registry: {missing}")
     u = np.eye(len(registry), dtype=complex)

@@ -82,6 +82,15 @@ class ModeRegistry:
             return NotImplemented
         return self.n_max == other.n_max and self._modes == other._modes
 
+    def __contains__(self, mode: ModeId) -> bool:
+        """Whether `mode` is the mode registered at its index here, the same
+        object or an equal one (same index, label, frequency and branch).  A
+        mode of another registry whose index is in range is not."""
+        if not 0 <= mode.index < len(self._modes):
+            return False
+        own = self._modes[mode.index]
+        return own is mode or own == mode
+
     def register(self, label: str, frequency: float, branch: str) -> ModeId:
         """Register a new mode; rejects duplicate labels naming the conflict."""
         if any(m.label == label for m in self._modes):
@@ -208,7 +217,7 @@ def apply_creation(state: StateVector, mode: ModeId) -> StateVector:
     registry's photon-number truncation.
     """
     registry = state.registry
-    if not (0 <= mode.index < len(registry)):
+    if mode not in registry:
         raise ValueError(f"mode {mode.label!r} does not belong to this registry")
     i = mode.index
     out: dict[tuple[int, ...], complex] = {}

@@ -54,7 +54,8 @@ def toy_stream(times_a, times_b, bin_width_ps=1000, duration_ps=None):
 def counter_cases(draw):
     """A toy stream with repeated timestamps, possibly an empty channel, a
     duration that need not be a whole number of bins, and a shift of either
-    sign, all in ps; times and shift on the stream's bin grid or off it."""
+    sign, all in ps; times and shift each on the stream's bin grid or off
+    it, so that B on the grid also meets a shift off it."""
     stream_bw = draw(st.integers(1, 50))
     duration = draw(st.integers(stream_bw, 60 * stream_bw))
     # on the grid, clicks land exactly on bin edges
@@ -62,7 +63,8 @@ def counter_cases(draw):
     clicks = st.lists(st.integers(0, (duration - 1) // step), max_size=30)
     times_a = sorted(t * step for t in draw(clicks))
     times_b = sorted(t * step for t in draw(clicks))
-    tau_ps = step * draw(st.integers(-((duration - 1) // step), (duration - 1) // step))
+    tau_step = stream_bw if draw(st.booleans()) else 1
+    tau_ps = tau_step * draw(st.integers(-((duration - 1) // tau_step), (duration - 1) // tau_step))
     return stream_bw, duration, times_a, times_b, tau_ps
 
 
@@ -180,6 +182,20 @@ class TestCountCoincidences:
     @example((1, 10**10, INT32_TIMES_A, INT32_TIMES_B, -(2**31 + 5)), 0, 2)
     @example((1, 10**10, INT32_TIMES_A, INT32_TIMES_B, 2**31), 0, 1)
     @example((1, 3 * 10**9, INT32_TIMES_A[:4], INT32_TIMES_B[:3], 1 - 2**31), 0, 3)
+    # B on the grid, shifted off it: tau = 2 bins + w - 1 ps takes B's bin 39 past the last
+    @example((10, 400, [20, 40, 60], [0, 20, 40, 390], 29), 0, 2)
+    # tau = -1 ps moves B's bin 0 to bin -1, out of the count
+    @example((10, 400, [0, 20], [0, 10, 10, 30], -1), 0, 2)
+    # a B click in the last whole bin, and one in the partial bin shifted into it
+    @example((10, 405, [380, 390], [390, 400], -5), 0, 1)
+    # the partial bin's B click shifted by -(n_bin + 1) bins, to bin -1
+    @example((10, 405, [0], [400], -404), 0, 1)
+    # repeated B times across the edges of 1- and 2-click chunks
+    @example((10, 300, [20, 30], [0, 10, 10, 10, 20, 20], 13), 0, 1)
+    @example((10, 300, [20, 30], [0, 10, 10, 10, 20, 20], 13), 0, 2)
+    # the widest n_bin whose shifted keys, up to 2 * n_bin, fit int32, and the next
+    @example((1, 2**30 - 1, [0], [2**30 - 2], 2 - 2**30), 0, 1)
+    @example((1, 2**30, [0], [2**30 - 1], 1 - 2**30), 0, 1)
     def test_prepared_count_matches_sort_and_set_oracle(self, case, pad_bins, chunk):
         stream_bw, duration, times_a, times_b, tau_ps = case
         duration += pad_bins * stream_bw
@@ -192,6 +208,12 @@ class TestCountCoincidences:
         limit = max(2 * stream.times_a.nbytes, 1)
         assert occupancy.bitmap.nbytes <= limit
         assert occupancy.shift == 0 or ((duration // stream_bw - 1) >> (occupancy.shift + 2)) + 1 > limit
+        # B's distinct bins are prepared only on the grid, as int32 while 2 * n_bin < 2^31
+        if any(t % stream_bw for t in times_b):
+            assert occupancy.bins_b is None
+        else:
+            assert occupancy.bins_b.dtype == (np.int32 if 2 * (duration // stream_bw) < 2**31 else np.int64)
+            assert occupancy.bins_b.tolist() == sorted({t // stream_bw for t in times_b})
         assert prepared == count_coincidences(stream, tau)
         assert (prepared.n_coincidence, prepared.n_a, prepared.n_b) == occupied_bin_tallies(
             times_a, times_b, tau_ps, stream_bw, duration)

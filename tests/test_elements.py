@@ -437,6 +437,31 @@ class TestPhaseDelay:
         with pytest.raises(ValueError, match=r"not registered in this registry: \['B.a.f1'\]"):
             phase_delay(single_photon(registry, arms.arm_a.f1), [hbt_arms_b.arm_a.f1], 1e-12)
 
+    @pytest.mark.parametrize("operation, message", [
+        (lambda state, arms: phase_delay(state, [arms.arm_a.f1], 1e-12),
+         r"^delayed modes not registered in this registry: \['a.f1'\]$"),
+        (lambda state, arms: apply_creation(state, arms.arm_a.f1),
+         r"^mode 'a.f1' does not belong to this registry$"),
+        (lambda state, arms: sfg_unitary(state.registry, ConversionSettings.ideal(), arms),
+         r"^arm modes not registered in this registry: \['a.f1', 'b.f1'\]$"),
+    ], ids=["phase_delay", "apply_creation", "sfg_unitary"])
+    def test_mode_of_another_registry_at_an_index_in_range_rejected(self, stage, operation, message):
+        # a second erasure registry whose f1 is 1 % higher: its a.f1 has the
+        # index of the state's a.f1 but another frequency
+        registry, arms = stage
+        nominal = ModeFrequencies.nominal()
+        _, foreign = build_erasure_registry(dataclasses.replace(nominal, f1=1.01 * nominal.f1))
+        state = single_photon(registry, arms.arm_a.f1)
+        with pytest.raises(ValueError, match=message):
+            operation(state, foreign)
+        # an equal registry's modes act as the state's own
+        _, equal = build_erasure_registry()
+        own, other = operation(state, arms), operation(state, equal)
+        if isinstance(own, StateVector):
+            assert other.amplitudes == own.amplitudes
+        else:
+            assert np.array_equal(other.matrix, own.matrix)
+
 
 class TestFilterProjectComposition:
     def test_reproduces_closed_form_for_random_parameters(self, stage):
