@@ -111,7 +111,9 @@ class ModeUnitary:
     matrix[j, i] is the amplitude for a photon entering mode i to leave in
     mode j.  Checked to be unitary entrywise at construction, then held as a
     read-only copy.  columns[i] lists the nonzero (j, matrix[j, i]) entries
-    of input column i, the only ones `evolve` needs.
+    of input column i, the only ones `evolve` needs: a one-photon basis
+    state in mode i maps to column i itself, and each ladder step of a
+    photon in mode i walks it.
     """
 
     registry: ModeRegistry
@@ -139,6 +141,9 @@ class ModeUnitary:
 
 def bs_unitary(registry: ModeRegistry, pairs: list[tuple[ModeId, ModeId]]) -> ModeUnitary:
     """50-50 beamsplitter on each (x, y) pair: x -> (x+y)/sqrt2, y -> (x-y)/sqrt2."""
+    missing = [m.label for pair in pairs for m in pair if m not in registry]
+    if missing:
+        raise ValueError(f"beamsplitter modes not registered in this registry: {missing}")
     seen: set[int] = set()
     for x, y in pairs:
         if x.index == y.index:
@@ -215,6 +220,16 @@ def evolve(state: StateVector, unitary: ModeUnitary) -> StateVector:
     nonzero entries of column i; the ladder factors make this exact for any
     photon number within the truncation.  Norm is preserved to machine
     precision.
+
+    A basis state that holds one photon, in mode i, goes straight through
+    column i: amp * u[j, i] is added at the one-photon state of each mode j,
+    in column order.  The ladder adds 0.0 + (amp / sqrt(1)) * u[j, i] *
+    sqrt(1) there, which equals amp * u[j, i] in every nonzero component, and
+    both sums start at 0.0, so a zero comes out as +0.0 either way: the
+    result is bit for bit the ladder's.  Every other basis state runs the
+    ladder.  An occupation is non-negative ints (`StateVector.from_json_dict`
+    refuses any other), so sum(source) == 1 finds exactly the one-photon
+    states.
     """
     registry = state.registry
     if unitary.registry is not registry and unitary.registry != registry:
@@ -223,6 +238,11 @@ def evolve(state: StateVector, unitary: ModeUnitary) -> StateVector:
     vacuum = registry.vacuum_occupation()
     out: dict[tuple[int, ...], complex] = {}
     for source, amp in state.amplitudes.items():
+        if sum(source) == 1:
+            for j, coeff in columns[source.index(1)]:
+                target = vacuum[:j] + (1,) + vacuum[j + 1 :]
+                out[target] = out.get(target, 0.0) + amp * coeff
+            continue
         occupied = [(i, n) for i, n in enumerate(source) if n]
         factor = math.prod([math.factorial(n) for _, n in occupied])
         image: dict[tuple[int, ...], complex] = {vacuum: amp / math.sqrt(factor)}
@@ -249,13 +269,17 @@ def spectral_filter(
     Returns the surviving (sub-normalized) state and the discarded
     probability mass.  Post-selection probabilities stay explicit this way.
     """
-    if keep.index not in {m.index for m in beam}:
+    missing = [m.label for m in beam if m not in state.registry]
+    if missing:
+        raise ValueError(f"filtered modes not registered in this registry: {missing}")
+    # the beam's modes are the registry's own, so a mode equal to one of them is too
+    if keep not in beam:
         raise ValueError(f"keep mode {keep.label!r} is not part of the filtered beam")
     blocked = {m.index for m in beam if m.index != keep.index}
     kept: dict[tuple[int, ...], complex] = {}
     discarded = 0.0
     for occ, amp in state.amplitudes.items():
-        if any(occ[i] > 0 for i in blocked):
+        if any([occ[i] for i in blocked]):
             discarded += abs(amp) ** 2
         else:
             kept[occ] = amp

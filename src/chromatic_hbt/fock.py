@@ -156,6 +156,8 @@ class StateVector:
         """Amplitude of the basis state with the given per-mode photon counts."""
         occ = list(self.registry.vacuum_occupation())
         for mode, n in counts.items():
+            if mode not in self.registry:
+                raise ValueError(f"mode {mode.label!r} does not belong to this registry")
             occ[mode.index] = n
         return self.amplitude(tuple(occ))
 
@@ -192,10 +194,27 @@ class StateVector:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "StateVector":
+        """The state of a `to_json_dict` payload.  Each amplitude's `occ` must
+        be an occupation tuple of the registry it names: one non-negative int
+        (not a bool) per mode, at most n_max photons in all; any other is
+        refused by the amplitude's position."""
         registry = ModeRegistry(n_max=data["n_max"])
         for entry in data["registry"]:
             registry.register(entry["label"], entry["frequency"], entry["branch"])
-        amps = {tuple(e["occ"]): complex(e["re"], e["im"]) for e in data["amplitudes"]}
+        amps = {}
+        for position, e in enumerate(data["amplitudes"]):
+            occ = e["occ"]
+            if not (
+                isinstance(occ, list)
+                and len(occ) == len(registry)
+                and all([type(n) is int and n >= 0 for n in occ])
+                and sum(occ) <= registry.n_max
+            ):
+                raise ValueError(
+                    f"amplitude {position}: occ must be {len(registry)} non-negative ints "
+                    f"with at most n_max={registry.n_max} photons in all, got {occ!r}"
+                )
+            amps[tuple(occ)] = complex(e["re"], e["im"])
         return cls(registry, amps)
 
 

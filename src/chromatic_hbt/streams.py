@@ -747,10 +747,13 @@ def _text_blocks(fh, path, lineno: int) -> Iterator[tuple]:
     newline; a malformed line is refused as soon as it is found, since no
     earlier line can be, with its first _LINE_QUOTE bytes quoted.
     """
-    # 4 bytes a record of a block, the shortest record 'A 0\n', so a fill holds
-    # at most _BLOCK records; and at least a whole record (22 bytes at most)
-    # or the bytes that an error quotes of a longer line
-    size = max(4 * _BLOCK, _LINE_QUOTE)
+    # 16 bytes a record of a block, about the writer's usual 14-16 byte line,
+    # so a fill holds at most 4 * _BLOCK records of the shortest form 'A 0\n'
+    # (a file of 2^16 such lines peaks at 3.0 MB traced; on the writer's
+    # files the channels' join sets the read peak); and at least a whole
+    # record (22 bytes at most) or the bytes that an error quotes of a
+    # longer line
+    size = max(16 * _BLOCK, _LINE_QUOTE)
     for piece in _file_pieces(fh, size, lambda buffer, end: buffer.rfind(b"\n", 0, end) + 1):
         name = lambda k, first=lineno + 1: f"line {first + k}"
         body = np.frombuffer(piece, dtype=np.uint8)

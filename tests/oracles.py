@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from chromatic_hbt.elements import bs_unitary, evolve, phase_delay, sfg_unitary, spectral_filter
-from chromatic_hbt.fock import ModeRegistry, StateVector, apply_creation
+from chromatic_hbt.fock import ModeRegistry, StateVector, _pruned, apply_creation
 from chromatic_hbt.protocol import build_hbt_registry, g2_tau_model, run_erasure_pipeline
 from chromatic_hbt.streams import _KERNEL_CAP, CHANNEL_LETTERS, _bernoulli_bins
 
@@ -92,6 +92,47 @@ def evolve_by_expm(state: StateVector, h_single: np.ndarray) -> StateVector:
     u = expm_series(-1j * big_h)
     vec = u @ state_to_vector(state, basis)
     return vector_to_state(vec, state.registry, basis)
+
+
+def ladder_evolve(state: StateVector, unitary) -> StateVector:
+    """elements.evolve with every basis state, one photon or more, rebuilt
+    photon by photon from the vacuum: each a_i^dag becomes sum_j u[j, i] a_j^dag
+    over the nonzero entries of column i, with its ladder factor sqrt(n_j + 1),
+    and the start is scaled by 1/sqrt(prod n_i!)."""
+    registry = state.registry
+    vacuum = registry.vacuum_occupation()
+    out: dict[tuple[int, ...], complex] = {}
+    for source, amp in state.amplitudes.items():
+        occupied = [(i, n) for i, n in enumerate(source) if n]
+        factor = math.prod([math.factorial(n) for _, n in occupied])
+        image: dict[tuple[int, ...], complex] = {vacuum: amp / math.sqrt(factor)}
+        for i, n in occupied:
+            for _ in range(n):
+                next_image: dict[tuple[int, ...], complex] = {}
+                for occ, a in image.items():
+                    for j, coeff in unitary.columns[i]:
+                        target = occ[:j] + (occ[j] + 1,) + occ[j + 1 :]
+                        next_image[target] = (
+                            next_image.get(target, 0.0) + a * coeff * math.sqrt(occ[j] + 1)
+                        )
+                image = next_image
+        for occ, a in image.items():
+            out[occ] = out.get(occ, 0.0) + a
+    return StateVector(registry, _pruned(out))
+
+
+def generator_spectral_filter(state: StateVector, keep, beam) -> tuple[StateVector, float]:
+    """elements.spectral_filter testing each basis state's blocked modes with a
+    generator: a state with a photon in a beam mode other than keep is discarded."""
+    blocked = {m.index for m in beam if m.index != keep.index}
+    kept: dict[tuple[int, ...], complex] = {}
+    discarded = 0.0
+    for occ, amp in state.amplitudes.items():
+        if any(occ[i] > 0 for i in blocked):
+            discarded += abs(amp) ** 2
+        else:
+            kept[occ] = amp
+    return StateVector(state.registry, _pruned(kept)), discarded
 
 
 def fresh_erasure_pipeline(state, registry, arms, config) -> tuple[dict[str, StateVector], complex]:

@@ -12,6 +12,7 @@ from chromatic_hbt.elements import (
     ConversionSettings,
     ModeUnitary,
     beamsplitter,
+    bs_unitary,
     delay_phase_factor,
     evolve,
     phase_delay,
@@ -21,7 +22,13 @@ from chromatic_hbt.elements import (
 from chromatic_hbt.fock import ModeRegistry, StateVector, apply_creation, single_photon
 from chromatic_hbt.protocol import COLOR_LABELS, ModeFrequencies, build_erasure_registry, build_hbt_registry
 
-from oracles import evolve_by_expm, expm_series, quadratic_mixer_generator
+from oracles import (
+    evolve_by_expm,
+    expm_series,
+    generator_spectral_filter,
+    ladder_evolve,
+    quadratic_mixer_generator,
+)
 
 
 @pytest.fixture
@@ -72,6 +79,104 @@ def generators_and_bunched_states(draw):
     amplitude = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
     amps = draw(st.lists(amplitude, min_size=len(chosen), max_size=len(chosen)))
     return h, StateVector(registry, dict(zip(chosen, amps)))
+
+
+@st.composite
+def mixed_states(draw):
+    """A superposition of basis states of every photon number, the vacuum
+    included: on the erasure registry at n_max = 2, or on a registry of 2 to
+    4 modes at n_max = 3.  Amplitude parts span [-1, 1], and often are a
+    signed zero.  Also the registry's arms, None for the small one."""
+    if draw(st.booleans()):
+        registry, arms = build_erasure_registry()
+    else:
+        registry, arms = ModeRegistry(n_max=3), None
+        for k in range(draw(st.integers(2, 4))):
+            registry.register(f"m{k}", 1e14 * (k + 1), "a")
+    basis = registry.enumerate_basis()
+    chosen = []
+    for photons in range(registry.n_max + 1):
+        group = [b for b in basis if sum(b) == photons]
+        chosen += draw(st.lists(st.sampled_from(group), max_size=3, unique=True))
+    chosen = draw(st.permutations(chosen))
+    part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
+    amplitude = st.builds(complex, part, part)
+    amps = draw(st.lists(amplitude, min_size=len(chosen), max_size=len(chosen)))
+    return StateVector(registry, dict(zip(chosen, amps))), arms
+
+
+@st.composite
+def states_and_unitaries(draw):
+    """A mixed state and a splitter, a conversion at random angles (on the
+    erasure registry) or a random unitary of its registry."""
+    state, arms = draw(mixed_states())
+    registry = state.registry
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = ["splitter", "random"] + (["conversion"] if arms else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "splitter":
+        modes = list(registry)
+        pairs = arms.bs_pairs() if arms else [(modes[0], modes[1])]
+        return state, bs_unitary(registry, pairs)
+    if kind == "conversion":
+        return state, sfg_unitary(registry, random_settings(rng), arms)
+    z = rng.normal(size=(len(registry),) * 2) + 1j * rng.normal(size=(len(registry),) * 2)
+    q, r = np.linalg.qr(z)
+    return state, ModeUnitary(registry, q * (np.diag(r) / np.abs(np.diag(r))))
+
+
+def plain(result):
+    """A result as values that compare with ==: a state's amplitudes, a
+    unitary's matrix entries, the parts of a tuple."""
+    if isinstance(result, StateVector):
+        return result.amplitudes
+    if isinstance(result, ModeUnitary):
+        return result.matrix.tolist()
+    if isinstance(result, tuple):
+        return tuple(map(plain, result))
+    return result
+
+
+def repr_items(state):
+    # repr tells the sign of a zero part, which == does not
+    return [(occ, repr(a)) for occ, a in state.amplitudes.items()]
+
+
+class TestEvolveMatchesLadder:
+    """evolve sends a one-photon basis state through its unitary column and
+    every other one up the ladder; the result is the ladder's, bit for bit."""
+
+    @given(states_and_unitaries())
+    def test_same_keys_order_and_amplitudes_as_the_ladder(self, case):
+        state, unitary = case
+        got, want = evolve(state, unitary), ladder_evolve(state, unitary)
+        assert list(got.amplitudes.items()) == list(want.amplitudes.items())
+        assert repr_items(got) == repr_items(want)
+
+    @pytest.mark.parametrize("amp", [complex(-0.0, 0.5), complex(0.5, -0.0), complex(-0.0, -0.5),
+                                     complex(-0.5, -0.0)])
+    def test_signed_zero_parts_come_out_as_the_ladders(self, stage, amp):
+        # a part of amp * u that is -0.0 is +0.0 after the sum that starts at 0.0
+        registry, arms = stage
+        state = StateVector(registry, {occ: amp for occ in registry.enumerate_basis() if sum(occ) < 2})
+        splitter = bs_unitary(registry, arms.bs_pairs())
+        for unitary in (splitter, sfg_unitary(registry, ConversionSettings.ideal(), arms)):
+            assert repr_items(evolve(state, unitary)) == repr_items(ladder_evolve(state, unitary))
+
+    @given(mixed_states(), st.data())
+    def test_filter_equals_the_generator_form(self, case, data):
+        state, arms = case
+        modes = list(state.registry)
+        beam = arms.arm_a.all() if arms else data.draw(
+            st.lists(st.sampled_from(modes), min_size=1, unique=True)
+        )
+        keep = data.draw(st.sampled_from(beam))
+        (got, got_discarded), (want, want_discarded) = (
+            spectral_filter(state, keep, beam), generator_spectral_filter(state, keep, beam)
+        )
+        assert list(got.amplitudes.items()) == list(want.amplitudes.items())
+        assert repr_items(got) == repr_items(want)
+        assert repr(got_discarded) == repr(want_discarded)
 
 
 class TestArmModes:
@@ -444,7 +549,13 @@ class TestPhaseDelay:
          r"^mode 'a.f1' does not belong to this registry$"),
         (lambda state, arms: sfg_unitary(state.registry, ConversionSettings.ideal(), arms),
          r"^arm modes not registered in this registry: \['a.f1', 'b.f1'\]$"),
-    ], ids=["phase_delay", "apply_creation", "sfg_unitary"])
+        (lambda state, arms: state.amplitude_of({arms.arm_a.f1: 1}),
+         r"^mode 'a.f1' does not belong to this registry$"),
+        (lambda state, arms: bs_unitary(state.registry, arms.bs_pairs()),
+         r"^beamsplitter modes not registered in this registry: \['a.f1', 'b.f1'\]$"),
+        (lambda state, arms: spectral_filter(state, arms.arm_a.f3, arms.arm_a.all()),
+         r"^filtered modes not registered in this registry: \['a.f1'\]$"),
+    ], ids=["phase_delay", "apply_creation", "sfg_unitary", "amplitude_of", "bs_unitary", "spectral_filter"])
     def test_mode_of_another_registry_at_an_index_in_range_rejected(self, stage, operation, message):
         # a second erasure registry whose f1 is 1 % higher: its a.f1 has the
         # index of the state's a.f1 but another frequency
@@ -456,11 +567,7 @@ class TestPhaseDelay:
             operation(state, foreign)
         # an equal registry's modes act as the state's own
         _, equal = build_erasure_registry()
-        own, other = operation(state, arms), operation(state, equal)
-        if isinstance(own, StateVector):
-            assert other.amplitudes == own.amplitudes
-        else:
-            assert np.array_equal(other.matrix, own.matrix)
+        assert plain(operation(state, equal)) == plain(operation(state, arms))
 
 
 class TestFilterProjectComposition:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -192,6 +193,25 @@ class TestSerialization:
         a = single_photon(reg, m1, 0.6).plus(single_photon(reg, m2, 0.8))
         b = single_photon(reg, m2, 0.8).plus(single_photon(reg, m1, 0.6))
         assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+
+    @pytest.mark.parametrize("occ", [
+        [0, 1],  # too few entries: would evolve into a 2-mode state
+        [0, 1, 0, 0],
+        [1, 1, 1],  # 3 photons past n_max = 2
+        [-1, 1, 0],  # negative: factorial() would refuse it only in evolve
+        [True, 0, 0],
+        [1.0, 0, 0],
+        "100",
+    ], ids=["short", "long", "past_n_max", "negative", "bool", "float", "string"])
+    def test_occupation_not_of_the_registry_refused_by_position(self, occ):
+        reg, m1, m2 = two_mode_registry()
+        reg.register("g3", frequency_of_wavelength(630.8e-9), "a")
+        data = single_photon(reg, m1, 0.6).plus(single_photon(reg, m2, 0.8)).to_json_dict()
+        data["amplitudes"][1]["occ"] = occ
+        message = (r"^amplitude 1: occ must be 3 non-negative ints with at most n_max=2 "
+                   rf"photons in all, got {re.escape(repr(occ))}$")
+        with pytest.raises(ValueError, match=message):
+            StateVector.from_json_dict(data)
 
     def test_pruning_drops_negligible_amplitudes(self):
         reg, m1, m2 = two_mode_registry()
