@@ -26,9 +26,11 @@ import numpy as np
 
 from .analysis import G2Curve, scan_delay, scan_tau, write_csv_columns
 from .config import ConfigError, RunConfig
-from .fitting import FitResult, fit_delay_model, fit_tau_model
+from .fitting import PARAM_NAMES, FitResult, fit_delay_model, fit_tau_model, tau_fringe
 from .fock import SPEED_OF_LIGHT
-from .protocol import COLOR_LABELS, ErasureDetectorConfig, run_two_color_erasure
+from .protocol import (
+    COLOR_LABELS, ErasureDetectorConfig, g2_tau_model, g2_zero_model, run_two_color_erasure,
+)
 from .streams import (
     StreamFormatError,
     read_stream,
@@ -218,8 +220,6 @@ def cmd_fit(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_model(config: RunConfig, args: argparse.Namespace) -> int:
     """Evaluate the configured analytic fringe on its scan grid, to CSV."""
-    from .protocol import g2_tau_model, g2_zero_model
-
     with _outputs(config.out_dir, [f"model_{args.kind}.csv"]) as (path,):
         if args.kind == "delay":
             xs = [t for t, _ in config.delay_stream.delay_schedule]
@@ -233,8 +233,6 @@ def cmd_model(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _write_plot_data(path: Path, curve: G2Curve, result: FitResult) -> None:
-    from .fitting import PARAM_NAMES, tau_fringe
-
     # a parameter the model does not fit (the delay model's linewidth) is 0
     params = np.array([result.params.get(name, (0.0, None))[0] for name in PARAM_NAMES])
     model = tau_fringe(params, curve.x)
@@ -253,7 +251,6 @@ def cmd_reproduce(config: RunConfig, args: argparse.Namespace) -> int:
                 f"beat {truth.frequency / 1e9:.4g} GHz"
             )
             curve = scan_delay(simulate_segments(config.delay_stream))
-            result = _fit_curve(config, curve)
         else:
             truth = config.tau_stream.model
             print(
@@ -263,7 +260,7 @@ def cmd_reproduce(config: RunConfig, args: argparse.Namespace) -> int:
             )
             stream = simulate_stream(config.tau_stream)
             curve = scan_tau(stream, config.tau_scan.taus())
-            result = _fit_curve(config, curve)
+        result = _fit_curve(config, curve)
         curve_path, fit_path, plot_path = paths
         curve.to_csv(curve_path)
         fit_path.write_text(result.to_json())

@@ -27,7 +27,7 @@ from typing import ClassVar
 
 from .elements import ConversionSettings
 from .fitting import _MODELS
-from .protocol import COLOR_LABELS, G2Model, ModeFrequencies
+from .protocol import COLOR_LABELS, G2Model, ModeFrequencies, _weight_norm2
 from .streams import StreamConfig
 
 LENGTH_UNITS = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9, "pm": 1e-12}
@@ -197,10 +197,9 @@ class ScenarioSection:
     beta: complex = _key(parse_complex, "0.7071067811865476")
 
     def __post_init__(self):
-        # hypot, unlike abs(z) ** 2, gives inf instead of raising OverflowError
-        norm = math.hypot(self.alpha.real, self.alpha.imag, self.beta.real, self.beta.imag)
-        if norm * norm > 1.0 + 1e-9:
-            raise ConfigError("scenario.alpha", f"|alpha|^2 + |beta|^2 = {norm * norm:.6g} exceeds 1")
+        norm2 = _weight_norm2(self.alpha, self.beta)
+        if not norm2 <= 1.0 + 1e-9:
+            raise ConfigError("scenario.alpha", f"|alpha|^2 + |beta|^2 = {norm2:.6g} exceeds 1")
 
 
 @dataclass(frozen=True)

@@ -141,9 +141,7 @@ class ModeUnitary:
 
 def bs_unitary(registry: ModeRegistry, pairs: list[tuple[ModeId, ModeId]]) -> ModeUnitary:
     """50-50 beamsplitter on each (x, y) pair: x -> (x+y)/sqrt2, y -> (x-y)/sqrt2."""
-    missing = [m.label for pair in pairs for m in pair if m not in registry]
-    if missing:
-        raise ValueError(f"beamsplitter modes not registered in this registry: {missing}")
+    registry.refuse_foreign([m for pair in pairs for m in pair], "beamsplitter")
     seen: set[int] = set()
     for x, y in pairs:
         if x.index == y.index:
@@ -200,9 +198,7 @@ def sfg_unitary(
     so the tuning theta_31 = pi/2, theta_32 = 2*pi converts both input
     colors completely.  This convention is fixed package-wide.
     """
-    missing = [m.label for m in arms.all_modes() if m not in registry]
-    if missing:
-        raise ValueError(f"arm modes not registered in this registry: {missing}")
+    registry.refuse_foreign(arms.all_modes(), "arm")
     u = np.eye(len(registry), dtype=complex)
     a, b = arms.arm_a, arms.arm_b
     _rotation_block(u, a.f1, a.f3, math.cos(settings.theta_31), math.sin(settings.theta_31), settings.phi_31)
@@ -269,9 +265,7 @@ def spectral_filter(
     Returns the surviving (sub-normalized) state and the discarded
     probability mass.  Post-selection probabilities stay explicit this way.
     """
-    missing = [m.label for m in beam if m not in state.registry]
-    if missing:
-        raise ValueError(f"filtered modes not registered in this registry: {missing}")
+    state.registry.refuse_foreign(beam, "filtered")
     # the beam's modes are the registry's own, so a mode equal to one of them is too
     if keep not in beam:
         raise ValueError(f"keep mode {keep.label!r} is not part of the filtered beam")
@@ -303,9 +297,7 @@ def phase_delay(
     if not math.isfinite(t_delay):
         raise ValueError(f"t_delay must be finite, got {t_delay}")
     registry = state.registry
-    missing = [m.label for m in modes if m not in registry]
-    if missing:
-        raise ValueError(f"delayed modes not registered in this registry: {missing}")
+    registry.refuse_foreign(modes, "delayed")
     u = np.eye(len(registry), dtype=complex)
     for m in modes:
         u[m.index, m.index] = delay_phase_factor(m.frequency, t_delay)

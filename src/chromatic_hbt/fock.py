@@ -15,7 +15,7 @@ never mutate their inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Hashable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Mapping
 
 if TYPE_CHECKING:
     from .elements import ModeUnitary
@@ -65,9 +65,11 @@ class ModeRegistry:
     """
 
     def __init__(self, n_max: int = 2):
+        if type(n_max) is not int:
+            raise ValueError(f"n_max must be an int, got {n_max!r}")
         if n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
-        self.n_max = int(n_max)
+        self.n_max = n_max
         self._modes: list[ModeId] = []
         self._stage_unitaries: dict[Hashable, ModeUnitary] = {}
 
@@ -90,6 +92,13 @@ class ModeRegistry:
             return False
         own = self._modes[mode.index]
         return own is mode or own == mode
+
+    def refuse_foreign(self, modes: Iterable[ModeId], noun: str) -> None:
+        """Refuse, by label in order, each of `modes` not registered here (see
+        `__contains__`): "{noun} modes not registered in this registry: [...]"."""
+        missing = [m.label for m in modes if m not in self]
+        if missing:
+            raise ValueError(f"{noun} modes not registered in this registry: {missing}")
 
     def register(self, label: str, frequency: float, branch: str) -> ModeId:
         """Register a new mode; rejects duplicate labels naming the conflict."""
@@ -196,8 +205,8 @@ class StateVector:
     def from_json_dict(cls, data: dict) -> "StateVector":
         """The state of a `to_json_dict` payload.  Each amplitude's `occ` must
         be an occupation tuple of the registry it names: one non-negative int
-        (not a bool) per mode, at most n_max photons in all; any other is
-        refused by the amplitude's position."""
+        (not a bool) per mode, at most n_max photons in all, none an earlier
+        amplitude's; any other is refused by the amplitude's position."""
         registry = ModeRegistry(n_max=data["n_max"])
         for entry in data["registry"]:
             registry.register(entry["label"], entry["frequency"], entry["branch"])
@@ -214,6 +223,8 @@ class StateVector:
                     f"amplitude {position}: occ must be {len(registry)} non-negative ints "
                     f"with at most n_max={registry.n_max} photons in all, got {occ!r}"
                 )
+            if tuple(occ) in amps:
+                raise ValueError(f"amplitude {position}: occ {occ!r} repeats an earlier amplitude's")
             amps[tuple(occ)] = complex(e["re"], e["im"])
         return cls(registry, amps)
 

@@ -38,6 +38,7 @@ from .elements import (
 )
 from .fitting import tau_fringe
 from .fock import (
+    BRANCHES,
     ModeRegistry,
     StateVector,
     apply_creation,
@@ -78,36 +79,29 @@ class ModeFrequencies:
 COLOR_LABELS = tuple(f.name for f in fields(ModeFrequencies))
 
 
-def _register_arm(registry: ModeRegistry, freqs: ModeFrequencies, prefix: str, branch: str) -> ArmModes:
-    modes = {
-        label: registry.register(f"{prefix}{label}", getattr(freqs, label), branch)
-        for label in COLOR_LABELS
-    }
-    return ArmModes(**modes)
+def _register_arms(registry: ModeRegistry, freqs: ModeFrequencies, prefix: str) -> ArmPair:
+    """One stage's two arms, branches a and b, each mode labeled prefix + branch + "." + color."""
+    arms = [
+        ArmModes(**{
+            label: registry.register(f"{prefix}{branch}.{label}", getattr(freqs, label), branch)
+            for label in COLOR_LABELS
+        })
+        for branch in BRANCHES
+    ]
+    return ArmPair(*arms)
 
 
 def build_erasure_registry(freqs: ModeFrequencies | None = None) -> tuple[ModeRegistry, ArmPair]:
     """Registry for one erasure stage: five colors on each of two arms."""
-    freqs = freqs or ModeFrequencies.nominal()
     registry = ModeRegistry(n_max=2)
-    arm_a = _register_arm(registry, freqs, "a.", "a")
-    arm_b = _register_arm(registry, freqs, "b.", "b")
-    return registry, ArmPair(arm_a, arm_b)
+    return registry, _register_arms(registry, freqs or ModeFrequencies.nominal(), "")
 
 
 def build_hbt_registry(freqs: ModeFrequencies | None = None) -> tuple[ModeRegistry, ArmPair, ArmPair]:
     """Registry for the two-detector interferometer: arm pairs for stages A and B."""
     freqs = freqs or ModeFrequencies.nominal()
     registry = ModeRegistry(n_max=2)
-    arms_a = ArmPair(
-        _register_arm(registry, freqs, "A.a.", "a"),
-        _register_arm(registry, freqs, "A.b.", "b"),
-    )
-    arms_b = ArmPair(
-        _register_arm(registry, freqs, "B.a.", "a"),
-        _register_arm(registry, freqs, "B.b.", "b"),
-    )
-    return registry, arms_a, arms_b
+    return registry, _register_arms(registry, freqs, "A."), _register_arms(registry, freqs, "B.")
 
 
 @dataclass(frozen=True)
@@ -189,14 +183,22 @@ def run_two_color_erasure(
     return run_erasure_pipeline(state, registry, arms, config), arms
 
 
+def _weight_norm2(alpha: complex, beta: complex) -> float:
+    """|alpha|^2 + |beta|^2 as one hypot times itself: inf where abs(z) ** 2 would
+    raise OverflowError, NaN for a NaN weight, and `not norm2 <= bound` refuses both."""
+    norm = math.hypot(alpha.real, alpha.imag, beta.real, beta.imag)
+    return norm * norm
+
+
 def erase_and_detect(alpha: complex, beta: complex, config: ErasureDetectorConfig) -> complex:
     """Detection amplitude of one erasure stage fed alpha*f1 + beta*f2.
 
     For ideal tuning this equals (alpha + beta) / 2 exactly; in general it is
     (alpha e^{i phi_31} sin(theta_31) + beta e^{i phi_32} cos(theta_32)) / 2.
     """
-    if abs(alpha) ** 2 + abs(beta) ** 2 > 1.0 + 1e-9:
-        raise ValueError("input weights exceed unit norm: |alpha|^2 + |beta|^2 > 1")
+    norm2 = _weight_norm2(alpha, beta)
+    if not norm2 <= 1.0 + 1e-9:
+        raise ValueError(f"input weights exceed unit norm: |alpha|^2 + |beta|^2 = {norm2!r} > 1")
     return run_two_color_erasure(ModeFrequencies.nominal(), alpha, beta, config)[0].detection_amplitude
 
 
@@ -226,8 +228,8 @@ class HbtScenario:
     freqs: ModeFrequencies = ModeFrequencies.nominal()
 
     def __post_init__(self):
-        norm2 = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm2 - 1.0) > 1e-9:
+        norm2 = _weight_norm2(self.alpha, self.beta)
+        if not abs(norm2 - 1.0) <= 1e-9:
             raise ValueError(f"|alpha|^2 + |beta|^2 must be 1, got {norm2!r}")
 
     @classmethod
@@ -256,8 +258,9 @@ class HbtScenario:
 class HbtCoincidence:
     """Joint-detection content of the final two-photon state.
 
-    With erasure the two configurations feed one interfering amplitude;
-    without it they stay orthogonal and only their separate weights survive.
+    components are the two source configurations' amplitudes alpha' r1 and
+    beta' r2.  With erasure they add into one interfering amplitude; without
+    it they stay orthogonal and only their separate weights survive.
     """
 
     interfering: bool
@@ -268,7 +271,7 @@ class HbtCoincidence:
         if self.interfering:
             return abs(self.amplitude) ** 2
         a, b = self.components
-        return (abs(a) ** 2 + abs(b) ** 2) / 16.0
+        return abs(a) ** 2 + abs(b) ** 2
 
 
 def _coincidence_response(scenario: HbtScenario) -> tuple[complex, complex]:
@@ -291,16 +294,15 @@ def _coincidence_response(scenario: HbtScenario) -> tuple[complex, complex]:
 def hbt_coincidence_amplitude(scenario: HbtScenario) -> HbtCoincidence:
     """Exact two-photon simulation of the interferometer.
 
-    With erasure enabled the coincidence amplitude is (alpha' + beta') / 4
-    where the primes carry the delay phases; with erasure disabled the two
-    photon configurations remain distinguishable and never interfere.
+    With erasure enabled the coincidence amplitude is alpha' r1 + beta' r2
+    (see the module docstring); with erasure disabled the same two photon
+    configurations remain distinguishable and never interfere.
     """
     alpha_d, beta_d = scenario.delayed_weights()
-    if not scenario.erasure_enabled:
-        return HbtCoincidence(interfering=False, amplitude=None, components=(alpha_d, beta_d))
     r1, r2 = _coincidence_response(scenario)
-    amplitude = alpha_d * r1 + beta_d * r2
-    return HbtCoincidence(interfering=True, amplitude=amplitude, components=(alpha_d, beta_d))
+    c1, c2 = alpha_d * r1, beta_d * r2
+    amplitude = c1 + c2 if scenario.erasure_enabled else None
+    return HbtCoincidence(interfering=scenario.erasure_enabled, amplitude=amplitude, components=(c1, c2))
 
 
 def predicted_g2_curve(scenario: HbtScenario, t_delays: np.ndarray) -> np.ndarray:

@@ -446,10 +446,6 @@ def simulate_segments(config: StreamConfig) -> Iterator[tuple[float, TdcStream]]
         )
         n_bins = round(dwell / config.bin_width)
         meta = StreamMeta(bin_width_ps=bw_ps, duration_ps=n_bins * bw_ps, seed=config.seed)
-        if n_bins == 0:
-            yield t_delay, TdcStream(times_a=np.empty(0, dtype=np.int64),
-                                     times_b=np.empty(0, dtype=np.int64), meta=meta)
-            continue
         if config.model is not None and config.model.linewidth is not None:
             a_bins, b_bins = _segment_kernel(rng, n_bins, p_a, p_b, config.model, config.bin_width)
         else:

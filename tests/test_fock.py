@@ -66,6 +66,19 @@ class TestRegistry:
         with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
             ModeRegistry(n_max=0)
 
+    @pytest.mark.parametrize("n_max", [2.7, 2.0, True, "3", None])
+    def test_n_max_not_an_int_rejected(self, n_max):
+        # int() would truncate 2.7 to 2 and read True as 1
+        with pytest.raises(ValueError, match=rf"^n_max must be an int, got {re.escape(repr(n_max))}$"):
+            ModeRegistry(n_max=n_max)
+
+    def test_n_max_not_an_int_refused_from_json(self):
+        reg, m1, _ = two_mode_registry()
+        data = single_photon(reg, m1).to_json_dict()
+        data["n_max"] = 2.7
+        with pytest.raises(ValueError, match=r"^n_max must be an int, got 2\.7$"):
+            StateVector.from_json_dict(data)
+
     def test_zero_wavelength_rejected(self):
         with pytest.raises(ValueError, match="wavelength must be > 0, got 0"):
             frequency_of_wavelength(0)
@@ -211,6 +224,16 @@ class TestSerialization:
         message = (r"^amplitude 1: occ must be 3 non-negative ints with at most n_max=2 "
                    rf"photons in all, got {re.escape(repr(occ))}$")
         with pytest.raises(ValueError, match=message):
+            StateVector.from_json_dict(data)
+
+    def test_repeated_occupation_refused_by_position(self):
+        # a dump of 0.6|1,0> + 0.8|0,1> whose two entries name one basis state:
+        # keeping the last amplitude would drop the other one unseen
+        reg, m1, m2 = two_mode_registry()
+        data = single_photon(reg, m1, 0.6).plus(single_photon(reg, m2, 0.8)).to_json_dict()
+        data["amplitudes"][1]["occ"] = data["amplitudes"][0]["occ"]
+        repeated = re.escape(repr(data["amplitudes"][0]["occ"]))
+        with pytest.raises(ValueError, match=rf"^amplitude 1: occ {repeated} repeats an earlier amplitude's$"):
             StateVector.from_json_dict(data)
 
     def test_pruning_drops_negligible_amplitudes(self):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 import pickle
@@ -31,6 +32,13 @@ from oracles import fresh_erasure_pipeline, per_delay_g2_curve
 SQ2 = 1.0 / math.sqrt(2.0)
 DETUNED_A = ErasureDetectorConfig(ConversionSettings.from_angles(0.3, 1.1, 0.7, 2.0, 0.1, -0.4, 0.9, 0.2), "A")
 DETUNED_B = ErasureDetectorConfig(ConversionSettings.from_angles(1.3, 0.4, 2.7, 1.0, -0.6, 0.4, 0.3, 1.2), "B")
+
+
+# a weight alpha and the norm its refusal shows: abs(1e200) ** 2 raises
+# OverflowError, and a NaN norm passes any `>` bound
+NAN_OR_OVERFLOWING_WEIGHTS = pytest.mark.parametrize("alpha, shown", [
+    (math.nan, "nan"), (complex(0.0, math.nan), "nan"), (1e200, "inf"),
+], ids=["nan", "nan_imag", "overflow"])
 
 
 angles = st.floats(0.0, 2.0 * math.pi)
@@ -122,6 +130,11 @@ class TestEraseAndDetect:
     def test_overweight_input_rejected(self):
         with pytest.raises(ValueError, match="unit norm"):
             erase_and_detect(1.0, 1.0, ErasureDetectorConfig.ideal())
+
+    @NAN_OR_OVERFLOWING_WEIGHTS
+    def test_nan_or_overflowing_weight_rejected(self, alpha, shown):
+        with pytest.raises(ValueError, match=rf"unit norm: \|alpha\|\^2 \+ \|beta\|\^2 = {shown} > 1$"):
+            erase_and_detect(alpha, 0.0, ErasureDetectorConfig.ideal())
 
     def test_ideal_tuning_predicate(self):
         assert ErasureDetectorConfig.ideal().is_ideal_tuning()
@@ -241,11 +254,39 @@ class TestHbtCoincidence:
         result = hbt_coincidence_amplitude(scenario)
         assert not result.interfering
         assert result.amplitude is None
+        # each configuration's coincidence amplitude: its weight times the stages' 1/4
         a_d, b_d = result.components
-        assert abs(a_d) == pytest.approx(SQ2)
-        assert abs(b_d) == pytest.approx(SQ2)
+        assert abs(a_d) == pytest.approx(SQ2 / 4)
+        assert abs(b_d) == pytest.approx(SQ2 / 4)
         # no cross term: probability is the incoherent sum
         assert result.probability() == pytest.approx((0.5 + 0.5) / 16.0)
+
+    def test_disabled_probability_of_an_unconverted_source_is_zero(self):
+        # theta_31 = 0 converts no f1 to f3 at either stage, so the one source
+        # configuration (f1 at A) never clicks A, with erasure or without
+        unconverted = ConversionSettings.from_angles(0.0, 2.0 * math.pi)
+        scenario = HbtScenario(
+            alpha=1.0, beta=0.0,
+            detector_a=ErasureDetectorConfig(unconverted, "A"),
+            detector_b=ErasureDetectorConfig(unconverted, "B"),
+        )
+        assert hbt_coincidence_amplitude(scenario).probability() <= 1e-15
+        disabled = dataclasses.replace(scenario, erasure_enabled=False)
+        assert hbt_coincidence_amplitude(disabled).probability() <= 1e-15
+
+    @settings(max_examples=5)
+    @given(general_scenarios(), st.floats(0.0, 10e-12))
+    def test_disabled_probability_is_the_enabled_components_weights(self, scenario, t_delay):
+        # without erasure the configurations pass the same stages and keep
+        # their separate weights; with it they add into one amplitude
+        enabled = hbt_coincidence_amplitude(scenario.with_delay(t_delay))
+        disabled = hbt_coincidence_amplitude(
+            dataclasses.replace(scenario, t_delay=t_delay, erasure_enabled=False)
+        )
+        c1, c2 = enabled.components
+        assert enabled.amplitude == c1 + c2
+        assert disabled.amplitude is None and disabled.components == (c1, c2)
+        assert abs(disabled.probability() - (abs(c1) ** 2 + abs(c2) ** 2)) <= 1e-15
 
     def test_disabled_curve_is_flat_one(self):
         scenario = HbtScenario.balanced(erasure_enabled=False)
@@ -306,6 +347,15 @@ class TestHbtCoincidence:
         with pytest.raises(ValueError, match="must be 1"):
             HbtScenario(
                 alpha=1.0, beta=1.0,
+                detector_a=ErasureDetectorConfig.ideal("A"),
+                detector_b=ErasureDetectorConfig.ideal("B"),
+            )
+
+    @NAN_OR_OVERFLOWING_WEIGHTS
+    def test_nan_or_overflowing_weight_rejected(self, alpha, shown):
+        with pytest.raises(ValueError, match=rf"must be 1, got {shown}$"):
+            HbtScenario(
+                alpha=alpha, beta=0.0,
                 detector_a=ErasureDetectorConfig.ideal("A"),
                 detector_b=ErasureDetectorConfig.ideal("B"),
             )

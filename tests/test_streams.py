@@ -467,6 +467,26 @@ class TestSimulateSegments:
             assert np.array_equal(sub.times_a, ref.times_a) and sub.times_a.dtype == np.int64
             assert np.array_equal(sub.times_b, ref.times_b) and sub.times_b.dtype == np.int64
 
+    def test_zero_dwell_step_of_a_damped_schedule(self):
+        # a step of no bins draws no clicks, and each step draws from its own
+        # child seed: the steps around it are those of a middle step that dwells
+        def steps(middle_dwell):
+            schedule = ((0.0, 2e-6), (1e-12, middle_dwell), (2e-12, 3e-6))
+            cfg = basic_config(rate_a=2e7, rate_b=2e7, model=NARROW_MODEL, delay_schedule=schedule,
+                               dark_rate_a=3e6, dark_rate_b=1e6)
+            return list(simulate_segments(cfg))
+
+        empty, dwelling = steps(0.0), steps(1e-6)
+        t_delay, middle = empty[1]
+        assert t_delay == 1e-12
+        assert middle.meta == StreamMeta(bin_width_ps=1000, duration_ps=0, seed=12345)
+        for times in (middle.times_a, middle.times_b):
+            assert times.size == 0 and times.dtype == np.int64
+        for (t_got, got), (t_ref, ref) in zip(empty[::2], dwelling[::2]):
+            assert t_got == t_ref and got.meta == ref.meta
+            assert got.times_a.tobytes() == ref.times_a.tobytes() and got.times_a.size > 0
+            assert got.times_b.tobytes() == ref.times_b.tobytes() and got.times_b.size > 0
+
 
 @st.composite
 def valid_streams(draw):
