@@ -25,6 +25,7 @@ from .streams import (
     CHANNEL_B,
     PS_PER_SECOND,
     TdcStream,
+    _bin_dtype,
     _dedupe_sorted,
     _window_ranks,
 )
@@ -106,11 +107,11 @@ def _chunk_bins(
 
 def _aligned_bins(times: np.ndarray, bw_ps: int, n_bin: int) -> np.ndarray | None:
     """The distinct bins of sorted times if every time is a multiple of
-    bw_ps, else None, found in one chunked pass.  They are int32 while 2 *
-    n_bin < 2^31, so that each key a shifted count looks up, in (-n_bin,
-    2 * n_bin), fits the same dtype; they are written chunk by chunk into
-    one buffer, with no temporary the size of the channel."""
-    out = np.empty(times.size, dtype=np.int32 if 2 * n_bin < 2**31 else np.int64)
+    bw_ps, else None, found in one chunked pass.  They are of
+    _bin_dtype(n_bin), so that each key a shifted count looks up, in
+    (-n_bin, 2 * n_bin), fits the same dtype; they are written chunk by
+    chunk into one buffer, with no temporary the size of the channel."""
+    out = np.empty(times.size, dtype=_bin_dtype(n_bin))
     size = 0
     for clicks, bins, new in _chunk_bins(times, 0, bw_ps):
         if not np.array_equal(bins * bw_ps, clicks):
@@ -416,17 +417,28 @@ def _multi_shift_coincidences(
     return histogram[shifts - s_min]
 
 
+def _distinct_bins(times: np.ndarray, bw_ps: int, n_bin: int) -> np.ndarray:
+    """The distinct bins of sorted times, of _bin_dtype(n_bin), floored
+    straight into one buffer of that dtype: no int64 temporary."""
+    bins = np.empty(times.size, dtype=_bin_dtype(n_bin))
+    np.floor_divide(times, bw_ps, out=bins, casting="unsafe")
+    return _dedupe_sorted(bins)
+
+
 def _all_shift_tallies(stream: TdcStream, shifts: np.ndarray) -> Iterator[CoincidenceCounts]:
     """Tallies at whole-bin shifts from one sweep over the A - B bin
     differences within the shifts' span; each equals count_coincidences at
-    tau = shift * bin width."""
+    tau = shift * bin width.  Every shift is above -n_bin and below n_bin
+    (scan_tau refuses the rest), so the binary searches' keys, in (-n_bin,
+    2 * n_bin), fit the bins' dtype."""
     bw_ps, n_bin = _whole_bins(stream)
-    bins_a = _dedupe_sorted(stream.channel_times(CHANNEL_A) // bw_ps)
-    bins_a = bins_a[: np.searchsorted(bins_a, n_bin)]
-    bins_b = _dedupe_sorted(stream.channel_times(CHANNEL_B) // bw_ps)
+    bins_a = _distinct_bins(stream.channel_times(CHANNEL_A), bw_ps, n_bin)
+    bins_a = bins_a[: np.searchsorted(bins_a, bins_a.dtype.type(n_bin))]
+    bins_b = _distinct_bins(stream.channel_times(CHANNEL_B), bw_ps, n_bin)
     n_c = _multi_shift_coincidences(bins_a, bins_b, shifts)
     # B bins whose shifted position stays inside the acquisition
-    n_b = np.searchsorted(bins_b, n_bin - shifts) - np.searchsorted(bins_b, -shifts)
+    n_b = (np.searchsorted(bins_b, (n_bin - shifts).astype(bins_b.dtype))
+           - np.searchsorted(bins_b, (-shifts).astype(bins_b.dtype)))
     for shift, n_coinc, n_b_shift in zip(shifts.tolist(), n_c.tolist(), n_b.tolist()):
         yield CoincidenceCounts(
             n_coincidence=n_coinc,

@@ -14,6 +14,7 @@ never mutate their inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Mapping
 
@@ -104,8 +105,9 @@ class ModeRegistry:
         """Register a new mode; rejects duplicate labels naming the conflict."""
         if any(m.label == label for m in self._modes):
             raise ValueError(f"mode label {label!r} is already registered")
-        if frequency <= 0:
-            raise ValueError(f"mode {label!r}: frequency must be > 0, got {frequency}")
+        # written so that NaN fails it, as inf does
+        if not 0 < frequency < math.inf:
+            raise ValueError(f"mode {label!r}: frequency must be > 0 and finite, got {frequency}")
         if branch not in BRANCHES:
             raise ValueError(f"mode {label!r}: branch must be one of {BRANCHES}, got {branch!r}")
         mode = ModeId(index=len(self._modes), label=label, frequency=float(frequency), branch=branch)
@@ -206,7 +208,8 @@ class StateVector:
         """The state of a `to_json_dict` payload.  Each amplitude's `occ` must
         be an occupation tuple of the registry it names: one non-negative int
         (not a bool) per mode, at most n_max photons in all, none an earlier
-        amplitude's; any other is refused by the amplitude's position."""
+        amplitude's, and its `re` and `im` must be JSON numbers (an int or a
+        float, not a bool); any other is refused by the amplitude's position."""
         registry = ModeRegistry(n_max=data["n_max"])
         for entry in data["registry"]:
             registry.register(entry["label"], entry["frequency"], entry["branch"])
@@ -225,7 +228,10 @@ class StateVector:
                 )
             if tuple(occ) in amps:
                 raise ValueError(f"amplitude {position}: occ {occ!r} repeats an earlier amplitude's")
-            amps[tuple(occ)] = complex(e["re"], e["im"])
+            re_im = (e["re"], e["im"])
+            if not all(type(x) in (int, float) for x in re_im):
+                raise ValueError(f"amplitude {position}: re and im must be numbers, got {re_im[0]!r} and {re_im[1]!r}")
+            amps[tuple(occ)] = complex(*re_im)
         return cls(registry, amps)
 
 

@@ -15,6 +15,13 @@ them back to back as one stream.  A stream holds each channel's sorted click
 times; interleaved (channel, time) records exist only in the two file
 formats, a simple text one and a compact binary one, which round-trip
 bit-exactly.
+
+Bin numbers in [0, n_bins), the samplers' draws and the bins that the
+shift scan floors, are int32 while 2 * n_bins < 2^31 and int64 otherwise
+(_bin_dtype): then a bin moved by any shift of less than n_bins, in
+(-n_bins, 2 * n_bins), fits the same dtype, so each binary search takes
+keys of its array's dtype and casts nothing.  They become int64 picosecond
+times once, in simulate_segments.
 """
 
 from __future__ import annotations
@@ -191,80 +198,103 @@ class TdcStream:
 
 
 def _dedupe_sorted(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array: values itself if none repeats."""
     if values.size <= 1:
         return values
     keep = np.empty(values.size, dtype=bool)
     keep[0] = True
     np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
+    return values if keep.all() else values[keep]
 
 
-# geometric gaps drawn per call (8 MB of int64).  A segment that needs more
-# copies each part into one buffer as it is drawn, so its draw peaks at the
-# result plus one part.
+def _bin_dtype(n_bins: int) -> type:
+    """int32 while 2 * n_bins < 2^31, else int64: the dtype of an array of
+    bins in [0, n_bins), which then holds each of them moved by a shift of
+    less than n_bins too."""
+    return np.int32 if 2 * n_bins < 2**31 else np.int64
+
+
+# geometric gaps per part.  The parts' sizes fix how many draws a call
+# consumes, and so where the next draw starts: every simulated stream's bytes.
 _GAP_CHUNK = 1 << 20
+# gaps per rng.geometric call within a part (128 kB of int64).  PCG64 gives
+# the same draws whether a part is drawn at once or piece by piece, and each
+# piece is clipped, summed and copied into the one buffer of bins as it is
+# drawn, so a draw peaks at its result plus one piece, not plus a part of
+# up to 8 MB.  With the bins int32, simulate_stream of the
+# default fig3 stream (12 s, 28.8 MB of times) traced 37.1 MB, against
+# 73.2 MB with int64 parts and bins (one Xeon vCPU, numpy 2.4.6).
+_GAP_PIECE = 1 << 14
 
 
 def _bernoulli_bins(rng: np.random.Generator, n_bins: int, p: float) -> np.ndarray:
-    """Sorted bins of an independent Bernoulli(p) trial per bin of [0, n_bins).
+    """Sorted bins of an independent Bernoulli(p) trial per bin of [0, n_bins),
+    of _bin_dtype(n_bins).
 
     The gaps between successive successes are iid geometric(p), so the
-    clicks are a cumulative sum of geometric draws cut at n_bins.  A draw
-    of one part is that part, cut.  Otherwise the parts' bins in the
-    segment go into one buffer of the first part's uncapped estimate, mean
-    + 5 sd + 16 clicks of the whole segment, which grows only if the draws
-    outrun it.
+    clicks are a cumulative sum of geometric draws cut at n_bins.  The gaps
+    come in parts of at most _GAP_CHUNK, each sized from what is left of the
+    segment, and each part in pieces of at most _GAP_PIECE.  The clicks go
+    into one buffer of the first part's uncapped estimate, mean + 5 sd + 16
+    clicks of the whole segment, which grows only if the draws outrun it.
+    The part that reaches past the segment is still drawn to its end, so the
+    generator's state does not depend on the piece size.
     """
+    dtype = _bin_dtype(n_bins)
     if p <= 0 or n_bins <= 0:
-        return np.empty(0, dtype=np.int64)
-    out, kept = None, 0  # the buffer of a draw of more than one part, and its bins so far
+        return np.empty(0, dtype=dtype)
+    out, kept = None, 0  # the clicks so far
     last = -1  # every bin up to and including `last` is decided
     while last < n_bins - 1:
         room = n_bins - last  # a gap of `room` or more lands past the segment
         mean = (room - 1) * p
         estimate = int(mean + 5.0 * math.sqrt(mean)) + 16
-        # the last bound keeps the running sum of clipped gaps below 2^63
-        bins = rng.geometric(p, size=min(estimate, _GAP_CHUNK, (2**63 - 1 - last) // room))
-        # rng.geometric saturates at 2^63 - 1 for p below about 1e-19, so the
-        # sum could wrap; a clipped gap still lands past the segment
-        np.minimum(bins, room, out=bins)
-        np.cumsum(bins, out=bins)
-        bins += last
-        last = int(bins[-1])
         if out is None:
+            out = np.empty(estimate, dtype=dtype)
+        # the last bound keeps the running sum of clipped gaps below 2^63
+        size = min(estimate, _GAP_CHUNK, (2**63 - 1 - last) // room)
+        for start in range(0, size, _GAP_PIECE):
+            bins = rng.geometric(p, size=min(_GAP_PIECE, size - start))
             if last >= n_bins - 1:
-                return bins[: np.searchsorted(bins, n_bins)]
-            out = np.empty(estimate, dtype=np.int64)
-        # only the last part reaches past the segment
-        size = int(np.searchsorted(bins, n_bins))
-        if kept + size > out.size:
-            grown = np.empty(2 * (kept + size), dtype=np.int64)
-            grown[:kept] = out[:kept]
-            out = grown
-        out[kept : kept + size] = bins[:size]
-        kept += size
-        del bins  # so that the next part is drawn with one part alive, not two
+                continue  # past the segment: drawn only to end the part
+            # rng.geometric saturates at 2^63 - 1 for p below about 1e-19, so
+            # the sum could wrap; a clipped gap still lands past the segment
+            np.minimum(bins, room, out=bins)
+            np.cumsum(bins, out=bins)
+            bins += last
+            last = int(bins[-1])
+            inside = int(np.searchsorted(bins, n_bins))
+            if kept + inside > out.size:
+                grown = np.empty(2 * (kept + inside), dtype=dtype)
+                grown[:kept] = out[:kept]
+                out = grown
+            out[kept : kept + inside] = bins[:inside]
+            kept += inside
     return out[:kept]
 
 
 def _complement_bins(excluded: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Bin numbers of the index-th bins outside the sorted distinct `excluded`.
+    """Bin numbers, of excluded's dtype, of the index-th bins outside the
+    sorted distinct `excluded`.
 
     excluded[j] has excluded[j] - j free bins below it, so it lies below the
     index-th free bin exactly when excluded[j] - j <= index.
     """
-    below = excluded - np.arange(excluded.size)
-    return index + np.searchsorted(below, index, side="right")
+    dtype = excluded.dtype
+    below = excluded - np.arange(excluded.size, dtype=dtype)
+    index = index.astype(dtype, copy=False)  # keys of another dtype would cast `below`
+    return np.add(index, np.searchsorted(below, index, side="right"), dtype=dtype, casting="unsafe")
 
 
 # centers per block of _window_ranks, and candidates per block of the
 # _segment_kernel thinning.  The scratch arrays hold a few numbers per center
 # of one block (window starts, counts, order, kernel sums, probabilities),
-# whatever the acquisition length.  On one Xeon vCPU (numpy 2.4.6) the
-# fig3 sampler took 47 ms per 0.5 s of stream at 2^13, 43 ms at 2^14, 42 ms
-# at 2^15 and 54 ms at 2^12, and scan_tau 15.5, 14.5, 14.4 and 17.8 ms.  But
-# each doubling past 2^13 adds its scratch to the sampler's traced peak:
-# 0.64 MiB at 2^14 and 1.96 MiB at 2^15 on that 3.66 MiB peak, so 2^13 is kept.
+# whatever the acquisition length.  On one Xeon vCPU (numpy 2.4.6, int32
+# bins) the fig3 sampler took 29.3 ms per 0.5 s of stream at 2^13, 28.5 ms
+# at 2^14, 28.8 ms at 2^15 and 33.0 ms at 2^12, and scan_tau 9.8, 9.4, 9.4
+# and 10.9 ms.  But each doubling past 2^13 adds its scratch to the
+# sampler's traced peak: 0.80 MiB at 2^14 and 2.39 MiB at 2^15 on that
+# 2.03 MiB peak, so 2^13 is kept.
 _CENTER_BLOCK = 1 << 13
 
 
@@ -278,8 +308,9 @@ def _rank_passes(positions: np.ndarray, starts: np.ndarray, origins: np.ndarray,
 
 
 def _merge_ranks(positions: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """np.searchsorted(positions, keys) of sorted int64 positions and sorted,
-    nonempty int64 keys that span less than 2^63, by one stable merge.
+    """np.searchsorted(positions, keys) of sorted int32 or int64 positions
+    and sorted, nonempty int64 keys that the positions' dtype holds and that
+    span less than 2^63, by one stable merge.
 
     Only the positions in [keys[0], keys[-1]) lie between two keys; two
     scalar searches find them.  The keys and then those positions go into
@@ -289,11 +320,15 @@ def _merge_ranks(positions: np.ndarray, keys: np.ndarray) -> np.ndarray:
     equal to it, the left side, so a key's index in the merged order minus
     its own index counts the positions below it.
     """
-    start, stop = np.searchsorted(positions, (keys[0], keys[-1]))
+    # keys of another dtype would cast all the positions
+    start, stop = np.searchsorted(positions, keys[[0, -1]].astype(positions.dtype))
     origin = keys[0]
     buffer = np.empty(keys.size + stop - start, dtype=np.int32 if keys[-1] - origin < 2**31 else np.int64)
     np.subtract(keys, origin, out=buffer[: keys.size], casting="unsafe")
-    np.subtract(positions[start:stop], origin, out=buffer[keys.size :], casting="unsafe")
+    # int32 positions take an int32 loop into an int32 buffer, the fast one,
+    # where origin and every difference fit; any other pair an int64 loop
+    loop = np.promote_types(positions.dtype, buffer.dtype)
+    np.subtract(positions[start:stop], origin, out=buffer[keys.size :], dtype=loop, casting="unsafe")
     # in place, so that the sampler's peak stays that of a binary search
     ranks = np.flatnonzero(np.argsort(buffer, kind="stable") < keys.size)
     ranks -= np.arange(keys.size)
@@ -305,13 +340,15 @@ def _window_ranks(positions: np.ndarray, centers: np.ndarray, lo: int, hi: int):
     """The offsets position - (center + lo) of every position within
     [center + lo, center + hi] of each center, one neighbour rank at a time.
 
-    positions and centers are sorted int64 arrays.  Per block of
-    _CENTER_BLOCK centers this yields (base, order, passes).  order lists
-    the block's centers, counted from centers[base], most positions first
-    (a stable sort, so ties keep center order).  Pass k of passes holds the
-    k-th position of the window of each of the first n_k centers of order,
-    where n_k counts the centers with more than k: each pass is a prefix
-    of the one before it, and a center's offsets come in position order.
+    positions and centers are sorted int32 or int64 arrays, and each
+    window bound, center + lo and center + hi + 1, fits the positions'
+    dtype.  Per block of _CENTER_BLOCK centers this yields (base, order,
+    passes).  order lists the block's centers, counted from centers[base],
+    most positions first (a stable sort, so ties keep center order).  Pass
+    k of passes holds the k-th position of the window of each of the first
+    n_k centers of order, where n_k counts the centers with more than k:
+    each pass is a prefix of the one before it, and a center's offsets come
+    in position order, as int64.
 
     Each block's window starts and ends come from two merges of its
     centers with the positions that their windows can reach (_merge_ranks),
@@ -325,9 +362,15 @@ def _window_ranks(positions: np.ndarray, centers: np.ndarray, lo: int, hi: int):
     3.5 ms against 14.6 and 3.8 ms (one Xeon vCPU, numpy 2.4.6).
     """
     for base in range(0, centers.size, _CENTER_BLOCK):
-        block = centers[base : base + _CENTER_BLOCK]
+        block = centers[base : base + _CENTER_BLOCK].astype(np.int64)
         first = _merge_ranks(positions, block + lo)
         counts = _merge_ranks(positions, block + hi + 1) - first
+        # the positions within the block's reach, int64 like its window
+        # origins, so that each pass gathers and subtracts in one dtype and
+        # its offsets index as intp: no pass casts
+        start = first[0]
+        near = positions[start : first[-1] + counts[-1]].astype(np.int64, copy=False)
+        first -= start
         top = int(counts.max())
         # numpy's stable sort of 16-bit keys is a radix sort: 33 us for the
         # 2^13 window counts of a fig3 block, against 200 us as int64 (one
@@ -336,7 +379,7 @@ def _window_ranks(positions: np.ndarray, centers: np.ndarray, lo: int, hi: int):
         order = np.argsort(keys, kind="stable")
         # ranked[k] = centers with more than k positions, k = 0 .. top - 1
         ranked = np.cumsum(np.bincount(counts)[:0:-1])[::-1]
-        yield base, order, _rank_passes(positions, first[order], block[order] + lo, ranked)
+        yield base, order, _rank_passes(near, first[order], block[order] + lo, ranked)
 
 
 def _segment_same_bin(
@@ -350,7 +393,7 @@ def _segment_same_bin(
     """
     a_bins = _bernoulli_bins(rng, n_bins, p_a)
     if p_b <= 0:
-        return a_bins, np.empty(0, dtype=np.int64)
+        return a_bins, np.empty(0, dtype=a_bins.dtype)
     joint = p_b * g2
     if joint >= 1.0:
         raise ValueError(f"p_b * g2 = {joint:.3g} is not a probability; lower the rates")
@@ -453,8 +496,9 @@ def simulate_segments(config: StreamConfig) -> Iterator[tuple[float, TdcStream]]
             a_bins, b_bins = _segment_same_bin(rng, n_bins, p_a, p_b, g2)
         a_bins = _merge_channel(a_bins, _bernoulli_bins(rng, n_bins, dark_a))
         b_bins = _merge_channel(b_bins, _bernoulli_bins(rng, n_bins, dark_b))
-        a_bins *= bw_ps
-        b_bins *= bw_ps
+        # rebound, so that each channel's bins are freed once its times exist
+        a_bins = np.multiply(a_bins, bw_ps, dtype=np.int64)
+        b_bins = np.multiply(b_bins, bw_ps, dtype=np.int64)
         yield t_delay, TdcStream(times_a=a_bins, times_b=b_bins, meta=meta)
 
 

@@ -203,12 +203,19 @@ def text_stream_bytes(stream) -> bytes:
     return (header + "".join(map("{} {}\n".format, letters, (t for t, _ in records)))).encode("ascii")
 
 
+def bin_dtype(n_bins: int):
+    """The samplers' dtype for bins in [0, n_bins): int32 below 2^30 bins,
+    where every bin moved by less than n_bins still fits it."""
+    return np.int32 if n_bins < 2**30 else np.int64
+
+
 def bernoulli_bins_by_parts(rng, n_bins: int, p: float, chunk: int) -> np.ndarray:
-    """streams._bernoulli_bins with its parts of at most `chunk` gaps kept in
-    a list and joined by one concatenation once the segment is covered: the
-    same rng.geometric calls, each part's gaps clipped and summed the same way."""
+    """streams._bernoulli_bins with its parts of at most `chunk` gaps each
+    drawn by one rng.geometric call, kept in a list and joined by one
+    concatenation once the segment is covered, then cast to bin_dtype: the
+    same draws, each part's gaps clipped and summed the same way."""
     if p <= 0 or n_bins <= 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=bin_dtype(n_bins))
     parts = []
     last = -1
     while last < n_bins - 1:
@@ -222,7 +229,7 @@ def bernoulli_bins_by_parts(rng, n_bins: int, p: float, chunk: int) -> np.ndarra
         parts.append(bins)
         last = int(bins[-1])
     bins = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return bins[: np.searchsorted(bins, n_bins)]
+    return bins[: np.searchsorted(bins, n_bins)].astype(bin_dtype(n_bins))
 
 
 def whole_segment_kernel(rng, n_bins, p_a, p_b, model, bin_width) -> tuple[np.ndarray, np.ndarray]:
@@ -237,7 +244,7 @@ def whole_segment_kernel(rng, n_bins, p_a, p_b, model, bin_width) -> tuple[np.nd
     mean_shift = p_a * kernel.sum()
     a_bins = _bernoulli_bins(rng, n_bins, p_a)
     if p_b <= 0:
-        return a_bins, np.empty(0, dtype=np.int64)
+        return a_bins, np.empty(0, dtype=bin_dtype(n_bins))
     envelope_prob = min(_KERNEL_CAP * p_b, 0.5)
     candidates = _bernoulli_bins(rng, n_bins, envelope_prob)
     weights, a_list = kernel.tolist(), a_bins.tolist()

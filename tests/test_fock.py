@@ -57,6 +57,19 @@ class TestRegistry:
         with pytest.raises(ValueError):
             reg.register("bad", 1.0e14, "c")
 
+    @pytest.mark.parametrize("frequency", [math.nan, math.inf, -math.inf, 0.0])
+    def test_frequency_not_finite_and_positive_rejected(self, frequency):
+        # `frequency <= 0` is false for NaN, and delay_phase_factor(nan, t) is nan+nanj
+        with pytest.raises(ValueError, match=rf"^mode 'x': frequency must be > 0 and finite, got {frequency}$"):
+            ModeRegistry().register("x", frequency, "a")
+
+    def test_nan_frequency_refused_from_json(self):
+        reg, m1, _ = two_mode_registry()
+        data = single_photon(reg, m1).to_json_dict()
+        data["registry"][0]["frequency"] = json.loads("NaN")  # what a file's NaN reads as
+        with pytest.raises(ValueError, match=r"^mode 'g1': frequency must be > 0 and finite, got nan$"):
+            StateVector.from_json_dict(data)
+
     def test_equality_with_a_non_registry_is_not_implemented(self):
         reg = ModeRegistry()
         assert reg.__eq__(object()) is NotImplemented
@@ -225,6 +238,25 @@ class TestSerialization:
                    rf"photons in all, got {re.escape(repr(occ))}$")
         with pytest.raises(ValueError, match=message):
             StateVector.from_json_dict(data)
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("value", ["0.8", True, None], ids=["string", "bool", "null"])
+    def test_amplitude_part_not_a_number_refused_by_position(self, part, value):
+        # complex("0.8", 0.0) raises TypeError, and complex(True, 0.0) is 1
+        reg, m1, m2 = two_mode_registry()
+        data = single_photon(reg, m1, 0.6).plus(single_photon(reg, m2, 0.8)).to_json_dict()
+        data["amplitudes"][1][part] = value
+        re_im = re.escape(f"{data['amplitudes'][1]['re']!r} and {data['amplitudes'][1]['im']!r}")
+        with pytest.raises(ValueError, match=rf"^amplitude 1: re and im must be numbers, got {re_im}$"):
+            StateVector.from_json_dict(data)
+
+    def test_integer_and_nan_amplitude_parts_load(self):
+        # JSON numbers without a fraction are ints; NaN is a number, kept and visible
+        reg, m1, _ = two_mode_registry()
+        data = single_photon(reg, m1).to_json_dict()
+        data["amplitudes"][0].update(re=1, im=math.nan)
+        amplitude = StateVector.from_json_dict(data).amplitude_of({m1: 1})
+        assert amplitude.real == 1.0 and math.isnan(amplitude.imag)
 
     def test_repeated_occupation_refused_by_position(self):
         # a dump of 0.6|1,0> + 0.8|0,1> whose two entries name one basis state:

@@ -142,6 +142,30 @@ class TestBernoulliBins:
         assert np.array_equal(bins, expected) and bins.dtype == expected.dtype
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
+    @given(st.integers(0, 2**32), st.integers(1, 3000), st.floats(1e-4, 0.5),
+           st.sampled_from([7, 64, _GAP_CHUNK]), st.sampled_from([1, 7, 64]))
+    def test_any_piece_size_draws_the_same_bins_and_state(self, seed, n_bins, p, chunk, piece):
+        # a part is one rng.geometric call in the oracle and pieces of at most
+        # `piece` gaps here; the part that reaches past the segment is drawn
+        # to its end, so the next draw starts at the same state
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        with mock.patch.object(streams, "_GAP_CHUNK", chunk), mock.patch.object(streams, "_GAP_PIECE", piece):
+            bins = _bernoulli_bins(rng, n_bins, p)
+        expected = bernoulli_bins_by_parts(oracle_rng, n_bins, p, chunk)
+        assert np.array_equal(bins, expected) and bins.dtype == expected.dtype
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n_bins, dtype", [
+        (1, np.int32), (2**30 - 1, np.int32),  # 2 * n_bins < 2^31
+        (2**30, np.int64), (2**40, np.int64),
+    ])
+    def test_bins_are_int32_while_twice_the_bins_stay_below_2_31(self, n_bins, dtype):
+        # about one click per 2^28 bins: a few gaps end the draw
+        for p in (2.0**-28, 0.0):
+            bins = _bernoulli_bins(BoundedGeometric(np.random.default_rng(6), draws=10), n_bins, p)
+            assert bins.dtype == dtype
+            assert bins.size == 0 or (bins[0] >= 0 and bins[-1] < n_bins)
+
     def test_draws_that_outrun_the_estimate_grow_the_buffer(self):
         # every bin clicks: 1000 bins against a buffer of the 41 clicks
         # (mean + 5 sd + 16) that p = 0.01 makes likely, grown several times
@@ -211,6 +235,17 @@ class TestMergeRanks:
         keys = np.array(keys, dtype=np.int64)
         assert _merge_ranks(positions, keys).tolist() == np.searchsorted(positions, keys).tolist()
 
+    @given(st.lists(st.integers(2**30 - 40, 2**30 + 40), max_size=40).map(sorted),
+           st.lists(st.integers(2**30 - 50, 2**30 + 50), min_size=1, max_size=40).map(sorted))
+    @example([2**31 - 2, 2**31 - 1], [0, 2**31 - 1])  # the widest int32 span
+    # keys spanning 2^32 - 1 over int32 positions: an int64 buffer
+    @example([-(2**31), -5, 0, 2**31 - 1], [-(2**31), 3, 2**31 - 1])
+    def test_int32_positions_rank_as_int64(self, positions, keys):
+        wide = np.array(positions, dtype=np.int64)
+        keys = np.array(keys, dtype=np.int64)
+        expected = np.searchsorted(wide, keys).tolist()
+        assert _merge_ranks(wide.astype(np.int32), keys).tolist() == _merge_ranks(wide, keys).tolist() == expected
+
 
 class TestWindowRanks:
     @given(sorted_ints, sorted_ints, st.integers(-20, 20), st.integers(0, 30), center_blocks)
@@ -246,6 +281,24 @@ class TestWindowRanks:
                 for j, i in enumerate(order.tolist()):
                     got[base + i].extend(row[j] for row in rows if j < len(row))
         assert got == expected
+
+    @given(st.lists(st.integers(2**30 - 200, 2**30 + 200), max_size=60).map(sorted),
+           st.lists(st.integers(2**30 - 200, 2**30 + 200), max_size=60).map(sorted),
+           st.integers(-20, 20), st.integers(0, 30), center_blocks)
+    # a window bound center + hi + 1 of 2^31 - 1, the largest int32
+    @example([2**31 - 3, 2**31 - 2], [2**31 - 40, 2**31 - 36], 0, 34, 1)
+    def test_int32_inputs_yield_the_int64_passes(self, positions, centers, lo, width, block):
+        with mock.patch.object(streams, "_CENTER_BLOCK", block):
+            narrow = _window_ranks(np.array(positions, dtype=np.int32), np.array(centers, dtype=np.int32),
+                                   lo, lo + width)
+            wide = _window_ranks(np.array(positions, dtype=np.int64), np.array(centers, dtype=np.int64),
+                                 lo, lo + width)
+            for (base, order, passes), (wide_base, wide_order, wide_passes) in zip(narrow, wide, strict=True):
+                assert base == wide_base and np.array_equal(order, wide_order)
+                rows = list(passes)
+                # offsets index as intp, with no cast per pass
+                assert all(offsets.dtype == np.intp for offsets in rows)
+                assert [r.tolist() for r in rows] == [r.tolist() for r in wide_passes]
 
 
 # no clicks, or clicks at any rate the per-bin model allows
@@ -283,15 +336,17 @@ class TestSimulateMemory:
         finally:
             tracemalloc.stop()
         output = stream.times_a.nbytes + stream.times_b.nbytes
-        # A, the candidates (drawn at 3 p_b, so 1.5x the output) with the
-        # accepted B clicks compacted into their front, and one copy of B:
-        # 2.5x the output.  Plus one block's scratch at 160 B a center: about
-        # twenty 8-byte numbers a center (window starts and counts, the rank
-        # order and origins, the kernel terms and sums, the probabilities and
-        # uniforms), of which 136 B were measured live at the peak.  A sampler
-        # that also joins a list of accepted blocks peaks near 3x, and one
-        # whose scratch spans the whole acquisition near 8.8x.
-        bound = 2.5 * output + 160 * streams._CENTER_BLOCK
+        # The output is 8 bytes a click; the sampler's bins are int32, 4 bytes
+        # a click.  Live at the peak, the copy of B on return: A (0.25x the
+        # output), the candidates (drawn at 3 p_b, so 0.75x) with the accepted
+        # B clicks compacted into their front, and that copy (0.25x): 1.25x,
+        # as much as B's bins and both channels' times when the bins become
+        # times.  Beyond it, the last block's scratch was measured at 41 B a
+        # center (6.34 MB in all); inside the block loop, with no copy yet,
+        # the peak was 1x plus 116 B a center.  The bound allows 96 B a
+        # center, 0.45 MB of margin.  int64 A alone peaks near 1.5x the
+        # output, int64 candidates near 2x and int64 bins near 2.5x.
+        bound = 1.25 * output + 96 * streams._CENTER_BLOCK
         assert peak < bound, f"peak {peak / 1e6:.1f} MB for {output / 1e6:.1f} MB of output"
 
     def test_a_draw_of_many_parts_peaks_near_its_result(self):
