@@ -1,7 +1,7 @@
 """The output bytes of a fixed set of runs, against the record in output_digests.json.
 
-A change that alters any stream file, manifest or curve file of these runs
-fails here; regenerate the record with `PYTHONPATH=src python
+A change that alters any stream file, manifest, curve file or state file of
+these runs fails here; regenerate the record with `PYTHONPATH=src python
 tests/output_digests.py` only when the change means to alter them, and say so.
 """
 
@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from output_digests import load_records, numpy_key, produce
+from output_digests import NUMPY_FREE, load_records, numpy_key, produce
 
 # fit sums may move in their last bits with the BLAS thread count
 FIT_RTOL = 1e-6
@@ -21,19 +21,19 @@ def outputs(tmp_path_factory):
     return root, produce(root)
 
 
-@pytest.fixture(scope="module")
-def recorded():
-    record = load_records().get(numpy_key())
+def recorded(key):
+    record = load_records().get(key)
     if record is None:
         # NumPy does not promise the same Generator streams across versions (NEP 19)
-        pytest.skip(f"no output digests are recorded for numpy {numpy_key()}: the runs' bytes are "
+        pytest.skip(f"no output digests are recorded for numpy {key}: the stream runs' bytes are "
                     f"not checked on this version; tests/output_digests.py records them")
     return record
 
 
 def test_every_run_succeeds(outputs):
     _, got = outputs
-    assert got["codes"] and set(got["codes"].values()) == {0}, got["codes"]
+    codes = {name: code for record in got.values() for name, code in record["codes"].items()}
+    assert codes and set(codes.values()) == {0}, codes
 
 
 def test_text_and_binary_chains_write_the_same_curve(outputs):
@@ -44,18 +44,22 @@ def test_text_and_binary_chains_write_the_same_curve(outputs):
             assert text.read_bytes() == binary.read_bytes(), f"{seed.name} {kind}"
 
 
-def test_output_bytes_match_the_record(outputs, recorded):
-    _, got = outputs
-    assert got["codes"] == recorded["codes"]
-    changed = sorted(name for name in recorded["digests"] if got["digests"].get(name) != recorded["digests"][name])
+# the numpy-free record (the protocol's states) is checked on every numpy version
+@pytest.mark.parametrize("key", [numpy_key(), NUMPY_FREE])
+def test_output_bytes_match_the_record(outputs, key):
+    want = recorded(key)
+    got = outputs[1][key]
+    assert got["codes"] == want["codes"]
+    changed = sorted(name for name in want["digests"] if got["digests"].get(name) != want["digests"][name])
     assert not changed, f"{len(changed)} output files changed, first {changed[:5]}"
-    assert sorted(got["digests"]) == sorted(recorded["digests"])
+    assert sorted(got["digests"]) == sorted(want["digests"])
 
 
-def test_fit_values_match_the_record(outputs, recorded):
-    _, got = outputs
-    assert sorted(got["fits"]) == sorted(recorded["fits"])
-    for name, expected in recorded["fits"].items():
+def test_fit_values_match_the_record(outputs):
+    want = recorded(numpy_key())
+    got = outputs[1][numpy_key()]
+    assert sorted(got["fits"]) == sorted(want["fits"])
+    for name, expected in want["fits"].items():
         values = got["fits"][name]
         assert values.keys() == expected.keys(), name
         for key, value in expected.items():
