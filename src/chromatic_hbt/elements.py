@@ -222,21 +222,23 @@ def evolve(state: StateVector, unitary: ModeUnitary) -> StateVector:
     in column order.  The ladder adds 0.0 + (amp / sqrt(1)) * u[j, i] *
     sqrt(1) there, which equals amp * u[j, i] in every nonzero component, and
     both sums start at 0.0, so a zero comes out as +0.0 either way: the
-    result is bit for bit the ladder's.  Every other basis state runs the
-    ladder.  An occupation is non-negative ints (`StateVector.from_json_dict`
-    refuses any other), so sum(source) == 1 finds exactly the one-photon
-    states.
+    result is bit for bit the ladder's.  The registry's one-photon table
+    (see `ModeRegistry`) finds a one-photon source and its mode i with one
+    dict lookup, and holds each target tuple, so no tuple is built for it.
+    Every other basis state, the vacuum included, runs the ladder.
     """
     registry = state.registry
     if unitary.registry is not registry and unitary.registry != registry:
         raise ValueError("unitary dimension/registry does not match the state")
     columns = unitary.columns
+    ones, one_photon = registry._one_photon_table()
     vacuum = registry.vacuum_occupation()
     out: dict[tuple[int, ...], complex] = {}
     for source, amp in state.amplitudes.items():
-        if sum(source) == 1:
-            for j, coeff in columns[source.index(1)]:
-                target = vacuum[:j] + (1,) + vacuum[j + 1 :]
+        i = one_photon.get(source)
+        if i is not None:
+            for j, coeff in columns[i]:
+                target = ones[j]
                 out[target] = out.get(target, 0.0) + amp * coeff
             continue
         occupied = [(i, n) for i, n in enumerate(source) if n]
@@ -264,16 +266,20 @@ def spectral_filter(
 
     Returns the surviving (sub-normalized) state and the discarded
     probability mass.  Post-selection probabilities stay explicit this way.
+    A one-photon basis state is tested by its mode index, from the
+    registry's one-photon table (see `ModeRegistry`).
     """
     state.registry.refuse_foreign(beam, "filtered")
     # the beam's modes are the registry's own, so a mode equal to one of them is too
     if keep not in beam:
         raise ValueError(f"keep mode {keep.label!r} is not part of the filtered beam")
     blocked = {m.index for m in beam if m.index != keep.index}
+    _, one_photon = state.registry._one_photon_table()
     kept: dict[tuple[int, ...], complex] = {}
     discarded = 0.0
     for occ, amp in state.amplitudes.items():
-        if any([occ[i] for i in blocked]):
+        photon = one_photon.get(occ)  # its mode index, if occ holds one photon
+        if (photon in blocked) if photon is not None else any([occ[i] for i in blocked]):
             discarded += abs(amp) ** 2
         else:
             kept[occ] = amp

@@ -36,6 +36,16 @@ PRUNE_TOL = 1e-15
 
 BRANCHES = ("a", "b")
 
+# ModeRegistry._one_photon_table: the one-photon occupations, and each one's mode index
+_OnePhotonTable = tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]
+
+
+def _is_occupation(counts: Iterable[object], n_max: int) -> bool:
+    """Whether `counts` are the photon numbers of a basis state: non-negative
+    ints (not bools), at most `n_max` photons in all."""
+    counts = list(counts)
+    return all([type(n) is int and n >= 0 for n in counts]) and sum(counts) <= n_max
+
 
 @dataclass(frozen=True)
 class ModeId:
@@ -55,14 +65,22 @@ class ModeRegistry:
     n_max:
         Maximum total photon number across all modes (default 2).
 
-    Each registry also keeps a private memo of the stage unitaries that
-    `protocol.run_erasure_pipeline` builds for it: the beamsplitter keyed by
-    the stage's `ArmPair`, the conversion unitary keyed by
-    `(arms, settings)`.  `register` clears it, so a unitary never outlives
-    the registry size it was built for; otherwise it lives as long as the
-    registry.  It has no size limit: it holds one splitter per arm pair and
-    one conversion unitary per distinct tuning run on the registry (about
-    10 kB each at 20 modes).
+    `vacuum_occupation` returns one tuple, which `register` rebuilds.  Each
+    registry also keeps two private memos, and `register` drops both, so
+    neither outlives the registry size it was built for; otherwise they live
+    as long as the registry:
+
+    - the stage unitaries that `protocol.run_erasure_pipeline` builds for
+      it: the beamsplitter keyed by the stage's `ArmPair`, the conversion
+      unitary keyed by `(arms, settings)`.  It has no size limit: it holds
+      one splitter per arm pair and one conversion unitary per distinct
+      tuning run on the registry (about 10 kB each at 20 modes);
+    - the one-photon table (`_one_photon_table`): the one-photon occupation
+      tuples in mode order, and a dict from each of them to its mode index.
+      It is built at its first use, by `apply_creation` on the vacuum,
+      `elements.evolve`, `elements.spectral_filter` or `amplitude_of` of one
+      photon (about 5 kB at 20 modes), and the one-photon states of the
+      registry then share its tuples.
     """
 
     def __init__(self, n_max: int = 2):
@@ -72,7 +90,9 @@ class ModeRegistry:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
         self.n_max = n_max
         self._modes: list[ModeId] = []
+        self._vacuum: tuple[int, ...] = ()
         self._stage_unitaries: dict[Hashable, ModeUnitary] = {}
+        self._one_photon: _OnePhotonTable | None = None
 
     def __len__(self) -> int:
         return len(self._modes)
@@ -112,7 +132,9 @@ class ModeRegistry:
             raise ValueError(f"mode {label!r}: branch must be one of {BRANCHES}, got {branch!r}")
         mode = ModeId(index=len(self._modes), label=label, frequency=float(frequency), branch=branch)
         self._modes.append(mode)
+        self._vacuum = (0,) * len(self._modes)
         self._stage_unitaries.clear()
+        self._one_photon = None
         return mode
 
     def _stage_unitary(self, key: Hashable, build: Callable[[], ModeUnitary]) -> ModeUnitary:
@@ -122,8 +144,18 @@ class ModeRegistry:
             unitary = self._stage_unitaries[key] = build()
         return unitary
 
+    def _one_photon_table(self) -> _OnePhotonTable:
+        """The one-photon occupation tuples in mode order, and a dict from each
+        to its mode index: built at the first call after the last `register`."""
+        if self._one_photon is None:
+            vacuum = self.vacuum_occupation()
+            ones = tuple([vacuum[:i] + (1,) + vacuum[i + 1 :] for i in range(len(vacuum))])
+            self._one_photon = ones, {occ: i for i, occ in enumerate(ones)}
+        return self._one_photon
+
     def vacuum_occupation(self) -> tuple[int, ...]:
-        return (0,) * len(self._modes)
+        """The vacuum's occupation tuple, one tuple shared by every caller."""
+        return self._vacuum
 
     def enumerate_basis(self) -> list[tuple[int, ...]]:
         """All occupation tuples with total photon number <= n_max.
@@ -164,12 +196,25 @@ class StateVector:
         return complex(self.amplitudes.get(occ, 0.0))
 
     def amplitude_of(self, counts: Mapping[ModeId, int]) -> complex:
-        """Amplitude of the basis state with the given per-mode photon counts."""
-        occ = list(self.registry.vacuum_occupation())
-        for mode, n in counts.items():
-            if mode not in self.registry:
+        """Amplitude of the basis state with the given per-mode photon counts,
+        modes absent from `counts` holding none.  The counts must be an
+        occupation (see `_is_occupation`); any other is refused."""
+        registry = self.registry
+        for mode in counts:
+            if mode not in registry:
                 raise ValueError(f"mode {mode.label!r} does not belong to this registry")
-            occ[mode.index] = n
+        if not _is_occupation(counts.values(), registry.n_max):
+            shown = {mode.label: n for mode, n in counts.items()}
+            raise ValueError(
+                f"counts must be non-negative ints with at most n_max={registry.n_max} "
+                f"photons in all, got {shown!r}"
+            )
+        occupied = [(mode.index, n) for mode, n in counts.items() if n]
+        if len(occupied) == 1 and occupied[0][1] == 1:
+            return self.amplitude(registry._one_photon_table()[0][occupied[0][0]])
+        occ = list(registry.vacuum_occupation())
+        for i, n in occupied:
+            occ[i] = n
         return self.amplitude(tuple(occ))
 
     def norm2(self) -> float:
@@ -219,8 +264,7 @@ class StateVector:
             if not (
                 isinstance(occ, list)
                 and len(occ) == len(registry)
-                and all([type(n) is int and n >= 0 for n in occ])
-                and sum(occ) <= registry.n_max
+                and _is_occupation(occ, registry.n_max)
             ):
                 raise ValueError(
                     f"amplitude {position}: occ must be {len(registry)} non-negative ints "
@@ -249,21 +293,26 @@ def apply_creation(state: StateVector, mode: ModeId) -> StateVector:
     """Apply the bosonic creation operator for `mode`.
 
     Each basis state gains one photon in `mode` and its amplitude is scaled
-    by sqrt(n + 1).  Raises if any resulting state would exceed the
-    registry's photon-number truncation.
+    by sqrt(n + 1); the vacuum becomes the registry's one-photon tuple of
+    `mode` (see `ModeRegistry`).  Raises if any resulting state would exceed
+    the registry's photon-number truncation.
     """
     registry = state.registry
     if mode not in registry:
         raise ValueError(f"mode {mode.label!r} does not belong to this registry")
     i = mode.index
     out: dict[tuple[int, ...], complex] = {}
+    vacuum = registry.vacuum_occupation()
     for occ, amp in state.amplitudes.items():
         if sum(occ) + 1 > registry.n_max:
             raise ValueError(
                 f"creation on {mode.label!r} overflows truncation "
                 f"n_max={registry.n_max} from basis state |{','.join(map(str, occ))}>"
             )
-        target = occ[:i] + (occ[i] + 1,) + occ[i + 1 :]
+        if occ == vacuum:
+            target = registry._one_photon_table()[0][i]
+        else:
+            target = occ[:i] + (occ[i] + 1,) + occ[i + 1 :]
         out[target] = out.get(target, 0.0) + amp * (occ[i] + 1) ** 0.5
     return StateVector(registry, _pruned(out))
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromatic_hbt.elements import (
@@ -55,6 +55,14 @@ def random_state(registry, rng):
     amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
     amps /= np.linalg.norm(amps)
     return StateVector(registry, {b: complex(a) for b, a in zip(basis, amps)})
+
+
+def random_unitary(registry, rng):
+    """A random unitary of the registry's one-photon sector: QR of a complex
+    Gaussian matrix, with the phases of R's diagonal folded into Q."""
+    z = rng.normal(size=(len(registry),) * 2) + 1j * rng.normal(size=(len(registry),) * 2)
+    q, r = np.linalg.qr(z)
+    return ModeUnitary(registry, q * (np.diag(r) / np.abs(np.diag(r))))
 
 
 @st.composite
@@ -120,9 +128,7 @@ def states_and_unitaries(draw):
         return state, bs_unitary(registry, pairs)
     if kind == "conversion":
         return state, sfg_unitary(registry, random_settings(rng), arms)
-    z = rng.normal(size=(len(registry),) * 2) + 1j * rng.normal(size=(len(registry),) * 2)
-    q, r = np.linalg.qr(z)
-    return state, ModeUnitary(registry, q * (np.diag(r) / np.abs(np.diag(r))))
+    return state, random_unitary(registry, rng)
 
 
 def plain(result):
@@ -177,6 +183,36 @@ class TestEvolveMatchesLadder:
         assert list(got.amplitudes.items()) == list(want.amplitudes.items())
         assert repr_items(got) == repr_items(want)
         assert repr(got_discarded) == repr(want_discarded)
+
+
+class TestOnePhotonTableFollowsRegister:
+    """Every reader of the registry's one-photon table gives the oracles'
+    results, on a registry grown by register after the table was built."""
+
+    @settings(max_examples=6)
+    @given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 2**32 - 1))
+    def test_grown_registry_matches_the_oracles(self, before, added, seed):
+        rng = np.random.default_rng(seed)
+        registry, modes = ModeRegistry(n_max=2), []
+        # the second pass grows the registry after the first built its table
+        for size in (before, before + added):
+            modes += [registry.register(f"m{k}", 1e14 * (k + 1), "a") for k in range(len(modes), size)]
+            # the vacuum and states of one and two photons
+            state = random_state(registry, rng)
+            unitary = random_unitary(registry, rng)
+            evolved = evolve(state, unitary)
+            assert repr_items(evolved) == repr_items(ladder_evolve(state, unitary))
+            beam, keep = modes[1:] or modes, modes[-1]
+            (got, got_discarded), (want, want_discarded) = (
+                spectral_filter(evolved, keep, beam), generator_spectral_filter(evolved, keep, beam)
+            )
+            assert repr_items(got) == repr_items(want)
+            assert repr(got_discarded) == repr(want_discarded)
+            vacuum = StateVector.vacuum(registry)
+            for mode in modes:
+                occ = tuple(int(k == mode.index) for k in range(len(registry)))
+                assert repr_items(apply_creation(vacuum, mode)) == [(occ, repr(1 + 0j))]
+                assert repr(evolved.amplitude_of({mode: 1})) == repr(complex(evolved.amplitudes.get(occ, 0)))
 
 
 class TestArmModes:

@@ -201,6 +201,42 @@ class TestProjection:
         psi = single_photon(reg, m1, 0.6).plus(single_photon(reg, m2, 0.8))
         assert psi.amplitude_of({m3: 1}) == 0.0
 
+    def test_counts_of_every_photon_number_read_their_basis_state(self):
+        reg, m1, m2 = two_mode_registry()
+        rng = np.random.default_rng(5)
+        state = random_state(reg, rng)
+        for occ, amp in state.amplitudes.items():
+            counts = {m1: occ[0], m2: occ[1]}
+            assert repr(state.amplitude_of(counts)) == repr(amp), occ
+            # a mode left out holds no photon
+            assert state.amplitude_of({m: n for m, n in counts.items() if n}) == amp, occ
+
+    @pytest.mark.parametrize("counts", [
+        {"g1": -1},
+        {"g1": 7},  # past n_max = 2
+        {"g1": 2, "g2": 1},  # 3 photons in all
+        {"g1": 1.0},
+        {"g1": True},
+        {"g1": None},
+    ], ids=["negative", "past_n_max", "past_n_max_in_all", "float", "bool", "none"])
+    def test_counts_not_an_occupation_refused(self, counts):
+        # -1 and 7 read 0j, and 1.0 and True the one-photon amplitude, if let through
+        reg, m1, m2 = two_mode_registry()
+        modes = {"g1": m1, "g2": m2}
+        psi = single_photon(reg, m1, 0.6).plus(single_photon(reg, m2, 0.8))
+        message = (r"^counts must be non-negative ints with at most n_max=2 photons in all, "
+                   rf"got {re.escape(repr(counts))}$")
+        with pytest.raises(ValueError, match=message):
+            psi.amplitude_of({modes[label]: n for label, n in counts.items()})
+
+    def test_foreign_mode_refused_before_its_count(self):
+        reg, m1, _ = two_mode_registry()
+        other, _, _ = two_mode_registry()
+        other.register("g3", 1e14, "a")
+        alien = other.register("g4", 1e14, "a")
+        with pytest.raises(ValueError, match=r"^mode 'g4' does not belong to this registry$"):
+            single_photon(reg, m1).amplitude_of({m1: -1, alien: 1})
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self):
