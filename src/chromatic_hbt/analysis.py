@@ -87,39 +87,29 @@ def _inside(times: np.ndarray, tau_ps: int, top_ps: int) -> np.ndarray:
     return times[np.searchsorted(times, -tau_ps) : np.searchsorted(times, top_ps - tau_ps)]
 
 
-def _chunk_bins(
-    times: np.ndarray, tau_ps: int, bw_ps: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(clicks, bins, new) for each chunk of _COUNT_CHUNK sorted times: the
-    chunk's clicks after the click before it, their bins once shifted by
-    tau_ps, and which of those start a bin not seen before.  The one click
-    of overlap keeps a bin whose run of clicks crosses a chunk edge from
-    being counted twice."""
+def _chunk_bins(times: np.ndarray, tau_ps: int, bw_ps: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(bins, new) for each chunk of _COUNT_CHUNK sorted times: the bins of
+    the chunk's clicks after the click before it, once shifted by tau_ps,
+    and which of those start a bin not seen before.  The one click of
+    overlap keeps a bin whose run of clicks crosses a chunk edge from being
+    counted twice."""
     for lo in range(0, times.size, _COUNT_CHUNK):
-        clicks = times[max(lo - 1, 0) : lo + _COUNT_CHUNK]
-        bins = clicks + tau_ps
+        bins = times[max(lo - 1, 0) : lo + _COUNT_CHUNK] + tau_ps
         bins //= bw_ps
         new = np.empty(bins.size, dtype=bool)
         new[0] = lo == 0
         np.not_equal(bins[1:], bins[:-1], out=new[1:])
-        yield clicks, bins, new
+        yield bins, new
 
 
 def _aligned_bins(times: np.ndarray, bw_ps: int, n_bin: int) -> np.ndarray | None:
-    """The distinct bins of sorted times if every time is a multiple of
-    bw_ps, else None, found in one chunked pass.  They are of
-    _bin_dtype(n_bin), so that each key a shifted count looks up, in
-    (-n_bin, 2 * n_bin), fits the same dtype; they are written chunk by
-    chunk into one buffer, with no temporary the size of the channel."""
-    out = np.empty(times.size, dtype=_bin_dtype(n_bin))
-    size = 0
-    for clicks, bins, new in _chunk_bins(times, 0, bw_ps):
-        if not np.array_equal(bins * bw_ps, clicks):
+    """The distinct bins of sorted times (see _distinct_bins) if every time
+    is a multiple of bw_ps, else None.  The check takes _COUNT_CHUNK times
+    at a time, so its temporaries stay a few MB however long the channel."""
+    for lo in range(0, times.size, _COUNT_CHUNK):
+        if np.remainder(times[lo : lo + _COUNT_CHUNK], bw_ps).any():
             return None
-        kept = bins[new]
-        out[size : size + kept.size] = kept
-        size += kept.size
-    return out[:size]
+    return _distinct_bins(times, bw_ps, n_bin)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,14 +140,14 @@ class _Occupancy:
     def of(cls, stream: TdcStream) -> "_Occupancy":
         bw_ps, n_bin = _whole_bins(stream)
         times_a = stream.channel_times(CHANNEL_A)
-        times = times_a[: np.searchsorted(times_a, n_bin * bw_ps)]
+        times = _inside(times_a, 0, n_bin * bw_ps)
         limit = max(2 * times_a.nbytes, 1)
         shift = 0
         while (n_bin - 1) >> (shift + 3) >= limit:
             shift += 1
         bitmap = np.zeros(((n_bin - 1) >> (shift + 3)) + 1, dtype=np.uint8)
         n_a = 0
-        for _, bins, new in _chunk_bins(times, 0, bw_ps):
+        for bins, new in _chunk_bins(times, 0, bw_ps):
             n_a += int(np.count_nonzero(new))
             bins >>= shift
             bits = np.left_shift(np.uint8(1), bins.astype(np.uint8) & 7)
@@ -174,7 +164,7 @@ class _Occupancy:
         them A occupies."""
         if self.bins_b is None:
             n_b = n_coincidence = 0
-            for _, bins, new in _chunk_bins(_inside(times_b, tau_ps, n_bin * bw_ps), tau_ps, bw_ps):
+            for bins, new in _chunk_bins(_inside(times_b, tau_ps, n_bin * bw_ps), tau_ps, bw_ps):
                 n_b += int(np.count_nonzero(new))
                 n_coincidence += self._occupied(bins, new, bw_ps)
             return n_b, n_coincidence
@@ -256,7 +246,7 @@ def count_coincidences(
     else:
         top_ps = n_bin * bw_ps
         times_a = stream.channel_times(CHANNEL_A)
-        sel_a = times_a[: np.searchsorted(times_a, top_ps)]
+        sel_a = _inside(times_a, 0, top_ps)
         sel_b = _inside(times_b, tau_ps, top_ps)
         merged = np.empty(sel_a.size + sel_b.size, dtype=np.int32 if n_bin < 2**31 else np.int64)
         bins_a, bins_b = merged[: sel_a.size], merged[sel_a.size :]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
 
@@ -106,22 +106,25 @@ class ArmPair:
 
 @dataclass(frozen=True, eq=False)
 class ModeUnitary:
-    """Single-photon-sector unitary over all registered modes.
+    """Single-photon-sector unitary over all modes of a registry.
 
     matrix[j, i] is the amplitude for a photon entering mode i to leave in
     mode j.  Checked to be unitary entrywise at construction, then held as a
-    read-only copy.  columns[i] lists the nonzero (j, matrix[j, i]) entries
-    of input column i, the only ones `evolve` needs: a one-photon basis
-    state in mode i maps to column i itself, and each ladder step of a
-    photon in mode i walks it.
+    read-only copy.  modes is the registry's mode tuple at construction; the
+    unitary keeps no reference to the registry itself, so a registry's memo
+    of its stage unitaries makes no reference cycle.  columns[i] lists the
+    nonzero (j, matrix[j, i]) entries of input column i, the only ones
+    `evolve` needs: a one-photon basis state in mode i maps to column i
+    itself, and each ladder step of a photon in mode i walks it.
     """
 
-    registry: ModeRegistry
+    registry: InitVar[ModeRegistry]
     matrix: np.ndarray
+    modes: tuple[ModeId, ...] = field(init=False, repr=False)
     columns: tuple[tuple[tuple[int, complex], ...], ...] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        n = len(self.registry)
+    def __post_init__(self, registry: ModeRegistry):
+        n = len(registry)
         matrix = np.array(self.matrix, dtype=complex)
         if matrix.shape != (n, n):
             raise ValueError(f"unitary dimension {matrix.shape} does not match registry size {n}")
@@ -136,6 +139,7 @@ class ModeUnitary:
             ]
         )
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "modes", registry._modes)
         object.__setattr__(self, "columns", columns)
 
 
@@ -226,10 +230,14 @@ def evolve(state: StateVector, unitary: ModeUnitary) -> StateVector:
     (see `ModeRegistry`) finds a one-photon source and its mode i with one
     dict lookup, and holds each target tuple, so no tuple is built for it.
     Every other basis state, the vacuum included, runs the ladder.
+
+    The unitary must name the state registry's modes, the same tuple or an
+    equal one (see `ModeUnitary`), whatever either registry's n_max: a
+    unitary built before the registry grew by `register` is refused.
     """
     registry = state.registry
-    if unitary.registry is not registry and unitary.registry != registry:
-        raise ValueError("unitary dimension/registry does not match the state")
+    if unitary.modes is not registry._modes and unitary.modes != registry._modes:
+        raise ValueError("unitary modes do not match the state's registry")
     columns = unitary.columns
     ones, one_photon = registry._one_photon_table()
     vacuum = registry.vacuum_occupation()
@@ -286,6 +294,13 @@ def spectral_filter(
     return StateVector(state.registry, _pruned(kept)), discarded
 
 
+def _finite_delay(t_delay: float) -> None:
+    """Refuse a delay that is not finite: the one delay rule of `phase_delay`,
+    `protocol.HbtScenario` and `protocol.predicted_g2_curve`."""
+    if not math.isfinite(t_delay):
+        raise ValueError(f"t_delay must be finite, got {t_delay}")
+
+
 def delay_phase_factor(frequency: float, t_delay: float) -> complex:
     """Phase e^{-2*pi*i*f*t} one photon of frequency f picks up over a delay t."""
     return cmath.exp(-2j * math.pi * (frequency * t_delay))
@@ -300,8 +315,7 @@ def phase_delay(
     e^{-2*pi*i*f*t_delay}, so two colors f1, f2 pick up a relative phase of
     2*pi*(f2-f1)*t_delay.
     """
-    if not math.isfinite(t_delay):
-        raise ValueError(f"t_delay must be finite, got {t_delay}")
+    _finite_delay(t_delay)
     registry = state.registry
     registry.refuse_foreign(modes, "delayed")
     u = np.eye(len(registry), dtype=complex)

@@ -65,10 +65,12 @@ class ModeRegistry:
     n_max:
         Maximum total photon number across all modes (default 2).
 
-    `vacuum_occupation` returns one tuple, which `register` rebuilds.  Each
-    registry also keeps two private memos, and `register` drops both, so
-    neither outlives the registry size it was built for; otherwise they live
-    as long as the registry:
+    The modes are held as one tuple, and `vacuum_occupation` returns one
+    tuple; `register` rebuilds both.  An `elements.ModeUnitary` keeps the
+    mode tuple it was built for, not the registry.  Each registry also keeps
+    two private memos, and `register` drops both, so neither outlives the
+    registry size it was built for; otherwise they live as long as the
+    registry:
 
     - the stage unitaries that `protocol.run_erasure_pipeline` builds for
       it: the beamsplitter keyed by the stage's `ArmPair`, the conversion
@@ -89,7 +91,7 @@ class ModeRegistry:
         if n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
         self.n_max = n_max
-        self._modes: list[ModeId] = []
+        self._modes: tuple[ModeId, ...] = ()
         self._vacuum: tuple[int, ...] = ()
         self._stage_unitaries: dict[Hashable, ModeUnitary] = {}
         self._one_photon: _OnePhotonTable | None = None
@@ -131,7 +133,7 @@ class ModeRegistry:
         if branch not in BRANCHES:
             raise ValueError(f"mode {label!r}: branch must be one of {BRANCHES}, got {branch!r}")
         mode = ModeId(index=len(self._modes), label=label, frequency=float(frequency), branch=branch)
-        self._modes.append(mode)
+        self._modes += (mode,)
         self._vacuum = (0,) * len(self._modes)
         self._stage_unitaries.clear()
         self._one_photon = None

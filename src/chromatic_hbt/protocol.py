@@ -30,6 +30,7 @@ from .elements import (
     ArmModes,
     ArmPair,
     ConversionSettings,
+    _finite_delay,
     bs_unitary,
     delay_phase_factor,
     evolve,
@@ -216,7 +217,7 @@ class HbtScenario:
 
     alpha weighs the (f1 at A, f2 at B) configuration and beta the swapped
     one.  The path delay acts on everything heading to stage A; paths to
-    stage B are fixed.
+    stage B are fixed.  The delay must be finite.
     """
 
     alpha: complex
@@ -231,6 +232,7 @@ class HbtScenario:
         norm2 = _weight_norm2(self.alpha, self.beta)
         if not abs(norm2 - 1.0) <= 1e-9:
             raise ValueError(f"|alpha|^2 + |beta|^2 must be 1, got {norm2!r}")
+        _finite_delay(self.t_delay)
 
     @classmethod
     def balanced(cls, t_delay: float = 0.0, erasure_enabled: bool = True) -> "HbtScenario":
@@ -312,9 +314,11 @@ def predicted_g2_curve(scenario: HbtScenario, t_delays: np.ndarray) -> np.ndarra
     phases the two source configurations.  So both stages run once per
     configuration, and each delay costs its delayed weights alpha', beta'
     and the sum alpha' r1 + beta' r2.  With erasure disabled the curve is
-    exactly flat at 1.
+    exactly flat at 1.  Every delay must be finite, with erasure or without.
     """
     t_delays = np.asarray(t_delays, dtype=float)
+    for t_delay in t_delays:
+        _finite_delay(t_delay)
     if not scenario.erasure_enabled:
         return np.ones_like(t_delays)
     r1, r2 = _coincidence_response(scenario)
@@ -342,10 +346,15 @@ class G2Model:
     linewidth: float | None = None  # Hz
 
     def __post_init__(self):
+        # each check written so that NaN fails it
         if not (0.0 <= self.visibility <= 1.0):
             raise ValueError(f"visibility must lie in [0, 1], got {self.visibility}")
-        if self.linewidth is not None and self.linewidth < 0.0:
-            raise ValueError(f"linewidth must be >= 0, got {self.linewidth}")
+        for name in ("phase", "frequency"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.linewidth is not None and not 0.0 <= self.linewidth < math.inf:
+            raise ValueError(f"linewidth must be >= 0 and finite, got {self.linewidth}")
 
 
 def g2_zero_model(model: G2Model, t_delay: float | np.ndarray) -> float | np.ndarray:

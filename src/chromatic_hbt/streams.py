@@ -75,8 +75,9 @@ class StreamConfig:
             raise ValueError(f"bin_width must be a whole number of picoseconds, got {self.bin_width}")
         for name, rate in (("rate_a", self.rate_a), ("rate_b", self.rate_b),
                            ("dark_rate_a", self.dark_rate_a), ("dark_rate_b", self.dark_rate_b)):
-            if rate < 0:
-                raise ValueError(f"{name} must be >= 0, got {rate}")
+            # written so that NaN fails it, as inf does
+            if not 0 <= rate < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {rate}")
         # the damped sampler's kernel reaches 5 / linewidth; the delay model has no linewidth
         if self.model is not None and self.model.linewidth is not None:
             if not self.model.linewidth > 0:

@@ -197,6 +197,8 @@ class TestCountCoincidences:
     # the widest n_bin whose shifted keys, up to 2 * n_bin, fit int32, and the next
     @example((1, 2**30 - 1, [0], [2**30 - 2], 2 - 2**30), 0, 1)
     @example((1, 2**30, [0], [2**30 - 1], 1 - 2**30), 0, 1)
+    # B off the grid only at its last click: the alignment check finds it in a later 1-click chunk
+    @example((10, 400, [20, 40], [0, 10, 20, 35], 0), 0, 1)
     def test_prepared_count_matches_sort_and_set_oracle(self, case, pad_bins, chunk):
         stream_bw, duration, times_a, times_b, tau_ps = case
         duration += pad_bins * stream_bw

@@ -2,6 +2,7 @@ import configparser
 import dataclasses
 import json
 import math
+import types
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import chromatic_hbt
 from chromatic_hbt import analysis, cli
 from chromatic_hbt.cli import main
 from chromatic_hbt.config import (
@@ -26,6 +28,13 @@ from chromatic_hbt.config import (
     parse_float,
     parse_quantity,
 )
+
+
+def test_package_namespace_holds_only_submodules_and_the_version():
+    # the API lives in the submodules; the package re-exports none of it
+    public = {name: value for name, value in vars(chromatic_hbt).items() if not name.startswith("__")}
+    assert public and all(isinstance(value, types.ModuleType) for value in public.values()), sorted(public)
+    assert isinstance(chromatic_hbt.__version__, str)
 
 
 class TestUnitParsing:

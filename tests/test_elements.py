@@ -468,6 +468,27 @@ class TestEvolve:
         with pytest.raises(ValueError, match="match"):
             evolve(state, ModeUnitary(other, np.eye(len(other))))
 
+    def test_unitary_of_a_smaller_registry_rejected(self, stage):
+        # built before register grew the registry: its modes are fewer, though
+        # it is the same registry
+        registry, arms = stage
+        unitary = sfg_unitary(registry, ConversionSettings.ideal(), arms)
+        extra = registry.register("extra", 3e14, "b")
+        state = apply_creation(single_photon(registry, arms.arm_a.f1), extra)
+        with pytest.raises(ValueError, match="^unitary modes do not match the state's registry$"):
+            evolve(state, unitary)
+
+    def test_unitary_over_equal_modes_under_another_n_max(self, stage):
+        # a one-photon-sector unitary does not depend on the truncation
+        registry, arms = stage
+        wider = ModeRegistry(n_max=4)
+        for mode in registry:
+            wider.register(mode.label, mode.frequency, mode.branch)
+        unitary = sfg_unitary(wider, ConversionSettings.ideal(), arms)
+        state = apply_creation(single_photon(registry, arms.arm_a.f1), arms.arm_b.f2)
+        expected = evolve(state, sfg_unitary(registry, ConversionSettings.ideal(), arms))
+        assert evolve(state, unitary).amplitudes == expected.amplitudes
+
     def test_hom_bunching_on_beamsplitter(self, stage):
         # two same-color photons on the two arms never split after mixing
         registry, arms = stage

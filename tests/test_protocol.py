@@ -1,15 +1,17 @@
 import cmath
 import dataclasses
+import gc
 import json
 import math
 import pickle
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chromatic_hbt import elements, fock
+from chromatic_hbt import elements, fock, protocol
 from chromatic_hbt.elements import ArmPair, ConversionSettings
 from chromatic_hbt.protocol import (
     ErasureDetectorConfig,
@@ -194,9 +196,9 @@ class TestStageUnitaryMemo:
         built = []
         check = elements.ModeUnitary.__post_init__
 
-        def spy(unitary):
+        def spy(unitary, registry):
             built.append(unitary)
-            check(unitary)
+            check(unitary, registry)
 
         monkeypatch.setattr(elements.ModeUnitary, "__post_init__", spy)
         registry, arms = build_erasure_registry()
@@ -287,6 +289,39 @@ class TestHbtCoincidence:
         assert enabled.amplitude == c1 + c2
         assert disabled.amplitude is None and disabled.components == (c1, c2)
         assert abs(disabled.probability() - (abs(c1) ** 2 + abs(c2) ** 2)) <= 1e-15
+
+    @pytest.mark.parametrize("t_delay", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delay_rejected(self, t_delay):
+        # a NaN delay gave a NaN amplitude
+        with pytest.raises(ValueError, match=f"^t_delay must be finite, got {t_delay}$"):
+            HbtScenario.balanced(t_delay=t_delay)
+        with pytest.raises(ValueError, match=f"^t_delay must be finite, got {t_delay}$"):
+            HbtScenario.balanced().with_delay(t_delay)
+
+    @pytest.mark.parametrize("erasure_enabled", [True, False])
+    def test_curve_with_a_non_finite_delay_rejected(self, erasure_enabled):
+        # one NaN delay made the whole normalized curve NaN
+        delays = np.array([0.0, 1e-12, math.nan, 3e-12])
+        with pytest.raises(ValueError, match="^t_delay must be finite, got nan$"):
+            predicted_g2_curve(HbtScenario.balanced(erasure_enabled=erasure_enabled), delays)
+
+    def test_curve_registry_freed_on_return(self, monkeypatch):
+        # the registry's stage unitaries name its modes, not the registry, so
+        # no reference cycle keeps it for the cycle collector
+        built = []
+
+        def spy(freqs):
+            registry, arms_a, arms_b = build_hbt_registry(freqs)
+            built.append(weakref.ref(registry))
+            return registry, arms_a, arms_b
+
+        monkeypatch.setattr(protocol, "build_hbt_registry", spy)
+        gc.disable()
+        try:
+            predicted_g2_curve(HbtScenario.balanced(), np.linspace(0.0, 10e-12, 7))
+            assert len(built) == 1 and built[0]() is None
+        finally:
+            gc.enable()
 
     def test_disabled_curve_is_flat_one(self):
         scenario = HbtScenario.balanced(erasure_enabled=False)
@@ -424,6 +459,19 @@ class TestG2Models:
     def test_invalid_visibility_rejected(self):
         with pytest.raises(ValueError, match="visibility"):
             G2Model(visibility=1.2, phase=0.0, frequency=1e6)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["phase", "frequency"])
+    def test_non_finite_phase_or_frequency_rejected(self, name, value):
+        # a NaN phase once reached the fig3 sampler, which drew no B click
+        fields = dict(visibility=0.5, phase=0.0, frequency=1e6, linewidth=1e5)
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            G2Model(**{**fields, name: value})
+
+    @pytest.mark.parametrize("linewidth", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_linewidth_rejected(self, linewidth):
+        with pytest.raises(ValueError, match=f"^linewidth must be >= 0 and finite, got {linewidth}$"):
+            G2Model(visibility=0.5, phase=0.0, frequency=1e6, linewidth=linewidth)
 
 
 class TestVisibilityFromCounts:

@@ -66,6 +66,13 @@ class TestStreamConfig:
         with pytest.raises(ValueError, match="rate_b"):
             basic_config(rate_b=-1.0)
 
+    @pytest.mark.parametrize("name", ["rate_a", "rate_b", "dark_rate_a", "dark_rate_b"])
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, name, rate):
+        # NaN passed `rate < 0`; inf was refused only as a rate * bin_width
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0 and finite, got {rate}$"):
+            basic_config(**{name: rate})
+
     @pytest.mark.parametrize("schedule, message", [
         ((), "delay_schedule must contain at least one"),
         (((0.0, 1e-3), (1e-12, -1e-3)), "dwell must be >= 0, got -0.001"),
