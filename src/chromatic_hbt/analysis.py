@@ -76,9 +76,8 @@ def _whole_bins(stream: TdcStream) -> tuple[int, int]:
     return bw_ps, n_bin
 
 
-# clicks, or prepared B bins, the per-tau count takes at a time, in a
-# scan's preparation and at each tau, so its temporaries stay a few MB
-# however long the stream
+# times or bins the per-tau count takes at a time, in a scan's preparation
+# and at each tau, so its temporaries stay a few MB however long the stream
 _COUNT_CHUNK = 1 << 16
 
 
@@ -87,54 +86,34 @@ def _inside(times: np.ndarray, tau_ps: int, top_ps: int) -> np.ndarray:
     return times[np.searchsorted(times, -tau_ps) : np.searchsorted(times, top_ps - tau_ps)]
 
 
-def _chunk_bins(times: np.ndarray, tau_ps: int, bw_ps: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(bins, new) for each chunk of _COUNT_CHUNK sorted times: the bins of
-    the chunk's clicks after the click before it, once shifted by tau_ps,
-    and which of those start a bin not seen before.  The one click of
-    overlap keeps a bin whose run of clicks crosses a chunk edge from being
-    counted twice."""
-    for lo in range(0, times.size, _COUNT_CHUNK):
-        bins = times[max(lo - 1, 0) : lo + _COUNT_CHUNK] + tau_ps
-        bins //= bw_ps
-        new = np.empty(bins.size, dtype=bool)
-        new[0] = lo == 0
-        np.not_equal(bins[1:], bins[:-1], out=new[1:])
-        yield bins, new
-
-
-def _aligned_bins(times: np.ndarray, bw_ps: int, n_bin: int) -> np.ndarray | None:
-    """The distinct bins of sorted times (see _distinct_bins) if every time
-    is a multiple of bw_ps, else None.  The check takes _COUNT_CHUNK times
-    at a time, so its temporaries stay a few MB however long the channel."""
-    for lo in range(0, times.size, _COUNT_CHUNK):
-        if np.remainder(times[lo : lo + _COUNT_CHUNK], bw_ps).any():
-            return None
-    return _distinct_bins(times, bw_ps, n_bin)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _Occupancy:
-    """Both channels' bins, prepared once for the per-tau counts of one scan.
+    """Both channels' bins, prepared for the per-tau counts of one scan.
 
-    times are A's clicks inside the stream's whole bins and n_a their
-    distinct bins.  bitmap holds one bit per group of 2^shift bins, set
-    where A has a click in the group, packed eight groups a byte; shift is
-    the smallest that keeps the bitmap no larger than twice A's times
-    array.  A B bin whose group bit is set is confirmed by one binary
-    search into times, so no copy of A's bins is kept.
+    times are A's clicks inside the stream's whole bins.  n_a and bitmap
+    come from their distinct bins, by _distinct_bins, the all-shifts pass's
+    rule.  bitmap holds one bit per group of 2^shift bins, set where A has a
+    click in the group, packed eight groups a byte; shift is the smallest
+    that keeps the bitmap no larger than twice A's times array.  A B bin
+    whose group bit is set is confirmed by one binary search into times, so
+    no copy of A's bins is kept.
 
-    bins_b are B's distinct bins when every B time is a multiple of the
-    bin, as on every simulated stream: then floor((t + tau) / bin) is t /
-    bin + floor(tau / bin), so a tau only adds its whole-bin shift to them.
-    A B off the grid, as a TDC file's may be, holds no prepared bins
-    (bins_b is None), and each tau floors its shifted times again.
+    A tau of whole bins and a sub-bin offset o moves a B time t to bin
+    floor((t + o) / bin) + whole, so bins_b are B's distinct bins at one
+    offset, key, and a tau of that offset adds its whole-bin shift to them.
+    An offset below carry_from, bin - max(t mod bin), carries no B click
+    into the next bin and takes the bins at offset 0; on a B on the grid,
+    as every simulated stream's is, every offset does.  One offset's bins
+    are held at a time; tally builds them when a tau needs another's.
     """
 
     times: np.ndarray
     n_a: int
     shift: int
     bitmap: np.ndarray
-    bins_b: np.ndarray | None
+    carry_from: int
+    key: int | None = None
+    bins_b: np.ndarray | None = None
 
     @classmethod
     def of(cls, stream: TdcStream) -> "_Occupancy":
@@ -146,39 +125,38 @@ class _Occupancy:
         while (n_bin - 1) >> (shift + 3) >= limit:
             shift += 1
         bitmap = np.zeros(((n_bin - 1) >> (shift + 3)) + 1, dtype=np.uint8)
-        n_a = 0
-        for bins, new in _chunk_bins(times, 0, bw_ps):
-            n_a += int(np.count_nonzero(new))
-            bins >>= shift
-            bits = np.left_shift(np.uint8(1), bins.astype(np.uint8) & 7)
-            bins >>= 3
+        bins_a = _distinct_bins(times, bw_ps, n_bin)
+        for lo in range(0, bins_a.size, _COUNT_CHUNK):
+            groups = bins_a[lo : lo + _COUNT_CHUNK] >> shift
+            bits = np.left_shift(np.uint8(1), groups.astype(np.uint8) & 7)
+            groups >>= 3
             # the chunk's bytes are sorted, so each byte's bits are one run
-            starts = np.flatnonzero(np.diff(bins, prepend=-1))
-            bitmap[bins[starts]] |= np.bitwise_or.reduceat(bits, starts)
-        bins_b = _aligned_bins(stream.channel_times(CHANNEL_B), bw_ps, n_bin)
-        return cls(times, n_a, shift, bitmap, bins_b)
+            starts = np.flatnonzero(np.diff(groups, prepend=-1))
+            bitmap[groups[starts]] |= np.bitwise_or.reduceat(bits, starts)
+        times_b = stream.channel_times(CHANNEL_B)
+        rest = max((int(np.remainder(times_b[lo : lo + _COUNT_CHUNK], bw_ps).max())
+                    for lo in range(0, times_b.size, _COUNT_CHUNK)), default=0)
+        return cls(times, bins_a.size, shift, bitmap, bw_ps - rest)
 
     def tally(self, times_b: np.ndarray, tau_ps: int, bw_ps: int, n_bin: int) -> tuple[int, int]:
         """(n_B, n_coincidence) at a shift of tau_ps: the distinct bins of
         B's clicks that fall in the whole bins once shifted, and how many of
         them A occupies."""
-        if self.bins_b is None:
-            n_b = n_coincidence = 0
-            for bins, new in _chunk_bins(_inside(times_b, tau_ps, n_bin * bw_ps), tau_ps, bw_ps):
-                n_b += int(np.count_nonzero(new))
-                n_coincidence += self._occupied(bins, new, bw_ps)
-            return n_b, n_coincidence
-        whole = tau_ps // bw_ps
+        whole, offset = divmod(tau_ps, bw_ps)
+        key = offset if offset >= self.carry_from else 0
+        if key != self.key:
+            self.bins_b = None  # the last offset's bins go before these are built
+            self.bins_b, self.key = _distinct_bins(times_b, bw_ps, n_bin, key), key
         # keys of another dtype would cast all of bins_b on every call
         lo, hi = np.searchsorted(self.bins_b, np.array([-whole, n_bin - whole], dtype=self.bins_b.dtype))
         step = self.bins_b.dtype.type(whole)
         n_coincidence = 0
         for start in range(lo, hi, _COUNT_CHUNK):
-            n_coincidence += self._occupied(self.bins_b[start : min(start + _COUNT_CHUNK, hi)] + step, None, bw_ps)
+            n_coincidence += self._occupied(self.bins_b[start : min(start + _COUNT_CHUNK, hi)] + step, bw_ps)
         return int(hi - lo), n_coincidence
 
-    def _occupied(self, bins: np.ndarray, new: np.ndarray | None, bw_ps: int) -> int:
-        """How many of the bins, or of those flagged new, A occupies."""
+    def _occupied(self, bins: np.ndarray, bw_ps: int) -> int:
+        """How many of the bins A occupies."""
         groups = bins >> self.shift
         low = groups.astype(np.uint8) & 7
         groups >>= 3
@@ -188,10 +166,7 @@ class _Occupancy:
         bit &= 1
         # the 0/1 bytes viewed as bool: flatnonzero took 6 us on 22k of them
         # against 42 us on the uint8 bytes
-        hit = bit.view(bool)
-        if new is not None:
-            hit &= new
-        candidates = bins[np.flatnonzero(hit)].astype(np.int64, copy=False)
+        candidates = bins[np.flatnonzero(bit.view(bool))].astype(np.int64, copy=False)
         # A's first click at or after the bin's start, if any, is in the bin
         first = self.times.take(np.searchsorted(self.times, candidates * bw_ps), mode="clip")
         return int(np.count_nonzero(first // bw_ps == candidates))
@@ -216,21 +191,17 @@ def count_coincidences(
     quicksort, 280 us as int64 timsort and 380 us as int64 quicksort.
 
     scan_tau counts many taus of one stream, so it prepares both channels
-    once, as an _Occupancy of this stream, and passes it on each call.
-    Then A is not floored or sorted again.  When B's times are all on the
-    bin grid, B is not floored again either: the tau's whole-bin shift is
-    added to B's prepared distinct bins, n_B is read off them by two binary
+    as an _Occupancy of this stream, and passes it on each call.  Then A
+    is not floored or sorted again, and B only once per sub-bin offset
+    that needs its own bins: the tau's whole-bin shift is added to B's
+    distinct bins at its offset, n_B is read off them by two binary
     searches, and their shifted bins are looked up in A's group bitmap, a
     chunk of _COUNT_CHUNK bins at a time; the few whose group bit is set
-    are confirmed by a binary search into A's times.  A B off the grid is
-    selected on its unshifted times and its shifted bins floored in chunks
-    of _COUNT_CHUNK clicks, each after the last click of the chunk before,
-    so n_B and the coincidences stay distinct-bin counts, and then looked
-    up the same way.  The bitmap is at most twice A's times array, B's
-    bins are one int32 a distinct bin while 2 * n_bin < 2^31, and the
-    chunks keep the count's temporaries under a few MB.  scan_delay counts
-    one tau per stream, where the preparation would not pay, and keeps the
-    sort.
+    are confirmed by a binary search into A's times.  The bitmap is
+    at most twice A's times array, B's bins are one int32 a distinct bin
+    while 2 * n_bin < 2^31, and the chunks keep the count's temporaries
+    under a few MB.  scan_delay counts one tau per stream, where the
+    preparation would not pay, and keeps the sort.
     """
     bw_ps, n_bin = _whole_bins(stream)
     if not math.isfinite(tau):
@@ -407,11 +378,21 @@ def _multi_shift_coincidences(
     return histogram[shifts - s_min]
 
 
-def _distinct_bins(times: np.ndarray, bw_ps: int, n_bin: int) -> np.ndarray:
-    """The distinct bins of sorted times, of _bin_dtype(n_bin), floored
-    straight into one buffer of that dtype: no int64 temporary."""
+def _distinct_bins(times: np.ndarray, bw_ps: int, n_bin: int, offset: int = 0) -> np.ndarray:
+    """The distinct bins floor((t + offset) / bw_ps) of sorted times, of
+    _bin_dtype(n_bin), floored straight into one buffer of that dtype.  At
+    offset 0 that takes no int64 temporary.  Another offset, 0 < offset <
+    bw_ps, takes one of _COUNT_CHUNK times at a time, as floor((t - (bw_ps -
+    offset)) / bw_ps) + 1: that cannot wrap int64, and it is one division
+    where a quotient and a remainder are two."""
     bins = np.empty(times.size, dtype=_bin_dtype(n_bin))
-    np.floor_divide(times, bw_ps, out=bins, casting="unsafe")
+    if offset == 0:
+        np.floor_divide(times, bw_ps, out=bins, casting="unsafe")
+    else:
+        for lo in range(0, times.size, _COUNT_CHUNK):
+            np.floor_divide(times[lo : lo + _COUNT_CHUNK] - (bw_ps - offset), bw_ps,
+                            out=bins[lo : lo + _COUNT_CHUNK], casting="unsafe")
+        bins += 1
     return _dedupe_sorted(bins)
 
 
@@ -448,11 +429,12 @@ def scan_tau(stream: TdcStream, taus: Sequence[float]) -> G2Curve:
     all-shifts pass while their span is at most _MAX_SHIFT_SPAN bins and
     span * n_A / n_bin is at most _PAIRS_PER_TAU per tau, where it is the
     cheaper path.  Any other taus are counted one at a time against both
-    channels, prepared once for the scan as an _Occupancy: A's bitmap and,
-    when every B time is on the bin grid (every simulated stream's are),
-    B's distinct bins, which each tau moves by its whole-bin shift, so an
-    off-grid tau counts as its floored shift; a B off the grid (a TDC
-    file's may be) is floored again at each tau.  All paths give the same
+    channels, prepared for the scan as an _Occupancy: A's bitmap, and B's
+    distinct bins at a tau's sub-bin offset, which the tau moves by its
+    whole-bin shift.  The taus are counted in stable order of offset, so B
+    is prepared once per offset that needs its own bins (none but offset
+    0's when every B time is on the bin grid, as every simulated stream's
+    is), and their tallies kept in tau order.  All paths give the same
     tallies for the same tau.
     """
     taus = np.array(taus, dtype=float)
@@ -475,5 +457,7 @@ def scan_tau(stream: TdcStream, taus: Sequence[float]) -> G2Curve:
         tallies = _all_shift_tallies(stream, shifts)
     else:
         occupancy = _Occupancy.of(stream)
-        tallies = (count_coincidences(stream, tau, occupancy) for tau in taus.tolist())
+        tallies = [None] * taus.size
+        for i in np.argsort(offsets, kind="stable").tolist():
+            tallies[i] = count_coincidences(stream, taus[i].item(), occupancy)
     return _tally_curve("tau", ((counts.tau, counts) for counts in tallies))

@@ -381,8 +381,8 @@ def visibility_from_counts(
     degraded by count imbalance and stray counts.
     """
     counts = (n1a, n2a, n1b, n2b, nda, ndb)
-    if any(c < 0 for c in counts):
-        raise ValueError(f"counts must be >= 0, got {counts}")
+    if any(not 0 <= c < math.inf for c in counts):
+        raise ValueError(f"counts must be >= 0 and finite, got {counts}")
     denom_a = n1a + n2a + nda
     denom_b = n1b + n2b + ndb
     if denom_a <= 0 or denom_b <= 0:

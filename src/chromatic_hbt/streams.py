@@ -34,6 +34,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .elements import _finite_delay
 from .protocol import G2Model, g2_tau_model, g2_zero_model
 
 PS_PER_SECOND = 1_000_000_000_000
@@ -99,8 +100,7 @@ class StreamConfig:
         if not self.delay_schedule:
             raise ValueError("delay_schedule must contain at least one (delay, dwell) entry")
         for t_delay, dwell in self.delay_schedule:
-            if not math.isfinite(t_delay):
-                raise ValueError(f"delay must be finite, got {t_delay}")
+            _finite_delay(t_delay)
             if dwell < 0:
                 raise ValueError(f"dwell must be >= 0, got {dwell}")
             n_bins = dwell / self.bin_width

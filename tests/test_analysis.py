@@ -87,6 +87,34 @@ def off_grid_scans(draw):
     return simulate_stream(cfg), taus_ps, shifts
 
 
+@st.composite
+def moved_b_scans(draw):
+    """A toy stream whose B clicks sit on the bin grid, 1 ps late or
+    jittered within their bins, one of them in the partial last bin, and
+    taus in ps of mixed sub-bin offsets: offset 0, a nonzero one, and one
+    that carries B's largest-remainder click into the next bin."""
+    bw_ps = draw(st.integers(2, 50))
+    n_bin = draw(st.integers(2, 60))
+    partial = draw(st.integers(1, bw_ps - 1))
+    duration = n_bin * bw_ps + partial
+    move = draw(st.sampled_from(["grid", "late", "jitter"]))
+
+    def into_bin(room):
+        # how far a B click lies into its bin, at most room ps
+        if move == "jitter":
+            return draw(st.integers(0, room))
+        return min(1, room) if move == "late" else 0
+
+    ks = draw(st.lists(st.integers(0, n_bin - 1), min_size=1, max_size=30))
+    times_b = sorted(k * bw_ps + into_bin(bw_ps - 1) for k in ks) + [n_bin * bw_ps + into_bin(partial - 1)]
+    times_a = sorted(draw(st.lists(st.integers(0, duration - 1), min_size=1, max_size=40)))
+    carry = bw_ps - max(t % bw_ps for t in times_b)
+    wholes = st.integers(1 - n_bin, n_bin - 1)
+    offsets = [0, draw(st.integers(1, bw_ps - 1)), carry % bw_ps] + draw(st.lists(st.integers(0, bw_ps - 1), max_size=6))
+    taus_ps = [draw(wholes) * bw_ps + offset for offset in draw(st.permutations(offsets))]
+    return toy_stream(times_a, times_b, bin_width_ps=bw_ps, duration_ps=duration), taus_ps
+
+
 def scan_outcome(stream, taus):
     """(g2, sigma) lists of a shift scan, or its error message."""
     try:
@@ -197,7 +225,7 @@ class TestCountCoincidences:
     # the widest n_bin whose shifted keys, up to 2 * n_bin, fit int32, and the next
     @example((1, 2**30 - 1, [0], [2**30 - 2], 2 - 2**30), 0, 1)
     @example((1, 2**30, [0], [2**30 - 1], 1 - 2**30), 0, 1)
-    # B off the grid only at its last click: the alignment check finds it in a later 1-click chunk
+    # B off the grid only at its last click, which the largest-remainder pass meets in a later 1-click chunk
     @example((10, 400, [20, 40], [0, 10, 20, 35], 0), 0, 1)
     def test_prepared_count_matches_sort_and_set_oracle(self, case, pad_bins, chunk):
         stream_bw, duration, times_a, times_b, tau_ps = case
@@ -211,12 +239,12 @@ class TestCountCoincidences:
         limit = max(2 * stream.times_a.nbytes, 1)
         assert occupancy.bitmap.nbytes <= limit
         assert occupancy.shift == 0 or ((duration // stream_bw - 1) >> (occupancy.shift + 2)) + 1 > limit
-        # B's distinct bins are prepared only on the grid, as int32 while 2 * n_bin < 2^31
-        if any(t % stream_bw for t in times_b):
-            assert occupancy.bins_b is None
-        else:
-            assert occupancy.bins_b.dtype == (np.int32 if 2 * (duration // stream_bw) < 2**31 else np.int64)
-            assert occupancy.bins_b.tolist() == sorted({t // stream_bw for t in times_b})
+        # B's bins are its distinct floor((t + key) / bin), as int32 while 2 * n_bin < 2^31; the key
+        # is the tau's sub-bin offset where that carries a B click into the next bin, else 0
+        offset = tau_ps % stream_bw
+        assert occupancy.key == (offset if any(t % stream_bw + offset >= stream_bw for t in times_b) else 0)
+        assert occupancy.bins_b.dtype == (np.int32 if 2 * (duration // stream_bw) < 2**31 else np.int64)
+        assert occupancy.bins_b.tolist() == sorted({(t + occupancy.key) // stream_bw for t in times_b})
         assert prepared == count_coincidences(stream, tau)
         assert (prepared.n_coincidence, prepared.n_a, prepared.n_b) == occupied_bin_tallies(
             times_a, times_b, tau_ps, stream_bw, duration)
@@ -436,6 +464,55 @@ class TestScans:
         assert count_coincidences(stream, tau=0.0).n_coincidence == 0
         assert scan_tau(stream, [5e-9]).g2[0] > 0.0
         assert scan_tau(stream, [0.0]).g2[0] == 0.0
+
+    @given(moved_b_scans())
+    def test_scan_over_mixed_offsets_matches_the_sort_path(self, case):
+        # floor((t + tau) / bin) = floor((t + o) / bin) + floor(tau / bin) for
+        # the tau's sub-bin offset o, on or off the grid: each tau's tallies,
+        # counted in order of offset, equal the sort path's, and the curve
+        # keeps the taus' order
+        stream, taus_ps = case
+        taus = [t / PS_PER_SECOND for t in taus_ps]
+        tallies = {}
+
+        def counted(stream, tau=0.0, occupancy=None):
+            tallies[tau] = count_coincidences(stream, tau, occupancy)
+            return tallies[tau]
+
+        with mock.patch.object(analysis, "count_coincidences", counted):
+            outcome = scan_outcome(stream, taus)
+        assert tallies == {tau: count_coincidences(stream, tau) for tau in tallies}
+        try:
+            rows = [estimate_g2(count_coincidences(stream, tau)) for tau in taus]
+        except ValueError as exc:
+            assert outcome == str(exc)
+        else:
+            assert tallies.keys() == set(taus)
+            assert outcome == ([g2 for g2, _ in rows], [sigma for _, sigma in rows])
+
+    @pytest.mark.parametrize("jitter", [False, True], ids=["aligned", "jittered"])
+    def test_b_is_prepared_once_per_offset_that_needs_its_own_bins(self, jitter):
+        # 201 taus 0.1234 us apart take 100 sub-bin offsets of a 20 ns bin
+        cfg = StreamConfig(bin_width=20e-9, rate_a=2e6, rate_b=2e6, seed=5, delay_schedule=((0.0, 2e-3),))
+        stream = simulate_stream(cfg)
+        if jitter:
+            # a TDC-like B, uniform within its bins: nearly every offset carries a click
+            moved = stream.times_b + np.random.default_rng(3).integers(0, 20_000, stream.times_b.size)
+            stream = TdcStream(stream.times_a, np.sort(moved), stream.meta)
+        taus = [k * 0.1234e-6 for k in range(-100, 101)]
+        offsets = sorted({round(tau * PS_PER_SECOND) % 20_000 for tau in taus})
+        assert len(offsets) == 100
+        distinct_bins = analysis._distinct_bins
+        prepared = []
+
+        def spy(times, bw_ps, n_bin, offset=0):
+            prepared.append((np.shares_memory(times, stream.times_b), offset))
+            return distinct_bins(times, bw_ps, n_bin, offset)
+
+        with mock.patch.object(analysis, "_distinct_bins", spy):
+            scan_tau(stream, taus)
+        assert prepared[0] == (False, 0)  # A's bins, once
+        assert prepared[1:] == [(True, offset) for offset in (offsets if jitter else [0])]
 
     def test_scan_tau_takes_the_all_shifts_pass_only_where_it_is_cheaper(self, monkeypatch):
         # a far +-16 ms pair on a 0.2 s default-rate stream spans 1.6M bins:

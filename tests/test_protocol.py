@@ -499,3 +499,9 @@ class TestVisibilityFromCounts:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             visibility_from_counts(-1.0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("counts", [(math.nan, 1, 1, 1), (math.inf, 1, 1, 1), (1, 1, 1, 1, 0, math.inf)])
+    def test_non_finite_counts_rejected(self, counts):
+        # NaN passed `c < 0` and gave nan, as did an infinite source count; an infinite stray count gave 0.0
+        with pytest.raises(ValueError, match=r"^counts must be >= 0 and finite, got \("):
+            visibility_from_counts(*counts)

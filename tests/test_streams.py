@@ -81,6 +81,12 @@ class TestStreamConfig:
         with pytest.raises(ValueError, match=message):
             basic_config(delay_schedule=schedule)
 
+    @pytest.mark.parametrize("t_delay", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delay_rejected(self, t_delay):
+        # the one finite-delay rule of elements._finite_delay, by its message
+        with pytest.raises(ValueError, match=f"^t_delay must be finite, got {t_delay}$"):
+            basic_config(delay_schedule=((0.0, 1e-3), (t_delay, 1e-3)))
+
     def test_duration_sums_schedule(self):
         cfg = basic_config(delay_schedule=((0.0, 1e-3), (1e-12, 3e-3)))
         assert cfg.duration_ps == 4_000_000_000
