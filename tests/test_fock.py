@@ -44,6 +44,19 @@ class TestRegistry:
         assert mode.frequency == pytest.approx(281.654e12, rel=1e-4)
         assert len(reg) == 1
 
+    def test_each_tuple_is_built_once_per_size(self):
+        # registering builds no mode or vacuum tuple: each is built at its
+        # first read, then shared, until the next register drops it
+        reg = ModeRegistry()
+        for k in range(19):
+            reg.register(f"m{k}", 2.8e14 + k, "a")
+        assert reg._mode_tuple is None and reg._vacuum is None
+        modes, vacuum = reg._modes, reg.vacuum_occupation()
+        assert reg._modes is modes and reg.vacuum_occupation() is vacuum
+        assert modes == tuple(reg) and vacuum == (0,) * 19
+        reg.register("m19", 3e14, "b")
+        assert reg._modes[:19] == modes and reg.vacuum_occupation() == (0,) * 20
+
     def test_duplicate_label_rejected_naming_label(self):
         reg = ModeRegistry()
         reg.register("g1", 2.8e14, "a")

@@ -25,6 +25,7 @@ from chromatic_hbt.streams import (
     TdcStream,
     _bernoulli_bins,
     _complement_bins,
+    _dedupe_sorted,
     _merge_ranks,
     _segment_kernel,
     _window_ranks,
@@ -260,6 +261,29 @@ class TestMergeRanks:
         assert _merge_ranks(wide.astype(np.int32), keys).tolist() == _merge_ranks(wide, keys).tolist() == expected
 
 
+class TestDedupeSorted:
+    @given(st.lists(st.integers(0, 30), max_size=60).map(sorted), center_blocks)
+    @example([], 1)
+    @example([4, 4], 1)
+    # one value's run across three chunks of 2, then a value that starts a chunk
+    @example([1, 2, 2, 2, 2, 2, 2, 3], 2)
+    def test_distinct_values_compacted_into_the_front(self, values, chunk):
+        buffer = np.array(values, dtype=np.int32)
+        with mock.patch.object(streams, "_COUNT_CHUNK", chunk):
+            distinct = _dedupe_sorted(buffer)
+        assert distinct.tolist() == sorted(set(values)) and distinct.dtype == np.int32
+        # in place: buffer itself when no value repeats, else its prefix
+        assert distinct is buffer if len(set(values)) == len(values) else distinct.base is buffer
+
+    def test_peak_is_one_chunk_of_scratch(self):
+        # 2^20 int32 values, each twice: a full-length keep mask adds 1 MB and
+        # a copy of the distinct values 2 MB; one chunk's mask and kept values
+        # take 5 bytes a value of the chunk
+        values = np.repeat(np.arange(1 << 19, dtype=np.int32), 2)
+        peak = traced_peak(_dedupe_sorted, values)
+        assert peak < 8 * streams._COUNT_CHUNK, f"peak {peak / 1e6:.2f} MB"
+
+
 class TestWindowRanks:
     @given(sorted_ints, sorted_ints, st.integers(-20, 20), st.integers(0, 30), center_blocks)
     # windows of 2^15 + 1 and 2^15 - 1 positions in one block: the block
@@ -354,12 +378,14 @@ class TestSimulateMemory:
         # output), the candidates (drawn at 3 p_b, so 0.75x) with the accepted
         # B clicks compacted into their front, and that copy (0.25x): 1.25x,
         # as much as B's bins and both channels' times when the bins become
-        # times.  Beyond it, the last block's scratch was measured at 41 B a
-        # center (6.34 MB in all); inside the block loop, with no copy yet,
-        # the peak was 1x plus 116 B a center.  The bound allows 96 B a
-        # center, 0.45 MB of margin.  int64 A alone peaks near 1.5x the
+        # times.  Each block's scratch goes before the next block's is built
+        # and before the copy, so beyond 1.25x only the draws' spare room,
+        # the kernel table and the last block's accepted clicks remain:
+        # measured at 15 B a center (6.13 MB in all, numpy 2.4.6), where a
+        # last block's scratch kept alive read 41 B.  The bound allows 32 B
+        # a center, 0.14 MB of margin.  int64 A alone peaks near 1.5x the
         # output, int64 candidates near 2x and int64 bins near 2.5x.
-        bound = 1.25 * output + 96 * streams._CENTER_BLOCK
+        bound = 1.25 * output + 32 * streams._CENTER_BLOCK
         assert peak < bound, f"peak {peak / 1e6:.1f} MB for {output / 1e6:.1f} MB of output"
 
     def test_a_draw_of_many_parts_peaks_near_its_result(self):
