@@ -88,12 +88,14 @@ class _Occupancy:
     """Both channels' bins, prepared for the per-tau counts of one scan.
 
     times are A's clicks inside the stream's whole bins.  n_a and bitmap
-    come from their distinct bins, by _distinct_bins, the all-shifts pass's
-    rule.  bitmap holds one bit per group of 2^shift bins, set where A has a
-    click in the group, packed eight groups a byte; shift is the smallest
-    that keeps the bitmap no larger than twice A's times array.  A B bin
-    whose group bit is set is confirmed by one binary search into times, so
-    no copy of A's bins is kept.
+    come from their distinct bins, taken one block of _CENTER_BLOCK times at
+    a time by _block_bins, as the all-shifts pass takes them, so no
+    full-length array of A's bins is built.  bitmap holds one bit per group
+    of 2^shift bins, set where A has a click in the group, packed eight
+    groups a byte; shift is the smallest that keeps the bitmap no larger
+    than twice A's times array.  A B bin whose group bit is set is
+    confirmed by one binary search into times, so no copy of A's bins is
+    kept.
 
     A tau of whole bins and a sub-bin offset o moves a B time t to bin
     floor((t + o) / bin) + whole, so bins_b are B's distinct bins at one
@@ -117,23 +119,26 @@ class _Occupancy:
         bw_ps, n_bin = _whole_bins(stream)
         times_a = stream.channel_times(CHANNEL_A)
         times = _inside(times_a, 0, n_bin * bw_ps)
+        # B's pass first, so that its chunk is never held beside the bitmap and a block of A's bins
+        times_b = stream.channel_times(CHANNEL_B)
+        rest = max((int(np.remainder(times_b[lo : lo + _COUNT_CHUNK], bw_ps).max())
+                    for lo in range(0, times_b.size, _COUNT_CHUNK)), default=0)
         limit = max(2 * times_a.nbytes, 1)
         shift = 0
         while (n_bin - 1) >> (shift + 3) >= limit:
             shift += 1
         bitmap = np.zeros(((n_bin - 1) >> (shift + 3)) + 1, dtype=np.uint8)
-        bins_a = _distinct_bins(times, bw_ps, n_bin)
-        for lo in range(0, bins_a.size, _COUNT_CHUNK):
-            groups = bins_a[lo : lo + _COUNT_CHUNK] >> shift
+        n_a = 0
+        for bins in _block_bins(times, bw_ps, n_bin):
+            n_a += bins.size
+            groups = bins >> shift
             bits = np.left_shift(np.uint8(1), groups.astype(np.uint8) & 7)
             groups >>= 3
-            # the chunk's bytes are sorted, so each byte's bits are one run
+            # the block's bytes are sorted, so each byte's bits are one run;
+            # a byte shared with the block before is OR-ed again, unchanged
             starts = np.flatnonzero(np.diff(groups, prepend=-1))
             bitmap[groups[starts]] |= np.bitwise_or.reduceat(bits, starts)
-        times_b = stream.channel_times(CHANNEL_B)
-        rest = max((int(np.remainder(times_b[lo : lo + _COUNT_CHUNK], bw_ps).max())
-                    for lo in range(0, times_b.size, _COUNT_CHUNK)), default=0)
-        return cls(times, bins_a.size, shift, bitmap, bw_ps - rest)
+        return cls(times, n_a, shift, bitmap, bw_ps - rest)
 
     def tally(self, times_b: np.ndarray, tau_ps: int, bw_ps: int, n_bin: int) -> tuple[int, int]:
         """(n_B, n_coincidence) at a shift of tau_ps: the distinct bins of
@@ -182,10 +187,11 @@ def count_coincidences(
     distinct count does not care which of two equal bins comes first, so
     the sort needs no stability and takes numpy's default quicksort, not
     the stable timsort that merges the two runs.  Every bin lies in [0,
-    n_bin), so the buffer is int32 unless n_bin reaches 2^31, and numpy's
-    vectorized 32-bit sort is the fast one: on one Xeon vCPU (numpy 2.4),
-    sorting the 45k bins of a files-offgrid call took 150 us as int32
-    quicksort, 280 us as int64 timsort and 380 us as int64 quicksort.
+    n_bin), so the buffer takes _bin_dtype(n_bin), int32 while 2 * n_bin <
+    2^31 as on every other path, and numpy's vectorized 32-bit sort is the
+    fast one: on one Xeon vCPU (numpy 2.4), sorting the 45k bins of a
+    files-offgrid call took 150 us as int32 quicksort, 280 us as int64
+    timsort and 380 us as int64 quicksort.
 
     scan_tau counts many taus of one stream, so it prepares both channels
     as an _Occupancy of this stream, and passes it on each call.  Then A
@@ -216,7 +222,7 @@ def count_coincidences(
         times_a = stream.channel_times(CHANNEL_A)
         sel_a = _inside(times_a, 0, top_ps)
         sel_b = _inside(times_b, tau_ps, top_ps)
-        merged = np.empty(sel_a.size + sel_b.size, dtype=np.int32 if n_bin < 2**31 else np.int64)
+        merged = np.empty(sel_a.size + sel_b.size, dtype=_bin_dtype(n_bin))
         bins_a, bins_b = merged[: sel_a.size], merged[sel_a.size :]
         np.floor_divide(sel_a, bw_ps, out=bins_a, casting="unsafe")
         np.floor_divide(sel_b + tau_ps, bw_ps, out=bins_b, casting="unsafe")
@@ -356,29 +362,6 @@ def scan_delay(delay_streams: Iterable[tuple[float, TdcStream]]) -> G2Curve:
     return _tally_curve("t_delay", points())
 
 
-def _multi_shift_coincidences(
-    pairs: Iterable[tuple[np.ndarray, np.ndarray]], shifts: np.ndarray
-) -> np.ndarray:
-    """Coincident-bin counts for many shifts in one pass over (bins_a,
-    bins_b) pairs, summed over the pairs.
-
-    Each pair's bins_a and bins_b are sorted duplicate-free; a coincidence
-    at shift s is a pair with bins_a - bins_b = s, which is unique per bin,
-    so the pair histogram over differences equals the per-shift bin
-    intersections.  The differences come one neighbour rank at a time, and
-    each rank pass is scatter-added into the scan's one histogram in place.
-    """
-    s_min, s_max = int(shifts.min()), int(shifts.max())
-    histogram = np.zeros(s_max - s_min + 1, dtype=np.int64)
-    for bins_a, bins_b in pairs:
-        for _, _, passes in _window_ranks(bins_a, bins_b, s_min, s_max):
-            for diffs in passes:
-                np.add.at(histogram, diffs, 1)
-            # so that the block's scratch goes before the next block's is built
-            del passes
-    return histogram[shifts - s_min]
-
-
 def _distinct_bins(times: np.ndarray, bw_ps: int, n_bin: int, offset: int = 0) -> np.ndarray:
     """The distinct bins floor((t + offset) / bw_ps) of sorted times, of
     _bin_dtype(n_bin), floored straight into one buffer of that dtype.  At
@@ -416,17 +399,20 @@ def _all_shift_tallies(stream: TdcStream, shifts: np.ndarray) -> Iterator[Coinci
     differences within the shifts' span; each equals count_coincidences at
     tau = shift * bin width.
 
-    B's distinct bins come one block of _CENTER_BLOCK times at a time
-    (_block_bins), and each block is paired with A's distinct bins within
-    its reach, [first + s_min, last + s_max] cut to the whole bins, found
-    by two binary searches on A's times.  The pairs add into one histogram
-    (_multi_shift_coincidences), each block's n_B per shift is two binary
-    searches of the shifts' bounds into it, and n_A is counted from A's
-    times inside the whole bins, a block at a time too.  So the pass holds
-    the stream, the histogram and one block's scratch, never a full-length
-    bins array; the tallies are integer sums, whatever the blocks.  Every
-    shift is above -n_bin and below n_bin (scan_tau refuses the rest), so
-    the binary searches' keys, in (-n_bin, 2 * n_bin), fit the bins' dtype.
+    One loop takes B's distinct bins a block of _CENTER_BLOCK times at a
+    time (_block_bins).  Each block adds its n_B per shift, two binary
+    searches of the shifts' bounds into it; then A's distinct bins within
+    its reach, [first + s_min, last + s_max] cut to the whole bins and found
+    by two binary searches on A's times, are swept against it one neighbour
+    rank at a time (_window_ranks), each rank scatter-added into the scan's
+    one histogram over differences.  Both channels' bins are sorted and
+    duplicate-free, so a difference s is unique per bin and the histogram
+    holds the per-shift bin intersections.  n_A is counted from A's times
+    inside the whole bins by _block_bins too.  So the pass holds the
+    stream, the histogram and one block's scratch, never a full-length bins
+    array; the tallies are integer sums, whatever the blocks.  Every shift
+    is above -n_bin and below n_bin (scan_tau refuses the rest), so the
+    binary searches' keys, in (-n_bin, 2 * n_bin), fit the bins' dtype.
     """
     bw_ps, n_bin = _whole_bins(stream)
     times_a = stream.channel_times(CHANNEL_A)
@@ -436,15 +422,17 @@ def _all_shift_tallies(stream: TdcStream, shifts: np.ndarray) -> Iterator[Coinci
     # of the bins' dtype, so that no search casts a block
     lows, tops = (-shifts).astype(_bin_dtype(n_bin)), (n_bin - shifts).astype(_bin_dtype(n_bin))
     n_b = np.zeros(shifts.size, dtype=np.int64)
-
-    def pairs() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for bins_b in _block_bins(stream.channel_times(CHANNEL_B), bw_ps, n_bin):
-            n_b[:] += np.searchsorted(bins_b, tops) - np.searchsorted(bins_b, lows)
-            reach = [(int(bins_b[0]) + s_min) * bw_ps, min(int(bins_b[-1]) + s_max + 1, n_bin) * bw_ps]
-            lo, hi = np.searchsorted(times_a, reach)
-            yield _distinct_bins(times_a[lo:hi], bw_ps, n_bin), bins_b
-
-    n_c = _multi_shift_coincidences(pairs(), shifts)
+    histogram = np.zeros(s_max - s_min + 1, dtype=np.int64)
+    for bins_b in _block_bins(stream.channel_times(CHANNEL_B), bw_ps, n_bin):
+        n_b += np.searchsorted(bins_b, tops) - np.searchsorted(bins_b, lows)
+        reach = [(int(bins_b[0]) + s_min) * bw_ps, min(int(bins_b[-1]) + s_max + 1, n_bin) * bw_ps]
+        lo, hi = np.searchsorted(times_a, reach)
+        for _, _, passes in _window_ranks(_distinct_bins(times_a[lo:hi], bw_ps, n_bin), bins_b, s_min, s_max):
+            for diffs in passes:
+                np.add.at(histogram, diffs, 1)
+            # so that the block's scratch goes before the next block's is built
+            del passes
+    n_c = histogram[shifts - s_min]
     for shift, n_coinc, n_b_shift in zip(shifts.tolist(), n_c.tolist(), n_b.tolist()):
         yield CoincidenceCounts(
             n_coincidence=n_coinc,

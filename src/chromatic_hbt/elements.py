@@ -139,7 +139,8 @@ class ModeUnitary:
             ]
         )
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "modes", registry._modes)
+        modes, _, _, _, _ = registry._per_size()
+        object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "columns", columns)
 
 
@@ -226,9 +227,10 @@ def evolve(state: StateVector, unitary: ModeUnitary) -> StateVector:
     in column order.  The ladder adds 0.0 + (amp / sqrt(1)) * u[j, i] *
     sqrt(1) there, which equals amp * u[j, i] in every nonzero component, and
     both sums start at 0.0, so a zero comes out as +0.0 either way: the
-    result is bit for bit the ladder's.  The registry's one-photon table
-    (see `ModeRegistry`) finds a one-photon source and its mode i with one
-    dict lookup, and holds each target tuple, so no tuple is built for it.
+    result is bit for bit the ladder's.  The registry's one-photon
+    occupations and their index dict (see `ModeRegistry`) find a one-photon
+    source and its mode i with one dict lookup, and hold each target tuple,
+    so no tuple is built for it.
     Every other basis state, the vacuum included, runs the ladder.
 
     The unitary must name the state registry's modes, the same tuple or an
@@ -236,11 +238,10 @@ def evolve(state: StateVector, unitary: ModeUnitary) -> StateVector:
     unitary built before the registry grew by `register` is refused.
     """
     registry = state.registry
-    if unitary.modes is not registry._modes and unitary.modes != registry._modes:
+    modes, vacuum, ones, one_photon, _ = registry._per_size()
+    if unitary.modes is not modes and unitary.modes != modes:
         raise ValueError("unitary modes do not match the state's registry")
     columns = unitary.columns
-    ones, one_photon = registry._one_photon_table()
-    vacuum = registry.vacuum_occupation()
     out: dict[tuple[int, ...], complex] = {}
     for source, amp in state.amplitudes.items():
         i = one_photon.get(source)
@@ -275,14 +276,14 @@ def spectral_filter(
     Returns the surviving (sub-normalized) state and the discarded
     probability mass.  Post-selection probabilities stay explicit this way.
     A one-photon basis state is tested by its mode index, from the
-    registry's one-photon table (see `ModeRegistry`).
+    registry's one-photon index dict (see `ModeRegistry`).
     """
     state.registry.refuse_foreign(beam, "filtered")
     # the beam's modes are the registry's own, so a mode equal to one of them is too
     if keep not in beam:
         raise ValueError(f"keep mode {keep.label!r} is not part of the filtered beam")
     blocked = {m.index for m in beam if m.index != keep.index}
-    _, one_photon = state.registry._one_photon_table()
+    _, _, _, one_photon, _ = state.registry._per_size()
     kept: dict[tuple[int, ...], complex] = {}
     discarded = 0.0
     for occ, amp in state.amplitudes.items():

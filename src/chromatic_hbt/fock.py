@@ -36,9 +36,6 @@ PRUNE_TOL = 1e-15
 
 BRANCHES = ("a", "b")
 
-# ModeRegistry._one_photon_table: the one-photon occupations, and each one's mode index
-_OnePhotonTable = tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]
-
 
 def _is_occupation(counts: Iterable[object], n_max: int) -> bool:
     """Whether `counts` are the photon numbers of a basis state: non-negative
@@ -57,6 +54,18 @@ class ModeId:
     branch: str
 
 
+# ModeRegistry._per_size(): the mode tuple, the vacuum's occupation, the
+# one-photon occupations in mode order, each one's mode index, and the
+# stage-unitary memo
+_PerSize = tuple[
+    tuple[ModeId, ...],
+    tuple[int, ...],
+    tuple[tuple[int, ...], ...],
+    dict[tuple[int, ...], int],
+    dict[Hashable, "ModeUnitary"],
+]
+
+
 class ModeRegistry:
     """Ordered collection of modes sharing one truncated Fock space.
 
@@ -65,27 +74,28 @@ class ModeRegistry:
     n_max:
         Maximum total photon number across all modes (default 2).
 
-    The modes are held in a list.  The mode tuple and the vacuum's
-    occupation tuple, which `vacuum_occupation` returns, are each built once
-    per registry size, at their first read after a `register`, so building
-    a registry of n modes discards no tuple of fewer.  An
-    `elements.ModeUnitary` keeps the mode tuple it was built for, not the
-    registry.  Each registry also keeps
-    two private memos, and `register` drops both, so neither outlives the
-    registry size it was built for; otherwise they live as long as the
-    registry:
+    The modes are held in a list.  Everything that depends on the registry
+    size is one private tuple (`_per_size`), built at its first read after
+    a `register` and dropped there in one assignment, so building a
+    registry of n modes discards no state of fewer, and nothing outlives the
+    size it was built for:
 
+    - the mode tuple.  An `elements.ModeUnitary` keeps the mode tuple it was
+      built for, not the registry, so no reference cycle forms;
+    - the vacuum's occupation tuple, which `vacuum_occupation` returns;
+    - the one-photon occupation tuples in mode order, and a dict from each
+      of them to its mode index (about 5 kB at 20 modes).  `apply_creation`
+      on the vacuum, `elements.evolve`, `elements.spectral_filter` and
+      `amplitude_of` of one photon read them, and the one-photon states of
+      the registry share their tuples;
     - the stage unitaries that `protocol.run_erasure_pipeline` builds for
-      it: the beamsplitter keyed by the stage's `ArmPair`, the conversion
-      unitary keyed by `(arms, settings)`.  It has no size limit: it holds
-      one splitter per arm pair and one conversion unitary per distinct
-      tuning run on the registry (about 10 kB each at 20 modes);
-    - the one-photon table (`_one_photon_table`): the one-photon occupation
-      tuples in mode order, and a dict from each of them to its mode index.
-      It is built at its first use, by `apply_creation` on the vacuum,
-      `elements.evolve`, `elements.spectral_filter` or `amplitude_of` of one
-      photon (about 5 kB at 20 modes), and the one-photon states of the
-      registry then share its tuples.
+      it (`_stage_unitary`): the beamsplitter keyed by the stage's
+      `ArmPair`, the conversion unitary keyed by `(arms, settings)`.  It has
+      no size limit: it holds one splitter per arm pair and one conversion
+      unitary per distinct tuning run on the registry (about 10 kB each at
+      20 modes).
+
+    Each reader unpacks the tuple once per call.
     """
 
     def __init__(self, n_max: int = 2):
@@ -95,13 +105,10 @@ class ModeRegistry:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
         self.n_max = n_max
         self._mode_list: list[ModeId] = []
-        # None until built: plain attributes, since a cached_property keeps
+        # None until built: a plain attribute, since a cached_property keeps
         # the registry's attributes in a dict of their own, which slowed the
         # protocol pipelines by 3-5 %
-        self._mode_tuple: tuple[ModeId, ...] | None = None
-        self._vacuum: tuple[int, ...] | None = None
-        self._stage_unitaries: dict[Hashable, ModeUnitary] = {}
-        self._one_photon: _OnePhotonTable | None = None
+        self._sized: _PerSize | None = None
 
     def __len__(self) -> int:
         return len(self._mode_list)
@@ -109,17 +116,10 @@ class ModeRegistry:
     def __iter__(self) -> Iterator[ModeId]:
         return iter(self._mode_list)
 
-    @property
-    def _modes(self) -> tuple[ModeId, ...]:
-        """The modes as one tuple, built at its first read after a `register`."""
-        if self._mode_tuple is None:
-            self._mode_tuple = tuple(self._mode_list)
-        return self._mode_tuple
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ModeRegistry):
             return NotImplemented
-        return self.n_max == other.n_max and self._modes == other._modes
+        return self.n_max == other.n_max and self._mode_list == other._mode_list
 
     def __contains__(self, mode: ModeId) -> bool:
         """Whether `mode` is the mode registered at its index here, the same
@@ -148,34 +148,35 @@ class ModeRegistry:
             raise ValueError(f"mode {label!r}: branch must be one of {BRANCHES}, got {branch!r}")
         mode = ModeId(index=len(self._mode_list), label=label, frequency=float(frequency), branch=branch)
         self._mode_list.append(mode)
-        # the last size's tuples go; each is built again at its first read
-        self._mode_tuple = self._vacuum = None
-        self._stage_unitaries.clear()
-        self._one_photon = None
+        # the last size's state goes; it is built again at its first read
+        self._sized = None
         return mode
+
+    def _per_size(self) -> _PerSize:
+        """This size's state (see the class docstring): built at the first
+        call after the last `register`, then shared."""
+        sized = self._sized
+        if sized is None:
+            vacuum = (0,) * len(self._mode_list)
+            ones = tuple([vacuum[:i] + (1,) + vacuum[i + 1 :] for i in range(len(vacuum))])
+            sized = self._sized = (
+                tuple(self._mode_list), vacuum, ones, {occ: i for i, occ in enumerate(ones)}, {}
+            )
+        return sized
 
     def _stage_unitary(self, key: Hashable, build: Callable[[], ModeUnitary]) -> ModeUnitary:
         """The memoized stage unitary under `key`, calling `build()` on a miss."""
-        unitary = self._stage_unitaries.get(key)
+        _, _, _, _, memo = self._per_size()
+        unitary = memo.get(key)
         if unitary is None:
-            unitary = self._stage_unitaries[key] = build()
+            unitary = memo[key] = build()
         return unitary
-
-    def _one_photon_table(self) -> _OnePhotonTable:
-        """The one-photon occupation tuples in mode order, and a dict from each
-        to its mode index: built at the first call after the last `register`."""
-        if self._one_photon is None:
-            vacuum = self.vacuum_occupation()
-            ones = tuple([vacuum[:i] + (1,) + vacuum[i + 1 :] for i in range(len(vacuum))])
-            self._one_photon = ones, {occ: i for i, occ in enumerate(ones)}
-        return self._one_photon
 
     def vacuum_occupation(self) -> tuple[int, ...]:
         """The vacuum's occupation tuple, one tuple shared by every caller,
         built at its first read after a `register`."""
-        if self._vacuum is None:
-            self._vacuum = (0,) * len(self._mode_list)
-        return self._vacuum
+        _, vacuum, _, _, _ = self._per_size()
+        return vacuum
 
     def enumerate_basis(self) -> list[tuple[int, ...]]:
         """All occupation tuples with total photon number <= n_max.
@@ -229,10 +230,11 @@ class StateVector:
                 f"counts must be non-negative ints with at most n_max={registry.n_max} "
                 f"photons in all, got {shown!r}"
             )
+        _, vacuum, ones, _, _ = registry._per_size()
         occupied = [(mode.index, n) for mode, n in counts.items() if n]
         if len(occupied) == 1 and occupied[0][1] == 1:
-            return self.amplitude(registry._one_photon_table()[0][occupied[0][0]])
-        occ = list(registry.vacuum_occupation())
+            return self.amplitude(ones[occupied[0][0]])
+        occ = list(vacuum)
         for i, n in occupied:
             occ[i] = n
         return self.amplitude(tuple(occ))
@@ -322,7 +324,7 @@ def apply_creation(state: StateVector, mode: ModeId) -> StateVector:
         raise ValueError(f"mode {mode.label!r} does not belong to this registry")
     i = mode.index
     out: dict[tuple[int, ...], complex] = {}
-    vacuum = registry.vacuum_occupation()
+    _, vacuum, ones, _, _ = registry._per_size()
     for occ, amp in state.amplitudes.items():
         if sum(occ) + 1 > registry.n_max:
             raise ValueError(
@@ -330,7 +332,7 @@ def apply_creation(state: StateVector, mode: ModeId) -> StateVector:
                 f"n_max={registry.n_max} from basis state |{','.join(map(str, occ))}>"
             )
         if occ == vacuum:
-            target = registry._one_photon_table()[0][i]
+            target = ones[i]
         else:
             target = occ[:i] + (occ[i] + 1,) + occ[i + 1 :]
         out[target] = out.get(target, 0.0) + amp * (occ[i] + 1) ** 0.5

@@ -152,7 +152,8 @@ def run_erasure_pipeline(
     The splitter (keyed by `arms`) and the conversion unitary (keyed by
     `(arms, config.settings)`) come from the registry's memo, so each is
     built and checked for unitarity once per tuning and registry size, not
-    once per call; `registry.register` clears the memo.
+    once per call; `registry.register` drops the memo with the rest of
+    the registry's per-size state.
     """
     splitter = registry._stage_unitary(arms, lambda: bs_unitary(registry, arms.bs_pairs()))
     conversion = registry._stage_unitary(

@@ -199,9 +199,11 @@ class TdcStream:
         return out
 
 
-# values a chunked pass takes at a time: the per-tau count's preparation and
-# each of its taus, and _dedupe_sorted, so that their temporaries stay a few
-# MB however long the stream
+# values a chunked pass takes at a time: the per-tau count's passes over B
+# (its largest remainder, its bins at an offset) and each of its taus, and
+# _dedupe_sorted, so that their temporaries stay a few MB however long the
+# stream.  A's bins come a block of _CENTER_BLOCK at a time on both
+# shift-scan paths, the per-tau count's bitmap included.
 _COUNT_CHUNK = 1 << 16
 
 
@@ -307,7 +309,8 @@ def _complement_bins(excluded: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 # centers per block of _window_ranks, candidates per block of the
-# _segment_kernel thinning, and B clicks per block of the all-shifts pass.
+# _segment_kernel thinning, and clicks per block of analysis._block_bins:
+# B's and A's on the all-shifts pass, A's for the per-tau count's bitmap.
 # The scratch arrays hold a few numbers per center of one block (window
 # starts, counts, order, kernel sums, probabilities, a block's bins),
 # whatever the acquisition length.  On one Xeon vCPU (numpy 2.4.6, int32

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 from unittest import mock
@@ -13,7 +14,6 @@ from chromatic_hbt.analysis import (
     CoincidenceCounts,
     G2Curve,
     _all_shift_tallies,
-    _multi_shift_coincidences,
     count_coincidences,
     estimate_g2,
     scan_delay,
@@ -136,20 +136,38 @@ def scan_outcome(stream, taus):
     return curve.g2.tolist(), curve.sigma.tolist()
 
 
-def second_scan_peak(duration):
-    """Traced peak of scan_tau at the default taus, beyond the stream it
-    scans: a default-rate fig3 stream of the duration, scanned twice, so
-    that first-call allocations are not counted."""
+@functools.cache
+def default_tau_stream(duration):
+    """A default-rate fig3 stream of the duration, simulated once per session."""
     config = RunConfig.load()
-    stream = simulate_stream(dataclasses.replace(config.tau_stream, delay_schedule=((0.0, duration),)))
-    taus = config.tau_scan.taus()
-    scan_tau(stream, taus)
-    tracemalloc.start()  # the stream, allocated before, is not traced
+    return simulate_stream(dataclasses.replace(config.tau_stream, delay_schedule=((0.0, duration),)))
+
+
+def second_call_peak(call):
+    """Traced peak of call()'s second run, so that first-call allocations
+    are not counted, and its result."""
+    call()
+    tracemalloc.start()  # whatever was allocated before, the stream too, is not traced
     try:
-        scan_tau(stream, taus)
-        return tracemalloc.get_traced_memory()[1]
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
+
+
+def second_scan_peak(duration):
+    """Traced peak of scan_tau at the default taus, beyond the stream it
+    scans: default_tau_stream(duration), scanned twice."""
+    stream, taus = default_tau_stream(duration), RunConfig.load().tau_scan.taus()
+    return second_call_peak(lambda: scan_tau(stream, taus))[0]
+
+
+def occupancy_peak(duration):
+    """Traced peak of _Occupancy.of(default_tau_stream(duration)) beyond
+    the bitmap it returns, on its second call."""
+    stream = default_tau_stream(duration)
+    peak, occupancy = second_call_peak(lambda: analysis._Occupancy.of(stream))
+    return peak - occupancy.bitmap.nbytes
 
 
 class TestCountCoincidences:
@@ -260,7 +278,8 @@ class TestCountCoincidences:
         duration += pad_bins * stream_bw
         stream = toy_stream(times_a, times_b, bin_width_ps=stream_bw, duration_ps=duration)
         tau = tau_ps / PS_PER_SECOND
-        with mock.patch.object(analysis, "_COUNT_CHUNK", chunk):
+        # A's bitmap is set a block of _CENTER_BLOCK bins at a time, B's passes a chunk at a time
+        with mock.patch.object(analysis, "_COUNT_CHUNK", chunk), mock.patch.object(analysis, "_CENTER_BLOCK", chunk):
             occupancy = analysis._Occupancy.of(stream)
             prepared = count_coincidences(stream, tau, occupancy)
         # the smallest shift whose bitmap is at most twice A's times array
@@ -455,12 +474,15 @@ class TestScans:
     # repeated and unsorted shifts each read their own histogram bin
     @example(set(range(0, 300, 2)), set(range(0, 300, 3)), [5, -3, 5, 60, 0, -3, -60], 7)
     def test_shift_histogram_blocks_match_per_shift_intersections(self, a, b, shifts, block):
+        # clicks at the starts of those 1000 ps bins, with 61 bins past the
+        # last, so that every shift stays inside the whole bins
         bins_a = np.array(sorted(a), dtype=np.int64)
         bins_b = np.array(sorted(b), dtype=np.int64)
-        shifts = np.array(shifts, dtype=np.int64)
-        with mock.patch.object(streams, "_CENTER_BLOCK", block):
-            counts = _multi_shift_coincidences([(bins_a, bins_b)], shifts)
-        assert counts.tolist() == per_shift_coincidences(bins_a, bins_b, shifts.tolist())
+        stream = toy_stream(bins_a * 1000, bins_b * 1000, duration_ps=(max(a | b, default=0) + 61) * 1000)
+        with mock.patch.object(analysis, "_CENTER_BLOCK", block), mock.patch.object(streams, "_CENTER_BLOCK", block):
+            tallies = _all_shift_tallies(stream, np.array(shifts, dtype=np.int64))
+            counts = [t.n_coincidence for t in tallies]
+        assert counts == per_shift_coincidences(bins_a, bins_b, shifts)
 
     @given(whole_bin_scans(), st.one_of(st.just(1), st.just(3), st.integers(1, 100)))
     # B's bin 0 fills its first block of 3 clicks and starts the next
@@ -605,6 +627,16 @@ class TestScans:
         # that floors a whole channel peaks 3 times as high at 6 s as at 2 s
         short, long = second_scan_peak(2.0), second_scan_peak(6.0)
         assert long < 96 * streams._CENTER_BLOCK, f"peak {long / 1e6:.3f} MB beyond the 6 s stream"
+        assert long < short + 2 * streams._CENTER_BLOCK, f"{long / 1e6:.3f} MB at 6 s, {short / 1e6:.3f} MB at 2 s"
+
+    def test_per_tau_preparation_peak_does_not_grow_with_the_duration(self):
+        # 2 s and 6 s of the default fig3 stream, 0.6M and 1.8M records:
+        # beyond its bitmap, _Occupancy.of holds one block of A's bins at a
+        # time, with no term per record (33 B a center at each, numpy
+        # 2.4.6), bounded at 64 B.  Building A's bins whole peaks 3.1 MB
+        # beyond the bitmap at 2 s and 5.5 MB at 6 s
+        short, long = occupancy_peak(2.0), occupancy_peak(6.0)
+        assert long < 64 * streams._CENTER_BLOCK, f"peak {long / 1e6:.3f} MB beyond the 6 s bitmap"
         assert long < short + 2 * streams._CENTER_BLOCK, f"{long / 1e6:.3f} MB at 6 s, {short / 1e6:.3f} MB at 2 s"
 
     def test_scan_tau_fractional_shift_uses_general_path(self):

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from chromatic_hbt.elements import ModeUnitary
 from chromatic_hbt.fock import (
     SPEED_OF_LIGHT,
     ModeRegistry,
@@ -45,17 +46,28 @@ class TestRegistry:
         assert len(reg) == 1
 
     def test_each_tuple_is_built_once_per_size(self):
-        # registering builds no mode or vacuum tuple: each is built at its
-        # first read, then shared, until the next register drops it
+        # registering builds no per-size state: the first read builds one,
+        # which later reads share, until the next register drops it, the
+        # stage-unitary memo with it
         reg = ModeRegistry()
         for k in range(19):
             reg.register(f"m{k}", 2.8e14 + k, "a")
-        assert reg._mode_tuple is None and reg._vacuum is None
-        modes, vacuum = reg._modes, reg.vacuum_occupation()
-        assert reg._modes is modes and reg.vacuum_occupation() is vacuum
-        assert modes == tuple(reg) and vacuum == (0,) * 19
+        assert reg._sized is None
+        vacuum = reg.vacuum_occupation()
+        sized = reg._sized
+        modes, shared_vacuum, ones, one_photon, memo = sized
+        assert shared_vacuum is vacuum and vacuum == (0,) * 19 and modes == tuple(reg)
+        assert ones == tuple(tuple(int(i == j) for j in range(19)) for i in range(19))
+        assert one_photon == {occ: i for i, occ in enumerate(ones)} and memo == {}
+        unitary = reg._stage_unitary("identity", lambda: ModeUnitary(reg, np.eye(19)))
+        assert reg._stage_unitary("identity", lambda: None) is unitary and memo == {"identity": unitary}
+        state = apply_creation(StateVector.vacuum(reg), reg._mode_list[3])
+        assert next(iter(state.amplitudes)) is ones[3] and unitary.modes is modes
+        assert reg._sized is sized and reg.vacuum_occupation() is vacuum
         reg.register("m19", 3e14, "b")
-        assert reg._modes[:19] == modes and reg.vacuum_occupation() == (0,) * 20
+        assert reg._sized is None
+        assert reg.vacuum_occupation() == (0,) * 20 and reg._sized[0][:19] == modes
+        assert reg._sized[4] == {}
 
     def test_duplicate_label_rejected_naming_label(self):
         reg = ModeRegistry()
